@@ -6,7 +6,7 @@ cohomology."""
 from .algebra import FamilyAlgebra, get_algebra
 from .cochains import Cochain, CochainName, HochschildComplex
 from .diagonal import ChainMapFamily, DiagonalMaps, HomotopyFamily
-from .linalg import QQ, Matrix, PrimeField, kernel_basis, rank, rref, solve
+from .linalg import QQ, Matrix, PrimeField, kernel_basis, rank
 from .pipeline import Pipeline, RunConfig
 from .products import Products, UnsupportedRightFactor, star_table
 from .quiver import Path, parse_path
@@ -28,8 +28,6 @@ __all__ = [
     "PrimeField",
     "kernel_basis",
     "rank",
-    "rref",
-    "solve",
     "Pipeline",
     "RunConfig",
     "Products",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linalg import QQ, PrimeField
+from .linalg import QQ, PrimeField, SparseEchelon
 from .quiver import (
     VERTICES,
     Path,
@@ -220,49 +220,6 @@ def get_algebra(n, field=QQ):
     """Shared, immutable algebra instances (safe: nothing mutates them)."""
     key = "QQ" if field is QQ or getattr(field, "name", "") == "QQ" else str(field.p)
     return _algebra_cached(n, key)
-
-
-class SparseEchelon:
-    """Incremental echelon form of sparse vectors over a field.
-
-    Vectors are dicts {index: coeff}.  `add` reduces the vector against
-    the rows stored so far and, if a residual survives, stores it keyed
-    by its leading index (smallest index, normalised to 1).
-    """
-
-    def __init__(self):
-        self.rows = {}
-
-    def reduce(self, vec):
-        vec = dict(vec)
-        while vec:
-            lead = min(vec)
-            row = self.rows.get(lead)
-            if row is None:
-                return vec
-            f = vec[lead]
-            for j, c in row.items():
-                acc = vec.get(j)
-                acc = -f * c if acc is None else acc - f * c
-                if acc:
-                    vec[j] = acc
-                else:
-                    vec.pop(j, None)
-        return vec
-
-    def add(self, vec):
-        """Insert vec's residual; returns the new pivot index or None."""
-        res = self.reduce(vec)
-        if not res:
-            return None
-        lead = min(res)
-        inv = 1 / res[lead]
-        self.rows[lead] = {j: c * inv for j, c in res.items()}
-        return lead
-
-    @property
-    def rank(self):
-        return len(self.rows)
 
 
 def ideal_relations(n):

@@ -31,15 +31,11 @@ def _load_golden(name):
 
 
 def _emit(config, payload, default_text):
-    if config.output == "json":
-        text = reports.canonical_json(payload)
-    elif config.output == "markdown":
-        text = default_text  # markdown built by the caller
-    else:
-        text = default_text
+    # text and markdown are built by the caller
+    text = reports.canonical_json(payload) if config.output == "json" else default_text
     if config.out_path:
         with open(config.out_path, "w") as fh:
-            fh.write(text if config.output != "json" else text)
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -85,12 +81,17 @@ def cmd_algebra(pipe, action):
     return payload, text, _status_ok(rows)
 
 
+_RESOLUTION_KINDS = {
+    "verify": ("boundary-squared", "minimality"),
+    "exactness": ("exactness",),
+}
+
+
 def cmd_resolution(pipe, action):
-    rows = pipe.resolution_checks()
-    if action == "verify":
-        rows = [r for r in rows if r["kind"] in ("boundary-squared", "minimality")]
-    elif action == "exactness":
-        rows = [r for r in rows if r["kind"] == "exactness"]
+    if action in _RESOLUTION_KINDS:
+        rows = pipe.resolution_checks(_RESOLUTION_KINDS[action])
+    else:
+        rows = pipe.resolution_checks()
     tables = {
         "dimensions": [
             {"degree": m, "dim": pipe.resolution.dim(m), "generators": len(generator_labels(m))}
@@ -179,13 +180,15 @@ def cmd_hochschild(pipe, action):
             str(m): [str(c.name) for c in pipe.hochschild.named_basis(m)]
             for m in range(0, min(3, pipe.config.max_degree))
         }
-    if action in ("cup-table", "all") and pipe.config.delta_mode == "solved":
-        fam = pipe.family("solved")
-        pipe.diagonal.verify_squares(fam, pipe.config.max_degree)
-        if pipe.config.n == 0 and pipe.config.max_degree >= 12:
-            tables["cup_table"] = reports.ring_cup_report(
-                pipe.hochschild, pipe.products, fam
-            )
+    if (
+        action in ("cup-table", "all")
+        and pipe.config.delta_mode == "solved"
+        and pipe.config.n == 0
+        and pipe.config.max_degree >= 12
+    ):
+        tables["cup_table"] = reports.ring_cup_report(
+            pipe.hochschild, pipe.products, pipe.family("solved")
+        )
     text = _check_lines(checks)
     text += "degree  hom-dim  hh-dim\n"
     for row in tables["dimensions"]:
@@ -210,8 +213,7 @@ def cmd_ring(pipe, action):
         raise SystemExit("ring reconciliation is defined for --n 0")
     hc, pr, dm = pipe.hochschild, pipe.products, pipe.diagonal
     star_rows = reports.ring_star_report(hc, pr)
-    fam = dm.solved_family(max(12, pipe.config.max_degree), "left")
-    dm.verify_squares(fam, max(12, pipe.config.max_degree))
+    fam = pipe.family("solved", max(12, pipe.config.max_degree))
     cup_rows = reports.ring_cup_report(hc, pr, fam)
     worked = reports.worked_value_report(dm, dm.default_homotopy(2))
     ledger = reports.kd_ledger()

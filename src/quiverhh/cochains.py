@@ -11,16 +11,17 @@ generator-by-generator presentation:
     degree 3m+1:     mu_i^t, nu_0, nu_1
     degree 3m+2:     theta_i^t (t = 0..n-1) and eta
 
-Cohomology-class bookkeeping is by canonical residuals: reduce a cocycle
-against the echelonised coboundary space; two cocycles are cohomologous
-exactly when their residuals agree.
+Cohomology-class bookkeeping is by canonical residuals: fully reduce a
+cocycle against the echelonised coboundary space, which leaves it zero
+at every pivot index; two cocycles are cohomologous exactly when their
+residuals agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import SparseEchelon
+from .linalg import Matrix, SparseEchelon, kernel_basis
 from .quiver import a_cycle, arrow, trivial
 from .uniform import label_pair
 
@@ -68,8 +69,9 @@ class HochschildComplex:
         self.n = resolution.n
         self.field = resolution.field
         self._hom_basis = {}
+        self._cob_columns = {}
         self._cob_echelon = {}
-        self._cocycle_echelon = {}
+        self._cocycle_basis = {}
 
     # -- coordinates ------------------------------------------------------
 
@@ -160,17 +162,25 @@ class HochschildComplex:
 
     # -- cohomology ---------------------------------------------------------
 
+    def _coboundary_columns(self, m):
+        """Coordinate vectors of the coboundaries of the degree-m basis cochains."""
+        if m not in self._cob_columns:
+            one = self.field.one()
+            cols = []
+            for lab, p in self.hom_basis(m)[0]:
+                f = self.zero_cochain(m)
+                f.images[lab] = {p: one}
+                cols.append(self.to_vec(self.coboundary(f)))
+            self._cob_columns[m] = cols
+        return self._cob_columns[m]
+
     def _coboundary_space(self, m):
         """Echelon of the coboundaries landing in degree m."""
         if m not in self._cob_echelon:
             ech = SparseEchelon()
             if m >= 1:
-                one = self.field.one()
-                basis, _ = self.hom_basis(m - 1)
-                for lab, p in basis:
-                    f = self.zero_cochain(m - 1)
-                    f.images[lab] = {p: one}
-                    ech.add(self.to_vec(self.coboundary(f)))
+                for vec in self._coboundary_columns(m - 1):
+                    ech.add(vec)
             self._cob_echelon[m] = ech
         return self._cob_echelon[m]
 
@@ -188,45 +198,28 @@ class HochschildComplex:
         return self.class_residual(cochain) == ()
 
     def cohomology(self, m):
-        """(dimension, representative cocycles) of degree-m cohomology."""
-        one = self.field.one()
-        ech_cob = self._coboundary_space(m)
+        """(dimension, representative cocycles) of degree-m cohomology.
+
+        The representatives are the cocycle-space basis vectors that are
+        independent modulo the coboundaries and the earlier ones.
+        """
         combined = SparseEchelon()
-        for piv, row in ech_cob.rows.items():
-            combined.add(dict(row))
-        reps = []
-        basis, _ = self.hom_basis(m)
-        # echelonise the cocycle space on top of the coboundaries
-        kernel_vecs = self._cocycle_vectors(m)
-        for vec in kernel_vecs:
-            res = combined.reduce(vec)
-            if res:
-                combined.add(res)
-                reps.append(self.from_vec(m, res))
+        combined.rows.update(self._coboundary_space(m).rows)
+        reps = [
+            self.from_vec(m, vec)
+            for vec in self._cocycle_vectors(m)
+            if combined.add(vec) is not None
+        ]
         return len(reps), reps
 
     def _cocycle_vectors(self, m):
-        if m not in self._cocycle_echelon:
-            from .linalg import Matrix, kernel_basis
-
-            basis, _ = self.hom_basis(m)
-            tgt_basis, tgt_index = self.hom_basis(m + 1)
-            zero = self.field.zero()
-            one = self.field.one()
-            entries = [zero] * (len(tgt_basis) * len(basis))
-            for j, (lab, p) in enumerate(basis):
-                f = self.zero_cochain(m)
-                f.images[lab] = {p: one}
-                df = self.to_vec(self.coboundary(f))
-                for i, c in df.items():
-                    entries[i * len(basis) + j] = c
-            mat = Matrix(len(tgt_basis), len(basis), entries)
-            vecs = [
-                {i: c for i, c in enumerate(col) if c}
-                for col in kernel_basis(mat, self.field)
-            ]
-            self._cocycle_echelon[m] = vecs
-        return self._cocycle_echelon[m]
+        """Basis of the cocycle space: the kernel of the coboundary."""
+        if m not in self._cocycle_basis:
+            cols = self._coboundary_columns(m)
+            entries = [(i, j, c) for j, col in enumerate(cols) for i, c in col.items()]
+            mat = Matrix(self.hom_dim(m + 1), len(cols), entries)
+            self._cocycle_basis[m] = kernel_basis(mat, self.field)
+        return self._cocycle_basis[m]
 
     def hh_dimension(self, m):
         return self.cohomology(m)[0]

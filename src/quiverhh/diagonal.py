@@ -102,16 +102,13 @@ class OneSidedContraction:
         if key not in self._solvers:
             src, _ = self._corner(m, w)
             _, tgt_index = self._corner(m - 1, w)
-            zero = self.res.field.zero()
             one = self.res.field.one()
-            entries = [zero] * (len(tgt_index) * len(src))
-            for j, tr in enumerate(src):
-                img = self.res.apply_boundary(m, {tr: one})
-                for k, c in img.items():
-                    entries[tgt_index[k] * len(src) + j] = c
-            self._solvers[key] = LinearSolver(
-                Matrix(len(tgt_index), len(src), entries), self.res.field
-            )
+            entries = [
+                (tgt_index[k], j, c)
+                for j, tr in enumerate(src)
+                for k, c in self.res.apply_boundary(m, {tr: one}).items()
+            ]
+            self._solvers[key] = LinearSolver(Matrix(len(tgt_index), len(src), entries))
         return self._solvers[key]
 
     def apply(self, m, elem):
@@ -178,13 +175,9 @@ class OneSidedContraction:
                 solver = self._corner_solver(m + 1, w)
                 src, _ = self._corner(m + 1, w)
                 _, tgt_index = self._corner(m, w)
-                zero = self.res.field.zero()
-                b = [zero] * len(tgt_index)
-                for k, c in rhs_elem.items():
-                    b[tgt_index[k]] = c
-                x = solver.solve(b)
+                x = solver.solve({tgt_index[k]: c for k, c in rhs_elem.items()})
                 assert x is not None, f"contraction solve failed at degree {m}"
-                tbl[key] = {src[i]: c for i, c in enumerate(x) if c}
+                tbl[key] = {src[i]: c for i, c in x.items()}
             self.table[m] = tbl
 
 

@@ -1,11 +1,15 @@
-"""Exact dense linear algebra over the rationals or a prime field.
+"""Exact sparse elimination over the rationals or a prime field.
 
-Everything in this module is deterministic: pivots are always the first
-row with a nonzero entry in the pivot column, particular solutions set
-every free variable to zero, and kernel vectors are listed by increasing
-free-column index.  Coefficients are `fractions.Fraction` or `GFElement`
-values; both support the arithmetic operators and truth-testing, so the
-elimination code never needs to know which field it is working over.
+One engine, `SparseEchelon`, does all the elimination in the package.
+It takes sparse vectors {index: coeff} in order and keeps them in
+echelon form.  `rank`, `kernel_basis` and `LinearSolver` insert the
+columns of a sparse `Matrix` one by one, so the pivot columns are
+exactly those of the reduced row echelon form: particular solutions set
+every free variable to zero, and kernel vectors are listed by
+increasing free-column index.  Coefficients are `fractions.Fraction` or
+`GFElement` values; both support the arithmetic operators and
+truth-testing, so the elimination code never needs to know which field
+it is working over.
 """
 
 from __future__ import annotations
@@ -154,187 +158,139 @@ QQ = Rationals()
 
 @dataclass
 class Matrix:
-    """Dense row-major matrix.  len(entries) == rows * cols always."""
+    """Sparse matrix: `entries` holds the nonzero (row, col, coeff) triples."""
 
     rows: int
     cols: int
     entries: list
 
-    def __post_init__(self):
-        assert len(self.entries) == self.rows * self.cols
-
-    def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+    def columns(self):
+        """The columns as sparse vectors {row: coeff}, in column order."""
+        out = [{} for _ in range(self.cols)]
+        for i, j, c in self.entries:
+            out[j][i] = c
+        return out
 
 
-def matrix_from_rows(rows, ncols=None, field=QQ):
-    if rows:
-        ncols = len(rows[0])
-    assert ncols is not None, "need ncols for an empty matrix"
-    flat = []
-    for r in rows:
-        assert len(r) == ncols
-        flat.extend(field.from_int(x) if isinstance(x, int) else x for x in r)
-    return Matrix(len(rows), ncols, flat)
+class SparseEchelon:
+    """Incremental echelon form of sparse vectors {index: coeff} over a field.
 
+    Each stored row is keyed by its leading (smallest) index, where its
+    coefficient is 1; every other index of a row is larger.  With
+    track=True each row also records the combination {tag: coeff} of the
+    inserted vectors that it equals, so the echelon can express any
+    vector of its span in terms of what was inserted.
+    """
 
-def identity_matrix(n, field=QQ):
-    one, zero = field.one(), field.zero()
-    return Matrix(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+    def __init__(self, track=False):
+        self.rows = {}
+        self.combos = {} if track else None
 
+    def _subtract(self, vec, f, lead, combo):
+        """vec -= f * row[lead], in place; combo += f * combo of that row."""
+        for j, c in self.rows[lead].items():
+            acc = vec.get(j)
+            acc = -f * c if acc is None else acc - f * c
+            if acc:
+                vec[j] = acc
+            else:
+                vec.pop(j, None)
+        if combo is not None:
+            for t, c in self.combos[lead].items():
+                acc = combo.get(t)
+                acc = f * c if acc is None else acc + f * c
+                if acc:
+                    combo[t] = acc
+                else:
+                    combo.pop(t, None)
 
-def _rref_rows(rows, ncols):
-    """In-place RREF on a list of row lists.  Returns the pivot columns."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
+    def _eliminate(self, vec, combo=None):
+        """Reduce vec in place until its leading index has no row.
+
+        This decides membership: vec ends empty exactly when it lay in
+        the span.  Afterwards the original vec equals what is left plus
+        the combination collected in `combo`.
+        """
+        while vec:
+            lead = min(vec)
+            if lead not in self.rows:
                 break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            inv = 1 / piv
-            row_r = rows[r]
-            for j in range(c, len(row_r)):
-                if row_r[j]:
-                    row_r[j] = row_r[j] * inv
-        row_r = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
+            self._subtract(vec, vec[lead], lead, combo)
+        return vec
+
+    def reduce(self, vec):
+        """Fully reduced residual of vec: zero at every leading index, so
+        two vectors that differ by an element of the span reduce alike."""
+        vec = dict(vec)
+        for lead in sorted(self.rows):
+            f = vec.get(lead)
             if f:
-                row_i = rows[i]
-                for j in range(c, len(row_i)):
-                    if row_r[j]:
-                        row_i[j] = row_i[j] - f * row_r[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+                self._subtract(vec, f, lead, None)
+        return vec
+
+    def add(self, vec, tag=None):
+        """Insert vec (under `tag` when tracking).  Returns the new row's
+        leading index, or None when vec already lies in the span."""
+        combo = None if self.combos is None else {}
+        res = self._eliminate(dict(vec), combo)
+        if not res:
+            return None
+        lead = min(res)
+        inv = 1 / res[lead]
+        self.rows[lead] = {j: c * inv for j, c in res.items()}
+        if combo is not None:
+            # res = vec - sum(combo), so the row is inv * (vec - sum(combo))
+            row_combo = {t: -c * inv for t, c in combo.items()}
+            row_combo[tag] = inv
+            self.combos[lead] = row_combo
+        return lead
+
+    def express(self, vec):
+        """{tag: coeff}, sorted by tag, with vec = sum of coeff times the
+        vector inserted under tag; None when vec is outside the span."""
+        combo = {}
+        if self._eliminate(dict(vec), combo):
+            return None
+        return dict(sorted(combo.items()))
+
+    @property
+    def rank(self):
+        return len(self.rows)
 
 
-def rref(m):
-    """Reduced row echelon form.  Returns (rref matrix, pivot columns, rank)."""
-    rows = m.row_lists()
-    pivots = _rref_rows(rows, m.cols)
-    flat = [x for row in rows for x in row]
-    return Matrix(m.rows, m.cols, flat), tuple(pivots), len(pivots)
+def _column_echelon(a, track=False):
+    ech = SparseEchelon(track)
+    for j, col in enumerate(a.columns()):
+        ech.add(col, j)
+    return ech
 
 
 def rank(m):
-    return rref(m)[2]
-
-
-def solve(a, b, field=QQ):
-    """Particular solution of a*x = b with free variables zero, or None.
-
-    The augmented system is row reduced; a pivot in the constant column
-    signals inconsistency.
-    """
-    assert a.rows == len(b)
-    bcol = [field.from_int(x) if isinstance(x, int) else x for x in b]
-    rows = [a.row(i) + [bcol[i]] for i in range(a.rows)]
-    pivots = _rref_rows(rows, a.cols + 1)
-    if pivots and pivots[-1] == a.cols:
-        return None
-    zero = field.zero()
-    x = [zero] * a.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][a.cols]
-    return x
+    return _column_echelon(m).rank
 
 
 def kernel_basis(a, field=QQ):
-    """Basis of the right kernel, one vector per free column, in order."""
-    red, pivots, rk = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivot_set]
-    zero, one = field.zero(), field.one()
+    """Basis of the right kernel as sparse vectors {col: coeff}: one per
+    free column, in order, with 1 there and support otherwise on the
+    pivot columns before it."""
+    ech = SparseEchelon(track=True)
     basis = []
-    for fc in free:
-        v = [zero] * a.cols
-        v[fc] = one
-        for i, pc in enumerate(pivots):
-            coeff = red[i, fc]
-            if coeff:
-                v[pc] = -coeff
-        basis.append(v)
+    for j, col in enumerate(a.columns()):
+        if ech.add(col, j) is None:
+            v = {t: -c for t, c in ech.express(col).items()}
+            v[j] = field.one()
+            basis.append(v)
     return basis
 
 
-def mat_vec(a, x, field=QQ):
-    zero = field.zero()
-    out = []
-    for i in range(a.rows):
-        row = a.row(i)
-        acc = zero
-        for j, xj in enumerate(x):
-            if row[j] and xj:
-                acc = acc + row[j] * xj
-        out.append(acc)
-    return out
-
-
 class LinearSolver:
-    """Row reduce a matrix once, then solve many right-hand sides.
+    """Echelonise the columns of a matrix once, then solve many right-hand
+    sides.  Right-hand sides and solutions are sparse vectors."""
 
-    Keeps the transform T with T*A = R (R the RREF), so each solve is a
-    matrix-vector product plus a consistency check.  Free variables are
-    always zero, matching `solve`.
-    """
-
-    def __init__(self, a, field=QQ):
-        self.field = field
-        self.nrows = a.rows
-        self.ncols = a.cols
-        one, zero = field.one(), field.zero()
-        rows = [
-            a.row(i) + [one if k == i else zero for k in range(a.rows)]
-            for i in range(a.rows)
-        ]
-        pivots = _rref_rows(rows, a.cols)  # reduce on the A-part only
-        self.pivots = pivots
-        self.rank = len(pivots)
-        self.transform = [row[a.cols :] for row in rows]
+    def __init__(self, a):
+        self.echelon = _column_echelon(a, track=True)
 
     def solve(self, b):
-        """Solution with zeroed free variables, or None if inconsistent."""
-        zero = self.field.zero()
-        y = []
-        for trow in self.transform:
-            acc = zero
-            for j, t in enumerate(trow):
-                if t and b[j]:
-                    acc = acc + t * b[j]
-            y.append(acc)
-        for i in range(self.rank, self.nrows):
-            if y[i]:
-                return None
-        x = [zero] * self.ncols
-        for i, pc in enumerate(self.pivots):
-            x[pc] = y[i]
-        return x
+        """The solution {col: value} of a*x = b supported on the pivot
+        columns (free variables zero), or None if inconsistent."""
+        return self.echelon.express(b)

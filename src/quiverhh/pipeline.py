@@ -72,24 +72,24 @@ class Pipeline:
         self.uniform = UniformPaths(config.n)
         self._families = {}
 
-    def family(self, mode=None):
+    def family(self, mode=None, max_degree=None):
+        """The diagonal family of the given mode, built once per degree."""
         mode = mode or self.config.delta_mode
-        key = (mode, self.config.max_degree, self.config.homotopy)
+        d = max_degree or self.config.max_degree
+        key = (mode, d, self.config.homotopy)
         if key not in self._families:
             dm = self.diagonal
-            d = self.config.max_degree
             if mode == "literal":
                 fam = dm.literal_family(d)
             elif mode == "formula":
-                fam = dm.formula_family(self.homotopy_family(), d)
+                fam = dm.formula_family(self.homotopy_family(d), d)
             else:
                 fam = dm.solved_family(d, "left")
             self._families[key] = fam
         return self._families[key]
 
-    def homotopy_family(self):
+    def homotopy_family(self, d):
         dm = self.diagonal
-        d = self.config.max_degree
         choice = self.config.homotopy
         if choice == "default":
             return dm.default_homotopy(d)
@@ -119,24 +119,28 @@ class Pipeline:
             }
         ]
 
-    def resolution_checks(self):
+    def resolution_checks(self, kinds=("boundary-squared", "exactness", "minimality")):
+        """Rows of the resolution checks of the given kinds, in that order."""
         d = self.config.max_degree
         rows = []
-        for r in self.resolution.verify_complex(d):
-            rows.append({"id": f"complex-{r['degree']}", "kind": "boundary-squared", **r})
-        for r in self.resolution.verify_exactness(d):
-            rows.append({"id": f"exactness-{r['degree']}", "kind": "exactness", **r})
-        bad = []
-        for m in range(1, d + 1):
-            bad.extend(self.resolution.minimality_violations(m))
-        rows.append(
-            {
-                "id": "minimality",
-                "kind": "minimality",
-                "status": "pass" if not bad else "fail",
-                **({"witness": str(bad[0])} if bad else {}),
-            }
-        )
+        if "boundary-squared" in kinds:
+            for r in self.resolution.verify_complex(d):
+                rows.append({"id": f"complex-{r['degree']}", "kind": "boundary-squared", **r})
+        if "exactness" in kinds:
+            for r in self.resolution.verify_exactness(d):
+                rows.append({"id": f"exactness-{r['degree']}", "kind": "exactness", **r})
+        if "minimality" in kinds:
+            bad = []
+            for m in range(1, d + 1):
+                bad.extend(self.resolution.minimality_violations(m))
+            rows.append(
+                {
+                    "id": "minimality",
+                    "kind": "minimality",
+                    "status": "pass" if not bad else "fail",
+                    **({"witness": str(bad[0])} if bad else {}),
+                }
+            )
         return rows
 
     def diagonal_checks(self, mode=None):

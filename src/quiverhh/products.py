@@ -133,11 +133,6 @@ class Products:
                         return named.name, c
         return None, None
 
-    def star_named(self, f_name, f_deg, g_name, g_deg):
-        f = self.hc.named(f_deg, f_name)
-        g = self.hc.named(g_deg, g_name)
-        return self.star(f, g)
-
     def table_comparison(self, degrees=(0, 3, 1, 2)):
         """Computed two-corner products versus the published table.
 

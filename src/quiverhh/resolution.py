@@ -16,7 +16,7 @@ of the target degree.  All coefficients are +-1.
 
 from __future__ import annotations
 
-from .linalg import Matrix
+from .linalg import Matrix, rank
 from .quiver import a_cycle, arrow, trivial
 from .uniform import Label, generator_labels, label_pair
 
@@ -301,68 +301,26 @@ class Resolution:
         """
         if m in self._matrices:
             return self._matrices[m]
-        alg = self.algebra
+        one = self.field.one()
         cols = self.triples(m)
-        zero = self.field.zero()
         if m == 0:
-            row_index = alg.basis_index
-            nrows = len(alg.basis)
-            images = (self.augment({tr: self.field.one()}) for tr in cols)
+            row_index = self.algebra.basis_index
+            images = (self.augment({tr: one}) for tr in cols)
         else:
             self.triples(m - 1)
             row_index = self._triple_index[m - 1]
-            nrows = len(row_index)
-            images = (self.apply_boundary(m, {tr: self.field.one()}) for tr in cols)
-        entries = [zero] * (nrows * len(cols))
-        for j, img in enumerate(images):
-            for key, c in img.items():
-                entries[row_index[key] * len(cols) + j] = c
-        mat = Matrix(nrows, len(cols), entries)
+            images = (self.apply_boundary(m, {tr: one}) for tr in cols)
+        entries = [
+            (row_index[key], j, c) for j, img in enumerate(images) for key, c in img.items()
+        ]
+        mat = Matrix(len(row_index), len(cols), entries)
         self._matrices[m] = mat
         return mat
 
     def boundary_rank(self, m):
         if m not in self._ranks:
-            from .linalg import rank
-
             self._ranks[m] = rank(self.boundary_matrix(m))
         return self._ranks[m]
-
-    def matrix_of_map(self, source_degree, images, target_degree=None):
-        """Matrix of the bimodule map with the given generator images.
-
-        images maps each source label either to a resolution element (a
-        triple dict at target_degree) or, when target_degree is None, to
-        an algebra element.  Columns follow the source scalar basis,
-        rows the target one.
-        """
-        cols = self.triples(source_degree)
-        zero = self.field.zero()
-        if target_degree is None:
-            row_index = self.algebra.basis_index
-        else:
-            self.triples(target_degree)
-            row_index = self._triple_index[target_degree]
-        entries = [zero] * (len(row_index) * len(cols))
-        for j, (lab, left, right) in enumerate(cols):
-            img = images[lab]
-            if target_degree is None:
-                val = {}
-                for p, c in img.items():
-                    q = self.algebra.mul_path(left, p)
-                    if q is None:
-                        continue
-                    q = self.algebra.mul_path(q, right)
-                    if q is None:
-                        continue
-                    val[q] = val.get(q, zero) + c
-                items = val.items()
-            else:
-                items = self.act(left, img, right).items()
-            for key, c in items:
-                if c:
-                    entries[row_index[key] * len(cols) + j] = c
-        return Matrix(len(row_index), len(cols), entries)
 
     # -- verifiers --------------------------------------------------------
 

@@ -87,6 +87,16 @@ def test_class_residual_constant_on_coboundary_shifts(pipes):
     y = hc.y_cochain()
     shift = hc.coboundary(hc.named(0, CochainName("alpha", 0, 0)))
     assert hc.class_residual(hc.add(y, shift)) == hc.class_residual(y)
+    # a residual that stopped at the first index without a pivot would
+    # tell these shifts apart from the unshifted cocycle
+    hc = hc_of(pipes, 1)
+    f = hc.zero_cochain(2)
+    for i in range(3):
+        f = hc.add(f, hc.named(2, CochainName("theta", i, 0)))
+    for g in hc.named_basis(1):
+        shifted = hc.add(f, hc.coboundary(g))
+        assert hc.class_residual(shifted) == hc.class_residual(f), g.name
+        assert hc.classes_equal(f, shifted)
 
 
 def test_cohomology_representatives_are_cocycles(pipes):

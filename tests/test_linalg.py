@@ -5,127 +5,186 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverhh.linalg import (
+    QQ,
     LinearSolver,
     Matrix,
     PrimeField,
-    identity_matrix,
+    SparseEchelon,
     kernel_basis,
-    mat_vec,
-    matrix_from_rows,
     rank,
-    rref,
-    solve,
 )
 
 
+def mat(rows, ncols=None, field=QQ):
+    """Sparse matrix from dense integer rows."""
+    ncols = len(rows[0]) if rows else ncols
+    entries = [
+        (i, j, field.from_int(x)) for i, row in enumerate(rows) for j, x in enumerate(row) if x
+    ]
+    return Matrix(len(rows), ncols, entries)
+
+
+def identity(n):
+    return mat([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def mat_vec(m, x):
+    """m * x for a sparse vector x, as a sparse vector."""
+    out = {}
+    for i, j, c in m.entries:
+        if j in x:
+            out[i] = out.get(i, 0) + c * x[j]
+    return {i: c for i, c in out.items() if c}
+
+
+def row_echelon(m):
+    ech = SparseEchelon()
+    rows = [{} for _ in range(m.rows)]
+    for i, j, c in m.entries:
+        rows[i][j] = c
+    for row in rows:
+        ech.add(row)
+    return ech
+
+
+def pivot_columns(m):
+    """Columns independent of the columns before them (the RREF pivots)."""
+    out = []
+    for j in range(m.cols):
+        left = Matrix(m.rows, j + 1, [e for e in m.entries if e[1] <= j])
+        if rank(left) > len(out):
+            out.append(j)
+    return out
+
+
 def test_rref_identity():
-    m = identity_matrix(2)
-    red, pivots, rk = rref(m)
-    assert red == m and pivots == (0, 1) and rk == 2
+    m = identity(2)
+    ech = row_echelon(m)
+    assert ech.rows == {0: {0: 1}, 1: {1: 1}}
+    assert rank(m) == 2 and pivot_columns(m) == [0, 1]
 
 
 def test_rref_zero():
-    m = matrix_from_rows([[0, 0, 0]] * 3)
-    red, pivots, rk = rref(m)
-    assert red == m and pivots == () and rk == 0
+    m = mat([[0, 0, 0]] * 3)
+    assert row_echelon(m).rows == {}
+    assert rank(m) == 0 and pivot_columns(m) == []
 
 
 def test_rref_rank_one():
     # hand row-reduction: second row is twice the first
-    m = matrix_from_rows([[1, 2], [2, 4]])
-    red, pivots, rk = rref(m)
-    assert red == matrix_from_rows([[1, 2], [0, 0]])
-    assert rk == 1
+    m = mat([[1, 2], [2, 4]])
+    assert row_echelon(m).rows == {0: {0: 1, 1: 2}}
+    assert rank(m) == 1
 
 
 def test_solve_identity():
-    m = identity_matrix(3)
-    b = [Fraction(5), Fraction(-1), Fraction(7)]
-    assert solve(m, b) == b
+    b = {0: Fraction(5), 1: Fraction(-1), 2: Fraction(7)}
+    assert LinearSolver(identity(3)).solve(b) == b
 
 
 def test_solve_free_variable_zeroed():
-    x = solve(matrix_from_rows([[1, 1]]), [2])
-    assert x == [Fraction(2), Fraction(0)]
+    x = LinearSolver(mat([[1, 1]])).solve({0: Fraction(2)})
+    assert x == {0: Fraction(2)}
 
 
 def test_solve_inconsistent():
-    assert solve(matrix_from_rows([[0]]), [1]) is None
+    assert LinearSolver(mat([[0]])).solve({0: Fraction(1)}) is None
+
+
+def test_linear_solver_many_right_hand_sides():
+    # x + 2y = b0, z = b1: y is free and stays zero
+    ls = LinearSolver(mat([[1, 2, 0], [0, 0, 1]]))
+    assert ls.solve({0: Fraction(3), 1: Fraction(4)}) == {0: Fraction(3), 2: Fraction(4)}
+    assert ls.solve({1: Fraction(-1)}) == {2: Fraction(-1)}
+    assert ls.solve({}) == {}
 
 
 def test_kernel_of_identity_empty():
-    assert kernel_basis(identity_matrix(4)) == []
+    assert kernel_basis(identity(4)) == []
 
 
 def test_kernel_zero_matrix():
-    vecs = kernel_basis(matrix_from_rows([[0, 0, 0], [0, 0, 0]]))
-    assert len(vecs) == 3
-    for i, v in enumerate(vecs):
-        assert v[i] == 1 and sum(1 for c in v if c) == 1
+    vecs = kernel_basis(mat([[0, 0, 0], [0, 0, 0]]))
+    assert vecs == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_kernel_single_row():
     # hand computation: x + 2y = 0 -> (-2, 1)
-    (v,) = kernel_basis(matrix_from_rows([[1, 2]]))
-    assert v == [Fraction(-2), Fraction(1)]
+    (v,) = kernel_basis(mat([[1, 2]]))
+    assert v == {0: Fraction(-2), 1: Fraction(1)}
 
 
 def test_empty_matrix_allowed():
     m = Matrix(0, 3, [])
     assert rank(m) == 0
     assert len(kernel_basis(m)) == 3
+    assert LinearSolver(m).solve({}) == {}
 
 
 sq = st.integers(min_value=-6, max_value=6)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(sq, min_size=4, max_size=4), min_size=3, max_size=5))
-def test_rref_idempotent_and_rank_nullity(rows):
-    m = matrix_from_rows(rows)
-    red, pivots, rk = rref(m)
-    again, pivots2, rk2 = rref(red)
-    assert again == red and rk2 == rk
-    assert rk + len(kernel_basis(m)) == m.cols
+@given(
+    st.lists(st.lists(sq, min_size=4, max_size=4), min_size=3, max_size=5),
+    st.lists(sq, min_size=4, max_size=4),
+    st.lists(sq, min_size=5, max_size=5),
+)
+def test_rref_idempotent_and_rank_nullity(rows, v, coeffs):
+    m = mat(rows)
+    ech = row_echelon(m)
+    assert ech.rank == rank(m)
+    assert rank(m) + len(kernel_basis(m)) == m.cols
+    vec = {j: Fraction(c) for j, c in enumerate(v) if c}
+    res = ech.reduce(vec)
+    assert ech.reduce(res) == res
+    assert not set(res) & set(ech.rows)
+    # w: a combination of the rows, so v + w lies in the same coset
+    shifted = dict(vec)
+    for i, j, c in m.entries:
+        shifted[j] = shifted.get(j, 0) + coeffs[i] * c
+    assert ech.reduce({j: c for j, c in shifted.items() if c}) == res
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.lists(sq, min_size=3, max_size=3), min_size=3, max_size=3),
     st.lists(sq, min_size=3, max_size=3),
+    st.booleans(),
 )
-def test_solve_back_substitutes(rows, b):
-    m = matrix_from_rows(rows)
-    bq = [Fraction(x) for x in b]
-    x = solve(m, bq)
-    if x is not None:
-        assert mat_vec(m, x) == bq
-    for v in kernel_basis(m):
-        assert all(c == 0 for c in mat_vec(m, v))
-
-
-def test_linear_solver_matches_solve():
-    m = matrix_from_rows([[1, 2, 0], [0, 0, 1]])
-    ls = LinearSolver(m)
-    assert ls.solve([Fraction(3), Fraction(4)]) == solve(m, [3, 4])
-    assert LinearSolver(matrix_from_rows([[0]])).solve([Fraction(1)]) is None
+def test_solve_back_substitutes(rows, y, consistent):
+    m = mat(rows)
+    pivots = pivot_columns(m)
+    yq = {j: Fraction(c) for j, c in enumerate(y) if c}
+    b = mat_vec(m, yq) if consistent else yq
+    x = LinearSolver(m).solve(b)
+    if x is None:
+        augmented = Matrix(m.rows, m.cols + 1, m.entries + [(i, m.cols, c) for i, c in b.items()])
+        assert not consistent and rank(augmented) > rank(m)
+    else:
+        assert mat_vec(m, x) == b
+        assert set(x) <= set(pivots)
+    free = [j for j in range(m.cols) if j not in pivots]
+    kernel = kernel_basis(m)
+    assert len(kernel) == len(free)
+    for fc, v in zip(free, kernel):
+        assert mat_vec(m, v) == {}
+        assert v[fc] == 1 and set(v) - {fc} <= {p for p in pivots if p < fc}
 
 
 def test_gf_matches_rationals_mod_p():
     p = 7
     gf = PrimeField(p)
-    rows = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
-    mq = matrix_from_rows(rows)
-    mp = matrix_from_rows(rows, field=gf)
-    redq, _, rkq = rref(mq)
-    redp, _, rkp = rref(mp)
-    assert rkq == rkp
-    for i in range(3):
-        for j in range(3):
-            q = redq[i, j]
-            assert q.denominator % p != 0
-            lifted = q.numerator * pow(q.denominator, p - 2, p)
-            assert redp[i, j] == gf.from_int(lifted)
+    # full rank; then rank 2 (third row = first + second) with a kernel in sixths
+    for rows in ([[1, 2, 3], [4, 5, 6], [7, 8, 10]], [[2, 1, 0, 5], [0, 3, 1, 1], [2, 4, 1, 6]]):
+        assert rank(mat(rows)) == rank(mat(rows, field=gf))
+        kq = kernel_basis(mat(rows))
+        kp = kernel_basis(mat(rows, field=gf), gf)
+        assert len(kq) == len(kp)
+        for vq, vp in zip(kq, kp):
+            assert all(q.denominator % p for q in vq.values())
+            lifted = {j: gf.from_int(q.numerator * pow(q.denominator, p - 2, p)) for j, q in vq.items()}
+            assert {j: c for j, c in lifted.items() if c} == vp  # -7/3 lifts to 0
 
 
 def test_prime_field_rejects_two_and_composites():
