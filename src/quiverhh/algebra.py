@@ -47,7 +47,8 @@ class FamilyAlgebra:
 
     Elements are plain dicts {normal-form Path: coefficient} with no zero
     coefficients stored.  The instance carries the monomial basis, corner
-    decomposition tables, and the rewriting rules.
+    decomposition tables, and the rewriting rules.  Products of basis
+    paths are memoised in a table filled on first use.
     """
 
     def __init__(self, n, field=QQ):
@@ -70,6 +71,7 @@ class FamilyAlgebra:
             self.corners[(p.source, p.target)].append(p)
         self.paths_from = {v: [p for p in self.basis if p.source == v] for v in VERTICES}
         self.paths_into = {v: [p for p in self.basis if p.target == v] for v in VERTICES}
+        self._products = {}  # (p, q) -> normal form of p*q, or None
 
     # -- rewriting ---------------------------------------------------
 
@@ -129,8 +131,14 @@ class FamilyAlgebra:
 
     def mul_path(self, p, q):
         """Product of two basis paths: a normal-form Path or None."""
-        pq = compose(p, q)
-        return None if pq is None else self.normal_form_path(pq)
+        key = (p, q)
+        try:
+            return self._products[key]
+        except KeyError:
+            pq = compose(p, q)
+            r = None if pq is None else self.normal_form_path(pq)
+            self._products[key] = r
+            return r
 
     def mul(self, x, y):
         out = {}
@@ -217,7 +225,11 @@ def _algebra_cached(n, field_key):
 
 
 def get_algebra(n, field=QQ):
-    """Shared, immutable algebra instances (safe: nothing mutates them)."""
+    """Shared algebra instances, one per (n, field).
+
+    Sharing is safe: the only mutable field is the product table behind
+    `mul_path`, and each of its entries is a pure function of its key.
+    """
     key = "QQ" if field is QQ or getattr(field, "name", "") == "QQ" else str(field.p)
     return _algebra_cached(n, key)
 

@@ -196,6 +196,13 @@ class ChainMapFamily:
     def max_degree(self):
         return max(self.images)
 
+    def truncated(self, max_degree):
+        """The same map on degrees <= max_degree, sharing the images."""
+        images = {m: self.images[m] for m in range(max_degree + 1)}
+        fam = ChainMapFamily(self.provenance, images, self.dm, self.homotopy, self.lift_factor)
+        fam.convention = getattr(self, "convention", None)
+        return fam
+
     def image(self, label):
         return self.images[label.degree][label]
 

@@ -7,16 +7,19 @@ built twice from the same configuration produces identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field as _field
+from fractions import Fraction
 
 from .algebra import get_algebra, oracle_quotient_dim
 from .cochains import HochschildComplex
-from .diagonal import DiagonalMaps
+from .diagonal import DiagonalMaps, HomotopyFamily
 from .linalg import QQ, PrimeField
 from .products import Products
+from .quiver import parse_path
 from .resolution import Resolution
 from .tensorcx import TensorComplex
-from .uniform import UniformPaths
+from .uniform import UniformPaths, parse_label
 
 
 @dataclass
@@ -25,9 +28,12 @@ class RunConfig:
     field: str = "rationals"  # or "gf:P" with P an odd prime
     max_degree: int = 9
     delta_mode: str = "solved"  # literal | formula | solved
-    homotopy: str = "default"  # default | zero
+    homotopy: str = "default"  # default | zero | file:PATH
     output: str = "text"  # text | json | markdown
     out_path: str | None = None
+    # for file:PATH, the parsed file and the sha256 of its bytes
+    homotopy_data: dict | None = _field(default=None, init=False, repr=False, compare=False)
+    homotopy_sha256: str | None = _field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -44,6 +50,10 @@ class RunConfig:
             if not self.field.startswith("gf:"):
                 raise ValueError("field must be 'rationals' or 'gf:P'")
             PrimeField(int(self.field[3:]))  # validates p odd prime
+        if self.homotopy.startswith("file:"):
+            self.homotopy_data, self.homotopy_sha256 = _read_homotopy_file(
+                self.homotopy[5:], self.field_object()
+            )
 
     def field_object(self):
         if self.field == "rationals":
@@ -51,12 +61,16 @@ class RunConfig:
         return PrimeField(int(self.field[3:]))
 
     def as_dict(self):
+        homotopy = self.homotopy
+        if self.homotopy_sha256 is not None:
+            # the content, not the location, identifies the run
+            homotopy = f"file:sha256:{self.homotopy_sha256}"
         return {
             "n": self.n,
             "field": self.field,
             "max_degree": self.max_degree,
             "delta_mode": self.delta_mode,
-            "homotopy": self.homotopy,
+            "homotopy": homotopy,
         }
 
 
@@ -73,10 +87,14 @@ class Pipeline:
         self._families = {}
 
     def family(self, mode=None, max_degree=None):
-        """The diagonal family of the given mode, built once per degree."""
+        """The diagonal family of the given mode, built once per degree.
+
+        A solved family's images in degree m depend only on lower degrees,
+        so a solved family held for a higher degree answers a lower one.
+        """
         mode = mode or self.config.delta_mode
         d = max_degree or self.config.max_degree
-        key = (mode, d, self.config.homotopy)
+        key = (mode, d)
         if key not in self._families:
             dm = self.diagonal
             if mode == "literal":
@@ -84,7 +102,11 @@ class Pipeline:
             elif mode == "formula":
                 fam = dm.formula_family(self.homotopy_family(d), d)
             else:
-                fam = dm.solved_family(d, "left")
+                higher = [k[1] for k in self._families if k[0] == "solved" and k[1] > d]
+                if higher:
+                    fam = self._families[("solved", min(higher))].truncated(d)
+                else:
+                    fam = dm.solved_family(d, "left")
             self._families[key] = fam
         return self._families[key]
 
@@ -95,10 +117,7 @@ class Pipeline:
             return dm.default_homotopy(d)
         if choice == "zero":
             return dm.zero_homotopy(d)
-        import json
-
-        with open(choice[5:]) as fh:
-            return homotopy_from_json(dm, json.load(fh))
+        return homotopy_from_json(dm, self.config.homotopy_data)
 
     # -- check builders, all emitting {id, kind, degree?, status, ...} rows --
 
@@ -224,11 +243,6 @@ def _terms_json(elem):
 
 
 def _terms_from_json(field, terms):
-    from fractions import Fraction
-
-    from .quiver import parse_path
-    from .uniform import parse_label
-
     out = {}
     for t in terms:
         key = (
@@ -238,32 +252,56 @@ def _terms_from_json(field, terms):
             parse_path(t["middle"]),
             parse_path(t["right"]),
         )
-        if field is QQ:
-            c = Fraction(t["coeff"])
-        else:
-            c = field.from_int(int(t["coeff"].split()[0]))
+        text = t["coeff"]
+        value, _, modulus = text.partition(" (mod ")
+        if modulus and (field is QQ or modulus != f"{field.p})"):
+            raise ValueError(f"coefficient {text!r} does not lie in {field!r}")
+        c = Fraction(value) if field is QQ else field.from_int(int(value))
         if c:
             out[key] = c
     return out
 
 
-def homotopy_from_json(diagonal, data):
-    """Build a homotopy family from its serialised form."""
-    from .diagonal import HomotopyFamily
-    from .uniform import parse_label
-
-    field = diagonal.field
+def _parse_homotopy_json(field, data):
+    """Generator images {degree: {label: element}} and the vertex table."""
     images = {}
     for row in data["images"]:
         m = row["degree"]
         images.setdefault(m, {})[parse_label(row["generator"])] = _terms_from_json(
             field, row["terms"]
         )
-    for m, by_label in images.items():
-        for lab in diagonal.res.labels(m):
-            by_label.setdefault(lab, {})
     star = {
         row["vertex"]: _terms_from_json(field, row["terms"])
         for row in data.get("star", [])
     }
+    return images, star
+
+
+def _read_homotopy_file(path, field):
+    """The parsed JSON of a serialised homotopy and the sha256 of its bytes.
+
+    Raises ValueError when the file cannot be read or does not parse as a
+    homotopy over `field`.
+    """
+    import hashlib  # on use: loading it adds ~0.4 MB to every run's peak memory
+
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read homotopy file {path!r}: {exc.strerror}") from exc
+    data = json.loads(raw)
+    try:
+        _parse_homotopy_json(field, data)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed homotopy file {path!r}: {exc!r}") from exc
+    return data, hashlib.sha256(raw).hexdigest()
+
+
+def homotopy_from_json(diagonal, data):
+    """Build a homotopy family from its serialised form."""
+    images, star = _parse_homotopy_json(diagonal.field, data)
+    for m, by_label in images.items():
+        for lab in diagonal.res.labels(m):
+            by_label.setdefault(lab, {})
     return HomotopyFamily(diagonal, images, star)

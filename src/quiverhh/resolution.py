@@ -231,7 +231,7 @@ class Resolution:
                 if nr is None:
                     continue
                 key = (tgt, nl, nr)
-                add = c * sign
+                add = c if sign > 0 else -c
                 acc = out.get(key)
                 acc = add if acc is None else acc + add
                 if acc:

@@ -98,3 +98,28 @@ def test_markdown_output(capsys):
     )
     assert code == 0
     assert out.startswith("| degree |")
+
+
+def test_report_n0_solves_the_diagonal_once(tmp_path, capsys, monkeypatch):
+    from quiverhh.diagonal import DiagonalMaps
+
+    calls = []
+    solve = DiagonalMaps.solved_family
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiagonalMaps, "solved_family", counting)
+    report_path, diagonal_path = tmp_path / "report.json", tmp_path / "diagonal.json"
+    argv = ("--n", "0", "--max-degree", "9", "--output", "json", "--out-path")
+    assert run(capsys, "report", *argv, str(report_path))[0] == 0
+    assert len(calls) == 1
+    # the degree-9 section read off the degree-12 family equals a degree-9 solve
+    assert run(capsys, "diagonal", *argv, str(diagonal_path))[0] == 0
+    assert len(calls) == 2
+    report = json.loads(report_path.read_text())
+    alone = json.loads(diagonal_path.read_text())
+    assert report["tables"]["images"] == alone["tables"]["images"]
+    square_ids = {r["id"] for r in alone["checks"]}
+    assert [r for r in report["checks"] if r["id"] in square_ids] == alone["checks"]

@@ -241,3 +241,45 @@ def test_homotopy_file_round_trip(tmp_path, pipes):
     fam = pipe2.family()
     want = pipe.diagonal.formula_family(h, 4)
     assert all(fam.images[m] == want.images[m] for m in want.images)
+
+    # the report names the file by its content, and validates
+    import hashlib
+    from importlib import resources
+
+    import jsonschema
+
+    from quiverhh.cli import main
+
+    out = tmp_path / "report.json"
+    argv = ["diagonal", "--n", "0", "--max-degree", "4", "--delta-mode", "formula"]
+    argv += ["--homotopy", f"file:{p}", "--output", "json", "--out-path", str(out), "squares"]
+    main(argv)
+    text = out.read_text()
+    assert str(tmp_path) not in text
+    payload = json.loads(text)
+    digest = hashlib.sha256(p.read_bytes()).hexdigest()
+    assert payload["config"]["homotopy"] == f"file:sha256:{digest}"
+    with resources.files("quiverhh.goldens").joinpath("report.schema.json").open() as fh:
+        jsonschema.validate(payload, json.load(fh))
+
+
+def test_homotopy_file_coefficients_must_lie_in_the_field(tmp_path, capsys):
+    import json
+
+    from quiverhh import Pipeline, RunConfig
+    from quiverhh.cli import main
+
+    pipe7 = Pipeline(RunConfig(n=0, max_degree=4, field="gf:7", delta_mode="formula"))
+    p = tmp_path / "h7.json"
+    p.write_text(json.dumps(pipe7.homotopy_json(pipe7.diagonal.default_homotopy(4))))
+    assert "(mod 7)" in p.read_text()
+    RunConfig(n=0, max_degree=4, field="gf:7", delta_mode="formula", homotopy=f"file:{p}")
+    for field in ("gf:5", "rationals"):
+        with pytest.raises(ValueError, match="does not lie in"):
+            RunConfig(n=0, max_degree=4, field=field, delta_mode="formula", homotopy=f"file:{p}")
+    bad_files = [f"file:{p}", f"file:{tmp_path / 'missing.json'}"]
+    for homotopy in bad_files:
+        argv = ["diagonal", "--n", "0", "--max-degree", "4", "--delta-mode", "formula"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--field", "gf:5", "--homotopy", homotopy, "squares"])
+        assert exc.value.code == 2

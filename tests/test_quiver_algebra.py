@@ -129,6 +129,32 @@ def test_multiply_examples():
     assert prod == {parse_path("a0*a1"): Fraction(1)}
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_product_table_matches_rewriting(n):
+    fresh = FamilyAlgebra(n)
+    assert not fresh._products  # filled on first use, not when built
+    shared = get_algebra(n)
+    for p in fresh.basis:
+        for q in fresh.basis:
+            pq = compose(p, q)
+            want = None if pq is None else fresh.normal_form_path(pq)
+            assert fresh.mul_path(p, q) == want
+            assert fresh.mul_path(p, q) == want  # served from the table
+            assert shared.mul_path(p, q) == want
+    assert len(fresh._products) == len(fresh.basis) ** 2
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_product_table_associative_on_basis(n):
+    alg = FamilyAlgebra(n)
+    mul = lambda p, q: None if p is None or q is None else alg.mul_path(p, q)
+    for p in alg.basis:
+        for q in alg.basis:
+            pq = mul(p, q)
+            for r in alg.basis:
+                assert mul(pq, r) == mul(p, mul(q, r)), (p, q, r)
+
+
 def _random_element(alg, rng, size=3):
     out = {}
     for _ in range(size):
