@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linalg import QQ, PrimeField, SparseEchelon
+from .linalg import QQ, PrimeField, SparseEchelon, accumulate
 from .quiver import (
     VERTICES,
     Path,
@@ -114,20 +114,8 @@ class FamilyAlgebra:
 
     def normal_form(self, combo):
         """Reduce a formal {Path: coeff} combination to the basis."""
-        out = {}
-        for p, c in combo.items():
-            if not c:
-                continue
-            q = self.normal_form_path(p)
-            if q is None:
-                continue
-            acc = out.get(q)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[q] = acc
-            else:
-                out.pop(q, None)
-        return out
+        nf = self.normal_form_path
+        return accumulate((q, c) for p, c in combo.items() if (q := nf(p)) is not None)
 
     def mul_path(self, p, q):
         """Product of two basis paths: a normal-form Path or None."""
@@ -141,36 +129,13 @@ class FamilyAlgebra:
             return r
 
     def mul(self, x, y):
-        out = {}
-        for p, c in x.items():
-            for q, d in y.items():
-                r = self.mul_path(p, q)
-                if r is None:
-                    continue
-                cd = c * d
-                acc = out.get(r)
-                acc = cd if acc is None else acc + cd
-                if acc:
-                    out[r] = acc
-                else:
-                    out.pop(r, None)
-        return out
-
-    def add(self, x, y):
-        out = dict(x)
-        for p, c in y.items():
-            acc = out.get(p)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[p] = acc
-            else:
-                out.pop(p, None)
-        return out
-
-    def scale(self, c, x):
-        if not c:
-            return {}
-        return {p: c * v for p, v in x.items()}
+        mul = self.mul_path
+        return accumulate(
+            (r, c * d)
+            for p, c in x.items()
+            for q, d in y.items()
+            if (r := mul(p, q)) is not None
+        )
 
     def unit(self):
         one = self.field.one()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, SparseEchelon, kernel_basis
+from .linalg import Matrix, SparseEchelon, accumulate, axpy, kernel_basis
 from .quiver import a_cycle, arrow, trivial
 from .uniform import label_pair
 
@@ -113,39 +113,26 @@ class HochschildComplex:
     def add(self, f, g):
         assert f.degree == g.degree
         images = {
-            lab: self.alg.add(f.images.get(lab, {}), g.images.get(lab, {}))
+            lab: axpy(dict(f.images.get(lab, {})), 1, g.images.get(lab, {}))
             for lab in self.res.labels(f.degree)
         }
         return Cochain(f.degree, images)
 
     def scale(self, c, f):
-        return Cochain(f.degree, {lab: self.alg.scale(c, v) for lab, v in f.images.items()})
+        return Cochain(f.degree, {lab: axpy({}, c, v) for lab, v in f.images.items()})
 
     # -- evaluation and the induced differential ---------------------------
 
     def evaluate(self, cochain, elem):
         """Value of the cochain on a resolution element, in the algebra."""
-        alg = self.alg
-        out = {}
-        for (lab, left, right), c in elem.items():
-            val = cochain.images.get(lab)
-            if not val:
-                continue
-            for p, d in val.items():
-                q = alg.mul_path(left, p)
-                if q is None:
-                    continue
-                q = alg.mul_path(q, right)
-                if q is None:
-                    continue
-                cd = c * d
-                acc = out.get(q)
-                acc = cd if acc is None else acc + cd
-                if acc:
-                    out[q] = acc
-                else:
-                    out.pop(q, None)
-        return out
+        mul = self.alg.mul_path
+        images = cochain.images
+        return accumulate(
+            (q, c * d)
+            for (lab, left, right), c in elem.items()
+            for p, d in images.get(lab, {}).items()
+            if (q := mul(left, p)) is not None and (q := mul(q, right)) is not None
+        )
 
     def coboundary(self, cochain):
         """The induced differential: precompose with the boundary map."""

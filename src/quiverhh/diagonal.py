@@ -22,12 +22,14 @@ Three kinds of degree-indexed family live here.
 
 The solver never forms the total-complex boundary as one big matrix: it
 contracts the first or second tensor factor with a one-sided contraction
-of the resolution, which needs only corner-sized eliminations.
+of the resolution.  Both contractions solve with the resolution's
+boundary solver of each degree, whose echelon splits into one-sided
+corner blocks.
 """
 
 from __future__ import annotations
 
-from .linalg import LinearSolver, Matrix
+from .linalg import accumulate, axpy
 from .quiver import arrow, trivial
 from .tensorcx import TensorComplex
 from .uniform import Label, label_pair
@@ -40,8 +42,8 @@ class OneSidedContraction:
     on the right-generators (left basis path, label) and extended by
     right multiplication.  side='left' is the mirror.  The defining
     identities (boundary∘s + s∘boundary = identity, with the degree-0
-    correction through the augmentation section) are solved corner by
-    corner with deterministic eliminations.
+    correction through the augmentation section) are solved with the
+    resolution's boundary solver of each degree.
     """
 
     def __init__(self, resolution, side, max_degree):
@@ -51,8 +53,6 @@ class OneSidedContraction:
         self.side = side
         self.max_degree = max_degree
         self.table = {}  # degree -> {(path, label) or (label, path): element}
-        self._corner_triples = {}
-        self._solvers = {}
         self._build()
 
     # the degree-0 section of the augmentation: a path p lifts to the
@@ -66,86 +66,27 @@ class OneSidedContraction:
         return {(self._LAB0[p.target], p, trivial(p.target)): self.res.field.one()}
 
     def section_apply(self, lam_elem):
-        out = {}
-        for p, c in lam_elem.items():
-            for k, d in self.section(p).items():
-                acc = out.get(k)
-                acc = c * d if acc is None else acc + c * d
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
-        return out
-
-    def _corner(self, m, w):
-        """Scalar basis of the one-sided corner of degree m at vertex w."""
-        key = (m, w)
-        if key not in self._corner_triples:
-            alg = self.alg
-            out = []
-            for lab in self.res.labels(m):
-                o, t = label_pair(lab)
-                if self.side == "right":
-                    for left in alg.paths_into[o]:
-                        for right in alg.corners[(t, w)]:
-                            out.append((lab, left, right))
-                else:
-                    for left in alg.corners[(w, o)]:
-                        for right in alg.paths_from[t]:
-                            out.append((lab, left, right))
-            self._corner_triples[key] = (out, {tr: i for i, tr in enumerate(out)})
-        return self._corner_triples[key]
-
-    def _corner_solver(self, m, w):
-        """LinearSolver for the boundary out of the degree-m corner at w."""
-        key = (m, w)
-        if key not in self._solvers:
-            src, _ = self._corner(m, w)
-            _, tgt_index = self._corner(m - 1, w)
-            one = self.res.field.one()
-            entries = [
-                (tgt_index[k], j, c)
-                for j, tr in enumerate(src)
-                for k, c in self.res.apply_boundary(m, {tr: one}).items()
-            ]
-            self._solvers[key] = LinearSolver(Matrix(len(tgt_index), len(src), entries))
-        return self._solvers[key]
+        return accumulate(
+            (k, c * d) for p, c in lam_elem.items() for k, d in self.section(p).items()
+        )
 
     def apply(self, m, elem):
         """Apply the degree-m homotopy to a degree-m element."""
-        alg = self.alg
+        mul = self.alg.mul_path
         table = self.table[m]
-        out = {}
-        for (lab, left, right), c in elem.items():
-            if self.side == "right":
-                base = table[(left, lab)]
-                for (l2, L2, R2), d in base.items():
-                    nr = alg.mul_path(R2, right)
-                    if nr is None:
-                        continue
-                    key = (l2, L2, nr)
-                    cd = c * d
-                    acc = out.get(key)
-                    acc = cd if acc is None else acc + cd
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
-            else:
-                base = table[(lab, right)]
-                for (l2, L2, R2), d in base.items():
-                    nl = alg.mul_path(left, L2)
-                    if nl is None:
-                        continue
-                    key = (l2, nl, R2)
-                    cd = c * d
-                    acc = out.get(key)
-                    acc = cd if acc is None else acc + cd
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
-        return out
+        if self.side == "right":
+            return accumulate(
+                ((l2, L2, nr), c * d)
+                for (lab, left, right), c in elem.items()
+                for (l2, L2, R2), d in table[(left, lab)].items()
+                if (nr := mul(R2, right)) is not None
+            )
+        return accumulate(
+            ((l2, nl, R2), c * d)
+            for (lab, left, right), c in elem.items()
+            for (l2, L2, R2), d in table[(lab, right)].items()
+            if (nl := mul(left, L2)) is not None
+        )
 
     def _generators(self, m):
         alg = self.alg
@@ -159,22 +100,22 @@ class OneSidedContraction:
                     yield (lab, right), {(lab, trivial(o), right): self.res.field.one()}
 
     def _build(self):
+        # The boundary commutes with both actions, so the echelon of each
+        # degree's boundary matrix splits into one-sided corner blocks and
+        # a solution never leaves the corner of its right-hand side.
         res = self.res
+        minus_one = -res.field.one()
         for m in range(0, self.max_degree + 1):
+            solver = res.boundary_solver(m + 1)
+            src = res.triples(m + 1)
+            tgt_index = res.triple_index(m)
             tbl = {}
             for key, gen_elem in self._generators(m):
                 if m == 0:
                     defect = self.section_apply(res.augment(gen_elem))
                 else:
                     defect = self.apply(m - 1, res.apply_boundary(m, gen_elem))
-                rhs_elem = res.add(gen_elem, res.scale(-self.res.field.one(), defect))
-                if self.side == "right":
-                    w = label_pair(key[1])[1]
-                else:
-                    w = label_pair(key[0])[0]
-                solver = self._corner_solver(m + 1, w)
-                src, _ = self._corner(m + 1, w)
-                _, tgt_index = self._corner(m, w)
+                rhs_elem = axpy(gen_elem, minus_one, defect)
                 x = solver.solve({tgt_index[k]: c for k, c in rhs_elem.items()})
                 assert x is not None, f"contraction solve failed at degree {m}"
                 tbl[key] = {src[i]: c for i, c in x.items()}
@@ -193,9 +134,6 @@ class ChainMapFamily:
         self.lift_factor = lift_factor
         self.verified = {}  # degree -> bool, filled by verify_square
 
-    def max_degree(self):
-        return max(self.images)
-
     def truncated(self, max_degree):
         """The same map on degrees <= max_degree, sharing the images."""
         images = {m: self.images[m] for m in range(max_degree + 1)}
@@ -213,20 +151,17 @@ class ChainMapFamily:
             if self.provenance == "formula":
                 h = self.homotopy
                 if m >= 1:
-                    out = self.dm.tc.add(
-                        out, h.apply(m - 1, self.dm.res.apply_boundary(m, elem))
-                    )
+                    axpy(out, 1, h.apply(m - 1, self.dm.res.apply_boundary(m, elem)))
                 else:
-                    out = self.dm.tc.add(out, h.apply_star(self.dm.res.augment(elem)))
-                out = self.dm.tc.add(out, self.dm.tc.differential(h.apply(m, elem)))
+                    axpy(out, 1, h.apply_star(self.dm.res.augment(elem)))
+                axpy(out, 1, self.dm.tc.differential(h.apply(m, elem)))
             return out
         # bimodule-linear extension of the stored generator images
-        tc = self.dm.tc
+        act = self.dm.tc.act
         out = {}
         images_m = self.images[m]
         for (lab, left, right), c in elem.items():
-            part = tc.act(left, images_m[lab], right)
-            out = tc.add(out, tc.scale(c, part))
+            axpy(out, c, act(left, images_m[lab], right))
         return out
 
 
@@ -240,26 +175,21 @@ class HomotopyFamily:
         self.star = star  # {vertex: tensor element of degree 0}
 
     def apply(self, m, elem):
-        tc = self.dm.tc
+        act = self.dm.tc.act
         out = {}
         images_m = self.images.get(m, {})
         for (lab, left, right), c in elem.items():
             img = images_m.get(lab)
-            if not img:
-                continue
-            out = tc.add(out, tc.scale(c, tc.act(left, img, right)))
+            if img:
+                axpy(out, c, act(left, img, right))
         return out
 
     def apply_star(self, lam_elem):
         """The composite through the augmentation: defined on vertex images."""
-        tc = self.dm.tc
         out = {}
         for p, c in lam_elem.items():
-            if not p.is_vertex():
-                continue
-            img = self.star.get(p.source)
-            if img:
-                out = tc.add(out, tc.scale(c, img))
+            if p.is_vertex():
+                axpy(out, c, self.star.get(p.source, {}))
         return out
 
 
@@ -285,8 +215,7 @@ class DiagonalMaps:
         one = self.field.one()
         gen = {(label, trivial(o), trivial(t)): one}
         left_part = self.tc.tensor(self.res.generator(self._LAB0[o]), gen)
-        right_part = self.tc.tensor(gen, self.res.generator(self._LAB0[t]))
-        return self.tc.add(left_part, right_part)
+        return axpy(left_part, 1, self.tc.tensor(gen, self.res.generator(self._LAB0[t])))
 
     def delta_prime_images(self, m):
         return {lab: self.delta_prime_image(lab) for lab in self.res.labels(m)}
@@ -299,11 +228,12 @@ class DiagonalMaps:
             term = {(lab, left, right): one}
             o_v = left.source
             t_v = right.target
-            part = self.tc.add(
+            part = axpy(
                 self.tc.tensor(self.res.generator(self._LAB0[o_v]), term),
+                1,
                 self.tc.tensor(term, self.res.generator(self._LAB0[t_v])),
             )
-            out = self.tc.add(out, self.tc.scale(c, part))
+            axpy(out, c, part)
         return out
 
     def literal_family(self, max_degree):
@@ -344,7 +274,7 @@ class DiagonalMaps:
             lab = self._LAB0[v]
             base = self.tc.tensor(self.res.generator(lab), self.res.generator(lab))
             acted = self.tc.act(trivial(v), base, arrow(succ_arrow[v]))
-            star[v] = self.tc.scale(sign[v], acted)
+            star[v] = axpy({}, sign[v], acted)
         return HomotopyFamily(self, images, star)
 
     def _next_pair_label(self, m, o):
@@ -417,7 +347,7 @@ class DiagonalMaps:
                 else:
                     corr1 = homotopy.apply_star(self.res.augment(gen))
                 corr2 = self.tc.differential(homotopy.apply(m, gen))
-                imgs[lab] = self.tc.add(base, self.tc.add(corr1, corr2))
+                imgs[lab] = axpy(axpy(base, 1, corr1), 1, corr2)
             images[m] = imgs
         return ChainMapFamily("formula", images, self, homotopy=homotopy, lift_factor=2)
 
@@ -440,86 +370,46 @@ class DiagonalMaps:
         'left') or the second (convention 'right'), then push the
         degree-(0, b) or (a, 0) leftover through the other side.
         """
-        tc = self.tc
+        mul = self.res.algebra.mul_path
+        lab0 = self._LAB0
 
         def s_first(elem):
             # (first-factor contraction) tensor identity
-            out = {}
-            for (g1, g2, left, mid, right), c in elem.items():
-                base = s_right.table[g1.degree][(left, g1)]
-                for (l2, L2, R2), d in base.items():
-                    nm = self.res.algebra.mul_path(R2, mid)
-                    if nm is None:
-                        continue
-                    key = (l2, g2, L2, nm, right)
-                    cd = c * d
-                    acc = out.get(key)
-                    acc = cd if acc is None else acc + cd
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
-            return out
+            table = s_right.table
+            return accumulate(
+                ((l2, g2, L2, nm, right), c * d)
+                for (g1, g2, left, mid, right), c in elem.items()
+                for (l2, L2, R2), d in table[g1.degree][(left, g1)].items()
+                if (nm := mul(R2, mid)) is not None
+            )
 
         def s_second(elem, signed):
-            out = {}
-            for (g1, g2, left, mid, right), c in elem.items():
-                base = s_left.table[g2.degree][(g2, right)]
-                cc = c if (not signed or g1.degree % 2 == 0) else -c
-                for (l2, L2, R2), d in base.items():
-                    nm = self.res.algebra.mul_path(mid, L2)
-                    if nm is None:
-                        continue
-                    key = (g1, l2, left, nm, R2)
-                    cd = cc * d
-                    acc = out.get(key)
-                    acc = cd if acc is None else acc + cd
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
-            return out
+            table = s_left.table
+            return accumulate(
+                ((g1, l2, left, nm, R2), (-c if signed and g1.degree % 2 else c) * d)
+                for (g1, g2, left, mid, right), c in elem.items()
+                for (l2, L2, R2), d in table[g2.degree][(g2, right)].items()
+                if (nm := mul(mid, L2)) is not None
+            )
 
         def project_first(elem):
             # replace a degree-0 first factor through augment-then-section
-            out = {}
-            for (g1, g2, left, mid, right), c in elem.items():
-                if g1.degree != 0:
-                    continue
-                p = self.res.algebra.mul_path(left, mid)
-                if p is None:
-                    continue
-                key = (self._LAB0[p.source], g2, trivial(p.source), p, right)
-                acc = out.get(key)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-            return out
+            return accumulate(
+                ((lab0[p.source], g2, trivial(p.source), p, right), c)
+                for (g1, g2, left, mid, right), c in elem.items()
+                if g1.degree == 0 and (p := mul(left, mid)) is not None
+            )
 
         def project_second(elem):
-            out = {}
-            for (g1, g2, left, mid, right), c in elem.items():
-                if g2.degree != 0:
-                    continue
-                p = self.res.algebra.mul_path(mid, right)
-                if p is None:
-                    continue
-                key = (g1, self._LAB0[p.target], left, p, trivial(p.target))
-                acc = out.get(key)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-            return out
+            return accumulate(
+                ((g1, lab0[p.target], left, p, trivial(p.target)), c)
+                for (g1, g2, left, mid, right), c in elem.items()
+                if g2.degree == 0 and (p := mul(mid, right)) is not None
+            )
 
         if convention == "left":
-            x = tc.add(s_first(rhs), s_second(project_first(rhs), signed=False))
-        else:
-            x = tc.add(s_second(rhs, signed=True), s_first(project_second(rhs)))
-        return x
+            return axpy(s_first(rhs), 1, s_second(project_first(rhs), signed=False))
+        return axpy(s_second(rhs, signed=True), 1, s_first(project_second(rhs)))
 
     def solved_family(self, max_degree, convention="left"):
         """An exactly solved lift of the identity, one square at a time."""
@@ -541,7 +431,7 @@ class DiagonalMaps:
                 # keep only the generator's own corner; the complement is
                 # boundary-free junk the one-sided contractions may add
                 x = self.tc.act(trivial(o), x, trivial(t))
-                if self.tc.add(self.tc.differential(x), self.tc.scale(-one, rhs)):
+                if axpy(self.tc.differential(x), -one, rhs):
                     raise ArithmeticError(f"no exact solution at degree {m} for {lab}")
                 imgs[lab] = x
             images[m] = imgs
@@ -562,10 +452,8 @@ class DiagonalMaps:
                 gen = self.res.generator(lab)
                 corr = self.tc.differential(k.apply(m, gen))
                 if m >= 1:
-                    corr = self.tc.add(
-                        corr, k.apply(m - 1, self.res.apply_boundary(m, gen))
-                    )
-                imgs[lab] = self.tc.add(base.image(lab), corr)
+                    axpy(corr, 1, k.apply(m - 1, self.res.apply_boundary(m, gen)))
+                imgs[lab] = axpy(dict(base.image(lab)), 1, corr)
             images[m] = imgs
         fam = ChainMapFamily("custom", images, self, lift_factor=base.lift_factor)
         fam.convention = getattr(base, "convention", None)
@@ -585,15 +473,13 @@ class DiagonalMaps:
             gen = self.res.generator(lab)
             if m == 0:
                 got = self.tc.augment(family.image(lab))
-                want = self.res.algebra.scale(
-                    self.field.from_int(family.lift_factor), self.res.augment(gen)
-                )
-                diff = self.res.algebra.add(got, self.res.algebra.scale(-one, want))
+                lift = self.field.from_int(family.lift_factor)
+                diff = axpy(got, -lift, self.res.augment(gen))
                 check = "augmentation-square"
             else:
                 lhs = family.evaluate(m - 1, self.res.apply_boundary(m, gen))
                 rhs = self.tc.differential(family.image(lab))
-                diff = self.tc.add(lhs, self.tc.scale(-one, rhs))
+                diff = axpy(lhs, -one, rhs)
                 check = "square"
             rows.append(
                 {
@@ -627,19 +513,12 @@ class DiagonalMaps:
             for lab in self.res.labels(m):
                 o, t = label_pair(lab)
                 gen = self.res.generator(lab)
-                e = self.tc.add(
-                    fam_f.image(lab), self.tc.scale(-one, fam_g.image(lab))
-                )
+                e = axpy(dict(fam_f.image(lab)), -one, fam_g.image(lab))
                 if m >= 1:
-                    e = self.tc.add(
-                        e,
-                        self.tc.scale(
-                            -one, h.apply(m - 1, self.res.apply_boundary(m, gen))
-                        ),
-                    )
+                    axpy(e, -one, h.apply(m - 1, self.res.apply_boundary(m, gen)))
                 x = self._solve_boundary(m + 1, e, "left", s_right, s_left)
                 x = self.tc.act(trivial(o), x, trivial(t))
-                if self.tc.add(self.tc.differential(x), self.tc.scale(-one, e)):
+                if axpy(self.tc.differential(x), -one, e):
                     return None, m
                 imgs[lab] = x
             images[m] = imgs

@@ -1,4 +1,8 @@
-"""Exact sparse elimination over the rationals or a prime field.
+"""Exact sparse vectors and elimination over the rationals or a prime field.
+
+A sparse vector is a dict {key: coeff} with no zero coefficient stored.
+`accumulate` and `axpy` are the one place in the package where sparse
+sums are formed: every layer builds its vectors with them.
 
 One engine, `SparseEchelon`, does all the elimination in the package.
 It takes sparse vectors {index: coeff} in order and keeps them in
@@ -156,6 +160,34 @@ class PrimeField:
 QQ = Rationals()
 
 
+def accumulate(terms):
+    """The sparse vector summing the (key, coeff) pairs of `terms`."""
+    out = {}
+    get = out.get
+    for k, c in terms:
+        acc = get(k)
+        out[k] = c if acc is None else acc + c
+    if all(out.values()):
+        return out
+    return {k: c for k, c in out.items() if c}
+
+
+def axpy(out, c, x):
+    """out += c * x for sparse vectors, in place; returns out."""
+    if not c:
+        return out
+    get = out.get
+    pairs = x.items() if c == 1 else ((k, c * v) for k, v in x.items())
+    for k, v in pairs:
+        acc = get(k)
+        acc = v if acc is None else acc + v
+        if acc:
+            out[k] = acc
+        else:
+            out.pop(k, None)
+    return out
+
+
 @dataclass
 class Matrix:
     """Sparse matrix: `entries` holds the nonzero (row, col, coeff) triples."""
@@ -188,21 +220,9 @@ class SparseEchelon:
 
     def _subtract(self, vec, f, lead, combo):
         """vec -= f * row[lead], in place; combo += f * combo of that row."""
-        for j, c in self.rows[lead].items():
-            acc = vec.get(j)
-            acc = -f * c if acc is None else acc - f * c
-            if acc:
-                vec[j] = acc
-            else:
-                vec.pop(j, None)
+        axpy(vec, -f, self.rows[lead])
         if combo is not None:
-            for t, c in self.combos[lead].items():
-                acc = combo.get(t)
-                acc = f * c if acc is None else acc + f * c
-                if acc:
-                    combo[t] = acc
-                else:
-                    combo.pop(t, None)
+            axpy(combo, f, self.combos[lead])
 
     def _eliminate(self, vec, combo=None):
         """Reduce vec in place until its leading index has no row.

@@ -16,10 +16,10 @@ from .cochains import HochschildComplex
 from .diagonal import DiagonalMaps, HomotopyFamily
 from .linalg import QQ, PrimeField
 from .products import Products
-from .quiver import parse_path
+from .quiver import VERTICES, parse_path
 from .resolution import Resolution
 from .tensorcx import TensorComplex
-from .uniform import UniformPaths, parse_label
+from .uniform import generator_labels, parse_label
 
 
 @dataclass
@@ -83,7 +83,6 @@ class Pipeline:
         self.diagonal = DiagonalMaps(self.resolution, self.tensor)
         self.hochschild = HochschildComplex(self.resolution)
         self.products = Products(self.hochschild, self.diagonal)
-        self.uniform = UniformPaths(config.n)
         self._families = {}
 
     def family(self, mode=None, max_degree=None):
@@ -242,12 +241,26 @@ def _terms_json(elem):
     ]
 
 
+def _generator_label(text, degree=None):
+    """The label named by `text`; it must be one of `generator_labels` of
+    its degree, and of `degree` when that is given."""
+    try:
+        lab = parse_label(text)
+        ok = degree in (None, lab.degree) and lab in generator_labels(lab.degree)
+    except (IndexError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        where = "" if degree is None else f" of degree {degree}"
+        raise ValueError(f"{text!r} is not a generator label{where}")
+    return lab
+
+
 def _terms_from_json(field, terms):
     out = {}
     for t in terms:
         key = (
-            parse_label(t["g1"]),
-            parse_label(t["g2"]),
+            _generator_label(t["g1"]),
+            _generator_label(t["g2"]),
             parse_path(t["left"]),
             parse_path(t["middle"]),
             parse_path(t["right"]),
@@ -256,24 +269,34 @@ def _terms_from_json(field, terms):
         value, _, modulus = text.partition(" (mod ")
         if modulus and (field is QQ or modulus != f"{field.p})"):
             raise ValueError(f"coefficient {text!r} does not lie in {field!r}")
-        c = Fraction(value) if field is QQ else field.from_int(int(value))
+        try:
+            c = Fraction(value) if field is QQ else field.from_int(int(value))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"coefficient {text!r} has a zero denominator") from exc
         if c:
             out[key] = c
     return out
 
 
 def _parse_homotopy_json(field, data):
-    """Generator images {degree: {label: element}} and the vertex table."""
+    """Generator images {degree: {label: element}} and the vertex table.
+
+    Raises ValueError on a degree that is not an int >= 0, a label that
+    is not a generator of its degree, or an unknown vertex.
+    """
     images = {}
     for row in data["images"]:
         m = row["degree"]
-        images.setdefault(m, {})[parse_label(row["generator"])] = _terms_from_json(
+        if type(m) is not int or m < 0:
+            raise ValueError(f"homotopy degree {m!r} is not an integer >= 0")
+        images.setdefault(m, {})[_generator_label(row["generator"], m)] = _terms_from_json(
             field, row["terms"]
         )
-    star = {
-        row["vertex"]: _terms_from_json(field, row["terms"])
-        for row in data.get("star", [])
-    }
+    star = {}
+    for row in data.get("star", []):
+        if row["vertex"] not in VERTICES:
+            raise ValueError(f"unknown vertex {row['vertex']!r} in the homotopy star table")
+        star[row["vertex"]] = _terms_from_json(field, row["terms"])
     return images, star
 
 
@@ -293,7 +316,7 @@ def _read_homotopy_file(path, field):
     data = json.loads(raw)
     try:
         _parse_homotopy_json(field, data)
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed homotopy file {path!r}: {exc!r}") from exc
     return data, hashlib.sha256(raw).hexdigest()
 

@@ -18,6 +18,7 @@ table entry; that is deviation KD-1.
 from __future__ import annotations
 
 from .cochains import Cochain, CochainName
+from .linalg import accumulate
 
 
 class UnsupportedRightFactor(ValueError):
@@ -65,11 +66,10 @@ class Products:
     def _product_on(self, image_of, f, g):
         """(f, g) paired against a diagonal image table at degree deg f + deg g."""
         m = f.degree + g.degree
-        alg = self.alg
-        images = {}
-        for lab in self.hc.res.labels(m):
-            val = {}
-            for (g1, g2, left, mid, right), c in image_of(lab).items():
+        mul = self.alg.mul_path
+
+        def terms(image):
+            for (g1, g2, left, mid, right), c in image.items():
                 if g1.degree != f.degree or g2.degree != g.degree:
                     continue
                 fv = f.images.get(g1)
@@ -77,28 +77,16 @@ class Products:
                 if not fv or not gv:
                     continue
                 for p1, c1 in fv.items():
-                    q = alg.mul_path(left, p1)
-                    if q is None:
-                        continue
-                    q = alg.mul_path(q, mid)
-                    if q is None:
+                    q = mul(left, p1)
+                    if q is None or (q := mul(q, mid)) is None:
                         continue
                     for p2, c2 in gv.items():
-                        r = alg.mul_path(q, p2)
-                        if r is None:
-                            continue
-                        r = alg.mul_path(r, right)
-                        if r is None:
-                            continue
-                        coeff = c * c1 * c2
-                        acc = val.get(r)
-                        acc = coeff if acc is None else acc + coeff
-                        if acc:
-                            val[r] = acc
-                        else:
-                            val.pop(r, None)
-            images[lab] = val
-        return Cochain(m, images)
+                        r = mul(q, p2)
+                        if r is not None and (r := mul(r, right)) is not None:
+                            yield r, c * c1 * c2
+
+        labels = self.hc.res.labels(m)
+        return Cochain(m, {lab: accumulate(terms(image_of(lab))) for lab in labels})
 
     def star(self, f, g):
         """Product through the literal two-corner diagonal."""

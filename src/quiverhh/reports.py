@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+from .linalg import axpy
 from .quiver import parse_path
 from .uniform import label_pair
 
@@ -258,7 +259,7 @@ def _build_claim(dm, claim):
             dm.tc.tensor(res.generator(lab0), res.generator(lab1)),
             right,
         )
-        out = dm.tc.add(out, dm.tc.scale(dm.res.field.from_int(coeff), term))
+        axpy(out, dm.res.field.from_int(coeff), term)
     return out
 
 
@@ -270,13 +271,11 @@ def worked_value_report(dm, homotopy, max_degree=1):
     for claim in WORKED_VALUES:
         m = claim["degree"]
         lab = _label_for_pair(dm.res, m, claim["generator"])
-        computed = dm.tc.add(
-            fam.image(lab), dm.tc.scale(-one, dm.delta_prime_image(lab))
-        )
+        computed = axpy(dict(fam.image(lab)), -one, dm.delta_prime_image(lab))
         want = _build_claim(dm, claim)
         if want is None:
             status = "ill-typed"
-        elif dm.tc.add(computed, dm.tc.scale(-one, want)):
+        elif axpy(dict(computed), -one, want):
             status = "deviation"
         else:
             status = "match"

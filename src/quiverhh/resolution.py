@@ -16,7 +16,7 @@ of the target degree.  All coefficients are +-1.
 
 from __future__ import annotations
 
-from .linalg import Matrix, rank
+from .linalg import LinearSolver, Matrix, accumulate, rank
 from .quiver import a_cycle, arrow, trivial
 from .uniform import Label, generator_labels, label_pair
 
@@ -174,6 +174,7 @@ class Resolution:
         self._triples = {}
         self._triple_index = {}
         self._matrices = {}
+        self._solvers = {}
         self._ranks = {}
 
     # -- structure -----------------------------------------------------
@@ -212,6 +213,11 @@ class Resolution:
             self._triple_index[m] = {tr: i for i, tr in enumerate(out)}
         return self._triples[m]
 
+    def triple_index(self, m):
+        """{triple: position in `triples(m)`}."""
+        self.triples(m)
+        return self._triple_index[m]
+
     def dim(self, m):
         return len(self.triples(m))
 
@@ -219,80 +225,32 @@ class Resolution:
 
     def apply_boundary(self, m, elem):
         """Boundary of a degree-m element (m >= 1), as a degree-(m-1) element."""
-        alg = self.algebra
+        mul = self.algebra.mul_path
         shape = self.shape(m)
-        out = {}
-        for (lab, left, right), c in elem.items():
-            for x, tgt, y, sign in shape[lab]:
-                nl = alg.mul_path(left, x)
-                if nl is None:
-                    continue
-                nr = alg.mul_path(y, right)
-                if nr is None:
-                    continue
-                key = (tgt, nl, nr)
-                add = c if sign > 0 else -c
-                acc = out.get(key)
-                acc = add if acc is None else acc + add
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return out
+        return accumulate(
+            ((tgt, nl, nr), c if sign > 0 else -c)
+            for (lab, left, right), c in elem.items()
+            for x, tgt, y, sign in shape[lab]
+            if (nl := mul(left, x)) is not None and (nr := mul(y, right)) is not None
+        )
 
     def augment(self, elem):
         """The degree-0 augmentation: multiply left and right paths."""
-        alg = self.algebra
-        out = {}
-        for (lab, left, right), c in elem.items():
-            p = alg.mul_path(left, right)
-            if p is None:
-                continue
-            acc = out.get(p)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[p] = acc
-            else:
-                out.pop(p, None)
-        return out
+        mul = self.algebra.mul_path
+        return accumulate(
+            (p, c)
+            for (lab, left, right), c in elem.items()
+            if (p := mul(left, right)) is not None
+        )
 
     def act(self, x, elem, y):
         """Bimodule action: multiply by path x on the left, path y on the right."""
-        alg = self.algebra
-        out = {}
-        for (lab, left, right), c in elem.items():
-            nl = alg.mul_path(x, left)
-            if nl is None:
-                continue
-            nr = alg.mul_path(right, y)
-            if nr is None:
-                continue
-            key = (lab, nl, nr)
-            acc = out.get(key)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return out
-
-    @staticmethod
-    def add(x, y):
-        out = dict(x)
-        for k, c in y.items():
-            acc = out.get(k)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
-        return out
-
-    @staticmethod
-    def scale(c, x):
-        if not c:
-            return {}
-        return {k: c * v for k, v in x.items()}
+        mul = self.algebra.mul_path
+        return accumulate(
+            ((lab, nl, nr), c)
+            for (lab, left, right), c in elem.items()
+            if (nl := mul(x, left)) is not None and (nr := mul(right, y)) is not None
+        )
 
     def boundary_matrix(self, m):
         """Matrix of the boundary out of degree m; rows follow the target basis.
@@ -307,8 +265,7 @@ class Resolution:
             row_index = self.algebra.basis_index
             images = (self.augment({tr: one}) for tr in cols)
         else:
-            self.triples(m - 1)
-            row_index = self._triple_index[m - 1]
+            row_index = self.triple_index(m - 1)
             images = (self.apply_boundary(m, {tr: one}) for tr in cols)
         entries = [
             (row_index[key], j, c) for j, img in enumerate(images) for key, c in img.items()
@@ -316,6 +273,12 @@ class Resolution:
         mat = Matrix(len(row_index), len(cols), entries)
         self._matrices[m] = mat
         return mat
+
+    def boundary_solver(self, m):
+        """LinearSolver of `boundary_matrix(m)`, built once per degree."""
+        if m not in self._solvers:
+            self._solvers[m] = LinearSolver(self.boundary_matrix(m))
+        return self._solvers[m]
 
     def boundary_rank(self, m):
         if m not in self._ranks:

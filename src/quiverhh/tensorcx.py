@@ -18,6 +18,7 @@ degree 0 contribute nothing from their own boundary).
 
 from __future__ import annotations
 
+from .linalg import accumulate
 from .uniform import label_pair
 
 
@@ -36,99 +37,53 @@ class TensorComplex:
         of the second multiply into the middle slot; terms whose middle
         product vanishes are dropped.
         """
-        alg = self.algebra
-        out = {}
-        for (g1, l1, r1), c1 in elem_a.items():
-            for (g2, l2, r2), c2 in elem_b.items():
-                mid = alg.mul_path(r1, l2)
-                if mid is None:
-                    continue
-                key = (g1, g2, l1, mid, r2)
-                c = c1 * c2
-                acc = out.get(key)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return out
-
-    @staticmethod
-    def add(x, y):
-        out = dict(x)
-        for k, c in y.items():
-            acc = out.get(k)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
-        return out
-
-    @staticmethod
-    def scale(c, x):
-        if not c:
-            return {}
-        return {k: c * v for k, v in x.items()}
+        mul = self.algebra.mul_path
+        return accumulate(
+            ((g1, g2, l1, mid, r2), c1 * c2)
+            for (g1, l1, r1), c1 in elem_a.items()
+            for (g2, l2, r2), c2 in elem_b.items()
+            if (mid := mul(r1, l2)) is not None
+        )
 
     def act(self, x, elem, y):
         """Outer bimodule action by paths: x on the left slot, y on the right."""
-        alg = self.algebra
-        out = {}
-        for (g1, g2, left, mid, right), c in elem.items():
-            nl = alg.mul_path(x, left)
-            if nl is None:
-                continue
-            nr = alg.mul_path(right, y)
-            if nr is None:
-                continue
-            key = (g1, g2, nl, mid, nr)
-            acc = out.get(key)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return out
+        mul = self.algebra.mul_path
+        return accumulate(
+            ((g1, g2, nl, mid, nr), c)
+            for (g1, g2, left, mid, right), c in elem.items()
+            if (nl := mul(x, left)) is not None and (nr := mul(right, y)) is not None
+        )
 
     # -- differential -----------------------------------------------------
 
     def differential(self, elem):
-        alg = self.algebra
-        res = self.res
-        out = {}
+        mul = self.algebra.mul_path
+        shape = self.res.shape
 
-        def put(key, c):
-            acc = out.get(key)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+        def terms():
+            for (g1, g2, left, mid, right), c in elem.items():
+                a = g1.degree
+                if a >= 1:
+                    for x, tgt, y, sign in shape(a)[g1]:
+                        nl = mul(left, x)
+                        if nl is None:
+                            continue
+                        nm = mul(y, mid)
+                        if nm is None:
+                            continue
+                        yield (tgt, g2, nl, nm, right), c if sign > 0 else -c
+                if g2.degree >= 1:
+                    c2 = c if a % 2 == 0 else -c
+                    for x, tgt, y, sign in shape(g2.degree)[g2]:
+                        nm = mul(mid, x)
+                        if nm is None:
+                            continue
+                        nr = mul(y, right)
+                        if nr is None:
+                            continue
+                        yield (g1, tgt, left, nm, nr), c2 if sign > 0 else -c2
 
-        minus_one = -self.field.one()
-        for (g1, g2, left, mid, right), c in elem.items():
-            a = g1.degree
-            if a >= 1:
-                for x, tgt, y, sign in res.shape(a)[g1]:
-                    nl = alg.mul_path(left, x)
-                    if nl is None:
-                        continue
-                    nm = alg.mul_path(y, mid)
-                    if nm is None:
-                        continue
-                    put((tgt, g2, nl, nm, right), c * sign)
-            if g2.degree >= 1:
-                sgn = c if a % 2 == 0 else c * minus_one
-                for x, tgt, y, sign in res.shape(g2.degree)[g2]:
-                    nm = alg.mul_path(mid, x)
-                    if nm is None:
-                        continue
-                    nr = alg.mul_path(y, right)
-                    if nr is None:
-                        continue
-                    put((g1, tgt, left, nm, nr), sgn * sign)
-        return out
+        return accumulate(terms())
 
     # -- bases ------------------------------------------------------------
 
@@ -169,19 +124,9 @@ class TensorComplex:
 
     def augment(self, elem):
         """Apply the augmentation on both factors and multiply out."""
-        alg = self.algebra
-        out = {}
-        for (g1, g2, left, mid, right), c in elem.items():
-            p = alg.mul_path(left, mid)
-            if p is None:
-                continue
-            p = alg.mul_path(p, right)
-            if p is None:
-                continue
-            acc = out.get(p)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[p] = acc
-            else:
-                out.pop(p, None)
-        return out
+        mul = self.algebra.mul_path
+        return accumulate(
+            (p, c)
+            for (g1, g2, left, mid, right), c in elem.items()
+            if (p := mul(left, mid)) is not None and (p := mul(p, right)) is not None
+        )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .linalg import accumulate, axpy
 from .quiver import Path, a_cycle, arrow, compose, trivial
 
 
@@ -99,23 +100,8 @@ def label_pair(label):
 
 def _fmul(elem, p):
     """Right-multiply a formal path combination by a path, in the free algebra."""
-    out = {}
-    for q, c in elem.items():
-        qp = compose(q, p)
-        assert qp is not None, "uniform recursion produced an ill-composed word"
-        out[qp] = out.get(qp, 0) + c
-    return {q: c for q, c in out.items() if c}
-
-
-def _fsub(x, y):
-    out = dict(x)
-    for q, c in y.items():
-        acc = out.get(q, 0) - c
-        if acc:
-            out[q] = acc
-        else:
-            out.pop(q, None)
-    return out
+    assert all(q.target == p.source for q in elem), "ill-composed word in the uniform recursion"
+    return accumulate((compose(q, p), c) for q, c in elem.items())
 
 
 class UniformPaths:
@@ -137,9 +123,7 @@ class UniformPaths:
             Label(1, "U", None): {arrow("a2"): 1},
         }
         g2 = {
-            Label(2, "R", None): _fsub(
-                {a_cycle(0, 3 * n + 2): 1}, {Path("e0", ("b0", "b1")): 1}
-            ),
+            Label(2, "R", None): {a_cycle(0, 3 * n + 2): 1, Path("e0", ("b0", "b1")): -1},
             Label(2, "S", None): {a_cycle(1, 3 * n + 2): 1},
             Label(2, "T", None): {Path("f1", ("b1", "a2")): 1},
             Label(2, "U", 0): {a_cycle(2, 3 * n + 2): 1},
@@ -172,11 +156,11 @@ class UniformPaths:
         if r == 1:
             out[Label(m, "R", 0)] = _fmul(pv("R"), a0)
             out[Label(m, "R", 1)] = _fmul(pv("R"), b0)
-            out[Label(m, "S", None)] = _fsub(_fmul(pv("S", 0), a1), _fmul(pv("S", 1), b1))
-            out[Label(m, "T", None)] = _fsub(_fmul(pv("T", 0), long1), _fmul(pv("T", 1), b1))
+            out[Label(m, "S", None)] = axpy(_fmul(pv("S", 0), a1), -1, _fmul(pv("S", 1), b1))
+            out[Label(m, "T", None)] = axpy(_fmul(pv("T", 0), long1), -1, _fmul(pv("T", 1), b1))
             out[Label(m, "U", None)] = _fmul(pv("U"), a2)
         elif r == 2:
-            out[Label(m, "R", None)] = _fsub(_fmul(pv("R", 0), long1), _fmul(pv("R", 1), b1))
+            out[Label(m, "R", None)] = axpy(_fmul(pv("R", 0), long1), -1, _fmul(pv("R", 1), b1))
             out[Label(m, "S", None)] = _fmul(pv("S"), long2)
             out[Label(m, "T", None)] = _fmul(pv("T"), a2)
             out[Label(m, "U", 0)] = _fmul(pv("U"), long0)
@@ -187,15 +171,15 @@ class UniformPaths:
             out[Label(m, "S", 1)] = _fmul(pv("S"), b0)
             out[Label(m, "T", 0)] = _fmul(pv("T"), long0)
             out[Label(m, "T", 1)] = _fmul(pv("T"), b0)
-            out[Label(m, "U", None)] = _fsub(_fmul(pv("U", 0), a1), _fmul(pv("U", 1), b1))
+            out[Label(m, "U", None)] = axpy(_fmul(pv("U", 0), a1), -1, _fmul(pv("U", 1), b1))
         elif r == 4:
             out[Label(m, "R", 0)] = _fmul(pv("R"), long0)
             out[Label(m, "R", 1)] = _fmul(pv("R"), b0)
-            out[Label(m, "S", None)] = _fsub(_fmul(pv("S", 0), a1), _fmul(pv("S", 1), b1))
-            out[Label(m, "T", None)] = _fsub(_fmul(pv("T", 0), a1), _fmul(pv("T", 1), b1))
+            out[Label(m, "S", None)] = axpy(_fmul(pv("S", 0), a1), -1, _fmul(pv("S", 1), b1))
+            out[Label(m, "T", None)] = axpy(_fmul(pv("T", 0), a1), -1, _fmul(pv("T", 1), b1))
             out[Label(m, "U", None)] = _fmul(pv("U"), long2)
         elif r == 5:
-            out[Label(m, "R", None)] = _fsub(_fmul(pv("R", 0), a1), _fmul(pv("R", 1), b1))
+            out[Label(m, "R", None)] = axpy(_fmul(pv("R", 0), a1), -1, _fmul(pv("R", 1), b1))
             out[Label(m, "S", None)] = _fmul(pv("S"), a2)
             # the printed step has an ill-composed word here; the composable
             # version with the same endpoints is (a2 a0 a1)^n a2
@@ -208,7 +192,7 @@ class UniformPaths:
             out[Label(m, "S", 1)] = _fmul(pv("S"), b0)
             out[Label(m, "T", 0)] = _fmul(pv("T"), a0)
             out[Label(m, "T", 1)] = _fmul(pv("T"), b0)
-            out[Label(m, "U", None)] = _fsub(_fmul(pv("U", 0), a1), _fmul(pv("U", 1), b1))
+            out[Label(m, "U", None)] = axpy(_fmul(pv("U", 0), a1), -1, _fmul(pv("U", 1), b1))
         assert set(out) == set(generator_labels(m))
         return out
 

@@ -265,10 +265,10 @@ def test_c10f_lift_independence(cup_setup):
     report("10f cup classes invariant under change of lift", ok)
 
 
-def test_c11_uniform_paths(pipes):
+def test_c11_uniform_paths():
     ok = True
     for n in (0, 1, 2):
-        u = pipes[n].uniform
+        u = UniformPaths(n)
         # explicit low-degree sets
         ok = ok and u.family(0) == {
             Label(0, "R", None): {Path("e0", ()): 1},

@@ -123,3 +123,36 @@ def test_report_n0_solves_the_diagonal_once(tmp_path, capsys, monkeypatch):
     assert report["tables"]["images"] == alone["tables"]["images"]
     square_ids = {r["id"] for r in alone["checks"]}
     assert [r for r in report["checks"] if r["id"] in square_ids] == alone["checks"]
+
+
+def test_perfbench_tracer_wraps_current_names(tmp_path):
+    # perfbench/tracing.py wraps package attributes by name, so renaming
+    # one breaks `perfbench/run.py --trace 1`; it patches the process, so
+    # it runs in a child
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import json, sys\n"
+        "sys.path[:0] = sys.argv[1:3]\n"
+        "import quiverhh.cli, tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        "argv = ['report', '--n', '0', '--max-degree', '3', '--output', 'json']\n"
+        "main = tracer.wrap(tracing.ROOT, quiverhh.cli.main)\n"
+        "code = main(argv + ['--out-path', sys.argv[3]])\n"
+        "print(json.dumps({'code': code, 'metrics': tracer.layer_metrics()}))\n"
+    )
+    traced = tmp_path / "traced.json"
+    argv = [sys.executable, "-c", script, str(root / "src"), str(root / "perfbench"), str(traced)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    # the report reaches every layer the tracer names
+    assert [k for k, v in result["metrics"].items() if not v] == []
+    plain = tmp_path / "plain.json"
+    main(["report", "--n", "0", "--max-degree", "3", "--output", "json", "--out-path", str(plain)])
+    assert traced.read_bytes() == plain.read_bytes()

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverhh.linalg import axpy
 from quiverhh.quiver import trivial
 from quiverhh.uniform import Label, label_pair
 
@@ -154,6 +155,43 @@ def test_solved_family_exact_and_lifts_identity(pipes, n, solved_families):
         assert got == dm.res.augment(dm.res.generator(lab))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_contraction_is_a_contracting_homotopy(pipes, n, side):
+    # boundary∘s + s∘boundary = id on every basis triple of degree <= 6,
+    # with the augmentation section in place of s∘boundary at degree 0
+    res = pipes[n].resolution
+    s = pipes[n].diagonal.contraction(side, 6)
+    one = res.field.one()
+    for m in range(0, 7):
+        for tr in res.triples(m):
+            x = {tr: one}
+            if m == 0:
+                back = s.section_apply(res.augment(x))
+            else:
+                back = s.apply(m - 1, res.apply_boundary(m, x))
+            assert axpy(res.apply_boundary(m + 1, s.apply(m, x)), 1, back) == x, (m, tr)
+
+
+def test_solved_family_builds_one_solver_per_degree(monkeypatch):
+    from quiverhh import Pipeline, RunConfig, linalg
+
+    built = []
+    init = linalg.LinearSolver.__init__
+
+    def counting_init(self, a):
+        built.append((a.rows, a.cols))
+        init(self, a)
+
+    monkeypatch.setattr(linalg.LinearSolver, "__init__", counting_init)
+    d = 5
+    pipe = Pipeline(RunConfig(n=1, max_degree=d))
+    pipe.diagonal.solved_family(d)
+    res = pipe.resolution
+    # both contractions share the boundary solver of degrees 1..d+1
+    assert built == [(res.dim(m - 1), res.dim(m)) for m in range(1, d + 2)]
+
+
 def test_solved_family_endpoint_conservation(pipes, solved_families):
     for n in (0, 1, 2):
         dm = dm_of(pipes, n)
@@ -186,11 +224,11 @@ def test_perturbed_family_differs_but_homotopic(pipes, solved_families):
     for m in range(0, 12):
         for lab in dm.res.labels(m):
             gen = dm.res.generator(lab)
-            lhs = dm.tc.add(fam.image(lab), dm.tc.scale(-one, fam2.image(lab)))
+            lhs = axpy(dict(fam.image(lab)), -one, fam2.image(lab))
             rhs = dm.tc.differential(h.apply(m, gen))
             if m >= 1:
-                rhs = dm.tc.add(rhs, h.apply(m - 1, dm.res.apply_boundary(m, gen)))
-            assert not dm.tc.add(lhs, dm.tc.scale(-one, rhs))
+                axpy(rhs, 1, h.apply(m - 1, dm.res.apply_boundary(m, gen)))
+            assert not axpy(lhs, -one, rhs)
 
 
 def test_equal_families_have_zero_homotopy(pipes, solved_families):
@@ -217,7 +255,7 @@ def test_corrupted_family_fails_square(pipes, solved_families):
     images = {m: dict(imgs) for m, imgs in fam.images.items()}
     lab = dm.res.labels(2)[0]
     images[2] = dict(images[2])
-    images[2][lab] = dm.tc.scale(Fraction(-1), images[2][lab])
+    images[2][lab] = axpy({}, Fraction(-1), images[2][lab])
     broken = ChainMapFamily("custom", images, dm, lift_factor=1)
     rows = dm.verify_square(broken, 2)
     assert any(r["status"] == "fail" for r in rows)
@@ -283,3 +321,36 @@ def test_homotopy_file_coefficients_must_lie_in_the_field(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--field", "gf:5", "--homotopy", homotopy, "squares"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "field,value,reason",
+    [
+        ("generator", "", "is not a generator label of degree 0"),
+        ("degree", "x", "is not an integer >= 0"),
+        ("coeff", "1/0", "has a zero denominator"),
+        ("vertex", "e9", "unknown vertex 'e9'"),
+    ],
+    ids=["empty-generator", "degree-not-an-int", "zero-denominator", "unknown-vertex"],
+)
+def test_malformed_homotopy_file_is_a_usage_error(tmp_path, capsys, field, value, reason):
+    import json
+
+    from quiverhh import Pipeline, RunConfig
+    from quiverhh.cli import main
+
+    pipe = Pipeline(RunConfig(n=0, max_degree=4, delta_mode="formula"))
+    data = pipe.homotopy_json(pipe.diagonal.default_homotopy(4))
+    if field == "vertex":
+        data["star"][0]["vertex"] = value
+    elif field == "coeff":
+        data["images"][0]["terms"][0]["coeff"] = value
+    else:
+        data["images"][0][field] = value
+    p = tmp_path / "h.json"
+    p.write_text(json.dumps(data))
+    argv = ["diagonal", "--n", "0", "--max-degree", "4", "--delta-mode", "formula"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--homotopy", f"file:{p}", "squares"])
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err

@@ -10,6 +10,8 @@ from quiverhh.linalg import (
     Matrix,
     PrimeField,
     SparseEchelon,
+    accumulate,
+    axpy,
     kernel_basis,
     rank,
 )
@@ -199,3 +201,29 @@ def test_gf_division():
     a, b = gf.from_int(5), gf.from_int(3)
     assert (a / b) * b == a
     assert 1 / b * b == gf.one()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([QQ, PrimeField(7)]),
+    st.lists(st.tuples(st.integers(0, 4), sq), max_size=12),
+    st.lists(st.tuples(st.integers(0, 4), sq), max_size=6),
+    sq,
+)
+def test_accumulate_and_axpy_match_dense_sums(field, terms, x_terms, c):
+    def dense(pairs):
+        out = [field.zero()] * 5
+        for k, v in pairs:
+            out[k] += field.from_int(v)
+        return out
+
+    def sparse(values):
+        return {k: v for k, v in enumerate(values) if v}
+
+    acc = accumulate((k, field.from_int(v)) for k, v in terms)
+    assert acc == sparse(dense(terms)) and all(acc.values())
+    x = accumulate((k, field.from_int(v)) for k, v in x_terms)
+    want = [a + field.from_int(c) * b for a, b in zip(dense(terms), dense(x_terms))]
+    out = axpy(acc, field.from_int(c), x)
+    assert out is acc  # in place
+    assert out == sparse(want) and all(out.values())

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quiverhh.cochains import CochainName
+from quiverhh.linalg import axpy
 from quiverhh.products import UnsupportedRightFactor, star_table
 
 
@@ -175,7 +176,7 @@ def test_star_cup_relation(pipes):
         gen = pipe.resolution.generator(lab)
         corr = dm.tc.differential(h.apply(m, gen))
         if m >= 1:
-            corr = dm.tc.add(corr, h.apply(m - 1, pipe.resolution.apply_boundary(m, gen)))
+            axpy(corr, 1, h.apply(m - 1, pipe.resolution.apply_boundary(m, gen)))
         corr_images[lab] = corr
     # evaluate (f tensor g) on the correction exactly as the cup does
     from quiverhh.diagonal import ChainMapFamily
@@ -193,7 +194,7 @@ def test_cup_refuses_family_that_fails_verification(pipes, solved_families):
     images = {m: dict(imgs) for m, imgs in fam.images.items()}
     lab = dm.res.labels(1)[0]
     images[1] = dict(images[1])
-    images[1][lab] = dm.tc.scale(Fraction(3), images[1][lab])
+    images[1][lab] = axpy({}, Fraction(3), images[1][lab])
     bogus = ChainMapFamily("custom", images, dm, lift_factor=1)
     with pytest.raises(ValueError):
         pr.cup(hc.x_cochain(), hc.y_cochain(), bogus)

@@ -11,7 +11,7 @@ from quiverhh.algebra import (
     oracle_quotient_dim,
     truncated_ideal_echelon,
 )
-from quiverhh.linalg import PrimeField
+from quiverhh.linalg import PrimeField, axpy
 from quiverhh.quiver import (
     ARROW_SOURCE,
     ARROW_TARGET,
@@ -161,7 +161,7 @@ def _random_element(alg, rng, size=3):
         p = rng.choice(alg.basis)
         c = Fraction(rng.randint(-4, 4))
         if c:
-            out = alg.add(out, {p: c})
+            axpy(out, 1, {p: c})
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from quiverhh.quiver import arrow, parse_path, trivial
 from quiverhh.resolution import Resolution
-from quiverhh.uniform import Label, generator_labels, label_pair
+from quiverhh.uniform import Label, UniformPaths, generator_labels, label_pair
 
 
 def res(pipes, n):
@@ -179,9 +179,9 @@ def test_minimality(pipes):
             assert r.minimality_violations(m) == []
 
 
-def test_generator_count_vs_uniform_paths(pipes):
+def test_generator_count_vs_uniform_paths():
     for n in (0, 1, 2):
-        u = pipes[n].uniform
+        u = UniformPaths(n)
         for m in range(0, 13):
             assert set(u.family(m)) == set(generator_labels(m))
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverhh.linalg import axpy
 from quiverhh.quiver import arrow, trivial
 from quiverhh.uniform import Label
 
@@ -45,8 +46,8 @@ def test_tensor_bilinear_and_idempotent_normalisation(pipes):
     two = Fraction(2)
     a = res.act(trivial("e0"), res.generator(Label(1, "R", 0)), arrow("a1"))
     b = res.generator(Label(2, "U", 0))
-    t1 = tc.tensor(res.scale(two, a), b)
-    t2 = tc.scale(two, tc.tensor(a, b))
+    t1 = tc.tensor(axpy({}, two, a), b)
+    t2 = axpy({}, two, tc.tensor(a, b))
     assert t1 == t2
     # slot paths of a normalised element are already basis normal forms
     for (g1, g2, l, m, r) in t1:
@@ -93,7 +94,7 @@ def test_sign_on_second_factor(pipes):
         res.generator(Label(1, "S", None)),
         res.apply_boundary(1, res.generator(Label(1, "U", None))),
     )
-    assert img == tc.add(first, tc.scale(-one, second))
+    assert img == axpy(first, -one, second)
 
 
 @pytest.mark.parametrize("n,top", [(0, 8), (1, 8), (2, 8)])
