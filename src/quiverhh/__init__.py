@@ -12,7 +12,7 @@ from .products import Products, UnsupportedRightFactor, star_table
 from .quiver import Path, parse_path
 from .resolution import Resolution
 from .tensorcx import TensorComplex
-from .uniform import Label, UniformPaths, generator_labels, label_pair
+from .uniform import Label, UniformPaths, generator_labels, label_at, label_pair
 
 __all__ = [
     "FamilyAlgebra",
@@ -40,6 +40,7 @@ __all__ = [
     "Label",
     "UniformPaths",
     "generator_labels",
+    "label_at",
     "label_pair",
 ]
 

@@ -13,8 +13,9 @@ word b0*b1 rewrites into the long a-cycle word:
 Every rule either kills a word or strictly lowers the number of b-arrows,
 so rewriting terminates, and each path normalises to a single path or to
 zero (no coefficients ever appear).  The surviving normal forms are the
-monomial basis; its correctness is certified against a length-truncated
-row-reduction oracle in the tests rather than by a confluence proof.
+monomial basis; rather than by a confluence proof, its size is certified
+against a length-truncated row-reduction oracle (`oracle_quotient_dim`),
+which `Pipeline.algebra_checks` runs on every `algebra` and `report` run.
 """
 
 from __future__ import annotations

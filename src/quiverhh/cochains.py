@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .linalg import Matrix, SparseEchelon, accumulate, axpy, kernel_basis
 from .quiver import a_cycle, arrow, trivial
-from .uniform import label_pair
+from .uniform import label_at, label_pair
 
 
 @dataclass(frozen=True)
@@ -213,9 +213,6 @@ class HochschildComplex:
 
     # -- named bases ---------------------------------------------------------
 
-    def _cycle_power(self, i, t):
-        return a_cycle(i, 3 * t)
-
     def named_basis(self, m):
         """The classical named cochain basis at degree m."""
         n = self.n
@@ -228,27 +225,27 @@ class HochschildComplex:
                 images[lab] = {path: one}
             out.append(Cochain(m, images, name))
 
-        labs = {label_pair(lab): lab for lab in self.res.labels(m)}
         if m % 3 == 0:
             kind = "alpha" if m == 0 else "phi"
             for s in range(3):
                 for t in range(n + 1):
-                    lab = labs[(f"e{s}", f"e{s}")]
+                    lab = label_at(m, f"e{s}", f"e{s}")
                     mk(CochainName(kind, s, t), [(lab, a_cycle(s, 3 * t))])
-            mk(CochainName("beta" if m == 0 else "psi"), [(labs[("f1", "f1")], trivial("f1"))])
+            name = CochainName("beta" if m == 0 else "psi")
+            mk(name, [(label_at(m, "f1", "f1"), trivial("f1"))])
         elif m % 3 == 1:
             for i in range(3):
                 for t in range(n + 1):
-                    lab = labs[(f"e{i}", f"e{(i + 1) % 3}")]
+                    lab = label_at(m, f"e{i}", f"e{(i + 1) % 3}")
                     mk(CochainName("mu", i, t), [(lab, a_cycle(i, 3 * t + 1))])
-            mk(CochainName("nu", 0), [(labs[("e0", "f1")], arrow("b0"))])
-            mk(CochainName("nu", 1), [(labs[("f1", "e2")], arrow("b1"))])
+            mk(CochainName("nu", 0), [(label_at(m, "e0", "f1"), arrow("b0"))])
+            mk(CochainName("nu", 1), [(label_at(m, "f1", "e2"), arrow("b1"))])
         else:
             for i in range(3):
                 for t in range(n):
-                    lab = labs[(f"e{i}", f"e{(i + 2) % 3}")]
+                    lab = label_at(m, f"e{i}", f"e{(i + 2) % 3}")
                     mk(CochainName("theta", i, t), [(lab, a_cycle(i, 3 * t + 2))])
-            mk(CochainName("eta"), [(labs[("e0", "e2")], a_cycle(0, 3 * n + 2))])
+            mk(CochainName("eta"), [(label_at(m, "e0", "e2"), a_cycle(0, 3 * n + 2))])
         return out
 
     def named(self, m, name):

@@ -20,19 +20,39 @@ Three kinds of degree-indexed family live here.
   stored generator images, and every square is exact by construction
   (and re-verified).
 
+Each step has one body: the two-corner rule is
+`DiagonalMaps.delta_prime_apply` (a generator image is its value on the
+generator), the homotopy correction is `HomotopyFamily.correction`, the
+bimodule-linear extension is `_extend`, and the lift step (solve, keep
+the generator's own corner, check d x = rhs) is `DiagonalMaps._lift`,
+shared by `solved_family` and `homotopy_solve`.
+
 The solver never forms the total-complex boundary as one big matrix: it
-contracts the first or second tensor factor with a one-sided contraction
-of the resolution.  Both contractions solve with the resolution's
-boundary solver of each degree, whose echelon splits into one-sided
-corner blocks.
+contracts the first tensor factor with the right-linear contraction of
+the resolution, then pushes the leftover of bidegree (0, b) through the
+left-linear contraction of the second factor.  Both contractions solve
+with the resolution's boundary solver of each degree, whose echelon
+splits into one-sided corner blocks.
 """
 
 from __future__ import annotations
 
 from .linalg import accumulate, axpy
-from .quiver import arrow, trivial
+from .quiver import VERTICES, arrow, trivial
 from .tensorcx import TensorComplex
-from .uniform import Label, label_pair
+from .uniform import label_at, label_pair
+
+
+def _extend(tc, images, elem):
+    """Bimodule-linear extension of generator images {label: tensor
+    element} to a resolution element."""
+    act = tc.act
+    out = {}
+    for (lab, left, right), c in elem.items():
+        img = images.get(lab)
+        if img:
+            axpy(out, c, act(left, img, right))
+    return out
 
 
 class OneSidedContraction:
@@ -55,15 +75,12 @@ class OneSidedContraction:
         self.table = {}  # degree -> {(path, label) or (label, path): element}
         self._build()
 
-    # the degree-0 section of the augmentation: a path p lifts to the
-    # diagonal generator at its source (right side) / target (left side)
-    _LAB0 = {"e0": Label(0, "R", None), "e1": Label(0, "S", None),
-             "f1": Label(0, "T", None), "e2": Label(0, "U", None)}
-
     def section(self, p):
+        """The degree-0 section of the augmentation: a path p lifts to the
+        diagonal generator at its source (right side) / target (left side)."""
         if self.side == "right":
-            return {(self._LAB0[p.source], trivial(p.source), p): self.res.field.one()}
-        return {(self._LAB0[p.target], p, trivial(p.target)): self.res.field.one()}
+            return {(label_at(0, p.source, p.source), trivial(p.source), p): self.res.field.one()}
+        return {(label_at(0, p.target, p.target), p, trivial(p.target)): self.res.field.one()}
 
     def section_apply(self, lam_elem):
         return accumulate(
@@ -137,9 +154,7 @@ class ChainMapFamily:
     def truncated(self, max_degree):
         """The same map on degrees <= max_degree, sharing the images."""
         images = {m: self.images[m] for m in range(max_degree + 1)}
-        fam = ChainMapFamily(self.provenance, images, self.dm, self.homotopy, self.lift_factor)
-        fam.convention = getattr(self, "convention", None)
-        return fam
+        return ChainMapFamily(self.provenance, images, self.dm, self.homotopy, self.lift_factor)
 
     def image(self, label):
         return self.images[label.degree][label]
@@ -149,20 +164,9 @@ class ChainMapFamily:
         if self.provenance in ("literal", "formula"):
             out = self.dm.delta_prime_apply(elem)
             if self.provenance == "formula":
-                h = self.homotopy
-                if m >= 1:
-                    axpy(out, 1, h.apply(m - 1, self.dm.res.apply_boundary(m, elem)))
-                else:
-                    axpy(out, 1, h.apply_star(self.dm.res.augment(elem)))
-                axpy(out, 1, self.dm.tc.differential(h.apply(m, elem)))
+                axpy(out, 1, self.homotopy.correction(m, elem))
             return out
-        # bimodule-linear extension of the stored generator images
-        act = self.dm.tc.act
-        out = {}
-        images_m = self.images[m]
-        for (lab, left, right), c in elem.items():
-            axpy(out, c, act(left, images_m[lab], right))
-        return out
+        return _extend(self.dm.tc, self.images[m], elem)
 
 
 class HomotopyFamily:
@@ -175,14 +179,7 @@ class HomotopyFamily:
         self.star = star  # {vertex: tensor element of degree 0}
 
     def apply(self, m, elem):
-        act = self.dm.tc.act
-        out = {}
-        images_m = self.images.get(m, {})
-        for (lab, left, right), c in elem.items():
-            img = images_m.get(lab)
-            if img:
-                axpy(out, c, act(left, img, right))
-        return out
+        return _extend(self.dm.tc, self.images.get(m, {}), elem)
 
     def apply_star(self, lam_elem):
         """The composite through the augmentation: defined on vertex images."""
@@ -191,6 +188,16 @@ class HomotopyFamily:
             if p.is_vertex():
                 axpy(out, c, self.star.get(p.source, {}))
         return out
+
+    def correction(self, m, elem):
+        """h∘boundary + d∘h on a degree-m element; at degree 0 the first
+        term is the vertex table applied through the augmentation."""
+        res = self.dm.res
+        if m >= 1:
+            out = self.apply(m - 1, res.apply_boundary(m, elem))
+        else:
+            out = self.apply_star(res.augment(elem))
+        return axpy(out, 1, self.dm.tc.differential(self.apply(m, elem)))
 
 
 class DiagonalMaps:
@@ -203,7 +210,14 @@ class DiagonalMaps:
         self.field = resolution.field
         self._contractions = {}
 
-    _LAB0 = OneSidedContraction._LAB0
+    def _generator_images(self, family, max_degree):
+        """Fill a family's images with its values on the generators."""
+        res = self.res
+        family.images = {
+            m: {lab: family.evaluate(m, res.generator(lab)) for lab in res.labels(m)}
+            for m in range(max_degree + 1)
+        }
+        return family
 
     # -- the literal two-corner diagonal --------------------------------
 
@@ -211,34 +225,22 @@ class DiagonalMaps:
         """Generator image: origin corner on the left, terminus corner on
         the right; at degree 0 both corners coincide and the coefficient
         doubles."""
-        o, t = label_pair(label)
-        one = self.field.one()
-        gen = {(label, trivial(o), trivial(t)): one}
-        left_part = self.tc.tensor(self.res.generator(self._LAB0[o]), gen)
-        return axpy(left_part, 1, self.tc.tensor(gen, self.res.generator(self._LAB0[t])))
-
-    def delta_prime_images(self, m):
-        return {lab: self.delta_prime_image(lab) for lab in self.res.labels(m)}
+        return self.delta_prime_apply(self.res.generator(label))
 
     def delta_prime_apply(self, elem):
         """Term-by-term application of the two-corner rule to an element."""
         out = {}
-        one = self.field.one()
+        tensor = self.tc.tensor
+        generator = self.res.generator
         for (lab, left, right), c in elem.items():
-            term = {(lab, left, right): one}
-            o_v = left.source
-            t_v = right.target
-            part = axpy(
-                self.tc.tensor(self.res.generator(self._LAB0[o_v]), term),
-                1,
-                self.tc.tensor(term, self.res.generator(self._LAB0[t_v])),
-            )
-            axpy(out, c, part)
+            term = {(lab, left, right): c}
+            axpy(out, 1, tensor(generator(label_at(0, left.source, left.source)), term))
+            axpy(out, 1, tensor(term, generator(label_at(0, right.target, right.target))))
         return out
 
     def literal_family(self, max_degree):
-        images = {m: self.delta_prime_images(m) for m in range(max_degree + 1)}
-        return ChainMapFamily("literal", images, self, lift_factor=2)
+        fam = ChainMapFamily("literal", {}, self, lift_factor=2)
+        return self._generator_images(fam, max_degree)
 
     # -- homotopies ------------------------------------------------------
 
@@ -252,6 +254,7 @@ class DiagonalMaps:
         minus sign on the a-successors and a plus on the b-successor;
         `flip_star_signs` swaps that orientation."""
         one = self.field.one()
+        succ = {"e0": "e1", "e1": "e2", "e2": "e0", "f1": "e2"}
         images = {}
         for m in range(0, max_degree + 1):
             imgs = {}
@@ -260,9 +263,9 @@ class DiagonalMaps:
                 if m % 3 == 0 and o != t:
                     imgs[lab] = {}
                     continue
-                nxt = self._next_pair_label(m, o)
+                nxt = label_at(m + 1, o, (succ[o], succ[succ[o]], o)[m % 3])
                 imgs[lab] = self.tc.tensor(
-                    self.res.generator(self._LAB0[o]), self.res.generator(nxt)
+                    self.res.generator(label_at(0, o, o)), self.res.generator(nxt)
                 )
             images[m] = imgs
         star = {}
@@ -270,32 +273,15 @@ class DiagonalMaps:
         sign = {"e0": -one, "e1": -one, "e2": -one, "f1": one}
         if flip_star_signs:
             sign = {v: -s for v, s in sign.items()}
-        for v in ("e0", "e1", "f1", "e2"):
-            lab = self._LAB0[v]
-            base = self.tc.tensor(self.res.generator(lab), self.res.generator(lab))
-            acted = self.tc.act(trivial(v), base, arrow(succ_arrow[v]))
+        for v in VERTICES:
+            gen = self.res.generator(label_at(0, v, v))
+            acted = self.tc.act(trivial(v), self.tc.tensor(gen, gen), arrow(succ_arrow[v]))
             star[v] = axpy({}, sign[v], acted)
         return HomotopyFamily(self, images, star)
 
-    def _next_pair_label(self, m, o):
-        """The degree-(m+1) generator one successor step from the diagonal at o."""
-        succ = {"e0": "e1", "e1": "e2", "e2": "e0", "f1": "e2"}
-        succ2 = {"e0": "e2", "e1": "e0", "e2": "e1", "f1": "e0"}
-        r = m % 3
-        if r == 0:
-            pair = (o, succ[o])
-        elif r == 1:
-            pair = (o, succ2[o])
-        else:
-            pair = (o, o)
-        for lab in self.res.labels(m + 1):
-            if label_pair(lab) == pair:
-                return lab
-        raise AssertionError(f"no generator with pair {pair} at degree {m + 1}")
-
     def zero_homotopy(self, max_degree):
         images = {m: {lab: {} for lab in self.res.labels(m)} for m in range(max_degree + 1)}
-        return HomotopyFamily(self, images, {v: {} for v in ("e0", "e1", "f1", "e2")})
+        return HomotopyFamily(self, images, {v: {} for v in VERTICES})
 
     def corner_homotopy(self, max_degree):
         """A nonzero degree +1 map that does respect generator corners:
@@ -332,24 +318,12 @@ class DiagonalMaps:
                         break
                 imgs[lab] = {pick: one} if pick else {}
             images[m] = imgs
-        return HomotopyFamily(self, images, {v: {} for v in ("e0", "e1", "f1", "e2")})
+        return HomotopyFamily(self, images, {v: {} for v in VERTICES})
 
     def formula_family(self, homotopy, max_degree):
         """Literal diagonal corrected by h: images are literal + h∘boundary + d∘h."""
-        images = {}
-        for m in range(0, max_degree + 1):
-            imgs = {}
-            for lab in self.res.labels(m):
-                base = self.delta_prime_image(lab)
-                gen = self.res.generator(lab)
-                if m >= 1:
-                    corr1 = homotopy.apply(m - 1, self.res.apply_boundary(m, gen))
-                else:
-                    corr1 = homotopy.apply_star(self.res.augment(gen))
-                corr2 = self.tc.differential(homotopy.apply(m, gen))
-                imgs[lab] = axpy(axpy(base, 1, corr1), 1, corr2)
-            images[m] = imgs
-        return ChainMapFamily("formula", images, self, homotopy=homotopy, lift_factor=2)
+        fam = ChainMapFamily("formula", {}, self, homotopy=homotopy, lift_factor=2)
+        return self._generator_images(fam, max_degree)
 
     # -- exact solving ----------------------------------------------------
 
@@ -362,61 +336,53 @@ class DiagonalMaps:
         self._contractions[key] = c
         return c
 
-    def _solve_boundary(self, m, rhs, convention, s_right, s_left):
-        """A deterministic X in total degree m with dX = rhs.
+    def _solve_boundary(self, rhs, s_right, s_left):
+        """A deterministic X with dX = rhs.
 
-        rhs must be a boundary; for total degree m-1 = 0 this amounts to
-        rhs augmenting to zero.  Contract the first factor (convention
-        'left') or the second (convention 'right'), then push the
-        degree-(0, b) or (a, 0) leftover through the other side.
+        rhs must be a boundary; for total degree 0 this amounts to rhs
+        augmenting to zero.  Contract the first factor, then push the
+        degree-(0, b) leftover through the left contraction of the second.
         """
         mul = self.res.algebra.mul_path
-        lab0 = self._LAB0
+        first = s_right.table
+        second = s_left.table
+        # (first-factor contraction) tensor identity
+        x = accumulate(
+            ((l2, g2, L2, nm, right), c * d)
+            for (g1, g2, left, mid, right), c in rhs.items()
+            for (l2, L2, R2), d in first[g1.degree][(left, g1)].items()
+            if (nm := mul(R2, mid)) is not None
+        )
+        # replace a degree-0 first factor through augment-then-section
+        leftover = accumulate(
+            ((label_at(0, p.source, p.source), g2, trivial(p.source), p, right), c)
+            for (g1, g2, left, mid, right), c in rhs.items()
+            if g1.degree == 0 and (p := mul(left, mid)) is not None
+        )
+        # identity tensor (second-factor contraction) on the leftover
+        y = accumulate(
+            ((g1, l2, left, nm, R2), c * d)
+            for (g1, g2, left, mid, right), c in leftover.items()
+            for (l2, L2, R2), d in second[g2.degree][(g2, right)].items()
+            if (nm := mul(mid, L2)) is not None
+        )
+        return axpy(x, 1, y)
 
-        def s_first(elem):
-            # (first-factor contraction) tensor identity
-            table = s_right.table
-            return accumulate(
-                ((l2, g2, L2, nm, right), c * d)
-                for (g1, g2, left, mid, right), c in elem.items()
-                for (l2, L2, R2), d in table[g1.degree][(left, g1)].items()
-                if (nm := mul(R2, mid)) is not None
-            )
+    def _lift(self, lab, rhs, s_right, s_left):
+        """X in the corner of generator lab with dX = rhs, or None when
+        rhs is not a boundary there."""
+        o, t = label_pair(lab)
+        # keep only the generator's own corner; the complement is
+        # boundary-free junk the one-sided contractions may add
+        x = self.tc.act(trivial(o), self._solve_boundary(rhs, s_right, s_left), trivial(t))
+        if axpy(self.tc.differential(x), -self.field.one(), rhs):
+            return None
+        return x
 
-        def s_second(elem, signed):
-            table = s_left.table
-            return accumulate(
-                ((g1, l2, left, nm, R2), (-c if signed and g1.degree % 2 else c) * d)
-                for (g1, g2, left, mid, right), c in elem.items()
-                for (l2, L2, R2), d in table[g2.degree][(g2, right)].items()
-                if (nm := mul(mid, L2)) is not None
-            )
-
-        def project_first(elem):
-            # replace a degree-0 first factor through augment-then-section
-            return accumulate(
-                ((lab0[p.source], g2, trivial(p.source), p, right), c)
-                for (g1, g2, left, mid, right), c in elem.items()
-                if g1.degree == 0 and (p := mul(left, mid)) is not None
-            )
-
-        def project_second(elem):
-            return accumulate(
-                ((g1, lab0[p.target], left, p, trivial(p.target)), c)
-                for (g1, g2, left, mid, right), c in elem.items()
-                if g2.degree == 0 and (p := mul(mid, right)) is not None
-            )
-
-        if convention == "left":
-            return axpy(s_first(rhs), 1, s_second(project_first(rhs), signed=False))
-        return axpy(s_second(rhs, signed=True), 1, s_first(project_second(rhs)))
-
-    def solved_family(self, max_degree, convention="left"):
+    def solved_family(self, max_degree):
         """An exactly solved lift of the identity, one square at a time."""
-        assert convention in ("left", "right")
         s_right = self.contraction("right", max_degree)
         s_left = self.contraction("left", max_degree)
-        one = self.field.one()
         images = {0: {}}
         for lab in self.res.labels(0):
             gen = self.res.generator(lab)
@@ -425,39 +391,29 @@ class DiagonalMaps:
         for m in range(1, max_degree + 1):
             imgs = {}
             for lab in self.res.labels(m):
-                o, t = label_pair(lab)
                 rhs = family.evaluate(m - 1, self.res.apply_boundary(m, self.res.generator(lab)))
-                x = self._solve_boundary(m, rhs, convention, s_right, s_left)
-                # keep only the generator's own corner; the complement is
-                # boundary-free junk the one-sided contractions may add
-                x = self.tc.act(trivial(o), x, trivial(t))
-                if axpy(self.tc.differential(x), -one, rhs):
+                x = self._lift(lab, rhs, s_right, s_left)
+                if x is None:
                     raise ArithmeticError(f"no exact solution at degree {m} for {lab}")
                 imgs[lab] = x
             images[m] = imgs
-        family.convention = convention
         return family
 
     def perturbed_family(self, base, k, max_degree):
         """base + d∘k + k∘boundary: another chain map with the same lift.
 
-        k is any HomotopyFamily (generator images of total degree +1);
-        the correction is a boundary in the chain-map sense, so the two
-        lifts are homotopic by construction, with k itself a witness.
+        k is any HomotopyFamily (generator images of total degree +1)
+        with an empty vertex table; the correction is a boundary in the
+        chain-map sense, so the two lifts are homotopic by construction,
+        with k itself a witness.
         """
         images = {}
         for m in range(0, max_degree + 1):
-            imgs = {}
-            for lab in self.res.labels(m):
-                gen = self.res.generator(lab)
-                corr = self.tc.differential(k.apply(m, gen))
-                if m >= 1:
-                    axpy(corr, 1, k.apply(m - 1, self.res.apply_boundary(m, gen)))
-                imgs[lab] = axpy(dict(base.image(lab)), 1, corr)
-            images[m] = imgs
-        fam = ChainMapFamily("custom", images, self, lift_factor=base.lift_factor)
-        fam.convention = getattr(base, "convention", None)
-        return fam
+            images[m] = {
+                lab: axpy(dict(base.image(lab)), 1, k.correction(m, self.res.generator(lab)))
+                for lab in self.res.labels(m)
+            }
+        return ChainMapFamily("custom", images, self, lift_factor=base.lift_factor)
 
     # -- verification ------------------------------------------------------
 
@@ -506,19 +462,16 @@ class DiagonalMaps:
         s_left = self.contraction("left", max_degree)
         one = self.field.one()
         images = {}
-        star = {v: {} for v in ("e0", "e1", "f1", "e2")}
-        h = HomotopyFamily(self, images, star)
+        h = HomotopyFamily(self, images, {v: {} for v in VERTICES})
         for m in range(0, max_degree + 1):
             imgs = {}
             for lab in self.res.labels(m):
-                o, t = label_pair(lab)
                 gen = self.res.generator(lab)
                 e = axpy(dict(fam_f.image(lab)), -one, fam_g.image(lab))
                 if m >= 1:
                     axpy(e, -one, h.apply(m - 1, self.res.apply_boundary(m, gen)))
-                x = self._solve_boundary(m + 1, e, "left", s_right, s_left)
-                x = self.tc.act(trivial(o), x, trivial(t))
-                if axpy(self.tc.differential(x), -one, e):
+                x = self._lift(lab, e, s_right, s_left)
+                if x is None:
                     return None, m
                 imgs[lab] = x
             images[m] = imgs

@@ -19,7 +19,7 @@ from .products import Products
 from .quiver import VERTICES, parse_path
 from .resolution import Resolution
 from .tensorcx import TensorComplex
-from .uniform import generator_labels, parse_label
+from .uniform import generator_labels, label_pair, parse_label
 
 
 @dataclass
@@ -52,7 +52,7 @@ class RunConfig:
             PrimeField(int(self.field[3:]))  # validates p odd prime
         if self.homotopy.startswith("file:"):
             self.homotopy_data, self.homotopy_sha256 = _read_homotopy_file(
-                self.homotopy[5:], self.field_object()
+                self.homotopy[5:], get_algebra(self.n, self.field_object())
             )
 
     def field_object(self):
@@ -105,7 +105,7 @@ class Pipeline:
                 if higher:
                     fam = self._families[("solved", min(higher))].truncated(d)
                 else:
-                    fam = dm.solved_family(d, "left")
+                    fam = dm.solved_family(d)
             self._families[key] = fam
         return self._families[key]
 
@@ -255,16 +255,42 @@ def _generator_label(text, degree=None):
     return lab
 
 
-def _terms_from_json(field, terms):
+def _basis_path(algebra, text):
+    """The path named by `text`; it must be a normal-form basis path."""
+    p = parse_path(text)
+    if p not in algebra.basis_index:
+        raise ValueError(f"{text!r} is not a basis path of the member n = {algebra.n}")
+    return p
+
+
+def _terms_from_json(algebra, terms, total):
+    """The tensor element of serialised terms of total degree `total`.
+
+    Raises ValueError on a term whose bidegree does not sum to `total`,
+    whose paths are not basis paths of the member or do not meet the
+    endpoints of its generators, or whose coefficient is not in the field.
+    """
+    field = algebra.field
     out = {}
     for t in terms:
-        key = (
-            _generator_label(t["g1"]),
-            _generator_label(t["g2"]),
-            parse_path(t["left"]),
-            parse_path(t["middle"]),
-            parse_path(t["right"]),
-        )
+        g1 = _generator_label(t["g1"])
+        g2 = _generator_label(t["g2"])
+        left, mid, right = (_basis_path(algebra, t[k]) for k in ("left", "middle", "right"))
+        term = f"homotopy term ({g1}, {g2})"
+        if g1.degree + g2.degree != total:
+            raise ValueError(
+                f"{term} has bidegree {g1.degree}+{g2.degree}; its row needs total degree {total}"
+            )
+        o1, t1 = label_pair(g1)
+        o2, t2 = label_pair(g2)
+        if left.target != o1:
+            raise ValueError(f"{term}: left path {left} does not end at {o1}, the origin of {g1}")
+        if (mid.source, mid.target) != (t1, o2):
+            raise ValueError(f"{term}: middle path {mid} does not run from {t1} to {o2}")
+        if right.source != t2:
+            raise ValueError(
+                f"{term}: right path {right} does not start at {t2}, the terminus of {g2}"
+            )
         text = t["coeff"]
         value, _, modulus = text.partition(" (mod ")
         if modulus and (field is QQ or modulus != f"{field.p})"):
@@ -274,15 +300,16 @@ def _terms_from_json(field, terms):
         except ZeroDivisionError as exc:
             raise ValueError(f"coefficient {text!r} has a zero denominator") from exc
         if c:
-            out[key] = c
+            out[(g1, g2, left, mid, right)] = c
     return out
 
 
-def _parse_homotopy_json(field, data):
+def _parse_homotopy_json(algebra, data):
     """Generator images {degree: {label: element}} and the vertex table.
 
     Raises ValueError on a degree that is not an int >= 0, a label that
-    is not a generator of its degree, or an unknown vertex.
+    is not a generator of its degree, an unknown vertex, or a malformed
+    term (see `_terms_from_json`; vertex-table terms have bidegree (0, 0)).
     """
     images = {}
     for row in data["images"]:
@@ -290,21 +317,21 @@ def _parse_homotopy_json(field, data):
         if type(m) is not int or m < 0:
             raise ValueError(f"homotopy degree {m!r} is not an integer >= 0")
         images.setdefault(m, {})[_generator_label(row["generator"], m)] = _terms_from_json(
-            field, row["terms"]
+            algebra, row["terms"], m + 1
         )
     star = {}
     for row in data.get("star", []):
         if row["vertex"] not in VERTICES:
             raise ValueError(f"unknown vertex {row['vertex']!r} in the homotopy star table")
-        star[row["vertex"]] = _terms_from_json(field, row["terms"])
+        star[row["vertex"]] = _terms_from_json(algebra, row["terms"], 0)
     return images, star
 
 
-def _read_homotopy_file(path, field):
+def _read_homotopy_file(path, algebra):
     """The parsed JSON of a serialised homotopy and the sha256 of its bytes.
 
     Raises ValueError when the file cannot be read or does not parse as a
-    homotopy over `field`.
+    homotopy for `algebra`.
     """
     import hashlib  # on use: loading it adds ~0.4 MB to every run's peak memory
 
@@ -315,7 +342,7 @@ def _read_homotopy_file(path, field):
         raise ValueError(f"cannot read homotopy file {path!r}: {exc.strerror}") from exc
     data = json.loads(raw)
     try:
-        _parse_homotopy_json(field, data)
+        _parse_homotopy_json(algebra, data)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed homotopy file {path!r}: {exc!r}") from exc
     return data, hashlib.sha256(raw).hexdigest()
@@ -323,7 +350,7 @@ def _read_homotopy_file(path, field):
 
 def homotopy_from_json(diagonal, data):
     """Build a homotopy family from its serialised form."""
-    images, star = _parse_homotopy_json(diagonal.field, data)
+    images, star = _parse_homotopy_json(diagonal.res.algebra, data)
     for m, by_label in images.items():
         for lab in diagonal.res.labels(m):
             by_label.setdefault(lab, {})

@@ -13,7 +13,7 @@ import json
 
 from .linalg import axpy
 from .quiver import parse_path
-from .uniform import label_pair
+from .uniform import label_at
 
 # The two documented systematic gaps between the published multiplication
 # tables and the two-corner-diagonal products.
@@ -234,13 +234,6 @@ WORKED_VALUES = [
 ]
 
 
-def _label_for_pair(res, m, pair):
-    for lab in res.labels(m):
-        if label_pair(lab) == pair:
-            return lab
-    return None
-
-
 def _build_claim(dm, claim):
     """Tensor element for a claimed correction; None when ill-typed."""
     res = dm.res
@@ -248,8 +241,8 @@ def _build_claim(dm, claim):
     m = claim["degree"]
     out = {}
     for coeff, left_s, pair0, pair1, right_s in claim["correction"]:
-        lab0 = _label_for_pair(res, 0, pair0)
-        lab1 = _label_for_pair(res, m, pair1)
+        lab0 = label_at(0, *pair0)
+        lab1 = label_at(m, *pair1)
         if lab0 is None or lab1 is None:
             return None
         left = parse_path(left_s)
@@ -270,7 +263,7 @@ def worked_value_report(dm, homotopy, max_degree=1):
     one = dm.res.field.one()
     for claim in WORKED_VALUES:
         m = claim["degree"]
-        lab = _label_for_pair(dm.res, m, claim["generator"])
+        lab = label_at(m, *claim["generator"])
         computed = axpy(dict(fam.image(lab)), -one, dm.delta_prime_image(lab))
         want = _build_claim(dm, claim)
         if want is None:

@@ -18,22 +18,7 @@ from __future__ import annotations
 
 from .linalg import LinearSolver, Matrix, accumulate, rank
 from .quiver import a_cycle, arrow, trivial
-from .uniform import Label, generator_labels, label_pair
-
-
-def _r2_label(m, l):
-    """Degree-m (m % 3 == 2) label with pair (e_l, e_{l+2})."""
-    return {0: Label(m, "R", None), 1: Label(m, "S", None), 2: Label(m, "U", 0)}[l % 3]
-
-
-def _r1_label(m, l):
-    """Degree-m (m % 3 == 1) label with pair (e_l, e_{l+1})."""
-    return {0: Label(m, "R", 0), 1: Label(m, "S", None), 2: Label(m, "U", None)}[l % 3]
-
-
-def _r0_label(m, l):
-    """Degree-m (m % 3 == 0, m > 0) label with pair (e_l, e_l)."""
-    return {0: Label(m, "R", None), 1: Label(m, "S", 0), 2: Label(m, "U", None)}[l % 3]
+from .uniform import Label, generator_labels, label_at, label_pair
 
 
 def boundary_shape(m, n):
@@ -51,6 +36,8 @@ def boundary_shape(m, n):
     r = m % 6
     L = lambda fam, sub=None: Label(m, fam, sub)
     T = lambda fam, sub=None: Label(t, fam, sub)
+    # the degree-t generator on the a-chain from e_l, which ends at e_{l+t}
+    A = lambda l: label_at(t, f"e{l % 3}", f"e{(l + t) % 3}")
 
     if m == 1:
         return {
@@ -71,19 +58,19 @@ def boundary_shape(m, n):
         }
 
     if r == 2:
-        terms_R = [(e0, _r1_label(t, 0), long1, 1)]
+        terms_R = [(e0, A(0), long1, 1)]
         for k in range(0, 3 * n):
-            terms_R.append((a_cycle(0, k + 1), _r1_label(t, k + 1), a_cycle(k + 2, 3 * n - k), 1))
+            terms_R.append((a_cycle(0, k + 1), A(k + 1), a_cycle(k + 2, 3 * n - k), 1))
         terms_R += [(long0, T("S"), e2, 1), (e0, T("R", 1), b1, -1), (b0, T("T"), e2, -1)]
 
-        terms_S = [(e1, _r1_label(t, 1), long2, 1)]
+        terms_S = [(e1, A(1), long2, 1)]
         for k in range(1, 3 * n + 1):
-            terms_S.append((a_cycle(1, k), _r1_label(t, k + 1), a_cycle(k + 2, 3 * n + 1 - k), 1))
+            terms_S.append((a_cycle(1, k), A(k + 1), a_cycle(k + 2, 3 * n + 1 - k), 1))
         terms_S.append((long1, T("U"), e0, 1))
 
-        terms_U0 = [(e2, _r1_label(t, 2), long0, 1)]
+        terms_U0 = [(e2, A(2), long0, 1)]
         for k in range(2, 3 * n + 2):
-            terms_U0.append((a_cycle(2, k - 1), _r1_label(t, k + 1), a_cycle(k + 2, 3 * n + 2 - k), 1))
+            terms_U0.append((a_cycle(2, k - 1), A(k + 1), a_cycle(k + 2, 3 * n + 2 - k), 1))
         terms_U0.append((long2, T("R", 0), e1, 1))
 
         return {
@@ -105,19 +92,19 @@ def boundary_shape(m, n):
         }
 
     if r == 4:
-        terms_R0 = [(e0, _r0_label(t, 0), long0, 1)]
+        terms_R0 = [(e0, A(0), long0, 1)]
         for k in range(0, 3 * n):
-            terms_R0.append((a_cycle(0, k + 1), _r0_label(t, k + 1), a_cycle(k + 1, 3 * n - k), 1))
+            terms_R0.append((a_cycle(0, k + 1), A(k + 1), a_cycle(k + 1, 3 * n - k), 1))
         terms_R0 += [(long0, T("S", 0), e1, 1), (b0, T("T", 0), e1, -1)]
 
-        terms_S = [(e1, _r0_label(t, 1), long1, 1)]
+        terms_S = [(e1, A(1), long1, 1)]
         for k in range(1, 3 * n + 1):
-            terms_S.append((a_cycle(1, k), _r0_label(t, k + 1), a_cycle(k + 1, 3 * n + 1 - k), 1))
+            terms_S.append((a_cycle(1, k), A(k + 1), a_cycle(k + 1, 3 * n + 1 - k), 1))
         terms_S += [(long1, T("U"), e2, 1), (e1, T("S", 1), b1, -1)]
 
-        terms_U = [(e2, _r0_label(t, 2), long2, 1)]
+        terms_U = [(e2, A(2), long2, 1)]
         for k in range(2, 3 * n + 2):
-            terms_U.append((a_cycle(2, k - 1), _r0_label(t, k + 1), a_cycle(k + 1, 3 * n + 2 - k), 1))
+            terms_U.append((a_cycle(2, k - 1), A(k + 1), a_cycle(k + 1, 3 * n + 2 - k), 1))
         terms_U.append((long2, T("R"), e0, 1))
 
         return {
@@ -140,17 +127,17 @@ def boundary_shape(m, n):
     # r == 0, m >= 6
     terms_R = [(e0, T("R"), long2, 1)]
     for k in range(0, 3 * n):
-        terms_R.append((a_cycle(0, k + 1), _r2_label(t, k + 1), a_cycle(k, 3 * n - k), 1))
+        terms_R.append((a_cycle(0, k + 1), A(k + 1), a_cycle(k, 3 * n - k), 1))
     terms_R += [(long0, T("S"), e0, 1), (b0, T("T"), e0, -1)]
 
     terms_S0 = [(e1, T("S"), long0, 1)]
     for k in range(1, 3 * n + 1):
-        terms_S0.append((a_cycle(1, k), _r2_label(t, k + 1), a_cycle(k, 3 * n + 1 - k), 1))
+        terms_S0.append((a_cycle(1, k), A(k + 1), a_cycle(k, 3 * n + 1 - k), 1))
     terms_S0.append((long1, T("U", 0), e1, 1))
 
     terms_U = [(e2, T("U", 0), long1, 1)]
     for k in range(2, 3 * n + 2):
-        terms_U.append((a_cycle(2, k - 1), _r2_label(t, k + 1), a_cycle(k, 3 * n + 2 - k), 1))
+        terms_U.append((a_cycle(2, k - 1), A(k + 1), a_cycle(k, 3 * n + 2 - k), 1))
     terms_U += [(long2, T("R"), e2, 1), (e2, T("U", 1), b1, -1)]
 
     return {

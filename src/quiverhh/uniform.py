@@ -3,9 +3,10 @@
 Each degree m carries a finite set of labelled uniform elements of the
 free path algebra (no quotient relations applied: from degree 2 on these
 elements generate the ideal, so reducing them would collapse them to
-zero).  The label determines a (origin, terminus) vertex pair; the pairs
-repeat with period 3 in the degree, except that degree 0 omits the two
-mixed pairs and has only four labels.
+zero).  The label determines a (origin, terminus) vertex pair, and within
+its degree the pair determines the label (`label_at`); the pairs repeat
+with period 3 in the degree, except that degree 0 omits the two mixed
+pairs and has only four labels.
 
 Degrees 0..2 are given by explicit lists; higher degrees are produced by
 the period-6 recursion, each degree from the previous one.  The degree-1
@@ -71,24 +72,17 @@ _PAIRS_MOD3 = {
         ("U", 1): ("e2", "f1"),
     },
 }
-# presentation order of the generator lists, one per residue
-_ORDER_DEG0 = (("R", None), ("S", None), ("T", None), ("U", None))
-_ORDER_MOD3 = {
-    0: (("R", None), ("S", 0), ("S", 1), ("T", 0), ("T", 1), ("U", None)),
-    1: (("R", 0), ("R", 1), ("S", None), ("T", None), ("U", None)),
-    2: (("R", None), ("S", None), ("T", None), ("U", 0), ("U", 1)),
-}
+_INVERSE_DEG0 = {pair: key for key, pair in _PAIRS_DEG0.items()}
+_INVERSE_MOD3 = {r: {pair: key for key, pair in t.items()} for r, t in _PAIRS_MOD3.items()}
 
 
 def generator_labels(m):
-    """Ordered generator labels of degree m (4 at m = 0, else 6/5/5)."""
+    """Ordered generator labels of degree m (4 at m = 0, else 6/5/5); the
+    key order of the pair tables is the presentation order."""
     if m < 0:
         raise ValueError("degree must be >= 0")
-    if m == 0:
-        order = _ORDER_DEG0
-    else:
-        order = _ORDER_MOD3[m % 3]
-    return tuple(Label(m, fam, sub) for fam, sub in order)
+    pairs = _PAIRS_DEG0 if m == 0 else _PAIRS_MOD3[m % 3]
+    return tuple(Label(m, fam, sub) for fam, sub in pairs)
 
 
 def label_pair(label):
@@ -96,6 +90,13 @@ def label_pair(label):
     if label.degree == 0:
         return _PAIRS_DEG0[(label.family, label.sub)]
     return _PAIRS_MOD3[label.degree % 3][(label.family, label.sub)]
+
+
+def label_at(m, origin, terminus):
+    """The degree-m label whose pair is (origin, terminus), or None when
+    no generator has that pair: the inverse of `label_pair`."""
+    key = (_INVERSE_DEG0 if m == 0 else _INVERSE_MOD3[m % 3]).get((origin, terminus))
+    return None if key is None else Label(m, *key)
 
 
 def _fmul(elem, p):

@@ -103,8 +103,8 @@ def test_c05_solved_diagonal(pipes, solved_families):
     # bit-determinism across two fresh builds
     a = Pipeline(RunConfig(n=1, max_degree=9))
     b = Pipeline(RunConfig(n=1, max_degree=9))
-    ja = json.dumps(a.family_json(a.diagonal.solved_family(9, "left")), sort_keys=True)
-    jb = json.dumps(b.family_json(b.diagonal.solved_family(9, "left")), sort_keys=True)
+    ja = json.dumps(a.family_json(a.diagonal.solved_family(9)), sort_keys=True)
+    jb = json.dumps(b.family_json(b.diagonal.solved_family(9)), sort_keys=True)
     ok = ok and ja.encode() == jb.encode()
     report("5 solved diagonal exact to degree 9, identity lift, deterministic", ok)
 

@@ -156,3 +156,32 @@ def test_perfbench_tracer_wraps_current_names(tmp_path):
     plain = tmp_path / "plain.json"
     main(["report", "--n", "0", "--max-degree", "3", "--output", "json", "--out-path", str(plain)])
     assert traced.read_bytes() == plain.read_bytes()
+
+
+# sha256 of the `--output json` stdout of cheap commands, pinned so that a
+# refactor that must leave every report byte-identical is checked mechanically
+PINNED_REPORTS = [
+    ("report --n 0 --max-degree 9",
+     "9041407e0a284249abe7674344b55127e7217fb63de94502f52adf2de3e79246"),
+    ("report --n 1 --field gf:7 --max-degree 6",
+     "a18b0cfabdac65970323cac55f459e24459dd17359365fa10c8d6349f32ff6b7"),
+    ("diagonal --n 1 --max-degree 6 build",
+     "79fa256167bc962ebd8e41009cbf25584d0cfc236ff3372eea3f3b8c05dcef31"),
+    ("diagonal --n 0 --delta-mode formula --max-degree 6 build",
+     "55b4c970b178767dc4b9a4ab7a2e7d884bf132b6f60a7c6058d40da3b2db9455"),
+    ("diagonal --n 0 --delta-mode formula --max-degree 6 --homotopy zero build",
+     "b5697d6dc1cf72d5fe9ed4e750d5ff1b545023d30d4897be5dfc401c1810fc27"),
+    ("diagonal --n 0 --delta-mode literal --max-degree 9 all",
+     "aa25258dc224b05fabfcc15acdcabfd67621e18c8d9604f733787025d50ebc54"),
+    ("hochschild --n 2 --max-degree 8 all",
+     "c3fe229a92e91e679768bb49712ed67c2e43a2b07b5a3bd58acb53478fa302d7"),
+]
+
+
+@pytest.mark.parametrize("command,digest", PINNED_REPORTS, ids=[c for c, _ in PINNED_REPORTS])
+def test_json_report_digest_is_pinned(capsys, command, digest):
+    import hashlib
+
+    code, out = run(capsys, *command.split(), "--output", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

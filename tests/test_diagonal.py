@@ -205,8 +205,8 @@ def test_solved_family_endpoint_conservation(pipes, solved_families):
 def test_solved_family_deterministic(pipes):
     from quiverhh import Pipeline, RunConfig
 
-    a = Pipeline(RunConfig(n=1, max_degree=6)).diagonal.solved_family(6, "left")
-    b = Pipeline(RunConfig(n=1, max_degree=6)).diagonal.solved_family(6, "left")
+    a = Pipeline(RunConfig(n=1, max_degree=6)).diagonal.solved_family(6)
+    b = Pipeline(RunConfig(n=1, max_degree=6)).diagonal.solved_family(6)
     assert a.images == b.images
 
 
@@ -330,8 +330,19 @@ def test_homotopy_file_coefficients_must_lie_in_the_field(tmp_path, capsys):
         ("degree", "x", "is not an integer >= 0"),
         ("coeff", "1/0", "has a zero denominator"),
         ("vertex", "e9", "unknown vertex 'e9'"),
+        ("g1", "R3", "has bidegree 3+1; its row needs total degree 1"),
+        ("left", "a1", "left path a1 does not end at e0, the origin of R0"),
+        ("left", "a0*a1*a2*a0*a1*a2", "is not a basis path of the member n = 0"),
     ],
-    ids=["empty-generator", "degree-not-an-int", "zero-denominator", "unknown-vertex"],
+    ids=[
+        "empty-generator",
+        "degree-not-an-int",
+        "zero-denominator",
+        "unknown-vertex",
+        "bidegree-off-the-row",
+        "left-path-off-the-origin",
+        "left-path-not-in-the-basis",
+    ],
 )
 def test_malformed_homotopy_file_is_a_usage_error(tmp_path, capsys, field, value, reason):
     import json
@@ -343,8 +354,8 @@ def test_malformed_homotopy_file_is_a_usage_error(tmp_path, capsys, field, value
     data = pipe.homotopy_json(pipe.diagonal.default_homotopy(4))
     if field == "vertex":
         data["star"][0]["vertex"] = value
-    elif field == "coeff":
-        data["images"][0]["terms"][0]["coeff"] = value
+    elif field in ("coeff", "g1", "left"):
+        data["images"][0]["terms"][0][field] = value
     else:
         data["images"][0][field] = value
     p = tmp_path / "h.json"

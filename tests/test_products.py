@@ -249,7 +249,7 @@ def test_prime_field_pipeline_matches_rationals():
         assert pq.hochschild.hh_dimension(j) == pg.hochschild.hh_dimension(j)
     for pipe in (pq, pg):
         hc, pr = pipe.hochschild, pipe.products
-        fam = pipe.diagonal.solved_family(8, "left")
+        fam = pipe.diagonal.solved_family(8)
         pipe.diagonal.verify_squares(fam, 8)
         x, y = hc.x_cochain(), hc.y_cochain()
         assert hc.classes_equal(pr.cup(x, y, fam), y)

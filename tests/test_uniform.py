@@ -1,7 +1,7 @@
 import pytest
 
 from quiverhh.quiver import Path, a_cycle, arrow, compose
-from quiverhh.uniform import Label, UniformPaths, generator_labels, label_pair
+from quiverhh.uniform import Label, UniformPaths, generator_labels, label_at, label_pair
 
 
 def test_generator_counts_follow_residue_pattern():
@@ -24,6 +24,20 @@ def test_mixed_pairs_only_at_positive_multiples_of_three():
     assert ("e1", "f1") in pairs3 and ("f1", "e1") in pairs3
     pairs4 = [label_pair(l) for l in generator_labels(4)]
     assert len(pairs4) == 5 and ("e0", "f1") in pairs4
+
+
+def test_label_at_inverts_label_pair():
+    vertices = ("e0", "e1", "f1", "e2")
+    for m in range(0, 14):
+        labels = generator_labels(m)
+        for lab in labels:
+            assert label_at(m, *label_pair(lab)) == lab
+        pairs = {label_pair(lab) for lab in labels}
+        for pair in ((o, t) for o in vertices for t in vertices):
+            if pair not in pairs:
+                assert label_at(m, *pair) is None
+    assert label_at(0, "e0", "e1") is None
+    assert label_at(1, "e0", "e0") is None
 
 
 def test_explicit_low_degree_families():
