@@ -23,14 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .linalg import QQ, PrimeField, SparseEchelon, accumulate
-from .quiver import (
-    VERTICES,
-    Path,
-    a_cycle,
-    compose,
-    path_sort_key,
-    trivial,
-)
+from .quiver import VERTICES, Path, a_cycle, compose, path_sort_key, trivial, walk_paths
 
 
 def _find_subword(word, sub):
@@ -65,7 +58,9 @@ class FamilyAlgebra:
         )
         self.detour = ("b0", "b1")
         self.detour_replacement = a_cycle(0, 3 * n + 2).arrows
-        self.basis = self._enumerate_basis()
+        # no irreducible path is longer than the detour replacement, and
+        # a path with a reducible prefix is reducible
+        self.basis = walk_paths(3 * n + 2, lambda p: self.normal_form_path(p) == p)
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
         self.corners = {(u, v): [] for u in VERTICES for v in VERTICES}
         for p in self.basis:
@@ -90,26 +85,6 @@ class FamilyAlgebra:
 
     def normal_form_path(self, p):
         return self.reduce_word(p.source, p.arrows)
-
-    def _enumerate_basis(self):
-        # no irreducible path is longer than the detour replacement
-        max_len = 3 * self.n + 2
-        found = []
-
-        def extend(p):
-            found.append(p)
-            if len(p.arrows) == max_len:
-                return
-            for tag, src in (("a0", "e0"), ("a1", "e1"), ("a2", "e2"), ("b0", "e0"), ("b1", "f1")):
-                if p.target == src:
-                    q = Path(p.source, p.arrows + (tag,))
-                    if self.normal_form_path(q) == q:
-                        extend(q)
-
-        for v in VERTICES:
-            extend(trivial(v))
-        found.sort(key=path_sort_key)
-        return found
 
     # -- element arithmetic ------------------------------------------
 
@@ -214,20 +189,7 @@ def ideal_relations(n):
 
 def all_paths_up_to(length):
     """Every path in the quiver of length <= `length`, sorted."""
-    out = []
-
-    def extend(p):
-        out.append(p)
-        if len(p.arrows) == length:
-            return
-        for tag, src in (("a0", "e0"), ("a1", "e1"), ("a2", "e2"), ("b0", "e0"), ("b1", "f1")):
-            if p.target == src:
-                extend(Path(p.source, p.arrows + (tag,)))
-
-    for v in VERTICES:
-        extend(trivial(v))
-    out.sort(key=path_sort_key)
-    return out
+    return walk_paths(length, lambda p: True)
 
 
 def truncated_ideal_echelon(n, length, field=QQ):

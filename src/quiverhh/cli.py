@@ -30,9 +30,10 @@ def _load_golden(name):
         return json.load(fh)
 
 
-def _emit(config, payload, default_text):
-    # text and markdown are built by the caller
-    text = reports.canonical_json(payload) if config.output == "json" else default_text
+def _emit(config, payload, text):
+    # text and markdown are built by the caller; None means the JSON itself
+    if config.output == "json" or text is None:
+        text = reports.canonical_json(payload)
     if config.out_path:
         with open(config.out_path, "w") as fh:
             fh.write(text)
@@ -213,9 +214,8 @@ def cmd_ring(pipe, action):
         raise SystemExit("ring reconciliation is defined for --n 0")
     hc, pr, dm = pipe.hochschild, pipe.products, pipe.diagonal
     star_rows = reports.ring_star_report(hc, pr)
-    fam = pipe.family("solved", max(12, pipe.config.max_degree))
-    cup_rows = reports.ring_cup_report(hc, pr, fam)
-    worked = reports.worked_value_report(dm, dm.default_homotopy(2))
+    cup_rows = reports.ring_cup_report(hc, pr, pipe.family("solved"))
+    worked = reports.worked_value_report(dm, dm.default_homotopy())
     ledger = reports.kd_ledger()
     golden = _load_golden("kd_ledger.json")
     ledger_ok = [row["id"] for row in ledger] == [row["id"] for row in golden]
@@ -260,10 +260,6 @@ def cmd_ring(pipe, action):
 def cmd_report(pipe, action):
     payload = {"config": pipe.config.as_dict(), "checks": [], "tables": {}, "deviations": []}
     ok = True
-    if pipe.config.n == 0:
-        # the ring needs the solved family to degree 12; the diagonal
-        # section reads a lower degree off it instead of solving again
-        pipe.family("solved", max(12, pipe.config.max_degree))
     for sub in (cmd_algebra, cmd_resolution, cmd_diagonal, cmd_hochschild):
         sub_payload, _, sub_ok = sub(pipe, "all")
         payload["checks"].extend(sub_payload["checks"])
@@ -276,7 +272,8 @@ def cmd_report(pipe, action):
         payload["checks"].extend(ring_payload["checks"])
         payload["deviations"].extend(ring_payload["deviations"])
         ok = ok and ring_ok
-    return payload, reports.canonical_json(payload), ok
+    # every output mode prints the JSON, serialised once by _emit
+    return payload, None, ok
 
 
 COMMANDS = {

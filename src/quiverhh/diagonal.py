@@ -1,7 +1,15 @@
 """Diagonal maps on the resolution: the literal two-corner map, its
 homotopy-corrected variant, and exactly solved lifts of the identity.
 
-Three kinds of degree-indexed family live here.
+Three kinds of degree-indexed family live here.  None of them is built
+to a degree: the families, the homotopies and the one-sided contractions
+each hold a `Degrees` table that fills one whole degree (every label)
+the first time any entry of that degree is read.  That is safe because a
+degree is built only from lower degrees (of its own table or of the
+tables it reads), never from higher ones, so a degree filled late holds
+exactly what it would hold filled early.  How far a run solves is set by
+what it reads: the squares it verifies, the images it prints and the
+products it takes.
 
 * literal: on a generator u, place the degree-0 diagonal generator at
   the origin on the left of u and at the terminus on the right of u.
@@ -43,6 +51,24 @@ from .tensorcx import TensorComplex
 from .uniform import label_at, label_pair
 
 
+class Degrees(dict):
+    """{degree: value}; a missing degree is built by `fill(m)` when first
+    read, and kept.  With `upward`, a degree is built from the ones below
+    it, so a read builds the missing lower degrees first, in order, and no
+    read recurses down the degrees."""
+
+    def __init__(self, fill, upward):
+        super().__init__()
+        self._fill = fill
+        self._upward = upward
+
+    def __missing__(self, m):
+        for k in range(m + 1) if self._upward else (m,):
+            if k not in self:
+                self[k] = self._fill(k)
+        return self[m]
+
+
 def _extend(tc, images, elem):
     """Bimodule-linear extension of generator images {label: tensor
     element} to a resolution element."""
@@ -66,14 +92,13 @@ class OneSidedContraction:
     resolution's boundary solver of each degree.
     """
 
-    def __init__(self, resolution, side, max_degree):
+    def __init__(self, resolution, side):
         assert side in ("right", "left")
         self.res = resolution
         self.alg = resolution.algebra
         self.side = side
-        self.max_degree = max_degree
-        self.table = {}  # degree -> {(path, label) or (label, path): element}
-        self._build()
+        # degree -> {(path, label) or (label, path): element}
+        self.table = Degrees(self._solve, upward=True)
 
     def section(self, p):
         """The degree-0 section of the augmentation: a path p lifts to the
@@ -116,45 +141,47 @@ class OneSidedContraction:
                 for right in alg.paths_from[t]:
                     yield (lab, right), {(lab, trivial(o), right): self.res.field.one()}
 
-    def _build(self):
+    def _solve(self, m):
         # The boundary commutes with both actions, so the echelon of each
         # degree's boundary matrix splits into one-sided corner blocks and
         # a solution never leaves the corner of its right-hand side.
         res = self.res
         minus_one = -res.field.one()
-        for m in range(0, self.max_degree + 1):
-            solver = res.boundary_solver(m + 1)
-            src = res.triples(m + 1)
-            tgt_index = res.triple_index(m)
-            tbl = {}
-            for key, gen_elem in self._generators(m):
-                if m == 0:
-                    defect = self.section_apply(res.augment(gen_elem))
-                else:
-                    defect = self.apply(m - 1, res.apply_boundary(m, gen_elem))
-                rhs_elem = axpy(gen_elem, minus_one, defect)
-                x = solver.solve({tgt_index[k]: c for k, c in rhs_elem.items()})
-                assert x is not None, f"contraction solve failed at degree {m}"
-                tbl[key] = {src[i]: c for i, c in x.items()}
-            self.table[m] = tbl
+        solver = res.boundary_solver(m + 1)
+        src = res.triples(m + 1)
+        tgt_index = res.triple_index(m)
+        tbl = {}
+        for key, gen_elem in self._generators(m):
+            if m == 0:
+                defect = self.section_apply(res.augment(gen_elem))
+            else:
+                defect = self.apply(m - 1, res.apply_boundary(m, gen_elem))
+            rhs_elem = axpy(gen_elem, minus_one, defect)
+            x = solver.solve({tgt_index[k]: c for k, c in rhs_elem.items()})
+            assert x is not None, f"contraction solve failed at degree {m}"
+            tbl[key] = {src[i]: c for i, c in x.items()}
+        return tbl
 
 
 class ChainMapFamily:
     """Degree-indexed generator images of a map into the total complex,
-    plus the rule for evaluating the map on arbitrary elements."""
+    plus the rule for evaluating the map on arbitrary elements.
+
+    A literal or formula family is given `images=None`: its images are
+    its own values on the generators."""
 
     def __init__(self, provenance, images, diagonal, homotopy=None, lift_factor=1):
         self.provenance = provenance  # 'literal', 'formula', 'solved', 'custom'
-        self.images = images  # {degree: {label: tensor element}}
         self.dm = diagonal
         self.homotopy = homotopy
         self.lift_factor = lift_factor
         self.verified = {}  # degree -> bool, filled by verify_square
-
-    def truncated(self, max_degree):
-        """The same map on degrees <= max_degree, sharing the images."""
-        images = {m: self.images[m] for m in range(max_degree + 1)}
-        return ChainMapFamily(self.provenance, images, self.dm, self.homotopy, self.lift_factor)
+        if images is None:
+            generator = diagonal.res.generator
+            images = diagonal.per_label(
+                lambda lab: self.evaluate(lab.degree, generator(lab)), upward=False
+            )
+        self.images = images  # {degree: {label: tensor element}}
 
     def image(self, label):
         return self.images[label.degree][label]
@@ -179,7 +206,7 @@ class HomotopyFamily:
         self.star = star  # {vertex: tensor element of degree 0}
 
     def apply(self, m, elem):
-        return _extend(self.dm.tc, self.images.get(m, {}), elem)
+        return _extend(self.dm.tc, self.images[m], elem)
 
     def apply_star(self, lam_elem):
         """The composite through the augmentation: defined on vertex images."""
@@ -210,25 +237,19 @@ class DiagonalMaps:
         self.field = resolution.field
         self._contractions = {}
 
-    def _generator_images(self, family, max_degree):
-        """Fill a family's images with its values on the generators."""
-        res = self.res
-        family.images = {
-            m: {lab: family.evaluate(m, res.generator(lab)) for lab in res.labels(m)}
-            for m in range(max_degree + 1)
-        }
-        return family
+    def per_label(self, rule, upward):
+        """{degree: {label: rule(label)}}, one degree filled on first read
+        (see `Degrees`)."""
+        labels = self.res.labels
+        return Degrees(lambda m: {lab: rule(lab) for lab in labels(m)}, upward)
 
     # -- the literal two-corner diagonal --------------------------------
 
-    def delta_prime_image(self, label):
-        """Generator image: origin corner on the left, terminus corner on
-        the right; at degree 0 both corners coincide and the coefficient
-        doubles."""
-        return self.delta_prime_apply(self.res.generator(label))
-
     def delta_prime_apply(self, elem):
-        """Term-by-term application of the two-corner rule to an element."""
+        """Term-by-term application of the two-corner rule to an element.
+        On a generator: origin corner on the left, terminus corner on the
+        right; at degree 0 both corners coincide and the coefficient
+        doubles."""
         out = {}
         tensor = self.tc.tensor
         generator = self.res.generator
@@ -238,103 +259,86 @@ class DiagonalMaps:
             axpy(out, 1, tensor(term, generator(label_at(0, right.target, right.target))))
         return out
 
-    def literal_family(self, max_degree):
-        fam = ChainMapFamily("literal", {}, self, lift_factor=2)
-        return self._generator_images(fam, max_degree)
+    def literal_family(self):
+        return ChainMapFamily("literal", None, self, lift_factor=2)
 
     # -- homotopies ------------------------------------------------------
 
-    def default_homotopy(self, max_degree, flip_star_signs=False):
+    def default_homotopy(self):
         """The successor homotopy: a generator at the vertex pair
         (w, w+k) goes to the degree-0 diagonal at w tensored with the
         next-degree generator at (w, w+k+1), stepping along the a-chain
         (the b-chain for the detour vertex; the shared vertex takes the
         a-step).  Mixed-pair generators at diagonal degrees carry no
         printed value and are sent to zero.  The vertex table carries a
-        minus sign on the a-successors and a plus on the b-successor;
-        `flip_star_signs` swaps that orientation."""
+        minus sign on the a-successors and a plus on the b-successor."""
         one = self.field.one()
         succ = {"e0": "e1", "e1": "e2", "e2": "e0", "f1": "e2"}
-        images = {}
-        for m in range(0, max_degree + 1):
-            imgs = {}
-            for lab in self.res.labels(m):
-                o, t = label_pair(lab)
-                if m % 3 == 0 and o != t:
-                    imgs[lab] = {}
-                    continue
-                nxt = label_at(m + 1, o, (succ[o], succ[succ[o]], o)[m % 3])
-                imgs[lab] = self.tc.tensor(
-                    self.res.generator(label_at(0, o, o)), self.res.generator(nxt)
-                )
-            images[m] = imgs
+        res, tc = self.res, self.tc
+
+        def image(lab):
+            m = lab.degree
+            o, t = label_pair(lab)
+            if m % 3 == 0 and o != t:
+                return {}
+            nxt = label_at(m + 1, o, (succ[o], succ[succ[o]], o)[m % 3])
+            return tc.tensor(res.generator(label_at(0, o, o)), res.generator(nxt))
+
         star = {}
         succ_arrow = {"e0": "a0", "e1": "a1", "e2": "a2", "f1": "b1"}
         sign = {"e0": -one, "e1": -one, "e2": -one, "f1": one}
-        if flip_star_signs:
-            sign = {v: -s for v, s in sign.items()}
         for v in VERTICES:
-            gen = self.res.generator(label_at(0, v, v))
-            acted = self.tc.act(trivial(v), self.tc.tensor(gen, gen), arrow(succ_arrow[v]))
+            gen = res.generator(label_at(0, v, v))
+            acted = tc.act(trivial(v), tc.tensor(gen, gen), arrow(succ_arrow[v]))
             star[v] = axpy({}, sign[v], acted)
-        return HomotopyFamily(self, images, star)
+        return HomotopyFamily(self, self.per_label(image, upward=False), star)
 
-    def zero_homotopy(self, max_degree):
-        images = {m: {lab: {} for lab in self.res.labels(m)} for m in range(max_degree + 1)}
+    def zero_homotopy(self):
+        images = self.per_label(lambda lab: {}, upward=False)
         return HomotopyFamily(self, images, {v: {} for v in VERTICES})
 
-    def corner_homotopy(self, max_degree):
+    def corner_homotopy(self):
         """A nonzero degree +1 map that does respect generator corners:
         each generator goes to the first scalar basis element of its own
         corner one total degree up (zero when the corner is empty).  Used
         to produce genuinely different lifts of the same map."""
         alg = self.res.algebra
+        labels = self.res.labels
         one = self.field.one()
-        images = {}
-        for m in range(0, max_degree + 1):
-            imgs = {}
-            for lab in self.res.labels(m):
-                o, t = label_pair(lab)
-                pick = None
-                for a in range(m + 2):
-                    for g1 in self.res.labels(a):
-                        o1, t1 = label_pair(g1)
-                        if not alg.corners[(o, o1)]:
-                            continue
-                        for g2 in self.res.labels(m + 1 - a):
-                            o2, t2 = label_pair(g2)
-                            if alg.corners[(t1, o2)] and alg.corners[(t2, t)]:
-                                pick = (
-                                    g1,
-                                    g2,
-                                    alg.corners[(o, o1)][0],
-                                    alg.corners[(t1, o2)][0],
-                                    alg.corners[(t2, t)][0],
-                                )
-                                break
-                        if pick:
-                            break
-                    if pick:
-                        break
-                imgs[lab] = {pick: one} if pick else {}
-            images[m] = imgs
-        return HomotopyFamily(self, images, {v: {} for v in VERTICES})
 
-    def formula_family(self, homotopy, max_degree):
+        def image(lab):
+            m = lab.degree
+            o, t = label_pair(lab)
+            for a in range(m + 2):
+                for g1 in labels(a):
+                    o1, t1 = label_pair(g1)
+                    if not alg.corners[(o, o1)]:
+                        continue
+                    for g2 in labels(m + 1 - a):
+                        o2, t2 = label_pair(g2)
+                        if alg.corners[(t1, o2)] and alg.corners[(t2, t)]:
+                            pick = (
+                                g1,
+                                g2,
+                                alg.corners[(o, o1)][0],
+                                alg.corners[(t1, o2)][0],
+                                alg.corners[(t2, t)][0],
+                            )
+                            return {pick: one}
+            return {}
+
+        return HomotopyFamily(self, self.per_label(image, upward=False), {v: {} for v in VERTICES})
+
+    def formula_family(self, homotopy):
         """Literal diagonal corrected by h: images are literal + h∘boundary + d∘h."""
-        fam = ChainMapFamily("formula", {}, self, homotopy=homotopy, lift_factor=2)
-        return self._generator_images(fam, max_degree)
+        return ChainMapFamily("formula", None, self, homotopy=homotopy, lift_factor=2)
 
     # -- exact solving ----------------------------------------------------
 
-    def contraction(self, side, max_degree):
-        key = (side, max_degree)
-        have = [k for k in self._contractions if k[0] == side and k[1] >= max_degree]
-        if have:
-            return self._contractions[have[0]]
-        c = OneSidedContraction(self.res, side, max_degree)
-        self._contractions[key] = c
-        return c
+    def contraction(self, side):
+        if side not in self._contractions:
+            self._contractions[side] = OneSidedContraction(self.res, side)
+        return self._contractions[side]
 
     def _solve_boundary(self, rhs, s_right, s_left):
         """A deterministic X with dX = rhs.
@@ -379,27 +383,26 @@ class DiagonalMaps:
             return None
         return x
 
-    def solved_family(self, max_degree):
+    def solved_family(self):
         """An exactly solved lift of the identity, one square at a time."""
-        s_right = self.contraction("right", max_degree)
-        s_left = self.contraction("left", max_degree)
-        images = {0: {}}
-        for lab in self.res.labels(0):
-            gen = self.res.generator(lab)
-            images[0][lab] = self.tc.tensor(gen, gen)
-        family = ChainMapFamily("solved", images, self, lift_factor=1)
-        for m in range(1, max_degree + 1):
-            imgs = {}
-            for lab in self.res.labels(m):
-                rhs = family.evaluate(m - 1, self.res.apply_boundary(m, self.res.generator(lab)))
-                x = self._lift(lab, rhs, s_right, s_left)
-                if x is None:
-                    raise ArithmeticError(f"no exact solution at degree {m} for {lab}")
-                imgs[lab] = x
-            images[m] = imgs
+        res, tc = self.res, self.tc
+        s_right, s_left = self.contraction("right"), self.contraction("left")
+
+        def lift(lab):
+            m = lab.degree
+            gen = res.generator(lab)
+            if m == 0:
+                return tc.tensor(gen, gen)
+            rhs = family.evaluate(m - 1, res.apply_boundary(m, gen))
+            x = self._lift(lab, rhs, s_right, s_left)
+            if x is None:
+                raise ArithmeticError(f"no exact solution at degree {m} for {lab}")
+            return x
+
+        family = ChainMapFamily("solved", self.per_label(lift, upward=True), self, lift_factor=1)
         return family
 
-    def perturbed_family(self, base, k, max_degree):
+    def perturbed_family(self, base, k):
         """base + d∘k + k∘boundary: another chain map with the same lift.
 
         k is any HomotopyFamily (generator images of total degree +1)
@@ -407,12 +410,12 @@ class DiagonalMaps:
         chain-map sense, so the two lifts are homotopic by construction,
         with k itself a witness.
         """
-        images = {}
-        for m in range(0, max_degree + 1):
-            images[m] = {
-                lab: axpy(dict(base.image(lab)), 1, k.correction(m, self.res.generator(lab)))
-                for lab in self.res.labels(m)
-            }
+        generator = self.res.generator
+
+        def image(lab):
+            return axpy(dict(base.image(lab)), 1, k.correction(lab.degree, generator(lab)))
+
+        images = self.per_label(image, upward=False)
         return ChainMapFamily("custom", images, self, lift_factor=base.lift_factor)
 
     # -- verification ------------------------------------------------------
@@ -458,8 +461,7 @@ class DiagonalMaps:
     def homotopy_solve(self, fam_f, fam_g, max_degree):
         """Find h with f - g = h∘boundary + d∘h, or report the degree
         where the two families cannot be homotopic."""
-        s_right = self.contraction("right", max_degree)
-        s_left = self.contraction("left", max_degree)
+        s_right, s_left = self.contraction("right"), self.contraction("left")
         one = self.field.one()
         images = {}
         h = HomotopyFamily(self, images, {v: {} for v in VERTICES})

@@ -83,39 +83,29 @@ class Pipeline:
         self.diagonal = DiagonalMaps(self.resolution, self.tensor)
         self.hochschild = HochschildComplex(self.resolution)
         self.products = Products(self.hochschild, self.diagonal)
-        self._families = {}
+        # one family per mode; the literal one is the star product's
+        self._families = {"literal": self.products.literal}
 
-    def family(self, mode=None, max_degree=None):
-        """The diagonal family of the given mode, built once per degree.
-
-        A solved family's images in degree m depend only on lower degrees,
-        so a solved family held for a higher degree answers a lower one.
-        """
+    def family(self, mode=None):
+        """The diagonal family of the given mode, built once; it fills its
+        degrees as they are read."""
         mode = mode or self.config.delta_mode
-        d = max_degree or self.config.max_degree
-        key = (mode, d)
-        if key not in self._families:
+        if mode not in self._families:
             dm = self.diagonal
-            if mode == "literal":
-                fam = dm.literal_family(d)
-            elif mode == "formula":
-                fam = dm.formula_family(self.homotopy_family(d), d)
+            if mode == "formula":
+                fam = dm.formula_family(self.homotopy_family())
             else:
-                higher = [k[1] for k in self._families if k[0] == "solved" and k[1] > d]
-                if higher:
-                    fam = self._families[("solved", min(higher))].truncated(d)
-                else:
-                    fam = dm.solved_family(d)
-            self._families[key] = fam
-        return self._families[key]
+                fam = dm.solved_family()
+            self._families[mode] = fam
+        return self._families[mode]
 
-    def homotopy_family(self, d):
+    def homotopy_family(self):
         dm = self.diagonal
         choice = self.config.homotopy
         if choice == "default":
-            return dm.default_homotopy(d)
+            return dm.default_homotopy()
         if choice == "zero":
-            return dm.zero_homotopy(d)
+            return dm.zero_homotopy()
         return homotopy_from_json(dm, self.config.homotopy_data)
 
     # -- check builders, all emitting {id, kind, degree?, status, ...} rows --
@@ -185,9 +175,10 @@ class Pipeline:
         return {"dimensions": dims, "star_table": star_rows}
 
     def family_json(self, fam):
-        """The serialised generator images of a diagonal family."""
+        """The serialised generator images of a diagonal family in degrees
+        0..max_degree."""
         rows = []
-        for m in sorted(fam.images):
+        for m in range(self.config.max_degree + 1):
             for lab in self.resolution.labels(m):
                 terms = [
                     {
@@ -207,9 +198,10 @@ class Pipeline:
         return rows
 
     def homotopy_json(self, h):
-        """Serialise a homotopy family (generator images plus vertex table)."""
+        """Serialise a homotopy family (generator images in degrees
+        0..max_degree plus vertex table)."""
         rows = []
-        for m in sorted(h.images):
+        for m in range(self.config.max_degree + 1):
             for lab in self.resolution.labels(m):
                 rows.append(
                     {
@@ -349,9 +341,8 @@ def _read_homotopy_file(path, algebra):
 
 
 def homotopy_from_json(diagonal, data):
-    """Build a homotopy family from its serialised form."""
+    """Build a homotopy family from its serialised form; it is zero on
+    every generator the file does not list."""
     images, star = _parse_homotopy_json(diagonal.res.algebra, data)
-    for m, by_label in images.items():
-        for lab in diagonal.res.labels(m):
-            by_label.setdefault(lab, {})
-    return HomotopyFamily(diagonal, images, star)
+    table = diagonal.per_label(lambda lab: images.get(lab.degree, {}).get(lab, {}), upward=False)
+    return HomotopyFamily(diagonal, table, star)

@@ -60,6 +60,7 @@ class Products:
         self.dm = diagonal
         self.alg = hochschild.alg
         self.field = hochschild.field
+        self.literal = diagonal.literal_family()
 
     # -- evaluation through a diagonal --------------------------------------
 
@@ -90,15 +91,16 @@ class Products:
 
     def star(self, f, g):
         """Product through the literal two-corner diagonal."""
-        return self._product_on(self.dm.delta_prime_image, f, g)
+        return self._product_on(self.literal.image, f, g)
 
     def cup(self, f, g, family):
-        """Product through a diagonal family verified at the needed degree."""
-        m = f.degree + g.degree
-        if not family.verified.get(m, False):
-            rows = self.dm.verify_square(family, m)
-            if any(r["status"] != "pass" for r in rows):
-                raise ValueError(f"diagonal family not a chain map at degree {m}")
+        """Product through a diagonal family verified at every square the
+        product of classes needs: degrees 0..deg f + deg g + 1."""
+        for k in range(f.degree + g.degree + 2):
+            if k not in family.verified:
+                self.dm.verify_square(family, k)
+            if not family.verified[k]:
+                raise ValueError(f"diagonal family not a chain map at degree {k}")
         return self._product_on(family.image, f, g)
 
     # -- named output --------------------------------------------------------

@@ -99,6 +99,28 @@ def path_sort_key(p):
     return (len(p.arrows), VERTEX_ORDER[p.source], p.arrows)
 
 
+def walk_paths(length, keep):
+    """Every path of length <= `length` that `keep` accepts, sorted by
+    `path_sort_key`.  A rejected path is not extended, so `keep` must
+    reject every extension of a path it rejects."""
+    found = []
+
+    def extend(p):
+        found.append(p)
+        if len(p.arrows) == length:
+            return
+        for tag in ARROWS:
+            if ARROW_SOURCE[tag] == p.target:
+                q = Path(p.source, p.arrows + (tag,))
+                if keep(q):
+                    extend(q)
+
+    for v in VERTICES:
+        extend(trivial(v))
+    found.sort(key=path_sort_key)
+    return found
+
+
 def build_quiver():
     """Structural description: vertices, arrows with endpoints, aliases."""
     return {

@@ -18,7 +18,7 @@ def solved_families(pipes):
     """Solved diagonal lifts, verified through their build degree."""
     out = {}
     for n, pipe in pipes.items():
-        fam = pipe.diagonal.solved_family(pipe.config.max_degree)
+        fam = pipe.diagonal.solved_family()
         pipe.diagonal.verify_squares(fam, pipe.config.max_degree)
         out[n] = fam
     return out

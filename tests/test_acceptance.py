@@ -72,7 +72,7 @@ def test_c04_literal_diagonal_squares(pipes):
     ok = True
     for n in (0, 1, 2):
         dm = pipes[n].diagonal
-        fam = dm.literal_family(9)
+        fam = dm.literal_family()
         rows = dm.verify_squares(fam, 9)
         by_degree = {}
         for r in rows:
@@ -103,8 +103,8 @@ def test_c05_solved_diagonal(pipes, solved_families):
     # bit-determinism across two fresh builds
     a = Pipeline(RunConfig(n=1, max_degree=9))
     b = Pipeline(RunConfig(n=1, max_degree=9))
-    ja = json.dumps(a.family_json(a.diagonal.solved_family(9)), sort_keys=True)
-    jb = json.dumps(b.family_json(b.diagonal.solved_family(9)), sort_keys=True)
+    ja = json.dumps(a.family_json(a.diagonal.solved_family()), sort_keys=True)
+    jb = json.dumps(b.family_json(b.diagonal.solved_family()), sort_keys=True)
     ok = ok and ja.encode() == jb.encode()
     report("5 solved diagonal exact to degree 9, identity lift, deterministic", ok)
 
@@ -252,8 +252,8 @@ def test_c10e_graded_commutativity(cup_setup):
 def test_c10f_lift_independence(cup_setup):
     hc, pr, dm, fam = cup_setup
     x, y, z = hc.x_cochain(), hc.y_cochain(), hc.z_cochain()
-    k = dm.corner_homotopy(12)
-    fam2 = dm.perturbed_family(fam, k, 12)
+    k = dm.corner_homotopy()
+    fam2 = dm.perturbed_family(fam, k)
     ok = any(fam.images[m] != fam2.images[m] for m in fam.images)
     ok = ok and all(r["status"] == "pass" for r in dm.verify_squares(fam2, 12))
     h, bad = dm.homotopy_solve(fam, fam2, 12)

@@ -115,7 +115,8 @@ def test_report_n0_solves_the_diagonal_once(tmp_path, capsys, monkeypatch):
     argv = ("--n", "0", "--max-degree", "9", "--output", "json", "--out-path")
     assert run(capsys, "report", *argv, str(report_path))[0] == 0
     assert len(calls) == 1
-    # the degree-9 section read off the degree-12 family equals a degree-9 solve
+    # the ring reads the family beyond degree 9; the degree-9 section
+    # printed from it equals a standalone degree-9 run
     assert run(capsys, "diagonal", *argv, str(diagonal_path))[0] == 0
     assert len(calls) == 2
     report = json.loads(report_path.read_text())
@@ -123,6 +124,24 @@ def test_report_n0_solves_the_diagonal_once(tmp_path, capsys, monkeypatch):
     assert report["tables"]["images"] == alone["tables"]["images"]
     square_ids = {r["id"] for r in alone["checks"]}
     assert [r for r in report["checks"] if r["id"] in square_ids] == alone["checks"]
+
+
+@pytest.mark.parametrize("output", ["json", "text", "markdown"])
+def test_report_is_serialised_once(capsys, monkeypatch, output):
+    from quiverhh import reports
+
+    calls = []
+    dumps = reports.canonical_json
+
+    def counting(data):
+        calls.append(data)
+        return dumps(data)
+
+    monkeypatch.setattr(reports, "canonical_json", counting)
+    code, out = run(capsys, "report", "--n", "0", "--max-degree", "3", "--output", output)
+    assert code == 0
+    assert len(calls) == 1
+    assert out == dumps(calls[0])
 
 
 def test_perfbench_tracer_wraps_current_names(tmp_path):
@@ -175,6 +194,10 @@ PINNED_REPORTS = [
      "aa25258dc224b05fabfcc15acdcabfd67621e18c8d9604f733787025d50ebc54"),
     ("hochschild --n 2 --max-degree 8 all",
      "c3fe229a92e91e679768bb49712ed67c2e43a2b07b5a3bd58acb53478fa302d7"),
+    ("hochschild --n 0 --max-degree 12 cup-table",
+     "2f8558d248d6b7867d8e9dd67bd8c0637f4b6e35c8aec8cb9e436936ee7cdc4e"),
+    ("diagonal --n 2 --max-degree 8 build",
+     "5039c6cea6981e1bb7067dc721681d5e4bd1a386cc62418181f0fdc81240e425"),
 ]
 
 

@@ -22,13 +22,13 @@ def as_strs(elem):
 
 def test_two_corner_image_doubles_at_degree_zero(pipes):
     dm = dm_of(pipes, 0)
-    img = dm.delta_prime_image(Label(0, "R", None))
+    img = dm.delta_prime_apply(dm.res.generator(Label(0, "R", None)))
     assert as_strs(img) == {("R0", "R0", "e0", "e0", "e0"): Fraction(2)}
 
 
 def test_two_corner_image_degree_one(pipes):
     dm = dm_of(pipes, 0)
-    img = dm.delta_prime_image(Label(1, "R", 0))
+    img = dm.delta_prime_apply(dm.res.generator(Label(1, "R", 0)))
     assert as_strs(img) == {
         ("R0", "R1_0", "e0", "e0", "e1"): Fraction(1),
         ("R1_0", "S0", "e0", "e1", "e1"): Fraction(1),
@@ -37,7 +37,7 @@ def test_two_corner_image_degree_one(pipes):
 
 def test_two_corner_image_degree_two(pipes):
     dm = dm_of(pipes, 1)
-    img = dm.delta_prime_image(Label(2, "R", None))
+    img = dm.delta_prime_apply(dm.res.generator(Label(2, "R", None)))
     assert as_strs(img) == {
         ("R0", "R2", "e0", "e0", "e2"): Fraction(1),
         ("R2", "U0", "e0", "e2", "e2"): Fraction(1),
@@ -47,7 +47,7 @@ def test_two_corner_image_degree_two(pipes):
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_literal_squares_all_pass(pipes, n):
     dm = dm_of(pipes, n)
-    fam = dm.literal_family(9)
+    fam = dm.literal_family()
     rows = dm.verify_squares(fam, 9)
     assert all(r["status"] == "pass" for r in rows)
     aug_rows = [r for r in rows if r["check"] == "augmentation-square"]
@@ -62,7 +62,7 @@ def test_literal_squares_match_golden(pipes):
         golden = json.load(fh)
     for n in (0, 1, 2):
         dm = dm_of(pipes, n)
-        fam = dm.literal_family(9)
+        fam = dm.literal_family()
         rows = dm.verify_squares(fam, 9)
         got = [
             {"id": f"square-{r['degree']}-{r['generator']}", "status": r["status"]}
@@ -73,20 +73,18 @@ def test_literal_squares_match_golden(pipes):
 
 def test_default_homotopy_images(pipes):
     dm = dm_of(pipes, 0)
-    h = dm.default_homotopy(3)
+    h = dm.default_homotopy()
     img = h.images[0][Label(0, "S", None)]
     assert as_strs(img) == {("S0", "S1", "e1", "e1", "e2"): Fraction(1)}
     star0 = h.star["e0"]
     assert as_strs(star0) == {("R0", "R0", "e0", "e0", "a0"): Fraction(-1)}
     starf = h.star["f1"]
     assert as_strs(starf) == {("T0", "T0", "f1", "f1", "b1"): Fraction(1)}
-    flipped = dm.default_homotopy(3, flip_star_signs=True)
-    assert as_strs(flipped.star["e0"]) == {("R0", "R0", "e0", "e0", "a0"): Fraction(1)}
 
 
 def test_detour_homotopy_follows_b_chain(pipes):
     dm = dm_of(pipes, 0)
-    h = dm.default_homotopy(3)
+    h = dm.default_homotopy()
     img = h.images[0][Label(0, "T", None)]
     ((g1, g2, l, m, r),) = img
     assert label_pair(g2) == ("f1", "e2")
@@ -94,22 +92,22 @@ def test_detour_homotopy_follows_b_chain(pipes):
 
 def test_mixed_pairs_have_no_homotopy_value(pipes):
     dm = dm_of(pipes, 1)
-    h = dm.default_homotopy(6)
+    h = dm.default_homotopy()
     assert h.images[3][Label(3, "S", 1)] == {}
     assert h.images[3][Label(3, "T", 0)] == {}
 
 
 def test_zero_homotopy_formula_equals_literal(pipes):
     dm = dm_of(pipes, 1)
-    fam0 = dm.formula_family(dm.zero_homotopy(5), 5)
-    lit = dm.literal_family(5)
-    assert all(fam0.images[m] == lit.images[m] for m in fam0.images)
+    fam0 = dm.formula_family(dm.zero_homotopy())
+    lit = dm.literal_family()
+    assert all(fam0.images[m] == lit.images[m] for m in range(6))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_formula_family_chain_map_above_degree_zero(pipes, n):
     dm = dm_of(pipes, n)
-    fam = dm.formula_family(dm.default_homotopy(7), 7)
+    fam = dm.formula_family(dm.default_homotopy())
     rows = [r for r in dm.verify_squares(fam, 7) if r["degree"] >= 1]
     assert all(r["status"] == "pass" for r in rows)
 
@@ -137,7 +135,7 @@ def test_formula_family_with_random_corner_homotopies(pipes):
         from quiverhh.diagonal import HomotopyFamily
 
         h = HomotopyFamily(dm, images, {v: {} for v in ("e0", "e1", "f1", "e2")})
-        fam = dm.formula_family(h, 5)
+        fam = dm.formula_family(h)
         rows = [r for r in dm.verify_squares(fam, 5) if r["degree"] >= 1]
         assert all(r["status"] == "pass" for r in rows)
 
@@ -161,7 +159,7 @@ def test_contraction_is_a_contracting_homotopy(pipes, n, side):
     # boundary∘s + s∘boundary = id on every basis triple of degree <= 6,
     # with the augmentation section in place of s∘boundary at degree 0
     res = pipes[n].resolution
-    s = pipes[n].diagonal.contraction(side, 6)
+    s = pipes[n].diagonal.contraction(side)
     one = res.field.one()
     for m in range(0, 7):
         for tr in res.triples(m):
@@ -186,10 +184,46 @@ def test_solved_family_builds_one_solver_per_degree(monkeypatch):
     monkeypatch.setattr(linalg.LinearSolver, "__init__", counting_init)
     d = 5
     pipe = Pipeline(RunConfig(n=1, max_degree=d))
-    pipe.diagonal.solved_family(d)
+    fam = pipe.diagonal.solved_family()
+    assert built == []
+    for m in range(d + 1):
+        assert all(fam.images[m].values())
     res = pipe.resolution
-    # both contractions share the boundary solver of degrees 1..d+1
-    assert built == [(res.dim(m - 1), res.dim(m)) for m in range(1, d + 2)]
+    # images to degree d read the contractions to degree d - 1, and both
+    # contractions share the boundary solver of degrees 1..d
+    assert built == [(res.dim(m - 1), res.dim(m)) for m in range(1, d + 1)]
+
+
+def test_degrees_fill_upward_without_recursion():
+    import sys
+
+    from quiverhh.diagonal import Degrees
+
+    filled = []
+
+    def fill(m):
+        filled.append(m)
+        return table[m - 1] + 1 if m else 0
+
+    table = Degrees(fill, upward=True)
+    deep = sys.getrecursionlimit() + 500
+    assert table[deep] == deep
+    assert filled == list(range(deep + 1))
+    table[deep]
+    assert len(filled) == deep + 1
+    # without `upward` only the degree read is filled
+    lazy = Degrees(lambda m: m * m, upward=False)
+    assert lazy[7] == 49 and list(lazy) == [7]
+
+
+def test_family_json_prints_the_configured_degrees(pipes):
+    # the family may hold more degrees than the run's max-degree
+    pipe = pipes[1]
+    fam = pipe.family("solved")
+    fam.images[pipe.config.max_degree + 1]
+    rows = pipe.family_json(fam)
+    assert sorted({r["degree"] for r in rows}) == list(range(pipe.config.max_degree + 1))
+    assert len(rows) == sum(len(pipe.resolution.labels(m)) for m in range(10))
 
 
 def test_solved_family_endpoint_conservation(pipes, solved_families):
@@ -205,16 +239,16 @@ def test_solved_family_endpoint_conservation(pipes, solved_families):
 def test_solved_family_deterministic(pipes):
     from quiverhh import Pipeline, RunConfig
 
-    a = Pipeline(RunConfig(n=1, max_degree=6)).diagonal.solved_family(6)
-    b = Pipeline(RunConfig(n=1, max_degree=6)).diagonal.solved_family(6)
-    assert a.images == b.images
+    a = Pipeline(RunConfig(n=1, max_degree=6)).diagonal.solved_family()
+    b = Pipeline(RunConfig(n=1, max_degree=6)).diagonal.solved_family()
+    assert [a.images[m] for m in range(7)] == [b.images[m] for m in range(7)]
 
 
 def test_perturbed_family_differs_but_homotopic(pipes, solved_families):
     dm = dm_of(pipes, 0)
     fam = solved_families[0]
-    k = dm.corner_homotopy(12)
-    fam2 = dm.perturbed_family(fam, k, 12)
+    k = dm.corner_homotopy()
+    fam2 = dm.perturbed_family(fam, k)
     assert any(fam.images[m] != fam2.images[m] for m in fam.images)
     rows = dm.verify_squares(fam2, 12)
     assert all(r["status"] == "pass" for r in rows)
@@ -242,7 +276,7 @@ def test_equal_families_have_zero_homotopy(pipes, solved_families):
 def test_mismatched_lifts_reported_inconsistent(pipes, solved_families):
     dm = dm_of(pipes, 0)
     fam = solved_families[0]
-    lit = dm.literal_family(4)  # lifts twice the identity
+    lit = dm.literal_family()  # lifts twice the identity
     h, bad = dm.homotopy_solve(fam, lit, 4)
     assert h is None and bad == 0
 
@@ -268,17 +302,18 @@ def test_homotopy_file_round_trip(tmp_path, pipes):
     from quiverhh.pipeline import homotopy_from_json
 
     pipe = Pipeline(RunConfig(n=0, max_degree=4, delta_mode="formula"))
-    h = pipe.diagonal.default_homotopy(4)
+    h = pipe.diagonal.default_homotopy()
     p = tmp_path / "h.json"
     p.write_text(json.dumps(pipe.homotopy_json(h)))
     h2 = homotopy_from_json(pipe.diagonal, json.loads(p.read_text()))
-    assert h2.images == h.images and h2.star == h.star
+    assert [h2.images[m] for m in range(5)] == [h.images[m] for m in range(5)]
+    assert h2.star == h.star
     pipe2 = Pipeline(
         RunConfig(n=0, max_degree=4, delta_mode="formula", homotopy=f"file:{p}")
     )
     fam = pipe2.family()
-    want = pipe.diagonal.formula_family(h, 4)
-    assert all(fam.images[m] == want.images[m] for m in want.images)
+    want = pipe.diagonal.formula_family(h)
+    assert all(fam.images[m] == want.images[m] for m in range(5))
 
     # the report names the file by its content, and validates
     import hashlib
@@ -309,7 +344,7 @@ def test_homotopy_file_coefficients_must_lie_in_the_field(tmp_path, capsys):
 
     pipe7 = Pipeline(RunConfig(n=0, max_degree=4, field="gf:7", delta_mode="formula"))
     p = tmp_path / "h7.json"
-    p.write_text(json.dumps(pipe7.homotopy_json(pipe7.diagonal.default_homotopy(4))))
+    p.write_text(json.dumps(pipe7.homotopy_json(pipe7.diagonal.default_homotopy())))
     assert "(mod 7)" in p.read_text()
     RunConfig(n=0, max_degree=4, field="gf:7", delta_mode="formula", homotopy=f"file:{p}")
     for field in ("gf:5", "rationals"):
@@ -351,7 +386,7 @@ def test_malformed_homotopy_file_is_a_usage_error(tmp_path, capsys, field, value
     from quiverhh.cli import main
 
     pipe = Pipeline(RunConfig(n=0, max_degree=4, delta_mode="formula"))
-    data = pipe.homotopy_json(pipe.diagonal.default_homotopy(4))
+    data = pipe.homotopy_json(pipe.diagonal.default_homotopy())
     if field == "vertex":
         data["star"][0]["vertex"] = value
     elif field in ("coeff", "g1", "left"):

@@ -162,8 +162,8 @@ def test_star_cup_relation(pipes):
     # by exactly the homotopy terms, per generator
     pipe = pipes[0]
     hc, pr, dm = ctx(pipes, 0)
-    h = dm.corner_homotopy(4)
-    fam = dm.formula_family(h, 4)
+    h = dm.corner_homotopy()
+    fam = dm.formula_family(h)
     dm.verify_squares(fam, 4)
     one = hc.field.one()
     f = hc.x_cochain()
@@ -200,14 +200,51 @@ def test_cup_refuses_family_that_fails_verification(pipes, solved_families):
         pr.cup(hc.x_cochain(), hc.y_cochain(), bogus)
 
 
+@pytest.mark.parametrize("degree", [2, 7])
+def test_cup_checks_every_square_up_to_one_above_the_product(pipes, solved_families, degree):
+    # x cup z has degree 6; well defined on classes it needs the squares
+    # at degrees 0..7, so an image broken below 6 or at 7 is refused
+    hc, pr, dm = ctx(pipes, 0)
+    from quiverhh.diagonal import ChainMapFamily
+
+    fam = solved_families[0]
+    images = {m: dict(fam.images[m]) for m in range(9)}
+    lab = dm.res.labels(degree)[0]
+    images[degree][lab] = axpy({}, Fraction(3), images[degree][lab])
+    bogus = ChainMapFamily("custom", images, dm, lift_factor=1)
+    x, z = hc.x_cochain(), hc.z_cochain()
+    assert x.degree + z.degree == 6
+    with pytest.raises(ValueError, match=f"at degree {degree}$"):
+        pr.cup(x, z, bogus)
+
+
+def test_star_computes_each_literal_image_once(monkeypatch):
+    from quiverhh import Pipeline, RunConfig, reports
+    from quiverhh.diagonal import DiagonalMaps
+
+    labels = []
+    apply = DiagonalMaps.delta_prime_apply
+
+    def counting(self, elem):
+        labels.extend(lab for lab, _, _ in elem)
+        return apply(self, elem)
+
+    monkeypatch.setattr(DiagonalMaps, "delta_prime_apply", counting)
+    pipe = Pipeline(RunConfig(n=0, max_degree=12))
+    pipe.products.table_comparison()
+    reports.ring_star_report(pipe.hochschild, pipe.products)
+    # the products reach degrees 0, 1, 2, 3, 6, 7 and 12: 37 generators
+    assert len(labels) == len(set(labels)) == 37
+
+
 def test_cup_unit_and_lift_independence(pipes, solved_families):
     hc, pr, dm = ctx(pipes, 0)
     fam = solved_families[0]
     x, y, z = hc.x_cochain(), hc.y_cochain(), hc.z_cochain()
     assert hc.classes_equal(pr.cup(x, y, fam), y)
     assert hc.classes_equal(pr.cup(y, x, fam), y)
-    k = dm.corner_homotopy(12)
-    fam2 = dm.perturbed_family(fam, k, 12)
+    k = dm.corner_homotopy()
+    fam2 = dm.perturbed_family(fam, k)
     dm.verify_squares(fam2, 12)
     for f, g in itertools.product((x, y, z), repeat=2):
         assert hc.class_residual(pr.cup(f, g, fam)) == hc.class_residual(
@@ -249,7 +286,7 @@ def test_prime_field_pipeline_matches_rationals():
         assert pq.hochschild.hh_dimension(j) == pg.hochschild.hh_dimension(j)
     for pipe in (pq, pg):
         hc, pr = pipe.hochschild, pipe.products
-        fam = pipe.diagonal.solved_family(8)
+        fam = pipe.diagonal.solved_family()
         pipe.diagonal.verify_squares(fam, 8)
         x, y = hc.x_cochain(), hc.y_cochain()
         assert hc.classes_equal(pr.cup(x, y, fam), y)

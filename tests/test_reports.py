@@ -14,7 +14,7 @@ def test_kd_ledger_matches_golden():
 
 def test_worked_values_match_golden(pipes):
     dm = pipes[0].diagonal
-    rows = reports.worked_value_report(dm, dm.default_homotopy(2))
+    rows = reports.worked_value_report(dm, dm.default_homotopy())
     with resources.files("quiverhh.goldens").joinpath("worked_values.json").open() as fh:
         golden = json.load(fh)
     assert rows == golden
