@@ -15,7 +15,7 @@ so rewriting terminates, and each path normalises to a single path or to
 zero (no coefficients ever appear).  The surviving normal forms are the
 monomial basis; rather than by a confluence proof, its size is certified
 against a length-truncated row-reduction oracle (`oracle_quotient_dim`),
-which `Pipeline.algebra_checks` runs on every `algebra` and `report` run.
+which `cli.cmd_algebra` runs on every `algebra` and `report` run.
 """
 
 from __future__ import annotations

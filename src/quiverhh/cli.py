@@ -21,6 +21,7 @@ import sys
 from importlib import resources
 
 from . import reports
+from .algebra import oracle_quotient_dim
 from .pipeline import Pipeline, RunConfig
 from .uniform import generator_labels
 
@@ -61,11 +62,23 @@ def _status_ok(rows):
 
 
 def cmd_algebra(pipe, action):
-    rows = pipe.algebra_checks()
-    alg = pipe.algebra
+    n, alg = pipe.config.n, pipe.algebra
+    dim = alg.dim()
+    oracle = oracle_quotient_dim(n, 3 * n + 4, alg.field)
+    oracle_next = oracle_quotient_dim(n, 3 * n + 5, alg.field)
+    rows = [
+        {
+            "id": "algebra-dimension",
+            "kind": "oracle",
+            "status": "pass" if dim == 9 * n + 10 == oracle == oracle_next else "fail",
+            "rewriting_dim": dim,
+            "oracle_dim": oracle,
+            "oracle_dim_next_length": oracle_next,
+        }
+    ]
     tables = {
         "basis": [str(p) for p in alg.basis],
-        "dimension": alg.dim(),
+        "dimension": dim,
         "corners": {
             f"{u},{v}": alg.corner_dim(u, v)
             for u in ("e0", "e1", "f1", "e2")
@@ -82,21 +95,26 @@ def cmd_algebra(pipe, action):
     return payload, text, _status_ok(rows)
 
 
-_RESOLUTION_KINDS = {
-    "verify": ("boundary-squared", "minimality"),
-    "exactness": ("exactness",),
-}
-
-
 def cmd_resolution(pipe, action):
-    if action in _RESOLUTION_KINDS:
-        rows = pipe.resolution_checks(_RESOLUTION_KINDS[action])
-    else:
-        rows = pipe.resolution_checks()
+    res, d = pipe.resolution, pipe.config.max_degree
+    # `verify` skips the exactness ranks, `exactness` runs only them
+    rows = [] if action == "exactness" else res.verify_complex(d)
+    if action != "verify":
+        rows += res.verify_exactness(d)
+    if action != "exactness":
+        bad = [v for m in range(1, d + 1) for v in res.minimality_violations(m)]
+        rows.append(
+            {
+                "id": "minimality",
+                "kind": "minimality",
+                "status": "pass" if not bad else "fail",
+                **({"witness": str(bad[0])} if bad else {}),
+            }
+        )
     tables = {
         "dimensions": [
-            {"degree": m, "dim": pipe.resolution.dim(m), "generators": len(generator_labels(m))}
-            for m in range(0, pipe.config.max_degree + 1)
+            {"degree": m, "dim": res.dim(m), "generators": len(generator_labels(m))}
+            for m in range(0, d + 1)
         ]
     }
     if pipe.config.output == "markdown":
@@ -110,7 +128,7 @@ def cmd_resolution(pipe, action):
 
 def cmd_diagonal(pipe, action):
     fam = pipe.family()
-    rows = pipe.diagonal_checks()
+    rows = pipe.diagonal.verify_squares(fam, pipe.config.max_degree)
     tables = {}
     if action in ("build", "all"):
         tables["images"] = pipe.family_json(fam)
@@ -161,10 +179,21 @@ def cmd_diagonal(pipe, action):
     return payload, _check_lines(rows), ok
 
 
+def _cup_table_wanted(config):
+    # z∪z, the highest product of the n = 0 ring, lands in degree 12
+    return config.delta_mode == "solved" and config.n == 0 and config.max_degree >= 12
+
+
 def cmd_hochschild(pipe, action):
-    tables = pipe.hochschild_tables()
+    hc, n = pipe.hochschild, pipe.config.n
+    tables = {
+        "dimensions": [
+            {"degree": m, "hom_dim": hc.hom_dim(m), "hh_dim": hc.hh_dimension(m)}
+            for m in range(0, pipe.config.max_degree)
+        ],
+        "star_table": pipe.products.table_comparison(),
+    }
     checks = []
-    n = pipe.config.n
     for row in tables["dimensions"]:
         m = row["degree"]
         want = 3 * n + 4 if m % 3 == 0 else (3 * n + 5 if m % 3 == 1 else 3 * n + 1)
@@ -178,18 +207,11 @@ def cmd_hochschild(pipe, action):
         )
     if action in ("bases", "all"):
         tables["named_bases"] = {
-            str(m): [str(c.name) for c in pipe.hochschild.named_basis(m)]
+            str(m): [str(c.name) for c in hc.named_basis(m)]
             for m in range(0, min(3, pipe.config.max_degree))
         }
-    if (
-        action in ("cup-table", "all")
-        and pipe.config.delta_mode == "solved"
-        and pipe.config.n == 0
-        and pipe.config.max_degree >= 12
-    ):
-        tables["cup_table"] = reports.ring_cup_report(
-            pipe.hochschild, pipe.products, pipe.family("solved")
-        )
+    if action in ("cup-table", "all") and _cup_table_wanted(pipe.config):
+        tables["cup_table"] = reports.ring_cup_report(hc, pipe.products, pipe.family("solved"))
     text = _check_lines(checks)
     text += "degree  hom-dim  hh-dim\n"
     for row in tables["dimensions"]:
@@ -260,8 +282,16 @@ def cmd_ring(pipe, action):
 def cmd_report(pipe, action):
     payload = {"config": pipe.config.as_dict(), "checks": [], "tables": {}, "deviations": []}
     ok = True
-    for sub in (cmd_algebra, cmd_resolution, cmd_diagonal, cmd_hochschild):
-        sub_payload, _, sub_ok = sub(pipe, "all")
+    # "bases" is "all" without the cup table, which is the ring's table
+    # and is computed once, in the ring section below
+    sections = (
+        (cmd_algebra, "all"),
+        (cmd_resolution, "all"),
+        (cmd_diagonal, "all"),
+        (cmd_hochschild, "bases"),
+    )
+    for sub, sub_action in sections:
+        sub_payload, _, sub_ok = sub(pipe, sub_action)
         payload["checks"].extend(sub_payload["checks"])
         payload["tables"].update(sub_payload["tables"])
         payload["deviations"].extend(sub_payload["deviations"])
@@ -269,6 +299,8 @@ def cmd_report(pipe, action):
     if pipe.config.n == 0:
         ring_payload, _, ring_ok = cmd_ring(pipe, "all")
         payload["tables"]["ring"] = ring_payload["tables"]
+        if _cup_table_wanted(pipe.config):
+            payload["tables"]["cup_table"] = ring_payload["tables"]["cup"]
         payload["checks"].extend(ring_payload["checks"])
         payload["deviations"].extend(ring_payload["deviations"])
         ok = ok and ring_ok

@@ -442,6 +442,8 @@ class DiagonalMaps:
                 check = "square"
             rows.append(
                 {
+                    "id": f"square-{m}-{lab}",
+                    "kind": check,
                     "degree": m,
                     "check": check,
                     "generator": str(lab),

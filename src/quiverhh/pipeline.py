@@ -1,8 +1,12 @@
 """One object tying the whole computation together for a chosen
 configuration: algebra member, resolution, tensor complex, diagonal
-machinery, cochain complex, and products.  Used by the CLI and the
-test-suite alike; everything below it is deterministic, so a pipeline
-built twice from the same configuration produces identical reports.
+machinery, cochain complex, and products, plus the diagonal family of
+each mode, the chosen homotopy, and the reading and writing of
+serialised families and homotopies.  It builds no report rows: each
+check row is finished by the code that decides it, and the CLI
+assembles the sections.  Everything below it is deterministic, so a
+pipeline built twice from the same configuration produces identical
+reports.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import json
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 
-from .algebra import get_algebra, oracle_quotient_dim
+from .algebra import get_algebra
 from .cochains import HochschildComplex
 from .diagonal import DiagonalMaps, HomotopyFamily
 from .linalg import QQ, PrimeField
@@ -108,72 +112,6 @@ class Pipeline:
             return dm.zero_homotopy()
         return homotopy_from_json(dm, self.config.homotopy_data)
 
-    # -- check builders, all emitting {id, kind, degree?, status, ...} rows --
-
-    def algebra_checks(self):
-        n = self.config.n
-        dim = self.algebra.dim()
-        oracle = oracle_quotient_dim(n, 3 * n + 4, self.algebra.field)
-        oracle_next = oracle_quotient_dim(n, 3 * n + 5, self.algebra.field)
-        ok = dim == 9 * n + 10 == oracle == oracle_next
-        return [
-            {
-                "id": "algebra-dimension",
-                "kind": "oracle",
-                "status": "pass" if ok else "fail",
-                "rewriting_dim": dim,
-                "oracle_dim": oracle,
-                "oracle_dim_next_length": oracle_next,
-            }
-        ]
-
-    def resolution_checks(self, kinds=("boundary-squared", "exactness", "minimality")):
-        """Rows of the resolution checks of the given kinds, in that order."""
-        d = self.config.max_degree
-        rows = []
-        if "boundary-squared" in kinds:
-            for r in self.resolution.verify_complex(d):
-                rows.append({"id": f"complex-{r['degree']}", "kind": "boundary-squared", **r})
-        if "exactness" in kinds:
-            for r in self.resolution.verify_exactness(d):
-                rows.append({"id": f"exactness-{r['degree']}", "kind": "exactness", **r})
-        if "minimality" in kinds:
-            bad = []
-            for m in range(1, d + 1):
-                bad.extend(self.resolution.minimality_violations(m))
-            rows.append(
-                {
-                    "id": "minimality",
-                    "kind": "minimality",
-                    "status": "pass" if not bad else "fail",
-                    **({"witness": str(bad[0])} if bad else {}),
-                }
-            )
-        return rows
-
-    def diagonal_checks(self, mode=None):
-        fam = self.family(mode)
-        rows = []
-        for r in self.diagonal.verify_squares(fam, self.config.max_degree):
-            rows.append(
-                {
-                    "id": f"square-{r['degree']}-{r['generator']}",
-                    "kind": r["check"],
-                    **r,
-                }
-            )
-        return rows
-
-    def hochschild_tables(self):
-        d = self.config.max_degree
-        hc = self.hochschild
-        dims = [
-            {"degree": m, "hom_dim": hc.hom_dim(m), "hh_dim": hc.hh_dimension(m)}
-            for m in range(0, d)
-        ]
-        star_rows = self.products.table_comparison()
-        return {"dimensions": dims, "star_table": star_rows}
-
     def family_json(self, fam):
         """The serialised generator images of a diagonal family in degrees
         0..max_degree."""
@@ -255,12 +193,16 @@ def _basis_path(algebra, text):
     return p
 
 
-def _terms_from_json(algebra, terms, total):
-    """The tensor element of serialised terms of total degree `total`.
+def _terms_from_json(algebra, terms, total, origin):
+    """The tensor element of serialised terms of total degree `total` in a
+    row whose generator (or vertex) starts at `origin`.
 
     Raises ValueError on a term whose bidegree does not sum to `total`,
     whose paths are not basis paths of the member or do not meet the
-    endpoints of its generators, or whose coefficient is not in the field.
+    endpoints of its generators, whose left path does not start at
+    `origin`, or whose coefficient is not in the field.  The right path
+    may end anywhere: the published successor homotopy moves each
+    generator's terminus one step along the quiver.
     """
     field = algebra.field
     out = {}
@@ -277,6 +219,10 @@ def _terms_from_json(algebra, terms, total):
         o2, t2 = label_pair(g2)
         if left.target != o1:
             raise ValueError(f"{term}: left path {left} does not end at {o1}, the origin of {g1}")
+        if left.source != origin:
+            raise ValueError(
+                f"{term}: left path {left} does not start at {origin}, its row's origin"
+            )
         if (mid.source, mid.target) != (t1, o2):
             raise ValueError(f"{term}: middle path {mid} does not run from {t1} to {o2}")
         if right.source != t2:
@@ -301,21 +247,23 @@ def _parse_homotopy_json(algebra, data):
 
     Raises ValueError on a degree that is not an int >= 0, a label that
     is not a generator of its degree, an unknown vertex, or a malformed
-    term (see `_terms_from_json`; vertex-table terms have bidegree (0, 0)).
+    term (see `_terms_from_json`; vertex-table terms have bidegree (0, 0)
+    and start at their vertex).
     """
     images = {}
     for row in data["images"]:
         m = row["degree"]
         if type(m) is not int or m < 0:
             raise ValueError(f"homotopy degree {m!r} is not an integer >= 0")
-        images.setdefault(m, {})[_generator_label(row["generator"], m)] = _terms_from_json(
-            algebra, row["terms"], m + 1
+        lab = _generator_label(row["generator"], m)
+        images.setdefault(m, {})[lab] = _terms_from_json(
+            algebra, row["terms"], m + 1, label_pair(lab)[0]
         )
     star = {}
     for row in data.get("star", []):
         if row["vertex"] not in VERTICES:
             raise ValueError(f"unknown vertex {row['vertex']!r} in the homotopy star table")
-        star[row["vertex"]] = _terms_from_json(algebra, row["terms"], 0)
+        star[row["vertex"]] = _terms_from_json(algebra, row["terms"], 0, row["vertex"])
     return images, star
 
 

@@ -61,6 +61,7 @@ class Products:
         self.alg = hochschild.alg
         self.field = hochschild.field
         self.literal = diagonal.literal_family()
+        self._names = {}  # degree -> {(label, path): name} of the named basis
 
     # -- evaluation through a diagonal --------------------------------------
 
@@ -106,21 +107,23 @@ class Products:
     # -- named output --------------------------------------------------------
 
     def match_named(self, cochain):
-        """Express a cochain in the named basis; None when it is not a
-        single named element or a scalar multiple of one."""
-        if cochain.is_zero():
-            return None, None
-        for named in self.hc.named_basis(cochain.degree):
-            if cochain == named:
-                return named.name, 1
-            for (lab, p) in [
-                (lab, p) for lab, v in named.images.items() for p in v
-            ]:
-                c = cochain.images.get(lab, {}).get(p)
-                if c:
-                    scaled = self.hc.scale(c, named)
-                    if cochain == scaled:
-                        return named.name, c
+        """(name, c) when the cochain is c times a named basis element,
+        else (None, None).  A named element is one hom-basis coordinate
+        with coefficient 1, so the cochain must have exactly one nonzero
+        coordinate, and a named one."""
+        m = cochain.degree
+        if m not in self._names:
+            self._names[m] = {
+                (lab, p): named.name
+                for named in self.hc.named_basis(m)
+                for lab, v in named.images.items()
+                for p in v
+            }
+        support = [((lab, p), c) for lab, v in cochain.images.items() for p, c in v.items() if c]
+        if len(support) == 1:
+            ((key, c),) = support
+            if key in self._names[m]:
+                return self._names[m][key], c
         return None, None
 
     def table_comparison(self, degrees=(0, 3, 1, 2)):

@@ -293,6 +293,8 @@ class Resolution:
                     break
             rows.append(
                 {
+                    "id": f"complex-{m}",
+                    "kind": "boundary-squared",
                     "degree": m,
                     "check": "boundary-squared",
                     "status": "pass" if witness is None else "fail",
@@ -310,6 +312,8 @@ class Resolution:
             ok = kdim == r_next
             rows.append(
                 {
+                    "id": f"exactness-{m}",
+                    "kind": "exactness",
                     "degree": m,
                     "check": "exactness",
                     "status": "pass" if ok else "fail",

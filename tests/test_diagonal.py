@@ -368,6 +368,7 @@ def test_homotopy_file_coefficients_must_lie_in_the_field(tmp_path, capsys):
         ("g1", "R3", "has bidegree 3+1; its row needs total degree 1"),
         ("left", "a1", "left path a1 does not end at e0, the origin of R0"),
         ("left", "a0*a1*a2*a0*a1*a2", "is not a basis path of the member n = 0"),
+        ("left", "a2", "left path a2 does not start at e0, its row's origin"),
     ],
     ids=[
         "empty-generator",
@@ -377,6 +378,7 @@ def test_homotopy_file_coefficients_must_lie_in_the_field(tmp_path, capsys):
         "bidegree-off-the-row",
         "left-path-off-the-origin",
         "left-path-not-in-the-basis",
+        "left-path-off-the-row-origin",
     ],
 )
 def test_malformed_homotopy_file_is_a_usage_error(tmp_path, capsys, field, value, reason):

@@ -266,6 +266,24 @@ def test_table_comparison_rows(pipes):
     assert ("nu_0", "beta") in matches
 
 
+@pytest.mark.parametrize("field", ["rationals", "gf:7"])
+def test_match_named_reads_the_single_coordinate(field):
+    from quiverhh import Pipeline, RunConfig
+
+    for n in (0, 1, 2):
+        pipe = Pipeline(RunConfig(n=n, field=field))
+        hc, pr = pipe.hochschild, pipe.products
+        for m in range(6):
+            basis = hc.named_basis(m)
+            for f in basis:
+                for k in (1, 2, -1):
+                    c = hc.field.from_int(k)
+                    assert pr.match_named(hc.scale(c, f)) == (f.name, c)
+            assert pr.match_named(hc.zero_cochain(m)) == (None, None)
+            if len(basis) > 1:  # n = 0, degree 2 has eta alone
+                assert pr.match_named(hc.add(basis[0], basis[1])) == (None, None)
+
+
 def test_cup_associative_at_class_level(pipes, solved_families):
     hc, pr, dm = ctx(pipes, 0)
     fam = solved_families[0]
