@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from importlib import resources
 
 from . import reports
@@ -184,15 +185,19 @@ def _cup_table_wanted(config):
     return config.delta_mode == "solved" and config.n == 0 and config.max_degree >= 12
 
 
-def cmd_hochschild(pipe, action):
+def cmd_hochschild(pipe, action, prints_payload=False):
+    """`prints_payload`: the caller prints the JSON payload in every output
+    mode, as `report` does."""
     hc, n = pipe.hochschild, pipe.config.n
     tables = {
         "dimensions": [
             {"degree": m, "hom_dim": hc.hom_dim(m), "hh_dim": hc.hh_dimension(m)}
             for m in range(0, pipe.config.max_degree)
         ],
-        "star_table": pipe.products.table_comparison(),
     }
+    # text output prints no star table
+    if prints_payload or pipe.config.output != "text":
+        tables["star_table"] = pipe.products.table_comparison()
     checks = []
     for row in tables["dimensions"]:
         m = row["degree"]
@@ -232,8 +237,6 @@ def cmd_hochschild(pipe, action):
 
 
 def cmd_ring(pipe, action):
-    if pipe.config.n != 0:
-        raise SystemExit("ring reconciliation is defined for --n 0")
     hc, pr, dm = pipe.hochschild, pipe.products, pipe.diagonal
     star_rows = reports.ring_star_report(hc, pr)
     cup_rows = reports.ring_cup_report(hc, pr, pipe.family("solved"))
@@ -288,7 +291,7 @@ def cmd_report(pipe, action):
         (cmd_algebra, "all"),
         (cmd_resolution, "all"),
         (cmd_diagonal, "all"),
-        (cmd_hochschild, "bases"),
+        (partial(cmd_hochschild, prints_payload=True), "bases"),
     )
     for sub, sub_action in sections:
         sub_payload, _, sub_ok = sub(pipe, sub_action)
@@ -340,6 +343,8 @@ def build_parser():
         p.add_argument("--output", default="text", choices=("text", "json", "markdown"))
         p.add_argument("--out-path", default=None)
         p.add_argument("action", nargs="?", default="all", choices=actions)
+        # a configuration error is reported with the usage of its subcommand
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
@@ -347,6 +352,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "ring" and args.n != 0:
+            raise ValueError("ring reconciliation is defined for --n 0")
         config = RunConfig(
             n=args.n,
             field=args.field,
@@ -357,7 +364,7 @@ def main(argv=None):
             out_path=args.out_path,
         )
     except ValueError as exc:
-        parser.error(str(exc))
+        args.usage_error(str(exc))
     pipe = Pipeline(config)
     handler, _ = COMMANDS[args.command]
     try:

@@ -10,10 +10,15 @@ echelon form.  `rank`, `kernel_basis` and `LinearSolver` insert the
 columns of a sparse `Matrix` one by one, so the pivot columns are
 exactly those of the reduced row echelon form: particular solutions set
 every free variable to zero, and kernel vectors are listed by
-increasing free-column index.  Coefficients are `fractions.Fraction` or
-`GFElement` values; both support the arithmetic operators and
-truth-testing, so the elimination code never needs to know which field
-it is working over.
+increasing free-column index.
+
+Coefficients over Q are ints until a non-unit pivot divides them, and
+`fractions.Fraction` values from then on; the two compare, hash and
+print alike, so a report cannot tell which one a value is.  The echelon
+divides only by a non-unit pivot, and then through `Fraction`, so no
+float can arise.  Over GF(p) coefficients are `GFElement` values.  All
+of them support the arithmetic operators and truth-testing, so the
+elimination code never needs to know which field it is working over.
 """
 
 from __future__ import annotations
@@ -116,18 +121,19 @@ class GFElement:
 
 
 class Rationals:
-    """The field of rationals; elements are Fractions in lowest terms."""
+    """The field of rationals; elements are ints, or Fractions in lowest
+    terms once a division has made them."""
 
     name = "QQ"
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def from_int(self, k):
-        return Fraction(k)
+        return k
 
     def __repr__(self):
         return "QQ"
@@ -256,8 +262,15 @@ class SparseEchelon:
         if not res:
             return None
         lead = min(res)
-        inv = 1 / res[lead]
-        self.rows[lead] = {j: c * inv for j, c in res.items()}
+        inv = res[lead]  # a pivot of ±1 is its own inverse
+        if inv == 1:
+            row = res
+        elif inv == -1:
+            row = {j: -c for j, c in res.items()}
+        else:
+            inv = Fraction(1, inv) if type(inv) is int else 1 / inv
+            row = {j: c * inv for j, c in res.items()}
+        self.rows[lead] = row
         if combo is not None:
             # res = vec - sum(combo), so the row is inv * (vec - sum(combo))
             row_combo = {t: -c * inv for t, c in combo.items()}

@@ -237,6 +237,8 @@ def _terms_from_json(algebra, terms, total, origin):
             c = Fraction(value) if field is QQ else field.from_int(int(value))
         except ZeroDivisionError as exc:
             raise ValueError(f"coefficient {text!r} has a zero denominator") from exc
+        if field is QQ and c.denominator == 1:
+            c = c.numerator  # an integral coefficient stays an int, as QQ makes them
         if c:
             out[(g1, g2, left, mid, right)] = c
     return out

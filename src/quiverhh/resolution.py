@@ -160,6 +160,8 @@ class Resolution:
         self._shapes = {}
         self._triples = {}
         self._triple_index = {}
+        self._blocks_at = {}
+        self._positions = None
         self._matrices = {}
         self._solvers = {}
         self._ranks = {}
@@ -205,8 +207,34 @@ class Resolution:
         self.triples(m)
         return self._triple_index[m]
 
+    def _blocks(self, m):
+        """({label: position in `triples(m)` where its block starts}, dim(m)).
+
+        A label's block lists each left path into its origin with every
+        right path out of its terminus, left-major.
+        """
+        if m not in self._blocks_at:
+            alg = self.algebra
+            offsets, dim = {}, 0
+            for lab in self.labels(m):
+                o, t = label_pair(lab)
+                offsets[lab] = dim
+                dim += len(alg.paths_into[o]) * len(alg.paths_from[t])
+            self._blocks_at[m] = offsets, dim
+        return self._blocks_at[m]
+
     def dim(self, m):
-        return len(self.triples(m))
+        return self._blocks(m)[1]
+
+    def _path_positions(self):
+        """Each basis path's index in `paths_into` of its target and in
+        `paths_from` of its source."""
+        if self._positions is None:
+            alg = self.algebra
+            into = {p: i for ps in alg.paths_into.values() for i, p in enumerate(ps)}
+            outof = {p: i for ps in alg.paths_from.values() for i, p in enumerate(ps)}
+            self._positions = into, outof
+        return self._positions
 
     # -- maps ------------------------------------------------------------
 
@@ -244,22 +272,67 @@ class Resolution:
 
         At m = 0 the target is the algebra itself (the augmentation).
         """
-        if m in self._matrices:
-            return self._matrices[m]
+        if m not in self._matrices:
+            self._matrices[m] = self._augmentation_matrix() if m == 0 else self._boundary_matrix(m)
+        return self._matrices[m]
+
+    def _augmentation_matrix(self):
         one = self.field.one()
-        cols = self.triples(m)
-        if m == 0:
-            row_index = self.algebra.basis_index
-            images = (self.augment({tr: one}) for tr in cols)
-        else:
-            row_index = self.triple_index(m - 1)
-            images = (self.apply_boundary(m, {tr: one}) for tr in cols)
+        row_index = self.algebra.basis_index
         entries = [
-            (row_index[key], j, c) for j, img in enumerate(images) for key, c in img.items()
+            (row_index[p], j, c)
+            for j, tr in enumerate(self.triples(0))
+            for p, c in self.augment({tr: one}).items()
         ]
-        mat = Matrix(len(row_index), len(cols), entries)
-        self._matrices[m] = mat
-        return mat
+        return Matrix(len(row_index), self.dim(0), entries)
+
+    def _boundary_matrix(self, m):
+        """The boundary out of degree m >= 1, assembled by index arithmetic.
+
+        Column j is `apply_boundary` of the j-th triple of degree m: a shape
+        term (x, tgt, y, sign) sends (label, left, right) to row offset(tgt)
+        + pos(left * x) * width(tgt) + pos(y * right).  Each column is summed
+        in term order, as `accumulate` sums the element's image.
+        """
+        alg = self.algebra
+        mul = alg.mul_path
+        into, outof = alg.paths_into, alg.paths_from
+        left_pos, right_pos = self._path_positions()
+        offsets, rows = self._blocks(m - 1)
+        shape = self.shape(m)
+        one = self.field.one()
+        # one int object per row index, shared by every entry in that row
+        idx = list(range(rows))
+        entries = []
+        col0 = 0
+        for lab in self.labels(m):
+            o, t = label_pair(lab)
+            lefts, rights = into[o], outof[t]
+            width = len(rights)
+            cols = [[] for _ in range(len(lefts) * width)]
+            for x, tgt, y, sign in shape[lab]:
+                base = offsets[tgt]
+                tgt_width = len(outof[label_pair(tgt)[1]])
+                c = one if sign > 0 else -one
+                hits = [
+                    (ri, right_pos[p])
+                    for ri, right in enumerate(rights)
+                    if (p := mul(y, right)) is not None
+                ]
+                for li, left in enumerate(lefts):
+                    p = mul(left, x)
+                    if p is None:
+                        continue
+                    row0 = base + left_pos[p] * tgt_width
+                    c0 = li * width
+                    for ri, r in hits:
+                        cols[c0 + ri].append((row0 + r, c))
+            for j, col in enumerate(cols, col0):
+                if len(col) > 1:
+                    col = accumulate(col).items()
+                entries.extend((idx[r], j, c) for r, c in col)
+            col0 += len(cols)
+        return Matrix(rows, col0, entries)
 
     def boundary_solver(self, m):
         """LinearSolver of `boundary_matrix(m)`, built once per degree."""

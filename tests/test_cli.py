@@ -55,6 +55,24 @@ def test_invalid_flags_usage_error(capsys):
         main(["nonsense"])
 
 
+def test_configuration_error_uses_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["diagonal", "--n", "-3", "squares"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quiverhh diagonal ")
+    assert "quiverhh diagonal: error: n must be >= 0" in err
+
+
+def test_ring_off_n0_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ring", "--n", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quiverhh ring ")
+    assert "ring reconciliation is defined for --n 0" in err
+
+
 def test_json_report_deterministic_and_valid(tmp_path, capsys):
     import jsonschema
     from importlib import resources
@@ -216,6 +234,13 @@ PINNED_REPORTS = [
      "2f8558d248d6b7867d8e9dd67bd8c0637f4b6e35c8aec8cb9e436936ee7cdc4e"),
     ("diagonal --n 2 --max-degree 8 build",
      "5039c6cea6981e1bb7067dc721681d5e4bd1a386cc62418181f0fdc81240e425"),
+    ("resolution --n 5 --max-degree 12 exactness",
+     "4ade2e6b971f8d887849c1bf1483eabc135f649c4d9416d1f0a87ec5711aed09"),
+    # its cochain eliminations meet non-unit pivots
+    ("hochschild --n 3 --max-degree 12 dims",
+     "a394066dd82cd19ca6796524f0e43275f58c4f8c9081487d8042ea98d1f97243"),
+    ("report --n 2 --field gf:5 --max-degree 9",
+     "86f20f574bb8336cf32ee56a0d4556c661e87830219bec3e7a6d7489039f44b5"),
 ]
 
 
@@ -260,3 +285,24 @@ def test_text_report_digest_is_pinned(capsys, command, digest):
     code, out = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_text_hochschild_computes_no_star_table(capsys, monkeypatch):
+    import hashlib
+
+    from quiverhh.products import Products
+
+    def refuse(self):
+        raise AssertionError("text output prints no star table")
+
+    monkeypatch.setattr(Products, "table_comparison", refuse)
+    command = "hochschild --n 0 --max-degree 12 all"
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(PINNED_TEXT_REPORTS)[command]
+    # the patch is live: the output modes that print the table still ask for it
+    for argv in (["--output", "markdown"], ["--output", "json"]):
+        with pytest.raises(AssertionError, match="no star table"):
+            main(command.split() + argv)
+    with pytest.raises(AssertionError, match="no star table"):
+        main(["report", "--n", "1", "--max-degree", "3"])

@@ -227,3 +227,34 @@ def test_accumulate_and_axpy_match_dense_sums(field, terms, x_terms, c):
     out = axpy(acc, field.from_int(c), x)
     assert out is acc  # in place
     assert out == sparse(want) and all(out.values())
+
+
+def _coefficients(x):
+    """Every coefficient in a sparse vector, a list of them, or None."""
+    if x is None:
+        return []
+    if isinstance(x, dict):
+        return list(x.values())
+    return [c for v in x for c in _coefficients(v)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(sq, min_size=4, max_size=4), min_size=1, max_size=5),
+    st.lists(sq, min_size=5, max_size=5),
+    st.lists(sq, min_size=4, max_size=4),
+)
+def test_int_coefficients_make_no_float_and_match_fractions(rows, b, y):
+    ints = mat(rows)
+    assert all(type(c) is int for _, _, c in ints.entries)
+    fracs = Matrix(ints.rows, ints.cols, [(i, j, Fraction(c)) for i, j, c in ints.entries])
+    rhs = [{i: c for i, c in enumerate(b[: ints.rows]) if c}, mat_vec(ints, dict(enumerate(y)))]
+    solver, old_solver = LinearSolver(ints), LinearSolver(fracs)
+    ech = solver.echelon
+    got = [kernel_basis(ints), list(ech.rows.values()), list(ech.combos.values())]
+    got += [solver.solve(v) for v in rhs]
+    for c in _coefficients(got):
+        assert type(c) in (int, Fraction), c
+    assert rank(ints) == rank(fracs)
+    assert kernel_basis(ints) == kernel_basis(fracs)
+    assert [solver.solve(v) for v in rhs] == [old_solver.solve(v) for v in rhs]

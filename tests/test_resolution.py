@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from quiverhh.algebra import get_algebra
+from quiverhh.linalg import QQ, PrimeField
 from quiverhh.quiver import arrow, parse_path, trivial
 from quiverhh.resolution import Resolution
 from quiverhh.uniform import Label, UniformPaths, generator_labels, label_pair
@@ -127,6 +129,23 @@ def test_to_matrix_identity_and_zero(pipes):
     assert mat.rows == r.dim(0)
     assert all(c and 0 <= i < mat.rows and 0 <= j < mat.cols for i, j, c in mat.entries)
     assert sum(1 for i, j, c in mat.entries if j == 0) == 2  # two-term image
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_boundary_matrix_columns_are_apply_boundary(n, field):
+    r = Resolution(get_algebra(n, field))
+    one = r.field.one()
+    for m in range(1, 14):
+        mat = r.boundary_matrix(m)
+        assert (mat.rows, mat.cols) == (r.dim(m - 1), r.dim(m))
+        cols = mat.columns()
+        row_index = r.triple_index(m - 1)
+        for j, tr in enumerate(r.triples(m)):
+            img = r.apply_boundary(m, {tr: one})
+            # in the same order: each column sums the shape terms in turn
+            want = [(row_index[key], c) for key, c in img.items()]
+            assert list(cols[j].items()) == want, (m, tr)
 
 
 def test_dim_formula(pipes):
