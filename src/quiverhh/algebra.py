@@ -20,9 +20,7 @@ which `cli.cmd_algebra` runs on every `algebra` and `report` run.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .linalg import QQ, PrimeField, SparseEchelon, accumulate
+from .linalg import QQ, SparseEchelon, accumulate
 from .quiver import VERTICES, Path, a_cycle, compose, path_sort_key, trivial, walk_paths
 
 
@@ -91,7 +89,9 @@ class FamilyAlgebra:
     def normal_form(self, combo):
         """Reduce a formal {Path: coeff} combination to the basis."""
         nf = self.normal_form_path
-        return accumulate((q, c) for p, c in combo.items() if (q := nf(p)) is not None)
+        return accumulate(
+            ((q, c) for p, c in combo.items() if (q := nf(p)) is not None), self.field.p
+        )
 
     def mul_path(self, p, q):
         """Product of two basis paths: a normal-form Path or None."""
@@ -107,24 +107,26 @@ class FamilyAlgebra:
     def mul(self, x, y):
         mul = self.mul_path
         return accumulate(
-            (r, c * d)
-            for p, c in x.items()
-            for q, d in y.items()
-            if (r := mul(p, q)) is not None
+            (
+                (r, c * d)
+                for p, c in x.items()
+                for q, d in y.items()
+                if (r := mul(p, q)) is not None
+            ),
+            self.field.p,
         )
 
     def unit(self):
-        one = self.field.one()
-        return {trivial(v): one for v in VERTICES}
+        return {trivial(v): 1 for v in VERTICES}
 
     def vertex_elem(self, v):
-        return {trivial(v): self.field.one()}
+        return {trivial(v): 1}
 
     def from_path(self, p, coeff=None):
         q = self.normal_form_path(p)
         if q is None:
             return {}
-        return {q: self.field.one() if coeff is None else coeff}
+        return {q: 1 if coeff is None else coeff}
 
     def dim(self):
         return len(self.basis)
@@ -158,21 +160,19 @@ class FamilyAlgebra:
         return out
 
 
-@lru_cache(maxsize=None)
-def _algebra_cached(n, field_key):
-    if field_key == "QQ":
-        return FamilyAlgebra(n, QQ)
-    return FamilyAlgebra(n, PrimeField(int(field_key)))
+_ALGEBRAS = {}  # (n, characteristic) -> FamilyAlgebra
 
 
 def get_algebra(n, field=QQ):
-    """Shared algebra instances, one per (n, field).
+    """Shared algebra instances, one per n and characteristic.
 
     Sharing is safe: the only mutable field is the product table behind
     `mul_path`, and each of its entries is a pure function of its key.
     """
-    key = "QQ" if field is QQ or getattr(field, "name", "") == "QQ" else str(field.p)
-    return _algebra_cached(n, key)
+    key = (n, field.p)
+    if key not in _ALGEBRAS:
+        _ALGEBRAS[key] = FamilyAlgebra(n, field)
+    return _ALGEBRAS[key]
 
 
 def ideal_relations(n):
@@ -202,8 +202,7 @@ def truncated_ideal_echelon(n, length, field=QQ):
     """
     paths = all_paths_up_to(length)
     index = {p: i for i, p in enumerate(paths)}
-    ech = SparseEchelon()
-    one = field.one()
+    ech = SparseEchelon(field.p)
     for rel in ideal_relations(n):
         monos = list(rel.items())
         max_mono = max(len(m.arrows) for m, _ in monos)
@@ -222,7 +221,7 @@ def truncated_ideal_echelon(n, length, field=QQ):
                 vec = {}
                 for m, c in monos:
                     w = compose(compose(u, m), v)
-                    vec[index[w]] = one * c
+                    vec[index[w]] = c
                 ech.add(vec)
     return paths, ech
 

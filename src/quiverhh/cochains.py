@@ -113,13 +113,14 @@ class HochschildComplex:
     def add(self, f, g):
         assert f.degree == g.degree
         images = {
-            lab: axpy(dict(f.images.get(lab, {})), 1, g.images.get(lab, {}))
+            lab: axpy(dict(f.images.get(lab, {})), 1, g.images.get(lab, {}), self.field.p)
             for lab in self.res.labels(f.degree)
         }
         return Cochain(f.degree, images)
 
     def scale(self, c, f):
-        return Cochain(f.degree, {lab: axpy({}, c, v) for lab, v in f.images.items()})
+        images = {lab: axpy({}, c, v, self.field.p) for lab, v in f.images.items()}
+        return Cochain(f.degree, images)
 
     # -- evaluation and the induced differential ---------------------------
 
@@ -128,10 +129,13 @@ class HochschildComplex:
         mul = self.alg.mul_path
         images = cochain.images
         return accumulate(
-            (q, c * d)
-            for (lab, left, right), c in elem.items()
-            for p, d in images.get(lab, {}).items()
-            if (q := mul(left, p)) is not None and (q := mul(q, right)) is not None
+            (
+                (q, c * d)
+                for (lab, left, right), c in elem.items()
+                for p, d in images.get(lab, {}).items()
+                if (q := mul(left, p)) is not None and (q := mul(q, right)) is not None
+            ),
+            self.field.p,
         )
 
     def coboundary(self, cochain):
@@ -152,11 +156,10 @@ class HochschildComplex:
     def _coboundary_columns(self, m):
         """Coordinate vectors of the coboundaries of the degree-m basis cochains."""
         if m not in self._cob_columns:
-            one = self.field.one()
             cols = []
             for lab, p in self.hom_basis(m)[0]:
                 f = self.zero_cochain(m)
-                f.images[lab] = {p: one}
+                f.images[lab] = {p: 1}
                 cols.append(self.to_vec(self.coboundary(f)))
             self._cob_columns[m] = cols
         return self._cob_columns[m]
@@ -164,7 +167,7 @@ class HochschildComplex:
     def _coboundary_space(self, m):
         """Echelon of the coboundaries landing in degree m."""
         if m not in self._cob_echelon:
-            ech = SparseEchelon()
+            ech = SparseEchelon(self.field.p)
             if m >= 1:
                 for vec in self._coboundary_columns(m - 1):
                     ech.add(vec)
@@ -190,7 +193,7 @@ class HochschildComplex:
         The representatives are the cocycle-space basis vectors that are
         independent modulo the coboundaries and the earlier ones.
         """
-        combined = SparseEchelon()
+        combined = SparseEchelon(self.field.p)
         combined.rows.update(self._coboundary_space(m).rows)
         reps = [
             self.from_vec(m, vec)
@@ -205,7 +208,7 @@ class HochschildComplex:
             cols = self._coboundary_columns(m)
             entries = [(i, j, c) for j, col in enumerate(cols) for i, c in col.items()]
             mat = Matrix(self.hom_dim(m + 1), len(cols), entries)
-            self._cocycle_basis[m] = kernel_basis(mat, self.field)
+            self._cocycle_basis[m] = kernel_basis(mat, self.field.p)
         return self._cocycle_basis[m]
 
     def hh_dimension(self, m):
@@ -216,13 +219,12 @@ class HochschildComplex:
     def named_basis(self, m):
         """The classical named cochain basis at degree m."""
         n = self.n
-        one = self.field.one()
         out = []
 
         def mk(name, pairs):
             images = {lab: {} for lab in self.res.labels(m)}
             for lab, path in pairs:
-                images[lab] = {path: one}
+                images[lab] = {path: 1}
             out.append(Cochain(m, images, name))
 
         if m % 3 == 0:
@@ -272,5 +274,4 @@ class HochschildComplex:
         c = self.named(6, CochainName("phi", 0, 0))
         c = self.add(c, self.named(6, CochainName("phi", 1, 0)))
         c = self.add(c, self.named(6, CochainName("phi", 2, 0)))
-        minus = -self.field.one()
-        return self.add(c, self.scale(minus, self.named(6, CochainName("psi"))))
+        return self.add(c, self.scale(-1, self.named(6, CochainName("psi"))))

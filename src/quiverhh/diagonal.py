@@ -77,7 +77,7 @@ def _extend(tc, images, elem):
     for (lab, left, right), c in elem.items():
         img = images.get(lab)
         if img:
-            axpy(out, c, act(left, img, right))
+            axpy(out, c, act(left, img, right), tc.field.p)
     return out
 
 
@@ -104,12 +104,13 @@ class OneSidedContraction:
         """The degree-0 section of the augmentation: a path p lifts to the
         diagonal generator at its source (right side) / target (left side)."""
         if self.side == "right":
-            return {(label_at(0, p.source, p.source), trivial(p.source), p): self.res.field.one()}
-        return {(label_at(0, p.target, p.target), p, trivial(p.target)): self.res.field.one()}
+            return {(label_at(0, p.source, p.source), trivial(p.source), p): 1}
+        return {(label_at(0, p.target, p.target), p, trivial(p.target)): 1}
 
     def section_apply(self, lam_elem):
         return accumulate(
-            (k, c * d) for p, c in lam_elem.items() for k, d in self.section(p).items()
+            ((k, c * d) for p, c in lam_elem.items() for k, d in self.section(p).items()),
+            self.res.field.p,
         )
 
     def apply(self, m, elem):
@@ -117,18 +118,20 @@ class OneSidedContraction:
         mul = self.alg.mul_path
         table = self.table[m]
         if self.side == "right":
-            return accumulate(
+            terms = (
                 ((l2, L2, nr), c * d)
                 for (lab, left, right), c in elem.items()
                 for (l2, L2, R2), d in table[(left, lab)].items()
                 if (nr := mul(R2, right)) is not None
             )
-        return accumulate(
-            ((l2, nl, R2), c * d)
-            for (lab, left, right), c in elem.items()
-            for (l2, L2, R2), d in table[(lab, right)].items()
-            if (nl := mul(left, L2)) is not None
-        )
+        else:
+            terms = (
+                ((l2, nl, R2), c * d)
+                for (lab, left, right), c in elem.items()
+                for (l2, L2, R2), d in table[(lab, right)].items()
+                if (nl := mul(left, L2)) is not None
+            )
+        return accumulate(terms, self.res.field.p)
 
     def _generators(self, m):
         alg = self.alg
@@ -136,17 +139,16 @@ class OneSidedContraction:
             o, t = label_pair(lab)
             if self.side == "right":
                 for left in alg.paths_into[o]:
-                    yield (left, lab), {(lab, left, trivial(t)): self.res.field.one()}
+                    yield (left, lab), {(lab, left, trivial(t)): 1}
             else:
                 for right in alg.paths_from[t]:
-                    yield (lab, right), {(lab, trivial(o), right): self.res.field.one()}
+                    yield (lab, right), {(lab, trivial(o), right): 1}
 
     def _solve(self, m):
         # The boundary commutes with both actions, so the echelon of each
         # degree's boundary matrix splits into one-sided corner blocks and
         # a solution never leaves the corner of its right-hand side.
         res = self.res
-        minus_one = -res.field.one()
         solver = res.boundary_solver(m + 1)
         src = res.triples(m + 1)
         tgt_index = res.triple_index(m)
@@ -156,7 +158,7 @@ class OneSidedContraction:
                 defect = self.section_apply(res.augment(gen_elem))
             else:
                 defect = self.apply(m - 1, res.apply_boundary(m, gen_elem))
-            rhs_elem = axpy(gen_elem, minus_one, defect)
+            rhs_elem = axpy(gen_elem, -1, defect, res.field.p)
             x = solver.solve({tgt_index[k]: c for k, c in rhs_elem.items()})
             assert x is not None, f"contraction solve failed at degree {m}"
             tbl[key] = {src[i]: c for i, c in x.items()}
@@ -191,7 +193,7 @@ class ChainMapFamily:
         if self.provenance in ("literal", "formula"):
             out = self.dm.delta_prime_apply(elem)
             if self.provenance == "formula":
-                axpy(out, 1, self.homotopy.correction(m, elem))
+                axpy(out, 1, self.homotopy.correction(m, elem), self.dm.field.p)
             return out
         return _extend(self.dm.tc, self.images[m], elem)
 
@@ -213,7 +215,7 @@ class HomotopyFamily:
         out = {}
         for p, c in lam_elem.items():
             if p.is_vertex():
-                axpy(out, c, self.star.get(p.source, {}))
+                axpy(out, c, self.star.get(p.source, {}), self.dm.field.p)
         return out
 
     def correction(self, m, elem):
@@ -224,7 +226,7 @@ class HomotopyFamily:
             out = self.apply(m - 1, res.apply_boundary(m, elem))
         else:
             out = self.apply_star(res.augment(elem))
-        return axpy(out, 1, self.dm.tc.differential(self.apply(m, elem)))
+        return axpy(out, 1, self.dm.tc.differential(self.apply(m, elem)), self.dm.field.p)
 
 
 class DiagonalMaps:
@@ -255,8 +257,10 @@ class DiagonalMaps:
         generator = self.res.generator
         for (lab, left, right), c in elem.items():
             term = {(lab, left, right): c}
-            axpy(out, 1, tensor(generator(label_at(0, left.source, left.source)), term))
-            axpy(out, 1, tensor(term, generator(label_at(0, right.target, right.target))))
+            origin = generator(label_at(0, left.source, left.source))
+            terminus = generator(label_at(0, right.target, right.target))
+            axpy(out, 1, tensor(origin, term), self.field.p)
+            axpy(out, 1, tensor(term, terminus), self.field.p)
         return out
 
     def literal_family(self):
@@ -272,7 +276,6 @@ class DiagonalMaps:
         a-step).  Mixed-pair generators at diagonal degrees carry no
         printed value and are sent to zero.  The vertex table carries a
         minus sign on the a-successors and a plus on the b-successor."""
-        one = self.field.one()
         succ = {"e0": "e1", "e1": "e2", "e2": "e0", "f1": "e2"}
         res, tc = self.res, self.tc
 
@@ -286,11 +289,11 @@ class DiagonalMaps:
 
         star = {}
         succ_arrow = {"e0": "a0", "e1": "a1", "e2": "a2", "f1": "b1"}
-        sign = {"e0": -one, "e1": -one, "e2": -one, "f1": one}
+        sign = {"e0": -1, "e1": -1, "e2": -1, "f1": 1}
         for v in VERTICES:
             gen = res.generator(label_at(0, v, v))
             acted = tc.act(trivial(v), tc.tensor(gen, gen), arrow(succ_arrow[v]))
-            star[v] = axpy({}, sign[v], acted)
+            star[v] = axpy({}, sign[v], acted, self.field.p)
         return HomotopyFamily(self, self.per_label(image, upward=False), star)
 
     def zero_homotopy(self):
@@ -304,7 +307,6 @@ class DiagonalMaps:
         to produce genuinely different lifts of the same map."""
         alg = self.res.algebra
         labels = self.res.labels
-        one = self.field.one()
 
         def image(lab):
             m = lab.degree
@@ -324,7 +326,7 @@ class DiagonalMaps:
                                 alg.corners[(t1, o2)][0],
                                 alg.corners[(t2, t)][0],
                             )
-                            return {pick: one}
+                            return {pick: 1}
             return {}
 
         return HomotopyFamily(self, self.per_label(image, upward=False), {v: {} for v in VERTICES})
@@ -352,25 +354,34 @@ class DiagonalMaps:
         second = s_left.table
         # (first-factor contraction) tensor identity
         x = accumulate(
-            ((l2, g2, L2, nm, right), c * d)
-            for (g1, g2, left, mid, right), c in rhs.items()
-            for (l2, L2, R2), d in first[g1.degree][(left, g1)].items()
-            if (nm := mul(R2, mid)) is not None
+            (
+                ((l2, g2, L2, nm, right), c * d)
+                for (g1, g2, left, mid, right), c in rhs.items()
+                for (l2, L2, R2), d in first[g1.degree][(left, g1)].items()
+                if (nm := mul(R2, mid)) is not None
+            ),
+            self.field.p,
         )
         # replace a degree-0 first factor through augment-then-section
         leftover = accumulate(
-            ((label_at(0, p.source, p.source), g2, trivial(p.source), p, right), c)
-            for (g1, g2, left, mid, right), c in rhs.items()
-            if g1.degree == 0 and (p := mul(left, mid)) is not None
+            (
+                ((label_at(0, p.source, p.source), g2, trivial(p.source), p, right), c)
+                for (g1, g2, left, mid, right), c in rhs.items()
+                if g1.degree == 0 and (p := mul(left, mid)) is not None
+            ),
+            self.field.p,
         )
         # identity tensor (second-factor contraction) on the leftover
         y = accumulate(
-            ((g1, l2, left, nm, R2), c * d)
-            for (g1, g2, left, mid, right), c in leftover.items()
-            for (l2, L2, R2), d in second[g2.degree][(g2, right)].items()
-            if (nm := mul(mid, L2)) is not None
+            (
+                ((g1, l2, left, nm, R2), c * d)
+                for (g1, g2, left, mid, right), c in leftover.items()
+                for (l2, L2, R2), d in second[g2.degree][(g2, right)].items()
+                if (nm := mul(mid, L2)) is not None
+            ),
+            self.field.p,
         )
-        return axpy(x, 1, y)
+        return axpy(x, 1, y, self.field.p)
 
     def _lift(self, lab, rhs, s_right, s_left):
         """X in the corner of generator lab with dX = rhs, or None when
@@ -379,7 +390,7 @@ class DiagonalMaps:
         # keep only the generator's own corner; the complement is
         # boundary-free junk the one-sided contractions may add
         x = self.tc.act(trivial(o), self._solve_boundary(rhs, s_right, s_left), trivial(t))
-        if axpy(self.tc.differential(x), -self.field.one(), rhs):
+        if axpy(self.tc.differential(x), -1, rhs, self.field.p):
             return None
         return x
 
@@ -413,7 +424,8 @@ class DiagonalMaps:
         generator = self.res.generator
 
         def image(lab):
-            return axpy(dict(base.image(lab)), 1, k.correction(lab.degree, generator(lab)))
+            correction = k.correction(lab.degree, generator(lab))
+            return axpy(dict(base.image(lab)), 1, correction, self.field.p)
 
         images = self.per_label(image, upward=False)
         return ChainMapFamily("custom", images, self, lift_factor=base.lift_factor)
@@ -427,18 +439,16 @@ class DiagonalMaps:
         augmentation square, compared against lift_factor times the
         augmentation."""
         rows = []
-        one = self.field.one()
         for lab in self.res.labels(m):
             gen = self.res.generator(lab)
             if m == 0:
                 got = self.tc.augment(family.image(lab))
-                lift = self.field.from_int(family.lift_factor)
-                diff = axpy(got, -lift, self.res.augment(gen))
+                diff = axpy(got, -family.lift_factor, self.res.augment(gen), self.field.p)
                 check = "augmentation-square"
             else:
                 lhs = family.evaluate(m - 1, self.res.apply_boundary(m, gen))
                 rhs = self.tc.differential(family.image(lab))
-                diff = axpy(lhs, -one, rhs)
+                diff = axpy(lhs, -1, rhs, self.field.p)
                 check = "square"
             rows.append(
                 {
@@ -464,16 +474,15 @@ class DiagonalMaps:
         """Find h with f - g = h∘boundary + d∘h, or report the degree
         where the two families cannot be homotopic."""
         s_right, s_left = self.contraction("right"), self.contraction("left")
-        one = self.field.one()
         images = {}
         h = HomotopyFamily(self, images, {v: {} for v in VERTICES})
         for m in range(0, max_degree + 1):
             imgs = {}
             for lab in self.res.labels(m):
                 gen = self.res.generator(lab)
-                e = axpy(dict(fam_f.image(lab)), -one, fam_g.image(lab))
+                e = axpy(dict(fam_f.image(lab)), -1, fam_g.image(lab), self.field.p)
                 if m >= 1:
-                    axpy(e, -one, h.apply(m - 1, self.res.apply_boundary(m, gen)))
+                    axpy(e, -1, h.apply(m - 1, self.res.apply_boundary(m, gen)), self.field.p)
                 x = self._lift(lab, e, s_right, s_left)
                 if x is None:
                     return None, m

@@ -2,7 +2,9 @@
 
 A sparse vector is a dict {key: coeff} with no zero coefficient stored.
 `accumulate` and `axpy` are the one place in the package where sparse
-sums are formed: every layer builds its vectors with them.
+sums are formed: every layer builds its vectors with them.  Each takes
+the characteristic p of the field (0 for Q) and reduces mod p when p is
+not 0; it has no default, so a sum cannot forget to reduce.
 
 One engine, `SparseEchelon`, does all the elimination in the package.
 It takes sparse vectors {index: coeff} in order and keeps them in
@@ -16,9 +18,9 @@ Coefficients over Q are ints until a non-unit pivot divides them, and
 `fractions.Fraction` values from then on; the two compare, hash and
 print alike, so a report cannot tell which one a value is.  The echelon
 divides only by a non-unit pivot, and then through `Fraction`, so no
-float can arise.  Over GF(p) coefficients are `GFElement` values.  All
-of them support the arithmetic operators and truth-testing, so the
-elimination code never needs to know which field it is working over.
+float can arise.  Over GF(p) coefficients are the ints 1..p-1, and the
+echelon inverts a pivot with `pow(c, -1, p)`.  A coefficient is printed
+only in a report, through its field's `format`.
 """
 
 from __future__ import annotations
@@ -38,109 +40,23 @@ def _is_prime(p):
     return True
 
 
-class GFElement:
-    """An element of GF(p).  Immutable, normalised to 0 <= v < p."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p, v):
-        self.p = p
-        self.v = v % p
-
-    def _coerce(self, other):
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other.v
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GFElement(self.p, self.v + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GFElement(self.p, self.v - v)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GFElement(self.p, v - self.v)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GFElement(self.p, self.v * v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return GFElement(self.p, self.v * pow(v, self.p - 2, self.p))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if self.v == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return GFElement(self.p, v * pow(self.v, self.p - 2, self.p))
-
-    def __neg__(self):
-        return GFElement(self.p, -self.v)
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v} (mod {self.p})"
-
-
 class Rationals:
     """The field of rationals; elements are ints, or Fractions in lowest
     terms once a division has made them."""
 
     name = "QQ"
+    p = 0
 
-    def one(self):
-        return 1
-
-    def zero(self):
-        return 0
-
-    def from_int(self, k):
-        return k
+    def format(self, c):
+        return str(c)
 
     def __repr__(self):
         return "QQ"
 
 
 class PrimeField:
-    """GF(p) for an odd prime p (characteristic 2 is rejected)."""
+    """GF(p) for an odd prime p (characteristic 2 is rejected); elements
+    are the ints 1..p-1, and 0 is never stored."""
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -150,14 +66,8 @@ class PrimeField:
         self.p = p
         self.name = f"GF({p})"
 
-    def one(self):
-        return GFElement(self.p, 1)
-
-    def zero(self):
-        return GFElement(self.p, 0)
-
-    def from_int(self, k):
-        return GFElement(self.p, k)
+    def format(self, c):
+        return f"{c} (mod {self.p})"
 
     def __repr__(self):
         return self.name
@@ -166,20 +76,26 @@ class PrimeField:
 QQ = Rationals()
 
 
-def accumulate(terms):
-    """The sparse vector summing the (key, coeff) pairs of `terms`."""
+def accumulate(terms, p):
+    """The sparse vector summing the (key, coeff) pairs of `terms`, with
+    coefficients reduced mod p when p is not 0."""
     out = {}
     get = out.get
     for k, c in terms:
         acc = get(k)
         out[k] = c if acc is None else acc + c
+    if p:
+        return {k: r for k, c in out.items() if (r := c % p)}
     if all(out.values()):
         return out
     return {k: c for k, c in out.items() if c}
 
 
-def axpy(out, c, x):
-    """out += c * x for sparse vectors, in place; returns out."""
+def axpy(out, c, x, p):
+    """out += c * x for sparse vectors, in place, reduced mod p when p is
+    not 0; returns out."""
+    if p:
+        c %= p
     if not c:
         return out
     get = out.get
@@ -187,6 +103,8 @@ def axpy(out, c, x):
     for k, v in pairs:
         acc = get(k)
         acc = v if acc is None else acc + v
+        if p:
+            acc %= p
         if acc:
             out[k] = acc
         else:
@@ -211,7 +129,8 @@ class Matrix:
 
 
 class SparseEchelon:
-    """Incremental echelon form of sparse vectors {index: coeff} over a field.
+    """Incremental echelon form of sparse vectors {index: coeff} over Q
+    (p = 0) or GF(p).
 
     Each stored row is keyed by its leading (smallest) index, where its
     coefficient is 1; every other index of a row is larger.  With
@@ -220,15 +139,16 @@ class SparseEchelon:
     vector of its span in terms of what was inserted.
     """
 
-    def __init__(self, track=False):
+    def __init__(self, p, track=False):
+        self.p = p
         self.rows = {}
         self.combos = {} if track else None
 
     def _subtract(self, vec, f, lead, combo):
         """vec -= f * row[lead], in place; combo += f * combo of that row."""
-        axpy(vec, -f, self.rows[lead])
+        axpy(vec, -f, self.rows[lead], self.p)
         if combo is not None:
-            axpy(combo, f, self.combos[lead])
+            axpy(combo, f, self.combos[lead], self.p)
 
     def _eliminate(self, vec, combo=None):
         """Reduce vec in place until its leading index has no row.
@@ -257,13 +177,18 @@ class SparseEchelon:
     def add(self, vec, tag=None):
         """Insert vec (under `tag` when tracking).  Returns the new row's
         leading index, or None when vec already lies in the span."""
+        p = self.p
         combo = None if self.combos is None else {}
         res = self._eliminate(dict(vec), combo)
         if not res:
             return None
         lead = min(res)
-        inv = res[lead]  # a pivot of ±1 is its own inverse
-        if inv == 1:
+        inv = res[lead]
+        if p:
+            # entries the elimination did not touch may be unreduced
+            inv = pow(inv, -1, p)
+            row = {j: c * inv % p for j, c in res.items()}
+        elif inv == 1:  # a pivot of ±1 is its own inverse
             row = res
         elif inv == -1:
             row = {j: -c for j, c in res.items()}
@@ -273,7 +198,7 @@ class SparseEchelon:
         self.rows[lead] = row
         if combo is not None:
             # res = vec - sum(combo), so the row is inv * (vec - sum(combo))
-            row_combo = {t: -c * inv for t, c in combo.items()}
+            row_combo = axpy({}, -inv, combo, p)
             row_combo[tag] = inv
             self.combos[lead] = row_combo
         return lead
@@ -291,27 +216,27 @@ class SparseEchelon:
         return len(self.rows)
 
 
-def _column_echelon(a, track=False):
-    ech = SparseEchelon(track)
+def _column_echelon(a, p, track=False):
+    ech = SparseEchelon(p, track)
     for j, col in enumerate(a.columns()):
         ech.add(col, j)
     return ech
 
 
-def rank(m):
-    return _column_echelon(m).rank
+def rank(m, p):
+    return _column_echelon(m, p).rank
 
 
-def kernel_basis(a, field=QQ):
+def kernel_basis(a, p):
     """Basis of the right kernel as sparse vectors {col: coeff}: one per
     free column, in order, with 1 there and support otherwise on the
     pivot columns before it."""
-    ech = SparseEchelon(track=True)
+    ech = SparseEchelon(p, track=True)
     basis = []
     for j, col in enumerate(a.columns()):
         if ech.add(col, j) is None:
-            v = {t: -c for t, c in ech.express(col).items()}
-            v[j] = field.one()
+            v = axpy({}, -1, ech.express(col), p)
+            v[j] = 1
             basis.append(v)
     return basis
 
@@ -320,8 +245,8 @@ class LinearSolver:
     """Echelonise the columns of a matrix once, then solve many right-hand
     sides.  Right-hand sides and solutions are sparse vectors."""
 
-    def __init__(self, a):
-        self.echelon = _column_echelon(a, track=True)
+    def __init__(self, a, p):
+        self.echelon = _column_echelon(a, p, track=True)
 
     def solve(self, b):
         """The solution {col: value} of a*x = b supported on the pivot

@@ -12,8 +12,10 @@ reports.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import get_algebra
 from .cochains import HochschildComplex
@@ -50,19 +52,26 @@ class RunConfig:
             "file:"
         ):
             raise ValueError(f"unknown homotopy choice {self.homotopy!r}")
-        if self.field != "rationals":
-            if not self.field.startswith("gf:"):
-                raise ValueError("field must be 'rationals' or 'gf:P'")
-            PrimeField(int(self.field[3:]))  # validates p odd prime
+        field = self.field_object
+        if self.out_path is not None:
+            folder = os.path.dirname(self.out_path) or "."
+            if os.path.isdir(self.out_path) or not os.path.isdir(folder):
+                raise ValueError(f"--out-path {self.out_path!r} is a directory or in a missing one")
         if self.homotopy.startswith("file:"):
             self.homotopy_data, self.homotopy_sha256 = _read_homotopy_file(
-                self.homotopy[5:], get_algebra(self.n, self.field_object())
+                self.homotopy[5:], get_algebra(self.n, field)
             )
 
+    @cached_property
     def field_object(self):
+        """QQ for "rationals", GF(p) for "gf:<p>" with p in plain decimal,
+        so each field has one spelling in the report."""
         if self.field == "rationals":
             return QQ
-        return PrimeField(int(self.field[3:]))
+        p = self.field[3:]
+        if not (self.field.startswith("gf:") and p.isascii() and p.isdigit() and p == str(int(p))):
+            raise ValueError("field must be 'rationals' or 'gf:P' with P in plain decimal")
+        return PrimeField(int(p))  # validates P an odd prime
 
     def as_dict(self):
         homotopy = self.homotopy
@@ -81,7 +90,7 @@ class RunConfig:
 class Pipeline:
     def __init__(self, config):
         self.config = config
-        self.algebra = get_algebra(config.n, config.field_object())
+        self.algebra = get_algebra(config.n, config.field_object)
         self.resolution = Resolution(self.algebra)
         self.tensor = TensorComplex(self.resolution)
         self.diagonal = DiagonalMaps(self.resolution, self.tensor)
@@ -116,6 +125,7 @@ class Pipeline:
         """The serialised generator images of a diagonal family in degrees
         0..max_degree."""
         rows = []
+        fmt = self.algebra.field.format
         for m in range(self.config.max_degree + 1):
             for lab in self.resolution.labels(m):
                 terms = [
@@ -126,7 +136,7 @@ class Pipeline:
                         "left": str(left),
                         "middle": str(mid),
                         "right": str(right),
-                        "coeff": str(c),
+                        "coeff": fmt(c),
                     }
                     for (g1, g2, left, mid, right), c in sorted(
                         fam.images[m][lab].items(), key=lambda kv: repr(kv[0])
@@ -145,17 +155,17 @@ class Pipeline:
                     {
                         "degree": m,
                         "generator": str(lab),
-                        "terms": _terms_json(h.images[m][lab]),
+                        "terms": _terms_json(h.images[m][lab], self.algebra.field),
                     }
                 )
         star = [
-            {"vertex": v, "terms": _terms_json(h.star.get(v, {}))}
+            {"vertex": v, "terms": _terms_json(h.star.get(v, {}), self.algebra.field)}
             for v in ("e0", "e1", "f1", "e2")
         ]
         return {"images": rows, "star": star}
 
 
-def _terms_json(elem):
+def _terms_json(elem, field):
     return [
         {
             "g1": str(g1),
@@ -163,7 +173,7 @@ def _terms_json(elem):
             "left": str(left),
             "middle": str(mid),
             "right": str(right),
-            "coeff": str(c),
+            "coeff": field.format(c),
         }
         for (g1, g2, left, mid, right), c in sorted(
             elem.items(), key=lambda kv: repr(kv[0])
@@ -234,7 +244,7 @@ def _terms_from_json(algebra, terms, total, origin):
         if modulus and (field is QQ or modulus != f"{field.p})"):
             raise ValueError(f"coefficient {text!r} does not lie in {field!r}")
         try:
-            c = Fraction(value) if field is QQ else field.from_int(int(value))
+            c = Fraction(value) if field is QQ else int(value) % field.p
         except ZeroDivisionError as exc:
             raise ValueError(f"coefficient {text!r} has a zero denominator") from exc
         if field is QQ and c.denominator == 1:

@@ -88,7 +88,7 @@ class Products:
                             yield r, c * c1 * c2
 
         labels = self.hc.res.labels(m)
-        return Cochain(m, {lab: accumulate(terms(image_of(lab))) for lab in labels})
+        return Cochain(m, {lab: accumulate(terms(image_of(lab)), self.field.p) for lab in labels})
 
     def star(self, f, g):
         """Product through the literal two-corner diagonal."""
@@ -154,7 +154,7 @@ class Products:
                         got_str = (
                             str(got_name)
                             if got_coeff == 1
-                            else f"{got_coeff}*{got_name}"
+                            else f"{self.field.format(got_coeff)}*{got_name}"
                         )
                     else:
                         got_str = "<unnamed>"

@@ -82,8 +82,7 @@ def _describe_vs(hc, value, basis):
     for name, ref in basis.items():
         if value == ref:
             return name
-        two = hc.field.from_int(2)
-        if value == hc.scale(two, ref):
+        if value == hc.scale(2, ref):
             return f"2{name}"
     return f"<degree-{value.degree} cochain>"
 
@@ -253,7 +252,7 @@ def _build_claim(dm, claim):
             dm.tc.tensor(res.generator(lab0), res.generator(lab1)),
             right,
         )
-        axpy(out, dm.res.field.from_int(coeff), term)
+        axpy(out, coeff, term, dm.field.p)
     return out
 
 
@@ -261,14 +260,13 @@ def worked_value_report(dm, homotopy):
     """Compare the corrected diagonal against the displayed worked values:
     its correction terms, corrected minus literal image, per generator."""
     rows = []
-    one = dm.res.field.one()
     for claim in WORKED_VALUES:
         m = claim["degree"]
         computed = homotopy.correction(m, dm.res.generator(label_at(m, *claim["generator"])))
         want = _build_claim(dm, claim)
         if want is None:
             status = "ill-typed"
-        elif axpy(dict(computed), -one, want):
+        elif axpy(dict(computed), -1, want, dm.field.p):
             status = "deviation"
         else:
             status = "match"

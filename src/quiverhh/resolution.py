@@ -174,7 +174,7 @@ class Resolution:
     def generator(self, label):
         """The basis triple (label, origin, terminus) with coefficient 1."""
         o, t = label_pair(label)
-        return {(label, trivial(o), trivial(t)): self.field.one()}
+        return {(label, trivial(o), trivial(t)): 1}
 
     def shape(self, m):
         if m not in self._shapes:
@@ -243,28 +243,37 @@ class Resolution:
         mul = self.algebra.mul_path
         shape = self.shape(m)
         return accumulate(
-            ((tgt, nl, nr), c if sign > 0 else -c)
-            for (lab, left, right), c in elem.items()
-            for x, tgt, y, sign in shape[lab]
-            if (nl := mul(left, x)) is not None and (nr := mul(y, right)) is not None
+            (
+                ((tgt, nl, nr), c if sign > 0 else -c)
+                for (lab, left, right), c in elem.items()
+                for x, tgt, y, sign in shape[lab]
+                if (nl := mul(left, x)) is not None and (nr := mul(y, right)) is not None
+            ),
+            self.field.p,
         )
 
     def augment(self, elem):
         """The degree-0 augmentation: multiply left and right paths."""
         mul = self.algebra.mul_path
         return accumulate(
-            (p, c)
-            for (lab, left, right), c in elem.items()
-            if (p := mul(left, right)) is not None
+            (
+                (p, c)
+                for (lab, left, right), c in elem.items()
+                if (p := mul(left, right)) is not None
+            ),
+            self.field.p,
         )
 
     def act(self, x, elem, y):
         """Bimodule action: multiply by path x on the left, path y on the right."""
         mul = self.algebra.mul_path
         return accumulate(
-            ((lab, nl, nr), c)
-            for (lab, left, right), c in elem.items()
-            if (nl := mul(x, left)) is not None and (nr := mul(right, y)) is not None
+            (
+                ((lab, nl, nr), c)
+                for (lab, left, right), c in elem.items()
+                if (nl := mul(x, left)) is not None and (nr := mul(right, y)) is not None
+            ),
+            self.field.p,
         )
 
     def boundary_matrix(self, m):
@@ -277,12 +286,11 @@ class Resolution:
         return self._matrices[m]
 
     def _augmentation_matrix(self):
-        one = self.field.one()
         row_index = self.algebra.basis_index
         entries = [
             (row_index[p], j, c)
             for j, tr in enumerate(self.triples(0))
-            for p, c in self.augment({tr: one}).items()
+            for p, c in self.augment({tr: 1}).items()
         ]
         return Matrix(len(row_index), self.dim(0), entries)
 
@@ -300,7 +308,6 @@ class Resolution:
         left_pos, right_pos = self._path_positions()
         offsets, rows = self._blocks(m - 1)
         shape = self.shape(m)
-        one = self.field.one()
         # one int object per row index, shared by every entry in that row
         idx = list(range(rows))
         entries = []
@@ -313,7 +320,8 @@ class Resolution:
             for x, tgt, y, sign in shape[lab]:
                 base = offsets[tgt]
                 tgt_width = len(outof[label_pair(tgt)[1]])
-                c = one if sign > 0 else -one
+                # a one-term column skips `accumulate`, so reduce here
+                c = sign % self.field.p if self.field.p else sign
                 hits = [
                     (ri, right_pos[p])
                     for ri, right in enumerate(rights)
@@ -329,7 +337,7 @@ class Resolution:
                         cols[c0 + ri].append((row0 + r, c))
             for j, col in enumerate(cols, col0):
                 if len(col) > 1:
-                    col = accumulate(col).items()
+                    col = accumulate(col, self.field.p).items()
                 entries.extend((idx[r], j, c) for r, c in col)
             col0 += len(cols)
         return Matrix(rows, col0, entries)
@@ -337,12 +345,12 @@ class Resolution:
     def boundary_solver(self, m):
         """LinearSolver of `boundary_matrix(m)`, built once per degree."""
         if m not in self._solvers:
-            self._solvers[m] = LinearSolver(self.boundary_matrix(m))
+            self._solvers[m] = LinearSolver(self.boundary_matrix(m), self.field.p)
         return self._solvers[m]
 
     def boundary_rank(self, m):
         if m not in self._ranks:
-            self._ranks[m] = rank(self.boundary_matrix(m))
+            self._ranks[m] = rank(self.boundary_matrix(m), self.field.p)
         return self._ranks[m]
 
     # -- verifiers --------------------------------------------------------

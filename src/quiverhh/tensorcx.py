@@ -39,19 +39,25 @@ class TensorComplex:
         """
         mul = self.algebra.mul_path
         return accumulate(
-            ((g1, g2, l1, mid, r2), c1 * c2)
-            for (g1, l1, r1), c1 in elem_a.items()
-            for (g2, l2, r2), c2 in elem_b.items()
-            if (mid := mul(r1, l2)) is not None
+            (
+                ((g1, g2, l1, mid, r2), c1 * c2)
+                for (g1, l1, r1), c1 in elem_a.items()
+                for (g2, l2, r2), c2 in elem_b.items()
+                if (mid := mul(r1, l2)) is not None
+            ),
+            self.field.p,
         )
 
     def act(self, x, elem, y):
         """Outer bimodule action by paths: x on the left slot, y on the right."""
         mul = self.algebra.mul_path
         return accumulate(
-            ((g1, g2, nl, mid, nr), c)
-            for (g1, g2, left, mid, right), c in elem.items()
-            if (nl := mul(x, left)) is not None and (nr := mul(right, y)) is not None
+            (
+                ((g1, g2, nl, mid, nr), c)
+                for (g1, g2, left, mid, right), c in elem.items()
+                if (nl := mul(x, left)) is not None and (nr := mul(right, y)) is not None
+            ),
+            self.field.p,
         )
 
     # -- differential -----------------------------------------------------
@@ -83,7 +89,7 @@ class TensorComplex:
                             continue
                         yield (g1, tgt, left, nm, nr), c2 if sign > 0 else -c2
 
-        return accumulate(terms())
+        return accumulate(terms(), self.field.p)
 
     # -- bases ------------------------------------------------------------
 
@@ -126,7 +132,10 @@ class TensorComplex:
         """Apply the augmentation on both factors and multiply out."""
         mul = self.algebra.mul_path
         return accumulate(
-            (p, c)
-            for (g1, g2, left, mid, right), c in elem.items()
-            if (p := mul(left, mid)) is not None and (p := mul(p, right)) is not None
+            (
+                (p, c)
+                for (g1, g2, left, mid, right), c in elem.items()
+                if (p := mul(left, mid)) is not None and (p := mul(p, right)) is not None
+            ),
+            self.field.p,
         )

@@ -102,7 +102,7 @@ def label_at(m, origin, terminus):
 def _fmul(elem, p):
     """Right-multiply a formal path combination by a path, in the free algebra."""
     assert all(q.target == p.source for q in elem), "ill-composed word in the uniform recursion"
-    return accumulate((compose(q, p), c) for q, c in elem.items())
+    return accumulate(((compose(q, p), c) for q, c in elem.items()), 0)
 
 
 class UniformPaths:
@@ -157,11 +157,11 @@ class UniformPaths:
         if r == 1:
             out[Label(m, "R", 0)] = _fmul(pv("R"), a0)
             out[Label(m, "R", 1)] = _fmul(pv("R"), b0)
-            out[Label(m, "S", None)] = axpy(_fmul(pv("S", 0), a1), -1, _fmul(pv("S", 1), b1))
-            out[Label(m, "T", None)] = axpy(_fmul(pv("T", 0), long1), -1, _fmul(pv("T", 1), b1))
+            out[Label(m, "S", None)] = axpy(_fmul(pv("S", 0), a1), -1, _fmul(pv("S", 1), b1), 0)
+            out[Label(m, "T", None)] = axpy(_fmul(pv("T", 0), long1), -1, _fmul(pv("T", 1), b1), 0)
             out[Label(m, "U", None)] = _fmul(pv("U"), a2)
         elif r == 2:
-            out[Label(m, "R", None)] = axpy(_fmul(pv("R", 0), long1), -1, _fmul(pv("R", 1), b1))
+            out[Label(m, "R", None)] = axpy(_fmul(pv("R", 0), long1), -1, _fmul(pv("R", 1), b1), 0)
             out[Label(m, "S", None)] = _fmul(pv("S"), long2)
             out[Label(m, "T", None)] = _fmul(pv("T"), a2)
             out[Label(m, "U", 0)] = _fmul(pv("U"), long0)
@@ -172,15 +172,15 @@ class UniformPaths:
             out[Label(m, "S", 1)] = _fmul(pv("S"), b0)
             out[Label(m, "T", 0)] = _fmul(pv("T"), long0)
             out[Label(m, "T", 1)] = _fmul(pv("T"), b0)
-            out[Label(m, "U", None)] = axpy(_fmul(pv("U", 0), a1), -1, _fmul(pv("U", 1), b1))
+            out[Label(m, "U", None)] = axpy(_fmul(pv("U", 0), a1), -1, _fmul(pv("U", 1), b1), 0)
         elif r == 4:
             out[Label(m, "R", 0)] = _fmul(pv("R"), long0)
             out[Label(m, "R", 1)] = _fmul(pv("R"), b0)
-            out[Label(m, "S", None)] = axpy(_fmul(pv("S", 0), a1), -1, _fmul(pv("S", 1), b1))
-            out[Label(m, "T", None)] = axpy(_fmul(pv("T", 0), a1), -1, _fmul(pv("T", 1), b1))
+            out[Label(m, "S", None)] = axpy(_fmul(pv("S", 0), a1), -1, _fmul(pv("S", 1), b1), 0)
+            out[Label(m, "T", None)] = axpy(_fmul(pv("T", 0), a1), -1, _fmul(pv("T", 1), b1), 0)
             out[Label(m, "U", None)] = _fmul(pv("U"), long2)
         elif r == 5:
-            out[Label(m, "R", None)] = axpy(_fmul(pv("R", 0), a1), -1, _fmul(pv("R", 1), b1))
+            out[Label(m, "R", None)] = axpy(_fmul(pv("R", 0), a1), -1, _fmul(pv("R", 1), b1), 0)
             out[Label(m, "S", None)] = _fmul(pv("S"), a2)
             # the printed step has an ill-composed word here; the composable
             # version with the same endpoints is (a2 a0 a1)^n a2
@@ -193,7 +193,7 @@ class UniformPaths:
             out[Label(m, "S", 1)] = _fmul(pv("S"), b0)
             out[Label(m, "T", 0)] = _fmul(pv("T"), a0)
             out[Label(m, "T", 1)] = _fmul(pv("T"), b0)
-            out[Label(m, "U", None)] = axpy(_fmul(pv("U", 0), a1), -1, _fmul(pv("U", 1), b1))
+            out[Label(m, "U", None)] = axpy(_fmul(pv("U", 0), a1), -1, _fmul(pv("U", 1), b1), 0)
         assert set(out) == set(generator_labels(m))
         return out
 

@@ -73,6 +73,28 @@ def test_ring_off_n0_is_a_usage_error(capsys):
     assert "ring reconciliation is defined for --n 0" in err
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        main(["algebra", "--n", "0", "--out-path", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quiverhh algebra ")
+    assert f"--out-path {str(target)!r}" in err
+
+
+@pytest.mark.parametrize("spelling", ["gf:07", "gf:+7", "gf:0_7", "gf: 7", "gf:7 ", "gf:٧"])
+def test_field_has_one_spelling(capsys, spelling):
+    # each of these once ran GF(7) and echoed its own spelling into the report
+    with pytest.raises(SystemExit) as exc:
+        main(["algebra", "--n", "0", "--field", spelling])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quiverhh algebra ")
+    assert "plain decimal" in err
+
+
 def test_json_report_deterministic_and_valid(tmp_path, capsys):
     import jsonschema
     from importlib import resources
@@ -241,6 +263,13 @@ PINNED_REPORTS = [
      "a394066dd82cd19ca6796524f0e43275f58c4f8c9081487d8042ea98d1f97243"),
     ("report --n 2 --field gf:5 --max-degree 9",
      "86f20f574bb8336cf32ee56a0d4556c661e87830219bec3e7a6d7489039f44b5"),
+    # over GF(3) the literal lift factor 2 is -1
+    ("report --n 0 --field gf:3 --max-degree 12",
+     "01d0d929acdb5535711e659f09452d531d64db2ce2b6e64e60919405bfef45b1"),
+    ("diagonal --n 1 --field gf:7 --delta-mode formula --max-degree 6 build",
+     "12830896daeae5b97372881b07a4959daa8f4f043c3ce1a88ed38eee48215ece"),
+    ("diagonal --n 2 --field gf:11 --max-degree 8 build",
+     "abfb7b9dbe69666aea963e0491d549833ae98b7bcd4fb2979dd4d43cb81fc407"),
 ]
 
 
@@ -273,6 +302,8 @@ PINNED_TEXT_REPORTS = [
      "cb5535b57f3fb04c7c0ea98b7105f7cf9603b35f7dd2aa70645f65cad9942ca3"),
     ("hochschild --n 0 --max-degree 12 --output markdown",
      "5fa097459dbb35588629a58f779fa0118b7932427aa3095ed5a067c0b2a22ebf"),
+    ("ring --n 0 --field gf:5",
+     "3d4073de1440bc195fb41bd0e0926b38c54a7ec0b324b2545f14c87d610c3b75"),
 ]
 
 

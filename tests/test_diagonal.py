@@ -160,15 +160,14 @@ def test_contraction_is_a_contracting_homotopy(pipes, n, side):
     # with the augmentation section in place of s∘boundary at degree 0
     res = pipes[n].resolution
     s = pipes[n].diagonal.contraction(side)
-    one = res.field.one()
     for m in range(0, 7):
         for tr in res.triples(m):
-            x = {tr: one}
+            x = {tr: 1}
             if m == 0:
                 back = s.section_apply(res.augment(x))
             else:
                 back = s.apply(m - 1, res.apply_boundary(m, x))
-            assert axpy(res.apply_boundary(m + 1, s.apply(m, x)), 1, back) == x, (m, tr)
+            assert axpy(res.apply_boundary(m + 1, s.apply(m, x)), 1, back, 0) == x, (m, tr)
 
 
 def test_solved_family_builds_one_solver_per_degree(monkeypatch):
@@ -177,9 +176,9 @@ def test_solved_family_builds_one_solver_per_degree(monkeypatch):
     built = []
     init = linalg.LinearSolver.__init__
 
-    def counting_init(self, a):
+    def counting_init(self, a, p):
         built.append((a.rows, a.cols))
-        init(self, a)
+        init(self, a, p)
 
     monkeypatch.setattr(linalg.LinearSolver, "__init__", counting_init)
     d = 5
@@ -254,15 +253,14 @@ def test_perturbed_family_differs_but_homotopic(pipes, solved_families):
     assert all(r["status"] == "pass" for r in rows)
     h, bad = dm.homotopy_solve(fam, fam2, 12)
     assert bad is None and h is not None
-    one = dm.field.one()
     for m in range(0, 12):
         for lab in dm.res.labels(m):
             gen = dm.res.generator(lab)
-            lhs = axpy(dict(fam.image(lab)), -one, fam2.image(lab))
+            lhs = axpy(dict(fam.image(lab)), -1, fam2.image(lab), 0)
             rhs = dm.tc.differential(h.apply(m, gen))
             if m >= 1:
-                axpy(rhs, 1, h.apply(m - 1, dm.res.apply_boundary(m, gen)))
-            assert not axpy(lhs, -one, rhs)
+                axpy(rhs, 1, h.apply(m - 1, dm.res.apply_boundary(m, gen)), 0)
+            assert not axpy(lhs, -1, rhs, 0)
 
 
 def test_equal_families_have_zero_homotopy(pipes, solved_families):
@@ -289,7 +287,7 @@ def test_corrupted_family_fails_square(pipes, solved_families):
     images = {m: dict(imgs) for m, imgs in fam.images.items()}
     lab = dm.res.labels(2)[0]
     images[2] = dict(images[2])
-    images[2][lab] = axpy({}, Fraction(-1), images[2][lab])
+    images[2][lab] = axpy({}, Fraction(-1), images[2][lab], 0)
     broken = ChainMapFamily("custom", images, dm, lift_factor=1)
     rows = dm.verify_square(broken, 2)
     assert any(r["status"] == "fail" for r in rows)
@@ -402,3 +400,30 @@ def test_malformed_homotopy_file_is_a_usage_error(tmp_path, capsys, field, value
         main(argv + ["--homotopy", f"file:{p}", "squares"])
     assert exc.value.code == 2
     assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [3, 7])
+@pytest.mark.parametrize("n", [0, 1])
+def test_gf_coefficients_are_reduced_ints(n, p):
+    # over GF(p) every stored coefficient is a plain int in 1..p-1
+    from quiverhh import Pipeline, RunConfig
+
+    pipe = Pipeline(RunConfig(n=n, field=f"gf:{p}", max_degree=6, delta_mode="formula"))
+    dm, res, hc = pipe.diagonal, pipe.resolution, pipe.hochschild
+    coeffs = []
+    for fam in (pipe.family("solved"), pipe.family("formula")):
+        dm.verify_squares(fam, 6)
+        coeffs += [c for m in range(7) for img in fam.images[m].values() for c in img.values()]
+    for side in ("right", "left"):
+        table = dm.contraction(side).table
+        coeffs += [c for m in range(6) for elem in table[m].values() for c in elem.values()]
+    for m in range(8):
+        ech = res.boundary_solver(m).echelon
+        coeffs += [c for row in ech.rows.values() for c in row.values()]
+        coeffs += [c for combo in ech.combos.values() for c in combo.values()]
+        coeffs += [c for _, _, c in res.boundary_matrix(m).entries]
+    for m in range(7):
+        for rep in hc.cohomology(m)[1]:
+            coeffs += [c for img in rep.images.values() for c in img.values()]
+    bad = [c for c in coeffs if type(c) is not int or not 0 < c < p]
+    assert coeffs and not bad, f"{len(bad)} of {len(coeffs)} coefficients: {bad[:3]}"
