@@ -21,7 +21,7 @@ which `cli.cmd_algebra` runs on every `algebra` and `report` run.
 from __future__ import annotations
 
 from .linalg import QQ, SparseEchelon, accumulate
-from .quiver import VERTICES, Path, a_cycle, compose, path_sort_key, trivial, walk_paths
+from .quiver import VERTICES, Path, a_cycle, compose, trivial, walk_paths
 
 
 def _find_subword(word, sub):
@@ -133,31 +133,6 @@ class FamilyAlgebra:
 
     def corner_dim(self, u, v):
         return len(self.corners[(u, v)])
-
-    # -- printing ----------------------------------------------------
-
-    def format_element(self, x):
-        if not x:
-            return "0"
-        parts = []
-        for p in sorted(x, key=path_sort_key):
-            c = x[p]
-            txt = str(p)
-            if c == 1:
-                term = txt
-            elif c == -1:
-                term = f"−{txt}"
-            else:
-                cs = str(c).replace("-", "−")
-                term = f"{cs}·{txt}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("−"):
-                out += " − " + term[1:]
-            else:
-                out += " + " + term
-        return out
 
 
 _ALGEBRAS = {}  # (n, characteristic) -> FamilyAlgebra

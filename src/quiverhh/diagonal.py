@@ -19,8 +19,8 @@ products it takes.
   extension of its generator images: the two extensions genuinely differ
   and only the term-by-term rule makes every square commute).
 
-* formula: literal plus the homotopy correction h∘boundary + d∘h for a
-  chosen h; same evaluation rule for the literal part.
+* formula: the literal family corrected by h∘boundary + d∘h for a
+  chosen h (see corrected below).
 
 * solved: a true bimodule chain map lifting the identity, produced
   degree by degree with one-sided contracting homotopies of the
@@ -28,12 +28,17 @@ products it takes.
   stored generator images, and every square is exact by construction
   (and re-verified).
 
+* corrected: any family plus h∘boundary + d∘h, evaluated as the base
+  family's value plus the correction.  It is the formula family over the
+  literal one, and a second lift of the identity over the solved one.
+
 Each step has one body: the two-corner rule is
-`DiagonalMaps.delta_prime_apply` (a generator image is its value on the
-generator), the homotopy correction is `HomotopyFamily.correction`, the
-bimodule-linear extension is `_extend`, and the lift step (solve, keep
-the generator's own corner, check d x = rhs) is `DiagonalMaps._lift`,
-shared by `solved_family` and `homotopy_solve`.
+`DiagonalMaps.delta_prime_apply`, the homotopy correction is
+`HomotopyFamily.correction` and the family it corrects is
+`DiagonalMaps.corrected_family`, the bimodule-linear extension is
+`_extend`, and the lift step (solve, keep the generator's own corner,
+check d x = rhs) is `DiagonalMaps._lift`, shared by `solved_family` and
+`homotopy_solve`.
 
 The solver never forms the total-complex boundary as one big matrix: it
 contracts the first tensor factor with the right-linear contraction of
@@ -47,7 +52,6 @@ from __future__ import annotations
 
 from .linalg import accumulate, axpy
 from .quiver import VERTICES, arrow, trivial
-from .tensorcx import TensorComplex
 from .uniform import label_at, label_pair
 
 
@@ -169,20 +173,18 @@ class ChainMapFamily:
     """Degree-indexed generator images of a map into the total complex,
     plus the rule for evaluating the map on arbitrary elements.
 
-    A literal or formula family is given `images=None`: its images are
-    its own values on the generators."""
+    Given `images`, the map is their bimodule-linear extension.  Given
+    `rule(m, elem)` instead, the map is that rule, and its images are its
+    own values on the generators."""
 
-    def __init__(self, provenance, images, diagonal, homotopy=None, lift_factor=1):
-        self.provenance = provenance  # 'literal', 'formula', 'solved', 'custom'
+    def __init__(self, diagonal, lift_factor, images=None, rule=None):
         self.dm = diagonal
-        self.homotopy = homotopy
         self.lift_factor = lift_factor
         self.verified = {}  # degree -> bool, filled by verify_square
+        self._rule = rule
         if images is None:
             generator = diagonal.res.generator
-            images = diagonal.per_label(
-                lambda lab: self.evaluate(lab.degree, generator(lab)), upward=False
-            )
+            images = diagonal.per_label(lambda lab: rule(lab.degree, generator(lab)), upward=False)
         self.images = images  # {degree: {label: tensor element}}
 
     def image(self, label):
@@ -190,11 +192,8 @@ class ChainMapFamily:
 
     def evaluate(self, m, elem):
         """Value on a degree-m element of the resolution."""
-        if self.provenance in ("literal", "formula"):
-            out = self.dm.delta_prime_apply(elem)
-            if self.provenance == "formula":
-                axpy(out, 1, self.homotopy.correction(m, elem), self.dm.field.p)
-            return out
+        if self._rule is not None:
+            return self._rule(m, elem)
         return _extend(self.dm.tc, self.images[m], elem)
 
 
@@ -233,9 +232,9 @@ class DiagonalMaps:
     """Constructions and verifiers for maps from the resolution into the
     total complex, all bound to one algebra member."""
 
-    def __init__(self, resolution, tensor_complex=None):
+    def __init__(self, resolution, tensor_complex):
         self.res = resolution
-        self.tc = tensor_complex if tensor_complex is not None else TensorComplex(resolution)
+        self.tc = tensor_complex
         self.field = resolution.field
         self._contractions = {}
 
@@ -264,7 +263,7 @@ class DiagonalMaps:
         return out
 
     def literal_family(self):
-        return ChainMapFamily("literal", None, self, lift_factor=2)
+        return ChainMapFamily(self, 2, rule=lambda m, elem: self.delta_prime_apply(elem))
 
     # -- homotopies ------------------------------------------------------
 
@@ -331,9 +330,22 @@ class DiagonalMaps:
 
         return HomotopyFamily(self, self.per_label(image, upward=False), {v: {} for v in VERTICES})
 
-    def formula_family(self, homotopy):
-        """Literal diagonal corrected by h: images are literal + h∘boundary + d∘h."""
-        return ChainMapFamily("formula", None, self, homotopy=homotopy, lift_factor=2)
+    def corrected_family(self, base, h):
+        """base + h∘boundary + d∘h, with the lift factor of base: the
+        formula family when base is the literal one.
+
+        It is evaluated as base's value plus the correction.  When base is
+        bimodule-linear (the solved family), h has an empty vertex table
+        and h sends each generator into its own corner, that equals the
+        bimodule-linear extension of its generator images, and it is a
+        second lift homotopic to base, with h itself a witness.
+        """
+        p = self.field.p
+        return ChainMapFamily(
+            self,
+            base.lift_factor,
+            rule=lambda m, elem: axpy(base.evaluate(m, elem), 1, h.correction(m, elem), p),
+        )
 
     # -- exact solving ----------------------------------------------------
 
@@ -410,25 +422,8 @@ class DiagonalMaps:
                 raise ArithmeticError(f"no exact solution at degree {m} for {lab}")
             return x
 
-        family = ChainMapFamily("solved", self.per_label(lift, upward=True), self, lift_factor=1)
+        family = ChainMapFamily(self, 1, images=self.per_label(lift, upward=True))
         return family
-
-    def perturbed_family(self, base, k):
-        """base + d∘k + k∘boundary: another chain map with the same lift.
-
-        k is any HomotopyFamily (generator images of total degree +1)
-        with an empty vertex table; the correction is a boundary in the
-        chain-map sense, so the two lifts are homotopic by construction,
-        with k itself a witness.
-        """
-        generator = self.res.generator
-
-        def image(lab):
-            correction = k.correction(lab.degree, generator(lab))
-            return axpy(dict(base.image(lab)), 1, correction, self.field.p)
-
-        images = self.per_label(image, upward=False)
-        return ChainMapFamily("custom", images, self, lift_factor=base.lift_factor)
 
     # -- verification ------------------------------------------------------
 

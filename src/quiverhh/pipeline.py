@@ -37,8 +37,8 @@ class RunConfig:
     homotopy: str = "default"  # default | zero | file:PATH
     output: str = "text"  # text | json | markdown
     out_path: str | None = None
-    # for file:PATH, the parsed file and the sha256 of its bytes
-    homotopy_data: dict | None = _field(default=None, init=False, repr=False, compare=False)
+    # for file:PATH, the parsed (images, star) and the sha256 of the file's bytes
+    homotopy_data: tuple | None = _field(default=None, init=False, repr=False, compare=False)
     homotopy_sha256: str | None = _field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -106,7 +106,7 @@ class Pipeline:
         if mode not in self._families:
             dm = self.diagonal
             if mode == "formula":
-                fam = dm.formula_family(self.homotopy_family())
+                fam = dm.corrected_family(self.family("literal"), self.homotopy_family())
             else:
                 fam = dm.solved_family()
             self._families[mode] = fam
@@ -119,55 +119,36 @@ class Pipeline:
             return dm.default_homotopy()
         if choice == "zero":
             return dm.zero_homotopy()
-        return homotopy_from_json(dm, self.config.homotopy_data)
+        # zero on every generator the file does not list
+        images, star = self.config.homotopy_data
+        table = dm.per_label(lambda lab: images.get(lab.degree, {}).get(lab, {}), upward=False)
+        return HomotopyFamily(dm, table, star)
 
     def family_json(self, fam):
-        """The serialised generator images of a diagonal family in degrees
-        0..max_degree."""
-        rows = []
-        fmt = self.algebra.field.format
-        for m in range(self.config.max_degree + 1):
-            for lab in self.resolution.labels(m):
-                terms = [
-                    {
-                        "bidegree": [g1.degree, g2.degree],
-                        "g1": str(g1),
-                        "g2": str(g2),
-                        "left": str(left),
-                        "middle": str(mid),
-                        "right": str(right),
-                        "coeff": fmt(c),
-                    }
-                    for (g1, g2, left, mid, right), c in sorted(
-                        fam.images[m][lab].items(), key=lambda kv: repr(kv[0])
-                    )
-                ]
-                rows.append({"degree": m, "generator": str(lab), "terms": terms})
-        return rows
+        """The serialised generator images of a diagonal family (or a
+        homotopy) in degrees 0..max_degree."""
+        field = self.algebra.field
+        return [
+            {"degree": m, "generator": str(lab), "terms": _terms_json(fam.images[m][lab], field)}
+            for m in range(self.config.max_degree + 1)
+            for lab in self.resolution.labels(m)
+        ]
 
     def homotopy_json(self, h):
         """Serialise a homotopy family (generator images in degrees
         0..max_degree plus vertex table)."""
-        rows = []
-        for m in range(self.config.max_degree + 1):
-            for lab in self.resolution.labels(m):
-                rows.append(
-                    {
-                        "degree": m,
-                        "generator": str(lab),
-                        "terms": _terms_json(h.images[m][lab], self.algebra.field),
-                    }
-                )
         star = [
             {"vertex": v, "terms": _terms_json(h.star.get(v, {}), self.algebra.field)}
-            for v in ("e0", "e1", "f1", "e2")
+            for v in VERTICES
         ]
-        return {"images": rows, "star": star}
+        return {"images": self.family_json(h), "star": star}
 
 
 def _terms_json(elem, field):
+    """Serialised terms of a tensor element, sorted by the repr of their key."""
     return [
         {
+            "bidegree": [g1.degree, g2.degree],
             "g1": str(g1),
             "g2": str(g2),
             "left": str(left),
@@ -280,7 +261,8 @@ def _parse_homotopy_json(algebra, data):
 
 
 def _read_homotopy_file(path, algebra):
-    """The parsed JSON of a serialised homotopy and the sha256 of its bytes.
+    """The parsed (images, star) of a serialised homotopy (see
+    `_parse_homotopy_json`) and the sha256 of the file's bytes.
 
     Raises ValueError when the file cannot be read or does not parse as a
     homotopy for `algebra`.
@@ -292,17 +274,10 @@ def _read_homotopy_file(path, algebra):
             raw = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read homotopy file {path!r}: {exc.strerror}") from exc
-    data = json.loads(raw)
     try:
-        _parse_homotopy_json(algebra, data)
+        parsed = _parse_homotopy_json(algebra, json.loads(raw))
+    except RecursionError as exc:
+        raise ValueError(f"homotopy file {path!r} is nested too deeply to parse") from exc
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed homotopy file {path!r}: {exc!r}") from exc
-    return data, hashlib.sha256(raw).hexdigest()
-
-
-def homotopy_from_json(diagonal, data):
-    """Build a homotopy family from its serialised form; it is zero on
-    every generator the file does not list."""
-    images, star = _parse_homotopy_json(diagonal.res.algebra, data)
-    table = diagonal.per_label(lambda lab: images.get(lab.degree, {}).get(lab, {}), upward=False)
-    return HomotopyFamily(diagonal, table, star)
+    return parsed, hashlib.sha256(raw).hexdigest()

@@ -121,17 +121,6 @@ def walk_paths(length, keep):
     return found
 
 
-def build_quiver():
-    """Structural description: vertices, arrows with endpoints, aliases."""
-    return {
-        "vertices": VERTICES,
-        "arrows": {t: (ARROW_SOURCE[t], ARROW_TARGET[t]) for t in ARROWS},
-        "vertex_aliases": dict(_VERTEX_ALIASES),
-        "arrow_aliases": dict(_ARROW_ALIASES),
-        "unit": "+".join(VERTICES),
-    }
-
-
 def parse_path(text):
     """Parse "a0*a1" or "e0" (aliases f0, f2, b2 accepted)."""
     text = text.strip()

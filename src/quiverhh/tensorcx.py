@@ -112,22 +112,6 @@ class TensorComplex:
                                 out.append((g1, g2, left, mid, right))
         return out
 
-    def dim_formula(self, m):
-        alg = self.algebra
-        total = 0
-        for a in range(m + 1):
-            b = m - a
-            for g1 in self.res.labels(a):
-                o1, t1 = label_pair(g1)
-                for g2 in self.res.labels(b):
-                    o2, t2 = label_pair(g2)
-                    total += (
-                        len(alg.paths_into[o1])
-                        * alg.corner_dim(t1, o2)
-                        * len(alg.paths_from[t2])
-                    )
-        return total
-
     def augment(self, elem):
         """Apply the augmentation on both factors and multiply out."""
         mul = self.algebra.mul_path

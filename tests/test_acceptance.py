@@ -253,7 +253,7 @@ def test_c10f_lift_independence(cup_setup):
     hc, pr, dm, fam = cup_setup
     x, y, z = hc.x_cochain(), hc.y_cochain(), hc.z_cochain()
     k = dm.corner_homotopy()
-    fam2 = dm.perturbed_family(fam, k)
+    fam2 = dm.corrected_family(fam, k)
     ok = any(fam.images[m] != fam2.images[m] for m in fam.images)
     ok = ok and all(r["status"] == "pass" for r in dm.verify_squares(fam2, 12))
     h, bad = dm.homotopy_solve(fam, fam2, 12)

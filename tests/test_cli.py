@@ -64,6 +64,18 @@ def test_configuration_error_uses_the_subcommand_usage(capsys):
     assert "quiverhh diagonal: error: n must be >= 0" in err
 
 
+def test_deeply_nested_homotopy_file_is_a_usage_error(tmp_path, capsys):
+    # the JSON parser recurses once per nesting level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(SystemExit) as exc:
+        main(["diagonal", "--delta-mode", "formula", "--homotopy", f"file:{path}", "squares"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quiverhh diagonal ")
+    assert "is nested too deeply to parse" in err
+
+
 def test_ring_off_n0_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ring", "--n", "1"])
@@ -279,6 +291,32 @@ def test_json_report_digest_is_pinned(capsys, command, digest):
 
     code, out = run(capsys, *command.split(), "--output", "json")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _without_bidegree(data):
+    if isinstance(data, dict):
+        return {k: _without_bidegree(v) for k, v in data.items() if k != "bidegree"}
+    if isinstance(data, list):
+        return [_without_bidegree(v) for v in data]
+    return data
+
+
+def test_file_homotopy_report_digest_is_pinned(tmp_path, capsys):
+    # the report names the file by the sha256 of its bytes, so the file is
+    # written without the derived `bidegree` keys and with sorted keys
+    import hashlib
+
+    from quiverhh.pipeline import Pipeline, RunConfig
+
+    pipe = Pipeline(RunConfig(n=1, max_degree=6))
+    data = pipe.homotopy_json(pipe.diagonal.default_homotopy())
+    path = tmp_path / "homotopy.json"
+    path.write_text(json.dumps(_without_bidegree(data), sort_keys=True))
+    command = "diagonal --n 1 --delta-mode formula --max-degree 6 all --output json"
+    code, out = run(capsys, *command.split(), "--homotopy", f"file:{path}")
+    assert code == 0
+    digest = "3f6d53cbf2bafc4128d5e15ef947c3ee3cc936bf63b3ee15a59dd8d202865924"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

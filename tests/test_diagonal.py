@@ -99,7 +99,7 @@ def test_mixed_pairs_have_no_homotopy_value(pipes):
 
 def test_zero_homotopy_formula_equals_literal(pipes):
     dm = dm_of(pipes, 1)
-    fam0 = dm.formula_family(dm.zero_homotopy())
+    fam0 = dm.corrected_family(dm.literal_family(), dm.zero_homotopy())
     lit = dm.literal_family()
     assert all(fam0.images[m] == lit.images[m] for m in range(6))
 
@@ -107,7 +107,7 @@ def test_zero_homotopy_formula_equals_literal(pipes):
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_formula_family_chain_map_above_degree_zero(pipes, n):
     dm = dm_of(pipes, n)
-    fam = dm.formula_family(dm.default_homotopy())
+    fam = dm.corrected_family(dm.literal_family(), dm.default_homotopy())
     rows = [r for r in dm.verify_squares(fam, 7) if r["degree"] >= 1]
     assert all(r["status"] == "pass" for r in rows)
 
@@ -135,7 +135,7 @@ def test_formula_family_with_random_corner_homotopies(pipes):
         from quiverhh.diagonal import HomotopyFamily
 
         h = HomotopyFamily(dm, images, {v: {} for v in ("e0", "e1", "f1", "e2")})
-        fam = dm.formula_family(h)
+        fam = dm.corrected_family(dm.literal_family(), h)
         rows = [r for r in dm.verify_squares(fam, 5) if r["degree"] >= 1]
         assert all(r["status"] == "pass" for r in rows)
 
@@ -247,7 +247,7 @@ def test_perturbed_family_differs_but_homotopic(pipes, solved_families):
     dm = dm_of(pipes, 0)
     fam = solved_families[0]
     k = dm.corner_homotopy()
-    fam2 = dm.perturbed_family(fam, k)
+    fam2 = dm.corrected_family(fam, k)
     assert any(fam.images[m] != fam2.images[m] for m in fam.images)
     rows = dm.verify_squares(fam2, 12)
     assert all(r["status"] == "pass" for r in rows)
@@ -261,6 +261,33 @@ def test_perturbed_family_differs_but_homotopic(pipes, solved_families):
             if m >= 1:
                 axpy(rhs, 1, h.apply(m - 1, dm.res.apply_boundary(m, gen)), 0)
             assert not axpy(lhs, -1, rhs, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_corrected_family_agrees_with_the_extension_of_its_images(pipes, solved_families, n):
+    # a corrected family is evaluated as base + correction; over the solved
+    # family and a corner homotopy with no vertex table that is the
+    # bimodule-linear extension of its generator images
+    from quiverhh.diagonal import ChainMapFamily
+    from quiverhh.quiver import ARROWS, arrow
+
+    dm = dm_of(pipes, n)
+    res = dm.res
+    fam = dm.corrected_family(solved_families[n], dm.corner_homotopy())
+    extended = ChainMapFamily(dm, fam.lift_factor, images=fam.images)
+    arrows = [arrow(tag) for tag in ARROWS]
+    decorated = 0
+    for m in range(1, 6):
+        for lab in res.labels(m):
+            o, t = label_pair(lab)
+            gen = res.generator(lab)
+            for x in [trivial(o)] + [a for a in arrows if a.target == o]:
+                for y in [trivial(t)] + [a for a in arrows if a.source == t]:
+                    elem = res.act(x, gen, y)
+                    got = fam.evaluate(m, elem)
+                    assert got == extended.evaluate(m, elem), (m, lab, x, y)
+                    decorated += bool(got) and not x.is_vertex() and not y.is_vertex()
+    assert decorated > 0
 
 
 def test_equal_families_have_zero_homotopy(pipes, solved_families):
@@ -288,7 +315,7 @@ def test_corrupted_family_fails_square(pipes, solved_families):
     lab = dm.res.labels(2)[0]
     images[2] = dict(images[2])
     images[2][lab] = axpy({}, Fraction(-1), images[2][lab], 0)
-    broken = ChainMapFamily("custom", images, dm, lift_factor=1)
+    broken = ChainMapFamily(dm, 1, images=images)
     rows = dm.verify_square(broken, 2)
     assert any(r["status"] == "fail" for r in rows)
 
@@ -297,20 +324,19 @@ def test_homotopy_file_round_trip(tmp_path, pipes):
     import json
 
     from quiverhh import Pipeline, RunConfig
-    from quiverhh.pipeline import homotopy_from_json
 
     pipe = Pipeline(RunConfig(n=0, max_degree=4, delta_mode="formula"))
     h = pipe.diagonal.default_homotopy()
     p = tmp_path / "h.json"
     p.write_text(json.dumps(pipe.homotopy_json(h)))
-    h2 = homotopy_from_json(pipe.diagonal, json.loads(p.read_text()))
-    assert [h2.images[m] for m in range(5)] == [h.images[m] for m in range(5)]
-    assert h2.star == h.star
     pipe2 = Pipeline(
         RunConfig(n=0, max_degree=4, delta_mode="formula", homotopy=f"file:{p}")
     )
+    h2 = pipe2.homotopy_family()
+    assert [h2.images[m] for m in range(5)] == [h.images[m] for m in range(5)]
+    assert h2.star == h.star
     fam = pipe2.family()
-    want = pipe.diagonal.formula_family(h)
+    want = pipe.diagonal.corrected_family(pipe.diagonal.literal_family(), h)
     assert all(fam.images[m] == want.images[m] for m in range(5))
 
     # the report names the file by its content, and validates

@@ -163,7 +163,7 @@ def test_star_cup_relation(pipes):
     pipe = pipes[0]
     hc, pr, dm = ctx(pipes, 0)
     h = dm.corner_homotopy()
-    fam = dm.formula_family(h)
+    fam = dm.corrected_family(dm.literal_family(), h)
     dm.verify_squares(fam, 4)
     f = hc.x_cochain()
     g = hc.y_cochain()
@@ -180,7 +180,7 @@ def test_star_cup_relation(pipes):
     # evaluate (f tensor g) on the correction exactly as the cup does
     from quiverhh.diagonal import ChainMapFamily
 
-    corr_fam = ChainMapFamily("custom", {m: corr_images}, dm)
+    corr_fam = ChainMapFamily(dm, 1, images={m: corr_images})
     expect = pr._product_on(corr_fam.image, f, g)
     assert got == hc.add(base, expect)
 
@@ -194,7 +194,7 @@ def test_cup_refuses_family_that_fails_verification(pipes, solved_families):
     lab = dm.res.labels(1)[0]
     images[1] = dict(images[1])
     images[1][lab] = axpy({}, Fraction(3), images[1][lab], 0)
-    bogus = ChainMapFamily("custom", images, dm, lift_factor=1)
+    bogus = ChainMapFamily(dm, 1, images=images)
     with pytest.raises(ValueError):
         pr.cup(hc.x_cochain(), hc.y_cochain(), bogus)
 
@@ -210,7 +210,7 @@ def test_cup_checks_every_square_up_to_one_above_the_product(pipes, solved_famil
     images = {m: dict(fam.images[m]) for m in range(9)}
     lab = dm.res.labels(degree)[0]
     images[degree][lab] = axpy({}, Fraction(3), images[degree][lab], 0)
-    bogus = ChainMapFamily("custom", images, dm, lift_factor=1)
+    bogus = ChainMapFamily(dm, 1, images=images)
     x, z = hc.x_cochain(), hc.z_cochain()
     assert x.degree + z.degree == 6
     with pytest.raises(ValueError, match=f"at degree {degree}$"):
@@ -243,7 +243,7 @@ def test_cup_unit_and_lift_independence(pipes, solved_families):
     assert hc.classes_equal(pr.cup(x, y, fam), y)
     assert hc.classes_equal(pr.cup(y, x, fam), y)
     k = dm.corner_homotopy()
-    fam2 = dm.perturbed_family(fam, k)
+    fam2 = dm.corrected_family(fam, k)
     dm.verify_squares(fam2, 12)
     for f, g in itertools.product((x, y, z), repeat=2):
         assert hc.class_residual(pr.cup(f, g, fam)) == hc.class_residual(

@@ -198,20 +198,3 @@ def test_gf_field_variant():
     y = alg.from_path(arrow("b1"))
     assert alg.mul(x, y) == {a_cycle(0, 5): 1}
 
-
-def test_format_element():
-    alg = get_algebra(0)
-    elem = {parse_path("a0*a1"): Fraction(3, 2), arrow("b0"): Fraction(-1)}
-    assert alg.format_element(elem) == "−b0 + 3/2·a0*a1"
-    assert alg.format_element({}) == "0"
-
-
-def test_build_quiver_description():
-    from quiverhh.quiver import build_quiver
-
-    q = build_quiver()
-    assert q["vertices"] == ("e0", "e1", "f1", "e2")
-    assert q["arrows"]["a0"] == ("e0", "e1")
-    assert q["arrows"]["b1"] == ("f1", "e2")
-    assert q["arrow_aliases"] == {"b2": "a2"}
-    assert q["vertex_aliases"] == {"f0": "e0", "f2": "e2"}

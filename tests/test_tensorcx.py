@@ -56,14 +56,6 @@ def test_tensor_bilinear_and_idempotent_normalisation(pipes):
         assert alg.normal_form_path(r) == r
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
-def test_dim_formula_matches_enumeration(pipes, n):
-    tc = tc_of(pipes, n)
-    top = 8 if n < 2 else 6
-    for m in range(0, top + 1):
-        assert len(tc.triples(m)) == tc.dim_formula(m)
-
-
 def test_total_differential_example(pipes):
     # one step inside the degree-0 corner: only the second factor moves
     tc = tc_of(pipes, 0)
