@@ -119,15 +119,6 @@ class FamilyAlgebra:
     def unit(self):
         return {trivial(v): 1 for v in VERTICES}
 
-    def vertex_elem(self, v):
-        return {trivial(v): 1}
-
-    def from_path(self, p, coeff=None):
-        q = self.normal_form_path(p)
-        if q is None:
-            return {}
-        return {q: 1 if coeff is None else coeff}
-
     def dim(self):
         return len(self.basis)
 

@@ -8,28 +8,22 @@ Subcommands
     ring        the n = 0 reconciliation (star, cup, known deviations)
     report      everything above in one JSON document
 
-Exit status is 0 exactly when every requested must-pass check passes and
-every documented deviation matches the committed ledger; documented
-deviations themselves never fail a run.
+Exit status is 0 exactly when every requested must-pass check passes.
+Each check is decided from the rows the run computed.  A documented
+deviation never fails a run; a deviation that no ledger entry explains
+fails `ring-star-table`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import partial
-from importlib import resources
 
 from . import reports
 from .algebra import oracle_quotient_dim
 from .pipeline import Pipeline, RunConfig
 from .uniform import generator_labels
-
-
-def _load_golden(name):
-    with resources.files("quiverhh.goldens").joinpath(name).open() as fh:
-        return json.load(fh)
 
 
 def _emit(config, payload, text):
@@ -133,34 +127,12 @@ def cmd_diagonal(pipe, action):
     tables = {}
     if action in ("build", "all"):
         tables["images"] = pipe.family_json(fam)
-    deviations = []
-    ok = True
-    if pipe.config.delta_mode == "literal":
-        golden = _load_golden("squares_literal.json").get(str(pipe.config.n))
-        if golden is not None:
-            upto = min(pipe.config.max_degree, 9)
-            got = [
-                {"id": r["id"], "status": r["status"]}
-                for r in rows
-                if r["degree"] <= upto
-            ]
-            want = [r for r in golden if int(r["id"].split("-")[1]) <= upto]
-            if got != want:
-                ok = False
-                deviations.append(
-                    {
-                        "id": "square-report",
-                        "expected": "committed square report",
-                        "observed": "differs",
-                        "status": "mismatch",
-                    }
-                )
-    elif pipe.config.delta_mode == "formula":
+    ok, deviations = _status_ok(rows), []
+    if pipe.config.delta_mode == "formula":
         # the published degree-0 correction does not close the augmentation
         # square; that is fixture material, not a must-pass check
         ok = _status_ok([r for r in rows if r["degree"] >= 1])
-        aug_fails = [r for r in rows if r["degree"] == 0 and r["status"] == "fail"]
-        if aug_fails:
+        if not _status_ok([r for r in rows if r["degree"] == 0]):
             deviations.append(
                 {
                     "id": "formula-augmentation",
@@ -169,8 +141,6 @@ def cmd_diagonal(pipe, action):
                     "status": "documented",
                 }
             )
-    else:
-        ok = _status_ok(rows)
     payload = {
         "config": pipe.config.as_dict(),
         "checks": rows,
@@ -242,11 +212,10 @@ def cmd_ring(pipe, action):
     cup_rows = reports.ring_cup_report(hc, pr, pipe.family("solved"))
     worked = reports.worked_value_report(dm, dm.default_homotopy())
     ledger = reports.kd_ledger()
-    golden = _load_golden("kd_ledger.json")
-    ledger_ok = [row["id"] for row in ledger] == [row["id"] for row in golden]
-    star_ok = all(
-        r["status"] == "match" or r.get("kd") in ("KD-1", "KD-2") for r in star_rows
-    )
+    # every deviation is explained by a known deviation, and each one it
+    # names is in the ledger
+    star_ok = all(r["status"] == "match" or "kd" in r for r in star_rows)
+    ledger_ok = {r["kd"] for r in star_rows if "kd" in r} <= {row["id"] for row in ledger}
     checks = [
         {
             "id": "ring-star-table",

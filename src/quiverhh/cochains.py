@@ -122,31 +122,14 @@ class HochschildComplex:
         images = {lab: axpy({}, c, v, self.field.p) for lab, v in f.images.items()}
         return Cochain(f.degree, images)
 
-    # -- evaluation and the induced differential ---------------------------
-
-    def evaluate(self, cochain, elem):
-        """Value of the cochain on a resolution element, in the algebra."""
-        mul = self.alg.mul_path
-        images = cochain.images
-        return accumulate(
-            (
-                (q, c * d)
-                for (lab, left, right), c in elem.items()
-                for p, d in images.get(lab, {}).items()
-                if (q := mul(left, p)) is not None and (q := mul(q, right)) is not None
-            ),
-            self.field.p,
-        )
+    # -- the induced differential ------------------------------------------
 
     def coboundary(self, cochain):
         """The induced differential: precompose with the boundary map."""
-        m = cochain.degree
-        images = {}
-        for lab in self.res.labels(m + 1):
-            images[lab] = self.evaluate(
-                cochain, self.res.apply_boundary(m + 1, self.res.generator(lab))
-            )
-        return Cochain(m + 1, images)
+        cols, vec = self._coboundary_columns(cochain.degree), {}
+        for j, c in self.to_vec(cochain).items():
+            axpy(vec, c, cols[j], self.field.p)
+        return self.from_vec(cochain.degree + 1, vec)
 
     def is_cocycle(self, cochain):
         return self.coboundary(cochain).is_zero()
@@ -154,14 +137,22 @@ class HochschildComplex:
     # -- cohomology ---------------------------------------------------------
 
     def _coboundary_columns(self, m):
-        """Coordinate vectors of the coboundaries of the degree-m basis cochains."""
+        """Coordinate vectors of the coboundaries of the degree-m basis
+        cochains, read off the boundary image of each degree-(m+1)
+        generator, computed once."""
         if m not in self._cob_columns:
-            cols = []
-            for lab, p in self.hom_basis(m)[0]:
-                f = self.zero_cochain(m)
-                f.images[lab] = {p: 1}
-                cols.append(self.to_vec(self.coboundary(f)))
-            self._cob_columns[m] = cols
+            basis, index = self.hom_basis(m)
+            target = self.hom_basis(m + 1)[1]
+            mul, corners = self.alg.mul_path, self.alg.corners
+            terms = [[] for _ in basis]
+            for gen in self.res.labels(m + 1):
+                image = self.res.apply_boundary(m + 1, self.res.generator(gen))
+                for (lab, left, right), c in image.items():
+                    for p in corners[label_pair(lab)]:
+                        q = mul(left, p)
+                        if q is not None and (q := mul(q, right)) is not None:
+                            terms[index[(lab, p)]].append((target[(gen, q)], c))
+            self._cob_columns[m] = [accumulate(t, self.field.p) for t in terms]
         return self._cob_columns[m]
 
     def _coboundary_space(self, m):
@@ -183,9 +174,6 @@ class HochschildComplex:
 
     def classes_equal(self, f, g):
         return self.class_residual(f) == self.class_residual(g)
-
-    def class_is_zero(self, cochain):
-        return self.class_residual(cochain) == ()
 
     def cohomology(self, m):
         """(dimension, representative cocycles) of degree-m cohomology.

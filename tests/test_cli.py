@@ -45,6 +45,58 @@ def test_diagonal_literal_matches_golden(capsys):
     assert code == 0
 
 
+def _drop_a_term(monkeypatch, degree=None):
+    """Make every literal image (of a label of the given degree, when one
+    is given) lose its first term."""
+    from quiverhh.diagonal import DiagonalMaps
+
+    apply = DiagonalMaps.delta_prime_apply
+
+    def faulty(self, elem):
+        out = apply(self, elem)
+        if out and (degree is None or any(lab.degree == degree for lab, _, _ in elem)):
+            del out[next(iter(out))]
+        return out
+
+    monkeypatch.setattr(DiagonalMaps, "delta_prime_apply", faulty)
+
+
+def test_diagonal_literal_fault_fails(capsys, monkeypatch):
+    # literal squares are decided from the computed rows for every n
+    _drop_a_term(monkeypatch)
+    argv = ("diagonal", "--n", "3", "--delta-mode", "literal", "--max-degree", "4", "squares")
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert "fail" in out
+
+
+def test_diagonal_literal_fault_above_degree_9_fails(capsys, monkeypatch):
+    # and for every degree
+    _drop_a_term(monkeypatch, degree=10)
+    argv = ("diagonal", "--n", "0", "--delta-mode", "literal", "--max-degree", "12", "squares")
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert "square-10-" in out and "fail" in out
+
+
+def test_unexplained_star_deviation_fails_the_ring(capsys, monkeypatch):
+    # a wrong y*y is a deviation that neither known deviation explains
+    from quiverhh.products import Products
+
+    star = Products.star
+
+    def wrong(self, f, g):
+        if f.degree == g.degree == 1:
+            return self.hc.named_basis(2)[0]
+        return star(self, f, g)
+
+    monkeypatch.setattr(Products, "star", wrong)
+    code, out = run(capsys, "ring", "--n", "0")
+    assert code == 1
+    assert "ring-star-table  fail" in out
+    assert "kd-ledger  pass" in out
+
+
 def test_invalid_flags_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["resolution", "--n", "-3", "verify"])
@@ -282,6 +334,11 @@ PINNED_REPORTS = [
      "12830896daeae5b97372881b07a4959daa8f4f043c3ce1a88ed38eee48215ece"),
     ("diagonal --n 2 --field gf:11 --max-degree 8 build",
      "abfb7b9dbe69666aea963e0491d549833ae98b7bcd4fb2979dd4d43cb81fc407"),
+    # literal mode beyond n = 0..2 and beyond degree 9
+    ("diagonal --n 3 --delta-mode literal --max-degree 10 squares",
+     "fbfef9e080cf789079d9dce9610c42d404b0c8a6d2af66ab7b2720fdc1332bc3"),
+    ("report --n 0 --delta-mode literal --max-degree 12",
+     "305e256db54b3d013864fe68b4d5abda5c9da66aa5b5b57e45fa207ba40493fd"),
 ]
 
 

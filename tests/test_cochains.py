@@ -79,7 +79,7 @@ def test_xyz_classes_nonzero(pipes):
     hc = hc_of(pipes, 0)
     for c in (hc.x_cochain(), hc.y_cochain(), hc.z_cochain()):
         assert hc.is_cocycle(c)
-        assert not hc.class_is_zero(c)
+        assert hc.class_residual(c) != ()
 
 
 def test_class_residual_constant_on_coboundary_shifts(pipes):

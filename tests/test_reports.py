@@ -5,11 +5,17 @@ from quiverhh import reports
 from quiverhh.products import star_table
 
 
-def test_kd_ledger_matches_golden():
-    with resources.files("quiverhh.goldens").joinpath("kd_ledger.json").open() as fh:
-        golden = json.load(fh)
-    assert reports.kd_ledger() == golden
-    assert [row["id"] for row in golden] == ["KD-1", "KD-2"]
+def test_ledger_entry_classifies_deviations_by_value(pipes):
+    hc = pipes[0].hochschild
+    x, y, z = hc.x_cochain(), hc.y_cochain(), hc.z_cochain()
+    assert reports._ledger_entry(x, x, "x", "2x") == "KD-1"
+    assert reports._ledger_entry(z, z, "x", "0") == "KD-2"
+    # a value neither known deviation produces
+    assert reports._ledger_entry(y, y, "0", "<degree-2 cochain>") is None
+    assert reports._ledger_entry(x, x, "x", "0") is None
+    assert reports._ledger_entry(x, z, "z", "0") is None
+    assert reports._ledger_entry(z, z, "0", "0") is None
+    assert [row["id"] for row in reports.kd_ledger()] == ["KD-1", "KD-2"]
 
 
 def test_worked_values_match_golden(pipes):
