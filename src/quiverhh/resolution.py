@@ -11,7 +11,9 @@ augmentation, which is multiplication) and m = 1 (whose target lacks the
 two mixed-pair generators).  The long shapes contain telescoping sums
 whose k-th term splits the long cycle word into (left, generator, right)
 with the generator absorbing 2, 1 or 0 arrows depending on the residue
-of the target degree.  All coefficients are +-1.
+of the target degree.  All coefficients are +-1.  One period of boundary
+matrices, ranks and solvers serves every degree m >= 8; `period_rep` makes
+that check per n and degree from the shapes.
 """
 
 from __future__ import annotations
@@ -162,6 +164,7 @@ class Resolution:
         self._triple_index = {}
         self._blocks_at = {}
         self._positions = None
+        self._reps = {}
         self._matrices = {}
         self._solvers = {}
         self._ranks = {}
@@ -276,21 +279,40 @@ class Resolution:
             self.field.p,
         )
 
+    def period_rep(self, m):
+        """The degree whose boundary matrix, rank and solver serve degree m:
+        `period_rep(m - 6)` for m >= 8 when the labels of m and m - 1 and the
+        shape of m (all `_boundary_matrix(m)` reads besides the algebra) are
+        those of m - 6 and m - 7 shifted up by 6, else m itself."""
+        if m not in self._reps:
+            up = lambda lab: lab._replace(degree=lab.degree + 6)
+            same = m >= 8 and all(
+                tuple(map(up, self.labels(k - 6))) == self.labels(k) for k in (m, m - 1)
+            )
+            same = same and self.shape(m) == {
+                up(lab): [(x, up(t), y, s) for x, t, y, s in terms]
+                for lab, terms in self.shape(m - 6).items()
+            }
+            self._reps[m] = self.period_rep(m - 6) if same else m
+        return self._reps[m]
+
     def boundary_matrix(self, m):
         """Matrix of the boundary out of degree m; rows follow the target basis.
 
         At m = 0 the target is the algebra itself (the augmentation).
         """
+        m = self.period_rep(m)
         if m not in self._matrices:
             self._matrices[m] = self._augmentation_matrix() if m == 0 else self._boundary_matrix(m)
         return self._matrices[m]
 
     def _augmentation_matrix(self):
+        # column j is `augment` of the j-th triple: 1 at left * right, if nonzero
         row_index = self.algebra.basis_index
         entries = [
-            (row_index[p], j, c)
-            for j, tr in enumerate(self.triples(0))
-            for p, c in self.augment({tr: 1}).items()
+            (row_index[p], j, 1)
+            for j, (lab, left, right) in enumerate(self.triples(0))
+            if (p := self.algebra.mul_path(left, right)) is not None
         ]
         return Matrix(len(row_index), self.dim(0), entries)
 
@@ -343,12 +365,14 @@ class Resolution:
         return Matrix(rows, col0, entries)
 
     def boundary_solver(self, m):
-        """LinearSolver of `boundary_matrix(m)`, built once per degree."""
+        """LinearSolver of `boundary_matrix(m)`, built once per period rep."""
+        m = self.period_rep(m)
         if m not in self._solvers:
             self._solvers[m] = LinearSolver(self.boundary_matrix(m), self.field.p)
         return self._solvers[m]
 
     def boundary_rank(self, m):
+        m = self.period_rep(m)
         if m not in self._ranks:
             self._ranks[m] = rank(self.boundary_matrix(m), self.field.p)
         return self._ranks[m]

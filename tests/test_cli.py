@@ -339,6 +339,14 @@ PINNED_REPORTS = [
      "fbfef9e080cf789079d9dce9610c42d404b0c8a6d2af66ab7b2720fdc1332bc3"),
     ("report --n 0 --delta-mode literal --max-degree 12",
      "305e256db54b3d013864fe68b4d5abda5c9da66aa5b5b57e45fa207ba40493fd"),
+    # degrees past one period: 14 repeats 8, which repeats 2
+    ("resolution --n 3 --max-degree 14 all",
+     "dd99193c585483d75151ae24488495bf9b721cda30d811be5f9bbce1006a7eb8"),
+    ("resolution --n 2 --field gf:7 --max-degree 13 all",
+     "fb77c8e5ef5e66e6b320db2919dfdd6b8ba69247852fe068c0b61f2f9e2af294"),
+    # the contractions solve against the boundary solvers of degrees 8..14
+    ("diagonal --n 1 --max-degree 13 squares",
+     "0d9b7bddfd9c42424056bf9e4602b4caa38ce4cfb6b8dcfb453533bb1953baab"),
 ]
 
 

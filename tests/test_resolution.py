@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quiverhh.algebra import get_algebra
-from quiverhh.linalg import QQ, PrimeField
+from quiverhh.linalg import QQ, PrimeField, axpy, rank
 from quiverhh.quiver import arrow, parse_path, trivial
 from quiverhh.resolution import Resolution
 from quiverhh.uniform import Label, UniformPaths, generator_labels, label_pair
@@ -135,16 +135,48 @@ def test_to_matrix_identity_and_zero(pipes):
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_boundary_matrix_columns_are_apply_boundary(n, field):
     r = Resolution(get_algebra(n, field))
-    for m in range(1, 14):
+    for m in range(0, 14):
         mat = r.boundary_matrix(m)
-        assert (mat.rows, mat.cols) == (r.dim(m - 1), r.dim(m))
+        # degree 0 maps to the algebra by the augmentation
+        row_index = r.algebra.basis_index if m == 0 else r.triple_index(m - 1)
+        assert (mat.rows, mat.cols) == (len(row_index), r.dim(m))
         cols = mat.columns()
-        row_index = r.triple_index(m - 1)
         for j, tr in enumerate(r.triples(m)):
-            img = r.apply_boundary(m, {tr: 1})
+            img = r.augment({tr: 1}) if m == 0 else r.apply_boundary(m, {tr: 1})
             # in the same order: each column sums the shape terms in turn
             want = [(row_index[key], c) for key, c in img.items()]
             assert list(cols[j].items()) == want, (m, tr)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_period_shared_boundary_data_match_direct_computation(n, field):
+    r = Resolution(get_algebra(n, field))
+    p = field.p
+    for m in range(8, 14):
+        direct = r._boundary_matrix(m)
+        assert r.boundary_matrix(m) is r.boundary_matrix(m - 6)
+        assert r.boundary_matrix(m).entries == direct.entries
+        assert r.boundary_rank(m) == rank(direct, p)
+        cols = direct.columns()
+        for b in cols[:: max(1, len(cols) // 7)]:
+            x = r.boundary_solver(m).solve(b)
+            assert x is not None
+            image = {}
+            for j, v in x.items():
+                axpy(image, v, cols[j], p)
+            assert image == b, m
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_period_certificate_is_checked_not_assumed(pipes, n):
+    r = Resolution(res(pipes, n).algebra)
+    r.shape(8)
+    for lab in list(r._shapes[8]):
+        r._shapes[8][lab] = []
+    assert r.boundary_matrix(8) is not r.boundary_matrix(2)
+    rows = r.verify_exactness(9)
+    assert [row["degree"] for row in rows if row["status"] == "fail"] == [7, 8]
 
 
 def test_dim_formula(pipes):
@@ -208,8 +240,8 @@ def test_boundary_shapes_are_six_periodic(pipes):
     from quiverhh.resolution import boundary_shape
     from quiverhh.uniform import Label
 
-    for n in (0, 1, 2):
-        for m in range(2, 7):
+    for n in range(6):
+        for m in range(2, 9):
             lo = boundary_shape(m, n)
             hi = boundary_shape(m + 6, n)
             shifted = {
