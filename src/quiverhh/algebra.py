@@ -65,6 +65,10 @@ class FamilyAlgebra:
             self.corners[(p.source, p.target)].append(p)
         self.paths_from = {v: [p for p in self.basis if p.source == v] for v in VERTICES}
         self.paths_into = {v: [p for p in self.basis if p.target == v] for v in VERTICES}
+        # each basis path's position in `paths_into` of its target and in
+        # `paths_from` of its source
+        self.into_index = {p: i for ps in self.paths_into.values() for i, p in enumerate(ps)}
+        self.from_index = {p: i for ps in self.paths_from.values() for i, p in enumerate(ps)}
         self._products = {}  # (p, q) -> normal form of p*q, or None
 
     # -- rewriting ---------------------------------------------------

@@ -15,6 +15,12 @@ Cohomology-class bookkeeping is by canonical residuals: fully reduce a
 cocycle against the echelonised coboundary space, which leaves it zero
 at every pivot index; two cocycles are cohomologous exactly when their
 residuals agree.
+
+The coboundary out of degree m reads only the labels of m and m + 1 and
+the shape of m + 1, so its columns, the echelon of the coboundaries and
+the cocycle basis are keyed by the period representative that
+`Resolution.period_rep` certifies: one period of coboundary data serves
+every degree.  Every table here is a `Degrees` table.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 from .linalg import Matrix, SparseEchelon, accumulate, axpy, kernel_basis
 from .quiver import a_cycle, arrow, trivial
-from .uniform import label_at, label_pair
+from .uniform import Degrees, label_at, label_pair
 
 
 @dataclass(frozen=True)
@@ -68,23 +74,21 @@ class HochschildComplex:
         self.alg = resolution.algebra
         self.n = resolution.n
         self.field = resolution.field
-        self._hom_basis = {}
-        self._cob_columns = {}
-        self._cob_echelon = {}
-        self._cocycle_basis = {}
+        self._hom_basis = Degrees(self._hom_basis_at, upward=False)
+        self._cob_columns = Degrees(self._coboundary_columns_at, upward=False)
+        self._cob_echelon = Degrees(self._coboundary_space_at, upward=False)
+        self._cocycle_basis = Degrees(self._cocycle_vectors_at, upward=False)
 
     # -- coordinates ------------------------------------------------------
 
     def hom_basis(self, m):
         """Scalar basis of the cochain space: (label, corner path) pairs."""
-        if m not in self._hom_basis:
-            out = []
-            for lab in self.res.labels(m):
-                o, t = label_pair(lab)
-                for p in self.alg.corners[(o, t)]:
-                    out.append((lab, p))
-            self._hom_basis[m] = (out, {k: i for i, k in enumerate(out)})
         return self._hom_basis[m]
+
+    def _hom_basis_at(self, m):
+        corners = self.alg.corners
+        out = [(lab, p) for lab in self.res.labels(m) for p in corners[label_pair(lab)]]
+        return out, {k: i for i, k in enumerate(out)}
 
     def hom_dim(self, m):
         return len(self.hom_basis(m)[0])
@@ -138,32 +142,36 @@ class HochschildComplex:
 
     def _coboundary_columns(self, m):
         """Coordinate vectors of the coboundaries of the degree-m basis
-        cochains, read off the boundary image of each degree-(m+1)
-        generator, computed once."""
-        if m not in self._cob_columns:
-            basis, index = self.hom_basis(m)
-            target = self.hom_basis(m + 1)[1]
-            mul, corners = self.alg.mul_path, self.alg.corners
-            terms = [[] for _ in basis]
-            for gen in self.res.labels(m + 1):
-                image = self.res.apply_boundary(m + 1, self.res.generator(gen))
-                for (lab, left, right), c in image.items():
-                    for p in corners[label_pair(lab)]:
-                        q = mul(left, p)
-                        if q is not None and (q := mul(q, right)) is not None:
-                            terms[index[(lab, p)]].append((target[(gen, q)], c))
-            self._cob_columns[m] = [accumulate(t, self.field.p) for t in terms]
-        return self._cob_columns[m]
+        cochains.  They read only the labels of m and m + 1 and the shape
+        of m + 1, so degree m shares the columns of `period_rep(m + 1) - 1`."""
+        return self._cob_columns[self.res.period_rep(m + 1) - 1]
+
+    def _coboundary_columns_at(self, m):
+        # read off the boundary image of each degree-(m+1) generator
+        basis, index = self.hom_basis(m)
+        target = self.hom_basis(m + 1)[1]
+        mul, corners = self.alg.mul_path, self.alg.corners
+        terms = [[] for _ in basis]
+        for gen in self.res.labels(m + 1):
+            image = self.res.apply_boundary(m + 1, self.res.generator(gen))
+            for (lab, left, right), c in image.items():
+                for p in corners[label_pair(lab)]:
+                    q = mul(left, p)
+                    if q is not None and (q := mul(q, right)) is not None:
+                        terms[index[(lab, p)]].append((target[(gen, q)], c))
+        return [accumulate(t, self.field.p) for t in terms]
 
     def _coboundary_space(self, m):
-        """Echelon of the coboundaries landing in degree m."""
-        if m not in self._cob_echelon:
-            ech = SparseEchelon(self.field.p)
-            if m >= 1:
-                for vec in self._coboundary_columns(m - 1):
-                    ech.add(vec)
-            self._cob_echelon[m] = ech
-        return self._cob_echelon[m]
+        """Echelon of the coboundaries landing in degree m, shared with
+        `period_rep(m)`."""
+        return self._cob_echelon[self.res.period_rep(m)]
+
+    def _coboundary_space_at(self, m):
+        ech = SparseEchelon(self.field.p)
+        if m >= 1:
+            for vec in self._coboundary_columns(m - 1):
+                ech.add(vec)
+        return ech
 
     def class_residual(self, cochain):
         """Canonical representative vector of the cohomology class."""
@@ -191,13 +199,14 @@ class HochschildComplex:
         return len(reps), reps
 
     def _cocycle_vectors(self, m):
-        """Basis of the cocycle space: the kernel of the coboundary."""
-        if m not in self._cocycle_basis:
-            cols = self._coboundary_columns(m)
-            entries = [(i, j, c) for j, col in enumerate(cols) for i, c in col.items()]
-            mat = Matrix(self.hom_dim(m + 1), len(cols), entries)
-            self._cocycle_basis[m] = kernel_basis(mat, self.field.p)
-        return self._cocycle_basis[m]
+        """Basis of the cocycle space: the kernel of the coboundary, shared
+        with `period_rep(m + 1) - 1` as the columns are."""
+        return self._cocycle_basis[self.res.period_rep(m + 1) - 1]
+
+    def _cocycle_vectors_at(self, m):
+        cols = self._coboundary_columns(m)
+        entries = [(i, j, c) for j, col in enumerate(cols) for i, c in col.items()]
+        return kernel_basis(Matrix(self.hom_dim(m + 1), len(cols), entries), self.field.p)
 
     def hh_dimension(self, m):
         return self.cohomology(m)[0]

@@ -3,8 +3,9 @@ homotopy-corrected variant, and exactly solved lifts of the identity.
 
 Three kinds of degree-indexed family live here.  None of them is built
 to a degree: the families, the homotopies and the one-sided contractions
-each hold a `Degrees` table that fills one whole degree (every label)
-the first time any entry of that degree is read.  That is safe because a
+each hold a `Degrees` table (the package's one per-degree cache, defined
+in `uniform.py`) that fills one whole degree (every label) the first
+time any entry of that degree is read.  That is safe because a
 degree is built only from lower degrees (of its own table or of the
 tables it reads), never from higher ones, so a degree filled late holds
 exactly what it would hold filled early.  How far a run solves is set by
@@ -52,25 +53,7 @@ from __future__ import annotations
 
 from .linalg import accumulate, axpy
 from .quiver import VERTICES, arrow, trivial
-from .uniform import label_at, label_pair
-
-
-class Degrees(dict):
-    """{degree: value}; a missing degree is built by `fill(m)` when first
-    read, and kept.  With `upward`, a degree is built from the ones below
-    it, so a read builds the missing lower degrees first, in order, and no
-    read recurses down the degrees."""
-
-    def __init__(self, fill, upward):
-        super().__init__()
-        self._fill = fill
-        self._upward = upward
-
-    def __missing__(self, m):
-        for k in range(m + 1) if self._upward else (m,):
-            if k not in self:
-                self[k] = self._fill(k)
-        return self[m]
+from .uniform import Degrees, label_at, label_pair
 
 
 def _extend(tc, images, elem):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from .cochains import Cochain, CochainName
 from .linalg import accumulate
+from .uniform import Degrees
 
 
 class UnsupportedRightFactor(ValueError):
@@ -61,7 +62,16 @@ class Products:
         self.alg = hochschild.alg
         self.field = hochschild.field
         self.literal = diagonal.literal_family()
-        self._names = {}  # degree -> {(label, path): name} of the named basis
+        self._names = Degrees(self._names_at, upward=False)
+
+    def _names_at(self, m):
+        """{(label, path): name} of the named basis at degree m."""
+        return {
+            (lab, p): named.name
+            for named in self.hc.named_basis(m)
+            for lab, v in named.images.items()
+            for p in v
+        }
 
     # -- evaluation through a diagonal --------------------------------------
 
@@ -111,19 +121,12 @@ class Products:
         else (None, None).  A named element is one hom-basis coordinate
         with coefficient 1, so the cochain must have exactly one nonzero
         coordinate, and a named one."""
-        m = cochain.degree
-        if m not in self._names:
-            self._names[m] = {
-                (lab, p): named.name
-                for named in self.hc.named_basis(m)
-                for lab, v in named.images.items()
-                for p in v
-            }
+        names = self._names[cochain.degree]
         support = [((lab, p), c) for lab, v in cochain.images.items() for p, c in v.items() if c]
         if len(support) == 1:
             ((key, c),) = support
-            if key in self._names[m]:
-                return self._names[m][key], c
+            if key in names:
+                return names[key], c
         return None, None
 
     def table_comparison(self, degrees=(0, 3, 1, 2)):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .linalg import LinearSolver, Matrix, accumulate, rank
 from .quiver import a_cycle, arrow, trivial
-from .uniform import Label, generator_labels, label_at, label_pair
+from .uniform import Degrees, Label, generator_labels, label_at, label_pair
 
 
 def boundary_shape(m, n):
@@ -41,6 +41,14 @@ def boundary_shape(m, n):
     # the degree-t generator on the a-chain from e_l, which ends at e_{l+t}
     A = lambda l: label_at(t, f"e{l % 3}", f"e{(l + t) % 3}")
 
+    def chain(i):
+        # the telescoping sum of residues 2, 4 and 0: its j-th term splits
+        # the long cycle word from e_i after j arrows
+        return [
+            (a_cycle(i, j), A(i + j), a_cycle(i + j + t, 3 * n + 1 - j), 1)
+            for j in range(3 * n + 1)
+        ]
+
     if m == 1:
         return {
             L("R", 0): [(e0, T("R"), a0, 1), (a0, T("S"), e1, -1)],
@@ -60,26 +68,11 @@ def boundary_shape(m, n):
         }
 
     if r == 2:
-        terms_R = [(e0, A(0), long1, 1)]
-        for k in range(0, 3 * n):
-            terms_R.append((a_cycle(0, k + 1), A(k + 1), a_cycle(k + 2, 3 * n - k), 1))
-        terms_R += [(long0, T("S"), e2, 1), (e0, T("R", 1), b1, -1), (b0, T("T"), e2, -1)]
-
-        terms_S = [(e1, A(1), long2, 1)]
-        for k in range(1, 3 * n + 1):
-            terms_S.append((a_cycle(1, k), A(k + 1), a_cycle(k + 2, 3 * n + 1 - k), 1))
-        terms_S.append((long1, T("U"), e0, 1))
-
-        terms_U0 = [(e2, A(2), long0, 1)]
-        for k in range(2, 3 * n + 2):
-            terms_U0.append((a_cycle(2, k - 1), A(k + 1), a_cycle(k + 2, 3 * n + 2 - k), 1))
-        terms_U0.append((long2, T("R", 0), e1, 1))
-
         return {
-            L("R"): terms_R,
-            L("S"): terms_S,
+            L("R"): chain(0) + [(long0, T("S"), e2, 1), (e0, T("R", 1), b1, -1), (b0, T("T"), e2, -1)],
+            L("S"): chain(1) + [(long1, T("U"), e0, 1)],
             L("T"): [(f1, T("T"), a2, 1), (b1, T("U"), e0, 1)],
-            L("U", 0): terms_U0,
+            L("U", 0): chain(2) + [(long2, T("R", 0), e1, 1)],
             L("U", 1): [(e2, T("U"), b0, 1), (a2, T("R", 1), f1, 1)],
         }
 
@@ -94,27 +87,12 @@ def boundary_shape(m, n):
         }
 
     if r == 4:
-        terms_R0 = [(e0, A(0), long0, 1)]
-        for k in range(0, 3 * n):
-            terms_R0.append((a_cycle(0, k + 1), A(k + 1), a_cycle(k + 1, 3 * n - k), 1))
-        terms_R0 += [(long0, T("S", 0), e1, 1), (b0, T("T", 0), e1, -1)]
-
-        terms_S = [(e1, A(1), long1, 1)]
-        for k in range(1, 3 * n + 1):
-            terms_S.append((a_cycle(1, k), A(k + 1), a_cycle(k + 1, 3 * n + 1 - k), 1))
-        terms_S += [(long1, T("U"), e2, 1), (e1, T("S", 1), b1, -1)]
-
-        terms_U = [(e2, A(2), long2, 1)]
-        for k in range(2, 3 * n + 2):
-            terms_U.append((a_cycle(2, k - 1), A(k + 1), a_cycle(k + 1, 3 * n + 2 - k), 1))
-        terms_U.append((long2, T("R"), e0, 1))
-
         return {
-            L("R", 0): terms_R0,
+            L("R", 0): chain(0) + [(long0, T("S", 0), e1, 1), (b0, T("T", 0), e1, -1)],
             L("R", 1): [(e0, T("R"), b0, 1), (b0, T("T", 1), f1, -1), (a0, T("S", 1), f1, 1)],
-            L("S"): terms_S,
+            L("S"): chain(1) + [(long1, T("U"), e2, 1), (e1, T("S", 1), b1, -1)],
             L("T"): [(f1, T("T", 1), b1, -1), (b1, T("U"), e2, 1), (f1, T("T", 0), a1, 1)],
-            L("U"): terms_U,
+            L("U"): chain(2) + [(long2, T("R"), e0, 1)],
         }
 
     if r == 5:
@@ -127,28 +105,13 @@ def boundary_shape(m, n):
         }
 
     # r == 0, m >= 6
-    terms_R = [(e0, T("R"), long2, 1)]
-    for k in range(0, 3 * n):
-        terms_R.append((a_cycle(0, k + 1), A(k + 1), a_cycle(k, 3 * n - k), 1))
-    terms_R += [(long0, T("S"), e0, 1), (b0, T("T"), e0, -1)]
-
-    terms_S0 = [(e1, T("S"), long0, 1)]
-    for k in range(1, 3 * n + 1):
-        terms_S0.append((a_cycle(1, k), A(k + 1), a_cycle(k, 3 * n + 1 - k), 1))
-    terms_S0.append((long1, T("U", 0), e1, 1))
-
-    terms_U = [(e2, T("U", 0), long1, 1)]
-    for k in range(2, 3 * n + 2):
-        terms_U.append((a_cycle(2, k - 1), A(k + 1), a_cycle(k, 3 * n + 2 - k), 1))
-    terms_U += [(long2, T("R"), e2, 1), (e2, T("U", 1), b1, -1)]
-
     return {
-        L("R"): terms_R,
-        L("S", 0): terms_S0,
+        L("R"): chain(0) + [(long0, T("S"), e0, 1), (b0, T("T"), e0, -1)],
+        L("S", 0): chain(1) + [(long1, T("U", 0), e1, 1)],
         L("S", 1): [(e1, T("S"), b0, 1), (a1, T("U", 1), f1, 1)],
         L("T", 0): [(f1, T("T"), a0, 1), (b1, T("U", 0), e1, 1)],
         L("T", 1): [(f1, T("T"), b0, 1), (b1, T("U", 1), f1, 1)],
-        L("U"): terms_U,
+        L("U"): chain(2) + [(long2, T("R"), e2, 1), (e2, T("U", 1), b1, -1)],
     }
 
 
@@ -159,15 +122,16 @@ class Resolution:
         self.algebra = algebra
         self.n = algebra.n
         self.field = algebra.field
-        self._shapes = {}
-        self._triples = {}
-        self._triple_index = {}
-        self._blocks_at = {}
-        self._positions = None
-        self._reps = {}
-        self._matrices = {}
-        self._solvers = {}
-        self._ranks = {}
+        self._shapes = Degrees(self._shape_at, upward=False)
+        self._triples = Degrees(self._triples_at, upward=False)
+        self._blocks = Degrees(self._blocks_at, upward=False)
+        self._reps = Degrees(self._period_rep_at, upward=True)
+        self._matrices = Degrees(self._boundary_matrix, upward=False)
+        # the matrix, solver and rank tables are keyed by `period_rep`
+        self._solvers = Degrees(
+            lambda m: LinearSolver(self.boundary_matrix(m), self.field.p), upward=False
+        )
+        self._ranks = Degrees(lambda m: rank(self.boundary_matrix(m), self.field.p), upward=False)
 
     # -- structure -----------------------------------------------------
 
@@ -180,64 +144,50 @@ class Resolution:
         return {(label, trivial(o), trivial(t)): 1}
 
     def shape(self, m):
-        if m not in self._shapes:
-            sh = boundary_shape(m, self.n)
-            for lab, terms in sh.items():
-                o, t = label_pair(lab)
-                for left, tgt, right, sign in terms:
-                    to, tt = label_pair(tgt)
-                    assert left.source == o and left.target == to, (lab, tgt)
-                    assert right.source == tt and right.target == t, (lab, tgt)
-            self._shapes[m] = sh
         return self._shapes[m]
+
+    def _shape_at(self, m):
+        sh = boundary_shape(m, self.n)
+        for lab, terms in sh.items():
+            o, t = label_pair(lab)
+            for left, tgt, right, sign in terms:
+                to, tt = label_pair(tgt)
+                assert left.source == o and left.target == to, (lab, tgt)
+                assert right.source == tt and right.target == t, (lab, tgt)
+        return sh
 
     def triples(self, m):
         """Ordered scalar basis of degree m: (label, left, right) triples."""
-        if m not in self._triples:
-            alg = self.algebra
-            out = []
-            for lab in self.labels(m):
-                o, t = label_pair(lab)
-                for left in alg.paths_into[o]:
-                    for right in alg.paths_from[t]:
-                        out.append((lab, left, right))
-            self._triples[m] = out
-            self._triple_index[m] = {tr: i for i, tr in enumerate(out)}
-        return self._triples[m]
+        return self._triples[m][0]
 
     def triple_index(self, m):
         """{triple: position in `triples(m)`}."""
-        self.triples(m)
-        return self._triple_index[m]
+        return self._triples[m][1]
 
-    def _blocks(self, m):
+    def _triples_at(self, m):
+        alg = self.algebra
+        out = []
+        for lab in self.labels(m):
+            o, t = label_pair(lab)
+            out.extend((lab, left, right) for left in alg.paths_into[o] for right in alg.paths_from[t])
+        return out, {tr: i for i, tr in enumerate(out)}
+
+    def _blocks_at(self, m):
         """({label: position in `triples(m)` where its block starts}, dim(m)).
 
         A label's block lists each left path into its origin with every
         right path out of its terminus, left-major.
         """
-        if m not in self._blocks_at:
-            alg = self.algebra
-            offsets, dim = {}, 0
-            for lab in self.labels(m):
-                o, t = label_pair(lab)
-                offsets[lab] = dim
-                dim += len(alg.paths_into[o]) * len(alg.paths_from[t])
-            self._blocks_at[m] = offsets, dim
-        return self._blocks_at[m]
+        alg = self.algebra
+        offsets, dim = {}, 0
+        for lab in self.labels(m):
+            o, t = label_pair(lab)
+            offsets[lab] = dim
+            dim += len(alg.paths_into[o]) * len(alg.paths_from[t])
+        return offsets, dim
 
     def dim(self, m):
-        return self._blocks(m)[1]
-
-    def _path_positions(self):
-        """Each basis path's index in `paths_into` of its target and in
-        `paths_from` of its source."""
-        if self._positions is None:
-            alg = self.algebra
-            into = {p: i for ps in alg.paths_into.values() for i, p in enumerate(ps)}
-            outof = {p: i for ps in alg.paths_from.values() for i, p in enumerate(ps)}
-            self._positions = into, outof
-        return self._positions
+        return self._blocks[m][1]
 
     # -- maps ------------------------------------------------------------
 
@@ -284,51 +234,56 @@ class Resolution:
         `period_rep(m - 6)` for m >= 8 when the labels of m and m - 1 and the
         shape of m (all `_boundary_matrix(m)` reads besides the algebra) are
         those of m - 6 and m - 7 shifted up by 6, else m itself."""
-        if m not in self._reps:
-            up = lambda lab: lab._replace(degree=lab.degree + 6)
-            same = m >= 8 and all(
-                tuple(map(up, self.labels(k - 6))) == self.labels(k) for k in (m, m - 1)
-            )
-            same = same and self.shape(m) == {
-                up(lab): [(x, up(t), y, s) for x, t, y, s in terms]
-                for lab, terms in self.shape(m - 6).items()
-            }
-            self._reps[m] = self.period_rep(m - 6) if same else m
         return self._reps[m]
+
+    def _period_rep_at(self, m):
+        # filled upward, so `_reps[m - 6]` is already there
+        up = lambda lab: lab._replace(degree=lab.degree + 6)
+        same = m >= 8 and all(
+            tuple(map(up, self.labels(k - 6))) == self.labels(k) for k in (m, m - 1)
+        )
+        same = same and self.shape(m) == {
+            up(lab): [(x, up(t), y, s) for x, t, y, s in terms]
+            for lab, terms in self.shape(m - 6).items()
+        }
+        return self._reps[m - 6] if same else m
 
     def boundary_matrix(self, m):
         """Matrix of the boundary out of degree m; rows follow the target basis.
 
         At m = 0 the target is the algebra itself (the augmentation).
         """
-        m = self.period_rep(m)
-        if m not in self._matrices:
-            self._matrices[m] = self._augmentation_matrix() if m == 0 else self._boundary_matrix(m)
-        return self._matrices[m]
+        return self._matrices[self.period_rep(m)]
 
-    def _augmentation_matrix(self):
-        # column j is `augment` of the j-th triple: 1 at left * right, if nonzero
-        row_index = self.algebra.basis_index
-        entries = [
-            (row_index[p], j, 1)
-            for j, (lab, left, right) in enumerate(self.triples(0))
-            if (p := self.algebra.mul_path(left, right)) is not None
-        ]
-        return Matrix(len(row_index), self.dim(0), entries)
+    def boundary_solver(self, m):
+        """LinearSolver of `boundary_matrix(m)`, built once per period rep."""
+        return self._solvers[self.period_rep(m)]
+
+    def boundary_rank(self, m):
+        return self._ranks[self.period_rep(m)]
 
     def _boundary_matrix(self, m):
-        """The boundary out of degree m >= 1, assembled by index arithmetic.
+        """The boundary out of degree m, assembled by index arithmetic.
 
         Column j is `apply_boundary` of the j-th triple of degree m: a shape
         term (x, tgt, y, sign) sends (label, left, right) to row offset(tgt)
         + pos(left * x) * width(tgt) + pos(y * right).  Each column is summed
-        in term order, as `accumulate` sums the element's image.
+        in term order, as `accumulate` sums the element's image.  At m = 0
+        column j is `augment` of the j-th triple: 1 at left * right, if
+        nonzero.
         """
         alg = self.algebra
         mul = alg.mul_path
+        if m == 0:
+            entries = [
+                (alg.basis_index[p], j, 1)
+                for j, (lab, left, right) in enumerate(self.triples(0))
+                if (p := mul(left, right)) is not None
+            ]
+            return Matrix(len(alg.basis), self.dim(0), entries)
         into, outof = alg.paths_into, alg.paths_from
-        left_pos, right_pos = self._path_positions()
-        offsets, rows = self._blocks(m - 1)
+        left_pos, right_pos = alg.into_index, alg.from_index
+        offsets, rows = self._blocks[m - 1]
         shape = self.shape(m)
         # one int object per row index, shared by every entry in that row
         idx = list(range(rows))
@@ -363,19 +318,6 @@ class Resolution:
                 entries.extend((idx[r], j, c) for r, c in col)
             col0 += len(cols)
         return Matrix(rows, col0, entries)
-
-    def boundary_solver(self, m):
-        """LinearSolver of `boundary_matrix(m)`, built once per period rep."""
-        m = self.period_rep(m)
-        if m not in self._solvers:
-            self._solvers[m] = LinearSolver(self.boundary_matrix(m), self.field.p)
-        return self._solvers[m]
-
-    def boundary_rank(self, m):
-        m = self.period_rep(m)
-        if m not in self._ranks:
-            self._ranks[m] = rank(self.boundary_matrix(m), self.field.p)
-        return self._ranks[m]
 
     # -- verifiers --------------------------------------------------------
 

@@ -12,6 +12,10 @@ Degrees 0..2 are given by explicit lists; higher degrees are produced by
 the period-6 recursion, each degree from the previous one.  The degree-1
 step of the S and T families would need mixed-pair degree-0 inputs that
 do not exist, which is why those two lists are explicit.
+
+`Degrees` is the package's one per-degree cache: every table of data
+kept per degree of the resolution (shapes, bases, matrices, cochain
+data, diagonal images) is one, filled the first time a degree is read.
 """
 
 from __future__ import annotations
@@ -83,6 +87,24 @@ def generator_labels(m):
         raise ValueError("degree must be >= 0")
     pairs = _PAIRS_DEG0 if m == 0 else _PAIRS_MOD3[m % 3]
     return tuple(Label(m, fam, sub) for fam, sub in pairs)
+
+
+class Degrees(dict):
+    """{degree: value}; a missing degree is built by `fill(m)` when first
+    read, and kept.  With `upward`, a degree is built from the ones below
+    it, so a read builds the missing lower degrees first, in order, and no
+    read recurses down the degrees."""
+
+    def __init__(self, fill, upward):
+        super().__init__()
+        self._fill = fill
+        self._upward = upward
+
+    def __missing__(self, m):
+        for k in range(m + 1) if self._upward else (m,):
+            if k not in self:
+                self[k] = self._fill(k)
+        return self[m]
 
 
 def label_pair(label):

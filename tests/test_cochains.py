@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from quiverhh.cochains import CochainName
+from quiverhh.algebra import get_algebra
+from quiverhh.cochains import CochainName, HochschildComplex
+from quiverhh.linalg import QQ, Matrix, PrimeField, SparseEchelon, accumulate, kernel_basis
 from quiverhh.quiver import a_cycle, arrow, trivial
-from quiverhh.uniform import Label
+from quiverhh.resolution import Resolution
+from quiverhh.uniform import Label, label_pair
 
 
 def hc_of(pipes, n):
@@ -106,3 +109,37 @@ def test_cohomology_representatives_are_cocycles(pipes):
         assert len(reps) == dim
         for r in reps:
             assert hc.is_cocycle(r)
+
+
+def direct_coboundary_columns(hc, m):
+    """The coboundary of each degree-m basis cochain, walked from the
+    `apply_boundary` images of the degree-(m + 1) generators."""
+    res, alg = hc.res, hc.alg
+    basis, index = hc.hom_basis(m)
+    target = hc.hom_basis(m + 1)[1]
+    terms = [[] for _ in basis]
+    for gen in res.labels(m + 1):
+        for (lab, left, right), c in res.apply_boundary(m + 1, res.generator(gen)).items():
+            for p in alg.corners[label_pair(lab)]:
+                for q, d in alg.mul(alg.mul({left: 1}, {p: 1}), {right: 1}).items():
+                    terms[index[(lab, p)]].append((target[(gen, q)], c * d))
+    return [accumulate(t, hc.field.p) for t in terms]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_period_shared_coboundary_data_match_direct_computation(n, field):
+    hc = HochschildComplex(Resolution(get_algebra(n, field)))
+    p = field.p
+    for m in range(8, 14):
+        assert hc._coboundary_columns(m) is hc._coboundary_columns(m - 6)
+        assert hc._coboundary_space(m) is hc._coboundary_space(m - 6)
+        assert hc._cocycle_vectors(m) is hc._cocycle_vectors(m - 6)
+        cols = direct_coboundary_columns(hc, m)
+        assert hc._coboundary_columns(m) == cols
+        ech = SparseEchelon(p)
+        for vec in direct_coboundary_columns(hc, m - 1):
+            ech.add(vec)
+        assert hc._coboundary_space(m).rows == ech.rows
+        entries = [(i, j, c) for j, col in enumerate(cols) for i, c in col.items()]
+        assert hc._cocycle_vectors(m) == kernel_basis(Matrix(hc.hom_dim(m + 1), len(cols), entries), p)

@@ -196,7 +196,7 @@ def test_solved_family_builds_one_solver_per_degree(monkeypatch):
 def test_degrees_fill_upward_without_recursion():
     import sys
 
-    from quiverhh.diagonal import Degrees
+    from quiverhh.uniform import Degrees
 
     filled = []
 

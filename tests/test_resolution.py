@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from quiverhh.algebra import get_algebra
 from quiverhh.linalg import QQ, PrimeField, axpy, rank
 from quiverhh.quiver import arrow, parse_path, trivial
-from quiverhh.resolution import Resolution
+from quiverhh.cochains import HochschildComplex
+from quiverhh.resolution import Resolution, boundary_shape
 from quiverhh.uniform import Label, UniformPaths, generator_labels, label_pair
 
 
@@ -177,6 +179,39 @@ def test_period_certificate_is_checked_not_assumed(pipes, n):
     assert r.boundary_matrix(8) is not r.boundary_matrix(2)
     rows = r.verify_exactness(9)
     assert [row["degree"] for row in rows if row["status"] == "fail"] == [7, 8]
+    # the cochain tables that read shape(8) are built for their own degree
+    hc = HochschildComplex(r)
+    assert hc._coboundary_columns(7) is not hc._coboundary_columns(1)
+    assert hc._cocycle_vectors(7) is not hc._cocycle_vectors(1)
+    assert hc._coboundary_space(8) is not hc._coboundary_space(2)
+    assert all(not col for col in hc._coboundary_columns(7))
+    # the coboundary out of degree 8 reads shape(9), which still matches
+    assert hc._coboundary_columns(8) is hc._coboundary_columns(2)
+
+
+def test_deep_reads_do_not_recurse():
+    r = Resolution(get_algebra(0))
+    assert r.boundary_rank(7000) == r.boundary_rank(4)
+    assert r.period_rep(7000) == 4
+    assert r.boundary_matrix(7000) is r.boundary_matrix(4)
+
+
+# sha256 of repr([boundary_shape(m, n) for m in 1..19]) per n: the printed
+# shapes, term order included
+SHAPE_DIGESTS = {
+    0: "e67d802e1bbaebefd5bd7f90130731d1fa62046d3eda1f5ac821cc8e6d6d9790",
+    1: "9ee383cda9aac9bced212e062e3fa6cd16b1549d314483b1f5753dcfdb5dd6ef",
+    2: "9751353f3bbb49fc7e590465af0a937afcb5f253f0747767daa6c1198658a211",
+    3: "e62294bf1e7cfebb1e8d34d466eeb3fca823ab80d5bf8170f9f6177abb1ac05f",
+    4: "3f47e3a4b0577f8577437a0094ecabd1e4c5c14851c8a15f7a3dd7efd3dde2d9",
+    5: "92d3c336d210a23f7e579871f2bec8e1e6260bd2946e68f5daf4b0208c3a89c8",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SHAPE_DIGESTS))
+def test_boundary_shapes_match_pinned_digest(n):
+    text = repr([boundary_shape(m, n) for m in range(1, 20)])
+    assert hashlib.sha256(text.encode()).hexdigest() == SHAPE_DIGESTS[n]
 
 
 def test_dim_formula(pipes):
