@@ -8,10 +8,13 @@ Subcommands
     ring        the n = 0 reconciliation (star, cup, known deviations)
     report      everything above in one JSON document
 
-Exit status is 0 exactly when every requested must-pass check passes.
-Each check is decided from the rows the run computed.  A documented
-deviation never fails a run; a deviation that no ledger entry explains
-fails `ring-star-table`.
+Exit status is 0 exactly when every requested must-pass check passes,
+and 1 when one fails.  Each check is decided from the rows the run
+computed: a solved square the lift got wrong is a failing `square-*`
+row.  A documented deviation never fails a run; a deviation that no
+ledger entry explains fails `ring-star-table`.  Exit status 2 is a usage
+error, or a cup product refused because its diagonal fails a square the
+product needs; that prints one line on stderr and no report.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from functools import partial
 from . import reports
 from .algebra import oracle_quotient_dim
 from .pipeline import Pipeline, RunConfig
+from .products import UnverifiedDiagonal
 from .uniform import generator_labels
 
 
@@ -338,8 +342,8 @@ def main(argv=None):
     handler, _ = COMMANDS[args.command]
     try:
         payload, text, ok = handler(pipe, args.action)
-    except ArithmeticError as exc:
-        sys.stderr.write(f"solver infeasibility: {exc}\n")
+    except UnverifiedDiagonal as exc:
+        sys.stderr.write(f"cup product refused: {exc}\n")
         return 2
     _emit(config, payload, text)
     return 0 if ok else 1

@@ -26,8 +26,9 @@ products it takes.
 * solved: a true bimodule chain map lifting the identity, produced
   degree by degree with one-sided contracting homotopies of the
   resolution.  Evaluation is the bimodule-linear extension of the
-  stored generator images, and every square is exact by construction
-  (and re-verified).
+  stored generator images.  A square is exact when its right-hand side
+  is a boundary, as it is for a chain map below it; `verify_square`
+  decides it.
 
 * corrected: any family plus h∘boundary + d∘h, evaluated as the base
   family's value plus the correction.  It is the formula family over the
@@ -37,9 +38,12 @@ Each step has one body: the two-corner rule is
 `DiagonalMaps.delta_prime_apply`, the homotopy correction is
 `HomotopyFamily.correction` and the family it corrects is
 `DiagonalMaps.corrected_family`, the bimodule-linear extension is
-`_extend`, and the lift step (solve, keep the generator's own corner,
-check d x = rhs) is `DiagonalMaps._lift`, shared by `solved_family` and
-`homotopy_solve`.
+`_extend`, and the lift step (solve, keep the generator's own corner) is
+`DiagonalMaps._lift`, shared by `solved_family` and `homotopy_solve`.
+The lift only solves: `DiagonalMaps.verify_square` is the one comparison
+of a solved square, and a square the lift got wrong is a failing row of
+it, not an error.  `homotopy_solve` compares d x with its right-hand side
+only to find the degree where two families stop being homotopic.
 
 The solver never forms the total-complex boundary as one big matrix: it
 contracts the first tensor factor with the right-linear contraction of
@@ -219,7 +223,8 @@ class DiagonalMaps:
         self.res = resolution
         self.tc = tensor_complex
         self.field = resolution.field
-        self._contractions = {}
+        self.s_right = OneSidedContraction(resolution, "right")
+        self.s_left = OneSidedContraction(resolution, "left")
 
     def per_label(self, rule, upward):
         """{degree: {label: rule(label)}}, one degree filled on first read
@@ -332,12 +337,7 @@ class DiagonalMaps:
 
     # -- exact solving ----------------------------------------------------
 
-    def contraction(self, side):
-        if side not in self._contractions:
-            self._contractions[side] = OneSidedContraction(self.res, side)
-        return self._contractions[side]
-
-    def _solve_boundary(self, rhs, s_right, s_left):
+    def _solve_boundary(self, rhs):
         """A deterministic X with dX = rhs.
 
         rhs must be a boundary; for total degree 0 this amounts to rhs
@@ -345,8 +345,8 @@ class DiagonalMaps:
         degree-(0, b) leftover through the left contraction of the second.
         """
         mul = self.res.algebra.mul_path
-        first = s_right.table
-        second = s_left.table
+        first = self.s_right.table
+        second = self.s_left.table
         # (first-factor contraction) tensor identity
         x = accumulate(
             (
@@ -378,32 +378,25 @@ class DiagonalMaps:
         )
         return axpy(x, 1, y, self.field.p)
 
-    def _lift(self, lab, rhs, s_right, s_left):
-        """X in the corner of generator lab with dX = rhs, or None when
-        rhs is not a boundary there."""
+    def _lift(self, lab, rhs):
+        """X in the corner of generator lab with dX = rhs when rhs is a
+        boundary there; nothing here checks that it is."""
         o, t = label_pair(lab)
         # keep only the generator's own corner; the complement is
         # boundary-free junk the one-sided contractions may add
-        x = self.tc.act(trivial(o), self._solve_boundary(rhs, s_right, s_left), trivial(t))
-        if axpy(self.tc.differential(x), -1, rhs, self.field.p):
-            return None
-        return x
+        return self.tc.act(trivial(o), self._solve_boundary(rhs), trivial(t))
 
     def solved_family(self):
-        """An exactly solved lift of the identity, one square at a time."""
+        """A lift of the identity solved one square at a time; each square
+        is decided by `verify_square`."""
         res, tc = self.res, self.tc
-        s_right, s_left = self.contraction("right"), self.contraction("left")
 
         def lift(lab):
             m = lab.degree
             gen = res.generator(lab)
             if m == 0:
                 return tc.tensor(gen, gen)
-            rhs = family.evaluate(m - 1, res.apply_boundary(m, gen))
-            x = self._lift(lab, rhs, s_right, s_left)
-            if x is None:
-                raise ArithmeticError(f"no exact solution at degree {m} for {lab}")
-            return x
+            return self._lift(lab, family.evaluate(m - 1, res.apply_boundary(m, gen)))
 
         family = ChainMapFamily(self, 1, images=self.per_label(lift, upward=True))
         return family
@@ -451,7 +444,6 @@ class DiagonalMaps:
     def homotopy_solve(self, fam_f, fam_g, max_degree):
         """Find h with f - g = h∘boundary + d∘h, or report the degree
         where the two families cannot be homotopic."""
-        s_right, s_left = self.contraction("right"), self.contraction("left")
         images = {}
         h = HomotopyFamily(self, images, {v: {} for v in VERTICES})
         for m in range(0, max_degree + 1):
@@ -461,8 +453,8 @@ class DiagonalMaps:
                 e = axpy(dict(fam_f.image(lab)), -1, fam_g.image(lab), self.field.p)
                 if m >= 1:
                     axpy(e, -1, h.apply(m - 1, self.res.apply_boundary(m, gen)), self.field.p)
-                x = self._lift(lab, e, s_right, s_left)
-                if x is None:
+                x = self._lift(lab, e)
+                if axpy(self.tc.differential(x), -1, e, self.field.p):
                     return None, m
                 imgs[lab] = x
             images[m] = imgs

@@ -26,6 +26,10 @@ class UnsupportedRightFactor(ValueError):
     """The published table only covers right factors of diagonal type."""
 
 
+class UnverifiedDiagonal(ValueError):
+    """A cup product refused: its diagonal family fails a square it needs."""
+
+
 def star_table(f_name, g_name, n):
     """The published table entry for f * g, as (CochainName | None).
 
@@ -111,7 +115,7 @@ class Products:
             if k not in family.verified:
                 self.dm.verify_square(family, k)
             if not family.verified[k]:
-                raise ValueError(f"diagonal family not a chain map at degree {k}")
+                raise UnverifiedDiagonal(f"diagonal family not a chain map at degree {k}")
         return self._product_on(family.image, f, g)
 
     # -- named output --------------------------------------------------------

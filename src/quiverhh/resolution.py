@@ -125,7 +125,7 @@ class Resolution:
         self._shapes = Degrees(self._shape_at, upward=False)
         self._triples = Degrees(self._triples_at, upward=False)
         self._blocks = Degrees(self._blocks_at, upward=False)
-        self._reps = Degrees(self._period_rep_at, upward=True)
+        self._reps = Degrees(self._period_rep_at, upward=False)
         self._matrices = Degrees(self._boundary_matrix, upward=False)
         # the matrix, solver and rank tables are keyed by `period_rep`
         self._solvers = Degrees(
@@ -231,22 +231,30 @@ class Resolution:
 
     def period_rep(self, m):
         """The degree whose boundary matrix, rank and solver serve degree m:
-        `period_rep(m - 6)` for m >= 8 when the labels of m and m - 1 and the
-        shape of m (all `_boundary_matrix(m)` reads besides the algebra) are
-        those of m - 6 and m - 7 shifted up by 6, else m itself."""
+        r = `period_rep(m - 6)` for m >= 8 when the labels of m and m - 1 and
+        the shape of m (all `_boundary_matrix(m)` reads besides the algebra)
+        are those of r and r - 1 shifted up by m - r, else m itself.  Since
+        m - 6 is certified against r, that is the comparison with m - 6."""
         return self._reps[m]
 
     def _period_rep_at(self, m):
-        # filled upward, so `_reps[m - 6]` is already there
-        up = lambda lab: lab._replace(degree=lab.degree + 6)
-        same = m >= 8 and all(
-            tuple(map(up, self.labels(k - 6))) == self.labels(k) for k in (m, m - 1)
-        )
-        same = same and self.shape(m) == {
+        if m < 8:
+            return m
+        # fill m's residue class from below, so that no read recurses
+        if m - 6 not in self._reps:
+            for k in range(8 + (m - 8) % 6, m - 6, 6):
+                self._reps[k]
+        r = self._reps[m - 6]
+        up = lambda lab: lab._replace(degree=lab.degree + m - r)
+        if any(tuple(map(up, self.labels(k - m + r))) != self.labels(k) for k in (m, m - 1)):
+            return m
+        # a shape read only here is built, checked and dropped, so a deep
+        # read keeps one period of shapes
+        shape = self._shapes[m] if m in self._shapes else self._shape_at(m)
+        return r if shape == {
             up(lab): [(x, up(t), y, s) for x, t, y, s in terms]
-            for lab, terms in self.shape(m - 6).items()
-        }
-        return self._reps[m - 6] if same else m
+            for lab, terms in self.shape(r).items()
+        } else m
 
     def boundary_matrix(self, m):
         """Matrix of the boundary out of degree m; rows follow the target basis.

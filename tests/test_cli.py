@@ -97,6 +97,40 @@ def test_unexplained_star_deviation_fails_the_ring(capsys, monkeypatch):
     assert "kd-ledger  pass" in out
 
 
+def _double_degree_2_solutions(monkeypatch):
+    # a wrong lift: solutions of right-hand sides of total degree 2, which
+    # are the degree-3 images of the solved family, come out doubled
+    from quiverhh.diagonal import DiagonalMaps
+    from quiverhh.linalg import axpy
+
+    solve = DiagonalMaps._solve_boundary
+
+    def doubled(self, rhs, *rest):
+        x = solve(self, rhs, *rest)
+        if any(g1.degree + g2.degree == 2 for g1, g2, *_ in rhs):
+            return axpy({}, 2, x, self.field.p)
+        return x
+
+    monkeypatch.setattr(DiagonalMaps, "_solve_boundary", doubled)
+
+
+def test_wrong_lift_fails_its_squares_and_refuses_cups(capsys, monkeypatch):
+    # the squares the wrong lift breaks are failing rows of the report,
+    # and a cup product through it is refused in one line
+    _double_degree_2_solutions(monkeypatch)
+    argv = ("diagonal", "--n", "0", "--max-degree", "6", "--output", "json", "squares")
+    code, out = run(capsys, *argv)
+    assert code == 1
+    failing = [r for r in json.loads(out)["checks"] if r["status"] == "fail"]
+    assert failing and {r["degree"] for r in failing} == {3}
+    code = main(["ring", "--n", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "cup product refused" in captured.err and "at degree 3" in captured.err
+
+
 def test_invalid_flags_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["resolution", "--n", "-3", "verify"])

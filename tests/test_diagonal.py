@@ -159,7 +159,7 @@ def test_contraction_is_a_contracting_homotopy(pipes, n, side):
     # boundary∘s + s∘boundary = id on every basis triple of degree <= 6,
     # with the augmentation section in place of s∘boundary at degree 0
     res = pipes[n].resolution
-    s = pipes[n].diagonal.contraction(side)
+    s = getattr(pipes[n].diagonal, f"s_{side}")
     for m in range(0, 7):
         for tr in res.triples(m):
             x = {tr: 1}
@@ -191,6 +191,27 @@ def test_solved_family_builds_one_solver_per_degree(monkeypatch):
     # images to degree d read the contractions to degree d - 1, and both
     # contractions share the boundary solver of degrees 1..d
     assert built == [(res.dim(m - 1), res.dim(m)) for m in range(1, d + 1)]
+
+
+def test_solved_run_takes_one_differential_per_generator(monkeypatch):
+    # the lift only solves, and verify_square takes the one d of each
+    # generator's image: 64 generators in degrees 1..12
+    from quiverhh import Pipeline, RunConfig
+    from quiverhh.tensorcx import TensorComplex
+
+    calls = []
+    differential = TensorComplex.differential
+
+    def counting(self, elem):
+        calls.append(1)
+        return differential(self, elem)
+
+    monkeypatch.setattr(TensorComplex, "differential", counting)
+    pipe = Pipeline(RunConfig(n=0, max_degree=12))
+    dm = pipe.diagonal
+    rows = dm.verify_squares(dm.solved_family(), 12)
+    assert all(r["status"] == "pass" for r in rows)
+    assert len(calls) == sum(len(dm.res.labels(m)) for m in range(1, 13)) == 64
 
 
 def test_degrees_fill_upward_without_recursion():
@@ -441,7 +462,7 @@ def test_gf_coefficients_are_reduced_ints(n, p):
         dm.verify_squares(fam, 6)
         coeffs += [c for m in range(7) for img in fam.images[m].values() for c in img.values()]
     for side in ("right", "left"):
-        table = dm.contraction(side).table
+        table = getattr(dm, f"s_{side}").table
         coeffs += [c for m in range(6) for elem in table[m].values() for c in elem.values()]
     for m in range(8):
         ech = res.boundary_solver(m).echelon

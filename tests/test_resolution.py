@@ -196,6 +196,14 @@ def test_deep_reads_do_not_recurse():
     assert r.boundary_matrix(7000) is r.boundary_matrix(4)
 
 
+def test_deep_read_keeps_one_period_of_shapes():
+    # the certificate builds the shape of each degree it reads past the
+    # period and drops it
+    r = Resolution(get_algebra(0))
+    r.boundary_rank(7000)
+    assert len(r._shapes) <= 6
+
+
 # sha256 of repr([boundary_shape(m, n) for m in 1..19]) per n: the printed
 # shapes, term order included
 SHAPE_DIGESTS = {
