@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from .linalg import QQ, SparseEchelon, accumulate
 from .quiver import VERTICES, Path, a_cycle, compose, trivial, walk_paths
+from .uniform import Degrees
 
 
 def _find_subword(word, sub):
@@ -40,7 +41,10 @@ class FamilyAlgebra:
     Elements are plain dicts {normal-form Path: coefficient} with no zero
     coefficients stored.  The instance carries the monomial basis, corner
     decomposition tables, and the rewriting rules.  Products of basis
-    paths are memoised in a table filled on first use.
+    paths are memoised in a table filled on first use, and restated on
+    basis indices in `product_rows`: `product_rows[i][j]` is the index of
+    basis[i] * basis[j], or None when it vanishes.  A row is filled by
+    `mul_path` the first time it is read.
     """
 
     def __init__(self, n, field=QQ):
@@ -70,6 +74,8 @@ class FamilyAlgebra:
         self.into_index = {p: i for ps in self.paths_into.values() for i, p in enumerate(ps)}
         self.from_index = {p: i for ps in self.paths_from.values() for i, p in enumerate(ps)}
         self._products = {}  # (p, q) -> normal form of p*q, or None
+        # a `Degrees` table keyed by the left factor's index
+        self.product_rows = Degrees(self._product_row, upward=False)
 
     # -- rewriting ---------------------------------------------------
 
@@ -108,6 +114,10 @@ class FamilyAlgebra:
             self._products[key] = r
             return r
 
+    def _product_row(self, i):
+        p, mul, index = self.basis[i], self.mul_path, self.basis_index
+        return [None if (r := mul(p, q)) is None else index[r] for q in self.basis]
+
     def mul(self, x, y):
         mul = self.mul_path
         return accumulate(
@@ -136,8 +146,9 @@ _ALGEBRAS = {}  # (n, characteristic) -> FamilyAlgebra
 def get_algebra(n, field=QQ):
     """Shared algebra instances, one per n and characteristic.
 
-    Sharing is safe: the only mutable field is the product table behind
-    `mul_path`, and each of its entries is a pure function of its key.
+    Sharing is safe: the only mutable fields are the product tables behind
+    `mul_path` and `product_rows`, and each of their entries is a pure
+    function of its key.
     """
     key = (n, field.p)
     if key not in _ALGEBRAS:

@@ -336,6 +336,11 @@ def main(argv=None):
             output=args.output,
             out_path=args.out_path,
         )
+        if args.command == "hochschild" and args.action == "cup-table":
+            if not _cup_table_wanted(config):
+                raise ValueError(
+                    "the cup table is defined for --n 0 --delta-mode solved --max-degree >= 12"
+                )
     except ValueError as exc:
         args.usage_error(str(exc))
     pipe = Pipeline(config)

@@ -51,24 +51,44 @@ the resolution, then pushes the leftover of bidegree (0, b) through the
 left-linear contraction of the second factor.  Both contractions solve
 with the resolution's boundary solver of each degree, whose echelon
 splits into one-sided corner blocks.
+
+Every value here (family and homotopy images, the vertex table, the
+solver's right-hand sides) is a tensor element in the integer index form
+of `tensorcx.py`: {(g1, g2, left, mid, right): coefficient}.  Generator
+images are kept per `Label`, and resolution elements (the boundary of a
+generator, the input of `evaluate`) keep their `Label` and `Path`
+triples; `_extend`, `delta_prime_apply` and `TensorComplex.tensor` turn
+their terms into numbers.
+
+A contraction table holds, per degree m, one entry per generator in a
+fixed order, and each entry is the generator's image as {position in
+`res.triples(m + 1)`: coefficient}.  The positions are relative to the
+degree, so where the resolution repeats itself the tables may too:
+degrees 0..7 are solved, and a degree m >= 8 holds the very table of
+m - 6 only when `period_rep` certifies m and m + 1 and the table of
+m - 1 is that of m - 7 (at m = 8, when the solved tables of 7 and 1 are
+equal); every other degree is solved.  `_solve_boundary` reads a table
+entry through `TensorComplex.triple_ids` of its own degree.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .linalg import accumulate, axpy
 from .quiver import VERTICES, arrow, trivial
-from .uniform import Degrees, label_at, label_pair
+from .uniform import Degrees, label_at, label_index, label_pair
 
 
 def _extend(tc, images, elem):
     """Bimodule-linear extension of generator images {label: tensor
     element} to a resolution element."""
-    act = tc.act
+    act, index = tc.act, tc.algebra.basis_index
     out = {}
     for (lab, left, right), c in elem.items():
         img = images.get(lab)
         if img:
-            axpy(out, c, act(left, img, right), tc.field.p)
+            axpy(out, c, act(index[left], img, index[right]), tc.field.p)
     return out
 
 
@@ -81,6 +101,14 @@ class OneSidedContraction:
     identities (boundary∘s + s∘boundary = identity, with the degree-0
     correction through the augmentation section) are solved with the
     resolution's boundary solver of each degree.
+
+    Degree m of `table` is a list with one entry per generator of degree
+    m, label by label in the order of `generator_labels(m)`, and within a
+    label by the position of its free path (`into_index` of the left path
+    on the right side, `from_index` of the right path on the left side).
+    An entry is the generator's image {position in `res.triples(m + 1)`:
+    coefficient}.  The positions are relative to the degree, so degree m
+    may hold the very table of degree m - 6 (see `_repeats`).
     """
 
     def __init__(self, resolution, side):
@@ -88,8 +116,28 @@ class OneSidedContraction:
         self.res = resolution
         self.alg = resolution.algebra
         self.side = side
-        # degree -> {(path, label) or (label, path): element}
-        self.table = Degrees(self._solve, upward=True)
+        self._offsets = Degrees(self._offsets_at, upward=False)
+        self.table = Degrees(self._table_at, upward=True)
+
+    @cached_property
+    def _slot(self):
+        """By path index: the position of the free path within its label."""
+        slot = self.alg.into_index if self.side == "right" else self.alg.from_index
+        return [slot[p] for p in self.alg.basis]
+
+    def position(self, g, path):
+        """Position in `table[g >> 3]` of the generator of label number g
+        whose free path has index `path`."""
+        return self._offsets[g >> 3][g & 7] + self._slot[path]
+
+    def _offsets_at(self, m):
+        """For each label of degree m, the position of its first generator."""
+        out, k = [], 0
+        for lab in self.res.labels(m):
+            out.append(k)
+            o, t = label_pair(lab)
+            k += len(self.alg.paths_into[o] if self.side == "right" else self.alg.paths_from[t])
+        return out
 
     def section(self, p):
         """The degree-0 section of the augmentation: a path p lifts to the
@@ -106,34 +154,56 @@ class OneSidedContraction:
 
     def apply(self, m, elem):
         """Apply the degree-m homotopy to a degree-m element."""
-        mul = self.alg.mul_path
-        table = self.table[m]
-        if self.side == "right":
-            terms = (
-                ((l2, L2, nr), c * d)
-                for (lab, left, right), c in elem.items()
-                for (l2, L2, R2), d in table[(left, lab)].items()
-                if (nr := mul(R2, right)) is not None
-            )
-        else:
-            terms = (
-                ((l2, nl, R2), c * d)
-                for (lab, left, right), c in elem.items()
-                for (l2, L2, R2), d in table[(lab, right)].items()
-                if (nl := mul(left, L2)) is not None
-            )
-        return accumulate(terms, self.res.field.p)
+        mul, index = self.alg.mul_path, self.alg.basis_index
+        table, src = self.table[m], self.res.triples(m + 1)
+        right_side = self.side == "right"
+
+        def terms():
+            for (lab, left, right), c in elem.items():
+                free = left if right_side else right
+                for i, d in table[self.position(label_index(lab), index[free])].items():
+                    l2, L2, R2 = src[i]
+                    if right_side:
+                        if (nr := mul(R2, right)) is not None:
+                            yield (l2, L2, nr), c * d
+                    elif (nl := mul(left, L2)) is not None:
+                        yield (l2, nl, R2), c * d
+
+        return accumulate(terms(), self.res.field.p)
 
     def _generators(self, m):
+        """The generators of degree m as resolution elements, in table order."""
         alg = self.alg
         for lab in self.res.labels(m):
             o, t = label_pair(lab)
             if self.side == "right":
                 for left in alg.paths_into[o]:
-                    yield (left, lab), {(lab, left, trivial(t)): 1}
+                    yield {(lab, left, trivial(t)): 1}
             else:
                 for right in alg.paths_from[t]:
-                    yield (lab, right), {(lab, trivial(o), right): 1}
+                    yield {(lab, trivial(o), right): 1}
+
+    def _table_at(self, m):
+        return self.table[m - 6] if m >= 8 and self._repeats(m) else self._solve(m)
+
+    def _repeats(self, m):
+        """Whether solving degree m >= 8 would repeat the table of m - 6.
+
+        Degree m reads the labels of m and m - 1 and the shape of m (the
+        generators and the boundary of their defects), the labels of m + 1
+        and the boundary solver of m + 1, and the table of m - 1.
+        `period_rep` certifies the first two against m - 6 and m - 5; the
+        table of m - 1 must be the one of m - 7.  At m = 8 that is one
+        comparison of the solved tables of degrees 7 and 1 (degree 0 reads
+        the augmentation section, so the chain cannot start lower); above,
+        the table of m - 1 is that of m - 7 exactly when it was shared.
+        """
+        res, table = self.res, self.table
+        if res.period_rep(m) == m or res.period_rep(m + 1) == m + 1:
+            return False
+        if m == 8:
+            return table[7] == table[1]
+        return table[m - 1] is table[m - 7]
 
     def _solve(self, m):
         # The boundary commutes with both actions, so the echelon of each
@@ -141,10 +211,9 @@ class OneSidedContraction:
         # a solution never leaves the corner of its right-hand side.
         res = self.res
         solver = res.boundary_solver(m + 1)
-        src = res.triples(m + 1)
         tgt_index = res.triple_index(m)
-        tbl = {}
-        for key, gen_elem in self._generators(m):
+        out = []
+        for gen_elem in self._generators(m):
             if m == 0:
                 defect = self.section_apply(res.augment(gen_elem))
             else:
@@ -152,8 +221,8 @@ class OneSidedContraction:
             rhs_elem = axpy(gen_elem, -1, defect, res.field.p)
             x = solver.solve({tgt_index[k]: c for k, c in rhs_elem.items()})
             assert x is not None, f"contraction solve failed at degree {m}"
-            tbl[key] = {src[i]: c for i, c in x.items()}
-        return tbl
+            out.append(x)
+        return out
 
 
 class ChainMapFamily:
@@ -239,16 +308,15 @@ class DiagonalMaps:
         On a generator: origin corner on the left, terminus corner on the
         right; at degree 0 both corners coincide and the coefficient
         doubles."""
-        out = {}
-        tensor = self.tc.tensor
-        generator = self.res.generator
+        tc = self.tc
+        index, vertex, vertex_label = tc.algebra.basis_index, tc.vertex, tc.vertex_label
+        terms = []
         for (lab, left, right), c in elem.items():
-            term = {(lab, left, right): c}
-            origin = generator(label_at(0, left.source, left.source))
-            terminus = generator(label_at(0, right.target, right.target))
-            axpy(out, 1, tensor(origin, term), self.field.p)
-            axpy(out, 1, tensor(term, terminus), self.field.p)
-        return out
+            g, l, r = label_index(lab), index[left], index[right]
+            o, t = left.source, right.target
+            terms.append(((vertex_label[o], g, vertex[o], l, r), c))
+            terms.append(((g, vertex_label[t], l, r, vertex[t]), c))
+        return accumulate(terms, self.field.p)
 
     def literal_family(self):
         return ChainMapFamily(self, 2, rule=lambda m, elem: self.delta_prime_apply(elem))
@@ -279,44 +347,14 @@ class DiagonalMaps:
         sign = {"e0": -1, "e1": -1, "e2": -1, "f1": 1}
         for v in VERTICES:
             gen = res.generator(label_at(0, v, v))
-            acted = tc.act(trivial(v), tc.tensor(gen, gen), arrow(succ_arrow[v]))
+            step = tc.algebra.basis_index[arrow(succ_arrow[v])]
+            acted = tc.act(tc.vertex[v], tc.tensor(gen, gen), step)
             star[v] = axpy({}, sign[v], acted, self.field.p)
         return HomotopyFamily(self, self.per_label(image, upward=False), star)
 
     def zero_homotopy(self):
         images = self.per_label(lambda lab: {}, upward=False)
         return HomotopyFamily(self, images, {v: {} for v in VERTICES})
-
-    def corner_homotopy(self):
-        """A nonzero degree +1 map that does respect generator corners:
-        each generator goes to the first scalar basis element of its own
-        corner one total degree up (zero when the corner is empty).  Used
-        to produce genuinely different lifts of the same map."""
-        alg = self.res.algebra
-        labels = self.res.labels
-
-        def image(lab):
-            m = lab.degree
-            o, t = label_pair(lab)
-            for a in range(m + 2):
-                for g1 in labels(a):
-                    o1, t1 = label_pair(g1)
-                    if not alg.corners[(o, o1)]:
-                        continue
-                    for g2 in labels(m + 1 - a):
-                        o2, t2 = label_pair(g2)
-                        if alg.corners[(t1, o2)] and alg.corners[(t2, t)]:
-                            pick = (
-                                g1,
-                                g2,
-                                alg.corners[(o, o1)][0],
-                                alg.corners[(t1, o2)][0],
-                                alg.corners[(t2, t)][0],
-                            )
-                            return {pick: 1}
-            return {}
-
-        return HomotopyFamily(self, self.per_label(image, upward=False), {v: {} for v in VERTICES})
 
     def corrected_family(self, base, h):
         """base + h∘boundary + d∘h, with the lift factor of base: the
@@ -344,39 +382,39 @@ class DiagonalMaps:
         augmenting to zero.  Contract the first factor, then push the
         degree-(0, b) leftover through the left contraction of the second.
         """
-        mul = self.res.algebra.mul_path
-        first = self.s_right.table
-        second = self.s_left.table
-        # (first-factor contraction) tensor identity
-        x = accumulate(
-            (
-                ((l2, g2, L2, nm, right), c * d)
-                for (g1, g2, left, mid, right), c in rhs.items()
-                for (l2, L2, R2), d in first[g1.degree][(left, g1)].items()
-                if (nm := mul(R2, mid)) is not None
-            ),
-            self.field.p,
-        )
-        # replace a degree-0 first factor through augment-then-section
-        leftover = accumulate(
-            (
-                ((label_at(0, p.source, p.source), g2, trivial(p.source), p, right), c)
-                for (g1, g2, left, mid, right), c in rhs.items()
-                if g1.degree == 0 and (p := mul(left, mid)) is not None
-            ),
-            self.field.p,
-        )
-        # identity tensor (second-factor contraction) on the leftover
-        y = accumulate(
-            (
-                ((g1, l2, left, nm, R2), c * d)
-                for (g1, g2, left, mid, right), c in leftover.items()
-                for (l2, L2, R2), d in second[g2.degree][(g2, right)].items()
-                if (nm := mul(mid, L2)) is not None
-            ),
-            self.field.p,
-        )
-        return axpy(x, 1, y, self.field.p)
+        tc, p = self.tc, self.field.p
+        rows, ids = tc.rows, tc.triple_ids
+        basis, vertex, vertex_label = tc.algebra.basis, tc.vertex, tc.vertex_label
+        first, second = self.s_right, self.s_left
+
+        def contract_first():
+            # (first-factor contraction) tensor identity
+            for (g1, g2, left, mid, right), c in rhs.items():
+                src = ids((g1 >> 3) + 1)
+                for i, d in first.table[g1 >> 3][first.position(g1, left)].items():
+                    l2, L2, R2 = src[i]
+                    if (nm := rows[R2][mid]) is not None:
+                        yield (l2, g2, L2, nm, right), c * d
+
+        def augment_first():
+            # a degree-0 first factor, replaced through augment-then-section
+            for (g1, g2, left, mid, right), c in rhs.items():
+                if g1 < 8 and (q := rows[left][mid]) is not None:
+                    v = basis[q].source
+                    yield (vertex_label[v], g2, vertex[v], q, right), c
+
+        def contract_second(leftover):
+            # identity tensor (second-factor contraction)
+            for (g1, g2, left, mid, right), c in leftover.items():
+                src = ids((g2 >> 3) + 1)
+                for i, d in second.table[g2 >> 3][second.position(g2, right)].items():
+                    l2, L2, R2 = src[i]
+                    if (nm := rows[mid][L2]) is not None:
+                        yield (g1, l2, left, nm, R2), c * d
+
+        x = accumulate(contract_first(), p)
+        y = accumulate(contract_second(accumulate(augment_first(), p)), p)
+        return axpy(x, 1, y, p)
 
     def _lift(self, lab, rhs):
         """X in the corner of generator lab with dX = rhs when rhs is a
@@ -384,7 +422,8 @@ class DiagonalMaps:
         o, t = label_pair(lab)
         # keep only the generator's own corner; the complement is
         # boundary-free junk the one-sided contractions may add
-        return self.tc.act(trivial(o), self._solve_boundary(rhs), trivial(t))
+        vertex = self.tc.vertex
+        return self.tc.act(vertex[o], self._solve_boundary(rhs), vertex[t])
 
     def solved_family(self):
         """A lift of the identity solved one square at a time; each square

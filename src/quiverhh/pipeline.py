@@ -25,7 +25,7 @@ from .products import Products
 from .quiver import VERTICES, parse_path
 from .resolution import Resolution
 from .tensorcx import TensorComplex
-from .uniform import generator_labels, label_pair, parse_label
+from .uniform import Degrees, generator_labels, label_pair, parse_label
 
 
 @dataclass
@@ -121,15 +121,32 @@ class Pipeline:
             return dm.zero_homotopy()
         # zero on every generator the file does not list
         images, star = self.config.homotopy_data
-        table = dm.per_label(lambda lab: images.get(lab.degree, {}).get(lab, {}), upward=False)
-        return HomotopyFamily(dm, table, star)
+        encode = self.tensor.encode
+        table = dm.per_label(
+            lambda lab: encode(images.get(lab.degree, {}).get(lab, {})), upward=False
+        )
+        return HomotopyFamily(dm, table, {v: encode(e) for v, e in star.items()})
+
+    @cached_property
+    def _names(self):
+        """The (str, repr) of the `Label` each label number stands for and of
+        the `Path` each basis index stands for, built as terms are printed."""
+        labels, basis = self.resolution.labels, self.algebra.basis
+        return (
+            Degrees(lambda g: _str_and_repr(labels(g >> 3)[g & 7]), upward=False),
+            Degrees(lambda i: _str_and_repr(basis[i]), upward=False),
+        )
 
     def family_json(self, fam):
         """The serialised generator images of a diagonal family (or a
         homotopy) in degrees 0..max_degree."""
         field = self.algebra.field
         return [
-            {"degree": m, "generator": str(lab), "terms": _terms_json(fam.images[m][lab], field)}
+            {
+                "degree": m,
+                "generator": str(lab),
+                "terms": _terms_json(self._names, fam.images[m][lab], field),
+            }
             for m in range(self.config.max_degree + 1)
             for lab in self.resolution.labels(m)
         ]
@@ -137,29 +154,39 @@ class Pipeline:
     def homotopy_json(self, h):
         """Serialise a homotopy family (generator images in degrees
         0..max_degree plus vertex table)."""
+        field = self.algebra.field
         star = [
-            {"vertex": v, "terms": _terms_json(h.star.get(v, {}), self.algebra.field)}
+            {"vertex": v, "terms": _terms_json(self._names, h.star.get(v, {}), field)}
             for v in VERTICES
         ]
         return {"images": self.family_json(h), "star": star}
 
 
-def _terms_json(elem, field):
-    """Serialised terms of a tensor element, sorted by the repr of their key."""
-    return [
-        {
-            "bidegree": [g1.degree, g2.degree],
-            "g1": str(g1),
-            "g2": str(g2),
-            "left": str(left),
-            "middle": str(mid),
-            "right": str(right),
+def _str_and_repr(obj):
+    return str(obj), repr(obj)
+
+
+def _terms_json(names, elem, field):
+    """Serialised terms of a tensor element, sorted by the repr of their
+    key decoded to `Label` and `Path` objects.  `names` holds the str and
+    repr of each label number and path index (`Pipeline._names`); the repr
+    of a tuple is the reprs of its items, joined by ", " in parentheses."""
+    labels, paths = names
+    keyed = []
+    for (g1, g2, left, mid, right), c in elem.items():
+        n1, n2, nl, nm, nr = labels[g1], labels[g2], paths[left], paths[mid], paths[right]
+        row = {
+            "bidegree": [g1 >> 3, g2 >> 3],
+            "g1": n1[0],
+            "g2": n2[0],
+            "left": nl[0],
+            "middle": nm[0],
+            "right": nr[0],
             "coeff": field.format(c),
         }
-        for (g1, g2, left, mid, right), c in sorted(
-            elem.items(), key=lambda kv: repr(kv[0])
-        )
-    ]
+        keyed.append((f"({n1[1]}, {n2[1]}, {nl[1]}, {nm[1]}, {nr[1]})", row))
+    keyed.sort(key=lambda kv: kv[0])
+    return [row for _, row in keyed]
 
 
 def _generator_label(text, degree=None):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .cochains import Cochain, CochainName
 from .linalg import accumulate
-from .uniform import Degrees
+from .uniform import Degrees, label_index
 
 
 class UnsupportedRightFactor(ValueError):
@@ -82,24 +82,31 @@ class Products:
     def _product_on(self, image_of, f, g):
         """(f, g) paired against a diagonal image table at degree deg f + deg g."""
         m = f.degree + g.degree
-        mul = self.alg.mul_path
+        alg = self.alg
+        rows, index, basis = alg.product_rows, alg.basis_index, alg.basis
+        # each factor's images by label number, on path indices; a label of
+        # another degree finds none
+        fv, gv = (
+            {label_index(lab): [(index[p], c) for p, c in v.items()] for lab, v in h.images.items()}
+            for h in (f, g)
+        )
 
         def terms(image):
             for (g1, g2, left, mid, right), c in image.items():
-                if g1.degree != f.degree or g2.degree != g.degree:
+                f_terms = fv.get(g1)
+                g_terms = gv.get(g2)
+                if not f_terms or not g_terms:
                     continue
-                fv = f.images.get(g1)
-                gv = g.images.get(g2)
-                if not fv or not gv:
-                    continue
-                for p1, c1 in fv.items():
-                    q = mul(left, p1)
-                    if q is None or (q := mul(q, mid)) is None:
+                row_left = rows[left]
+                for p1, c1 in f_terms:
+                    q = row_left[p1]
+                    if q is None or (q := rows[q][mid]) is None:
                         continue
-                    for p2, c2 in gv.items():
-                        r = mul(q, p2)
-                        if r is not None and (r := mul(r, right)) is not None:
-                            yield r, c * c1 * c2
+                    row_q = rows[q]
+                    for p2, c2 in g_terms:
+                        r = row_q[p2]
+                        if r is not None and (r := rows[r][right]) is not None:
+                            yield basis[r], c * c1 * c2
 
         labels = self.hc.res.labels(m)
         return Cochain(m, {lab: accumulate(terms(image_of(lab)), self.field.p) for lab in labels})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from .linalg import axpy
 from .quiver import parse_path
@@ -25,7 +26,76 @@ def kd_ledger():
 
 
 def canonical_json(data):
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(data, indent=2, sort_keys=True) + "\n"`, byte for byte.
+
+    With `indent` set, `json` encodes in pure Python; this writer emits
+    the same text, escaping strings with the C `encode_basestring_ascii`.
+    Object keys must be strings; a value that is not a dict, list, tuple,
+    str, int, float, bool or None raises TypeError, as in `json`.
+    """
+    if not isinstance(data, (dict, list, tuple)):
+        return _scalar_json(data) + "\n"
+    parts = []
+    _write_json(data, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _scalar_json(data):
+    """The JSON text of a str, int, float, bool or None."""
+    if isinstance(data, str):
+        return encode_basestring_ascii(data)
+    if data is None or data is True or data is False:
+        return _CONSTANTS[data]
+    if isinstance(data, int):
+        return int.__repr__(data)
+    if isinstance(data, float):
+        return json.dumps(data)
+    raise TypeError(f"Object of type {type(data).__name__} is not JSON serializable")
+
+
+def _write_json(data, newline, emit):
+    """Emit `data` (a dict, list or tuple) as `json.dumps(..., indent=2,
+    sort_keys=True)` would, with `newline` the line break and indent of its
+    own level."""
+    inner = newline + "  "
+    if isinstance(data, dict):
+        if not data:
+            emit("{}")
+            return
+        sep = "{" + inner
+        for key in sorted(data):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            value = data[key]
+            head = sep + encode_basestring_ascii(key) + ": "
+            if type(value) is str:
+                emit(head + encode_basestring_ascii(value))
+            elif isinstance(value, (dict, list, tuple)):
+                emit(head)
+                _write_json(value, inner, emit)
+            else:
+                emit(head + _scalar_json(value))
+            sep = "," + inner
+        emit(newline + "}")
+    else:
+        if not data:
+            emit("[]")
+            return
+        sep = "[" + inner
+        for item in data:
+            if type(item) is str:
+                emit(sep + encode_basestring_ascii(item))
+            elif isinstance(item, (dict, list, tuple)):
+                emit(sep)
+                _write_json(item, inner, emit)
+            else:
+                emit(sep + _scalar_json(item))
+            sep = "," + inner
+        emit(newline + "]")
 
 
 def render_markdown_table(rows, columns):
@@ -212,8 +282,8 @@ def _build_claim(dm, claim):
         lab1 = label_at(m, *pair1)
         if lab0 is None or lab1 is None:
             return None
-        left = parse_path(left_s)
-        right = parse_path(right_s)
+        left = alg.basis_index[parse_path(left_s)]
+        right = alg.basis_index[parse_path(right_s)]
         term = dm.tc.act(
             left,
             dm.tc.tensor(res.generator(lab0), res.generator(lab1)),

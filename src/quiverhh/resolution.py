@@ -122,6 +122,7 @@ class Resolution:
         self.algebra = algebra
         self.n = algebra.n
         self.field = algebra.field
+        self._labels = Degrees(generator_labels, upward=False)
         self._shapes = Degrees(self._shape_at, upward=False)
         self._triples = Degrees(self._triples_at, upward=False)
         self._blocks = Degrees(self._blocks_at, upward=False)
@@ -136,7 +137,7 @@ class Resolution:
     # -- structure -----------------------------------------------------
 
     def labels(self, m):
-        return generator_labels(m)
+        return self._labels[m]
 
     def generator(self, label):
         """The basis triple (label, origin, terminus) with coefficient 1."""
@@ -246,7 +247,9 @@ class Resolution:
                 self._reps[k]
         r = self._reps[m - 6]
         up = lambda lab: lab._replace(degree=lab.degree + m - r)
-        if any(tuple(map(up, self.labels(k - m + r))) != self.labels(k) for k in (m, m - 1)):
+        # the labels are read unmemoised here, so a deep read keeps none
+        labels = generator_labels
+        if any(tuple(map(up, labels(k - m + r))) != labels(k) for k in (m, m - 1)):
             return m
         # a shape read only here is built, checked and dropped, so a deep
         # read keeps one period of shapes

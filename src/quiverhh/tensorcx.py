@@ -1,32 +1,90 @@
 """The total complex of the resolution tensored with itself over the algebra.
 
-A scalar basis element in total degree a+b is a quintuple
+A scalar basis element in total degree a+b is a quintuple of ints
 
     (g1, g2, left, mid, right)
 
-with g1 of degree a, g2 of degree b, `left` a basis path ending at the
-origin of g1, `mid` a basis path from the terminus of g1 to the origin
-of g2, and `right` a basis path starting at the terminus of g2.  The
-middle slot is the canonical home for everything between the two
-generators; a pure tensor of two generators is zero unless the inner
-vertices match.  Tensor elements are dicts {quintuple: coefficient}.
+with g1 the number of a label of degree a and g2 of a label of degree b,
+and `left`, `mid` and `right` the indices of basis paths: `left` ends at
+the origin of g1, `mid` runs from the terminus of g1 to the origin of
+g2, and `right` starts at the terminus of g2.  A label is numbered by
+`uniform.label_index` (8 * degree + its position among the generators
+of its degree, so its degree is g >> 3) and a path by
+`FamilyAlgebra.basis_index`.  The middle slot is the canonical home for
+everything between the two generators; a pure tensor of two generators
+is zero unless the inner vertices match.  Tensor elements are dicts
+{quintuple: coefficient}.
 
 The total differential applies the boundary on either factor, with the
 sign (-1)^a on the second factor, and drops the augmentation (factors of
-degree 0 contribute nothing from their own boundary).
+degree 0 contribute nothing from their own boundary).  It reads each
+label's boundary shape restated on the same numbers (`_shape_at`), and
+every product of paths from the algebra's `product_rows`, so it hashes
+nothing but ints.
+
+`Label` and `Path` objects meet the index form only at its edges:
+`tensor` takes two resolution elements, whose terms are triples of
+objects; `augment` returns an algebra element; `encode` converts a whole
+element read from a homotopy file; and a printed term names its numbers
+(`pipeline._terms_json`).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .linalg import accumulate
-from .uniform import label_pair
+from .quiver import VERTICES, trivial
+from .uniform import Degrees, label_at, label_index, label_pair
 
 
 class TensorComplex:
     def __init__(self, resolution):
         self.res = resolution
-        self.algebra = resolution.algebra
+        self.algebra = alg = resolution.algebra
         self.field = resolution.field
+        self.rows = alg.product_rows
+        self._shapes = Degrees(self._shape_at, upward=False)
+        self._triple_ids = Degrees(self._triple_ids_at, upward=False)
+
+    @cached_property
+    def vertex(self):
+        """{vertex: index of its trivial path}."""
+        return {v: self.algebra.basis_index[trivial(v)] for v in VERTICES}
+
+    @cached_property
+    def vertex_label(self):
+        """{vertex: number of the degree-0 label at it}."""
+        return {v: label_index(label_at(0, v, v)) for v in VERTICES}
+
+    # -- the index scheme -------------------------------------------------
+
+    def encode(self, elem):
+        """An element keyed by (Label, Label, Path, Path, Path), in index form."""
+        index = self.algebra.basis_index
+        return {
+            (label_index(g1), label_index(g2), index[left], index[mid], index[right]): c
+            for (g1, g2, left, mid, right), c in elem.items()
+        }
+
+    def _shape_at(self, m):
+        """The boundary shape of degree m >= 1 on numbers: for each label,
+        in the order of `generator_labels(m)`, its terms (left path index,
+        target label number, right path index, sign)."""
+        index = self.algebra.basis_index
+        shape = self.res.shape(m)
+        return [
+            [(index[x], label_index(tgt), index[y], sign) for x, tgt, y, sign in shape[lab]]
+            for lab in self.res.labels(m)
+        ]
+
+    def triple_ids(self, m):
+        """`res.triples(m)` on numbers: (label number, left index, right index)."""
+        return self._triple_ids[m]
+
+    def _triple_ids_at(self, m):
+        index = self.algebra.basis_index
+        return [(label_index(lab), index[l], index[r]) for lab, l, r in self.res.triples(m)]
 
     # -- construction ---------------------------------------------------
 
@@ -37,25 +95,31 @@ class TensorComplex:
         of the second multiply into the middle slot; terms whose middle
         product vanishes are dropped.
         """
-        mul = self.algebra.mul_path
+        rows, index = self.rows, self.algebra.basis_index
+        a, b = (
+            [(label_index(g), index[left], index[right], c) for (g, left, right), c in e.items()]
+            for e in (elem_a, elem_b)
+        )
         return accumulate(
             (
                 ((g1, g2, l1, mid, r2), c1 * c2)
-                for (g1, l1, r1), c1 in elem_a.items()
-                for (g2, l2, r2), c2 in elem_b.items()
-                if (mid := mul(r1, l2)) is not None
+                for g1, l1, r1, c1 in a
+                for g2, l2, r2, c2 in b
+                if (mid := rows[r1][l2]) is not None
             ),
             self.field.p,
         )
 
     def act(self, x, elem, y):
-        """Outer bimodule action by paths: x on the left slot, y on the right."""
-        mul = self.algebra.mul_path
+        """Outer bimodule action by basis path indices: x on the left slot,
+        y on the right."""
+        rows = self.rows
+        row_x = rows[x]
         return accumulate(
             (
                 ((g1, g2, nl, mid, nr), c)
                 for (g1, g2, left, mid, right), c in elem.items()
-                if (nl := mul(x, left)) is not None and (nr := mul(right, y)) is not None
+                if (nl := row_x[left]) is not None and (nr := rows[right][y]) is not None
             ),
             self.field.p,
         )
@@ -63,28 +127,31 @@ class TensorComplex:
     # -- differential -----------------------------------------------------
 
     def differential(self, elem):
-        mul = self.algebra.mul_path
-        shape = self.res.shape
+        rows = self.rows
+        shapes = self._shapes
 
         def terms():
             for (g1, g2, left, mid, right), c in elem.items():
-                a = g1.degree
-                if a >= 1:
-                    for x, tgt, y, sign in shape(a)[g1]:
-                        nl = mul(left, x)
+                a = g1 >> 3
+                if a:
+                    row_left = rows[left]
+                    for x, tgt, y, sign in shapes[a][g1 & 7]:
+                        nl = row_left[x]
                         if nl is None:
                             continue
-                        nm = mul(y, mid)
+                        nm = rows[y][mid]
                         if nm is None:
                             continue
                         yield (tgt, g2, nl, nm, right), c if sign > 0 else -c
-                if g2.degree >= 1:
-                    c2 = c if a % 2 == 0 else -c
-                    for x, tgt, y, sign in shape(g2.degree)[g2]:
-                        nm = mul(mid, x)
+                b = g2 >> 3
+                if b:
+                    c2 = -c if a & 1 else c
+                    row_mid = rows[mid]
+                    for x, tgt, y, sign in shapes[b][g2 & 7]:
+                        nm = row_mid[x]
                         if nm is None:
                             continue
-                        nr = mul(y, right)
+                        nr = rows[y][right]
                         if nr is None:
                             continue
                         yield (g1, tgt, left, nm, nr), c2 if sign > 0 else -c2
@@ -96,6 +163,7 @@ class TensorComplex:
     def triples(self, m):
         """Ordered scalar basis of total degree m."""
         alg = self.algebra
+        index = alg.basis_index
         out = []
         for a in range(m + 1):
             b = m - a
@@ -106,20 +174,22 @@ class TensorComplex:
                     mids = alg.corners[(t1, o2)]
                     if not mids:
                         continue
+                    i1, i2 = label_index(g1), label_index(g2)
                     for left in alg.paths_into[o1]:
                         for mid in mids:
                             for right in alg.paths_from[t2]:
-                                out.append((g1, g2, left, mid, right))
+                                out.append((i1, i2, index[left], index[mid], index[right]))
         return out
 
     def augment(self, elem):
-        """Apply the augmentation on both factors and multiply out."""
-        mul = self.algebra.mul_path
+        """Apply the augmentation on both factors and multiply out: an
+        algebra element {Path: coefficient}."""
+        rows, basis = self.rows, self.algebra.basis
         return accumulate(
             (
-                (p, c)
+                (basis[q], c)
                 for (g1, g2, left, mid, right), c in elem.items()
-                if (p := mul(left, mid)) is not None and (p := mul(p, right)) is not None
+                if (q := rows[left][mid]) is not None and (q := rows[q][right]) is not None
             ),
             self.field.p,
         )

@@ -16,6 +16,8 @@ do not exist, which is why those two lists are explicit.
 `Degrees` is the package's one per-degree cache: every table of data
 kept per degree of the resolution (shapes, bases, matrices, cochain
 data, diagonal images) is one, filled the first time a degree is read.
+The same table keeps the rows of the algebra's index product table and
+the printed names of label numbers and path indices.
 """
 
 from __future__ import annotations
@@ -89,11 +91,25 @@ def generator_labels(m):
     return tuple(Label(m, fam, sub) for fam, sub in pairs)
 
 
+_POSITION_DEG0 = {key: i for i, key in enumerate(_PAIRS_DEG0)}
+_POSITION_MOD3 = {r: {key: i for i, key in enumerate(t)} for r, t in _PAIRS_MOD3.items()}
+
+
+def label_index(label):
+    """The label's number: 8 * degree + its position in
+    `generator_labels(degree)`, so the degree is `index >> 3` and the
+    position `index & 7`."""
+    m = label.degree
+    positions = _POSITION_DEG0 if m == 0 else _POSITION_MOD3[m % 3]
+    return 8 * m + positions[(label.family, label.sub)]
+
+
 class Degrees(dict):
     """{degree: value}; a missing degree is built by `fill(m)` when first
     read, and kept.  With `upward`, a degree is built from the ones below
     it, so a read builds the missing lower degrees first, in order, and no
-    read recurses down the degrees."""
+    read recurses down the degrees.  Without `upward` the keys may be any
+    numbers, such as the path indices of `FamilyAlgebra.product_rows`."""
 
     def __init__(self, fill, upward):
         super().__init__()

@@ -22,3 +22,60 @@ def solved_families(pipes):
         pipe.diagonal.verify_squares(fam, pipe.config.max_degree)
         out[n] = fam
     return out
+
+
+def _corner_homotopy(dm):
+    """A nonzero degree +1 map that does respect generator corners: each
+    generator goes to the first scalar basis element of its own corner one
+    total degree up (zero when the corner is empty).  Used to produce
+    genuinely different lifts of the same map."""
+    from quiverhh.diagonal import HomotopyFamily
+    from quiverhh.quiver import VERTICES
+    from quiverhh.uniform import label_pair
+
+    alg = dm.res.algebra
+    labels = dm.res.labels
+
+    def image(lab):
+        m = lab.degree
+        o, t = label_pair(lab)
+        for a in range(m + 2):
+            for g1 in labels(a):
+                o1, t1 = label_pair(g1)
+                if not alg.corners[(o, o1)]:
+                    continue
+                for g2 in labels(m + 1 - a):
+                    o2, t2 = label_pair(g2)
+                    if alg.corners[(t1, o2)] and alg.corners[(t2, t)]:
+                        pick = (
+                            g1,
+                            g2,
+                            alg.corners[(o, o1)][0],
+                            alg.corners[(t1, o2)][0],
+                            alg.corners[(t2, t)][0],
+                        )
+                        return dm.tc.encode({pick: 1})
+        return {}
+
+    return HomotopyFamily(dm, dm.per_label(image, upward=False), {v: {} for v in VERTICES})
+
+
+def _decode(tc, elem):
+    """A tensor element of `tc` keyed by (Label, Label, Path, Path, Path)."""
+    labels, basis = tc.res.labels, tc.algebra.basis
+    return {
+        (labels(g1 >> 3)[g1 & 7], labels(g2 >> 3)[g2 & 7], basis[l], basis[m], basis[r]): c
+        for (g1, g2, l, m, r), c in elem.items()
+    }
+
+
+@pytest.fixture(scope="session")
+def decode():
+    """`decode(tc, elem)`: the inverse of `TensorComplex.encode`."""
+    return _decode
+
+
+@pytest.fixture(scope="session")
+def corner_homotopy():
+    """`corner_homotopy(dm)`: the corner homotopy of a `DiagonalMaps`."""
+    return _corner_homotopy

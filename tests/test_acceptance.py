@@ -249,10 +249,10 @@ def test_c10e_graded_commutativity(cup_setup):
     report("10e graded commutativity on all tested pairs", ok)
 
 
-def test_c10f_lift_independence(cup_setup):
+def test_c10f_lift_independence(cup_setup, corner_homotopy):
     hc, pr, dm, fam = cup_setup
     x, y, z = hc.x_cochain(), hc.y_cochain(), hc.z_cochain()
-    k = dm.corner_homotopy()
+    k = corner_homotopy(dm)
     fam2 = dm.corrected_family(fam, k)
     ok = any(fam.images[m] != fam2.images[m] for m in fam.images)
     ok = ok and all(r["status"] == "pass" for r in dm.verify_squares(fam2, 12))

@@ -107,7 +107,7 @@ def _double_degree_2_solutions(monkeypatch):
 
     def doubled(self, rhs, *rest):
         x = solve(self, rhs, *rest)
-        if any(g1.degree + g2.degree == 2 for g1, g2, *_ in rhs):
+        if any((g1 >> 3) + (g2 >> 3) == 2 for g1, g2, *_ in rhs):
             return axpy({}, 2, x, self.field.p)
         return x
 
@@ -169,6 +169,30 @@ def test_ring_off_n0_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: quiverhh ring ")
     assert "ring reconciliation is defined for --n 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "0", "--max-degree", "2"],
+        ["--n", "1", "--max-degree", "12", "--output", "json"],
+        ["--n", "0", "--max-degree", "12", "--delta-mode", "formula"],
+    ],
+    ids=["max-degree-2", "n1", "formula"],
+)
+def test_cup_table_off_its_configuration_is_a_usage_error(capsys, argv):
+    # an explicit cup-table action never prints a report without the table
+    with pytest.raises(SystemExit) as exc:
+        main(["hochschild", *argv, "cup-table"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: quiverhh hochschild ")
+    assert "the cup table is defined for --n 0" in captured.err
+    # `all` still leaves the table out
+    code, out = run(capsys, "hochschild", *argv, "all")
+    assert code == 0
+    assert "cup_table" not in out
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
@@ -381,6 +405,14 @@ PINNED_REPORTS = [
     # the contractions solve against the boundary solvers of degrees 8..14
     ("diagonal --n 1 --max-degree 13 squares",
      "0d9b7bddfd9c42424056bf9e4602b4caa38ce4cfb6b8dcfb453533bb1953baab"),
+    # solved images past one period, which the contraction tables of
+    # degrees 8..13 produce
+    ("diagonal --n 1 --max-degree 14 build",
+     "931705e44a04375891343db0ec24ca220864685627e58473df8d47a76dd89f98"),
+    ("diagonal --n 2 --field gf:7 --max-degree 14 build",
+     "1a57dc1093bb22503cd9da229a1d41baffc1450edd079ef02c59ed7215bd1cde"),
+    ("diagonal --n 3 --max-degree 13 build",
+     "b467cebb54a4b7079cfcf7fb62ffbb08d780c960d4f73def37d9734b6e23e9e7"),
 ]
 
 

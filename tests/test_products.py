@@ -157,12 +157,12 @@ def test_xyz_star_table(pipes):
     assert pr.star(z, z).is_zero()  # table says x: documented deviation KD-2
 
 
-def test_star_cup_relation(pipes):
+def test_star_cup_relation(pipes, corner_homotopy):
     # cup through the corrected family differs from the two-corner product
     # by exactly the homotopy terms, per generator
     pipe = pipes[0]
     hc, pr, dm = ctx(pipes, 0)
-    h = dm.corner_homotopy()
+    h = corner_homotopy(dm)
     fam = dm.corrected_family(dm.literal_family(), h)
     dm.verify_squares(fam, 4)
     f = hc.x_cochain()
@@ -236,13 +236,13 @@ def test_star_computes_each_literal_image_once(monkeypatch):
     assert len(labels) == len(set(labels)) == 37
 
 
-def test_cup_unit_and_lift_independence(pipes, solved_families):
+def test_cup_unit_and_lift_independence(pipes, solved_families, corner_homotopy):
     hc, pr, dm = ctx(pipes, 0)
     fam = solved_families[0]
     x, y, z = hc.x_cochain(), hc.y_cochain(), hc.z_cochain()
     assert hc.classes_equal(pr.cup(x, y, fam), y)
     assert hc.classes_equal(pr.cup(y, x, fam), y)
-    k = dm.corner_homotopy()
+    k = corner_homotopy(dm)
     fam2 = dm.corrected_family(fam, k)
     dm.verify_squares(fam2, 12)
     for f, g in itertools.product((x, y, z), repeat=2):

@@ -1,6 +1,10 @@
 import json
 from importlib import resources
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from quiverhh import reports
 from quiverhh.products import star_table
 
@@ -59,3 +63,37 @@ def test_canonical_json_is_sorted_and_stable():
     a = reports.canonical_json({"b": 1, "a": [2, 1]})
     b = reports.canonical_json({"a": [2, 1], "b": 1})
     assert a == b
+
+
+_json_scalars = (
+    st.text()  # non-ASCII, control characters and lone surrogates included
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_canonical_json_matches_json_dumps(data):
+    assert reports.canonical_json(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def test_canonical_json_matches_json_dumps_on_a_report(pipes):
+    pipe = pipes[0]
+    payload = {"images": pipe.family_json(pipe.family("solved")), "empty": [{}, [], ""]}
+    assert reports.canonical_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, b"bytes", object(), {"k": [1, 2j]}, {1: "int key"}])
+def test_canonical_json_refuses_unsupported_types(bad):
+    with pytest.raises(TypeError):
+        reports.canonical_json(bad)

@@ -8,6 +8,7 @@ from quiverhh.algebra import get_algebra
 from quiverhh.linalg import QQ, PrimeField, axpy, rank
 from quiverhh.quiver import arrow, parse_path, trivial
 from quiverhh.cochains import HochschildComplex
+from quiverhh.diagonal import OneSidedContraction
 from quiverhh.resolution import Resolution, boundary_shape
 from quiverhh.uniform import Label, UniformPaths, generator_labels, label_pair
 
@@ -187,6 +188,30 @@ def test_period_certificate_is_checked_not_assumed(pipes, n):
     assert all(not col for col in hc._coboundary_columns(7))
     # the coboundary out of degree 8 reads shape(9), which still matches
     assert hc._coboundary_columns(8) is hc._coboundary_columns(2)
+    # a contraction table of degree m reads the shape of m and the solver of
+    # m + 1, so the certificate refuses to share the tables of degrees 8
+    # (shape 8), 13 (solver 14, whose shape no longer matches that of 8)
+    # and 14 (shape 14); with a zero boundary out of degree 8 no table from
+    # degree 7 on can be solved, so this resolution has none to compare
+    for side in ("right", "left"):
+        s = OneSidedContraction(r, side)
+        assert not any(s._repeats(m) for m in (8, 13, 14))
+    # with shape(8) negated the resolution stays exact, and the table of
+    # degree 7 changes sign; every table that reads degree 8, or a table
+    # that does, is then solved and not shared
+    flipped = Resolution(res(pipes, n).algebra)
+    flipped._shapes[8] = {
+        lab: [(x, tgt, y, -sign) for x, tgt, y, sign in terms]
+        for lab, terms in flipped.shape(8).items()
+    }
+    assert all(row["status"] == "pass" for row in flipped.verify_exactness(14))
+    for side in ("right", "left"):
+        s = OneSidedContraction(flipped, side)
+        plain = OneSidedContraction(res(pipes, n), side)
+        assert s.table[7] == [{i: -c for i, c in x.items()} for x in plain.table[7]]
+        for m in range(8, 14):
+            assert s.table[m] is not s.table[m - 6], (side, m)
+            assert s.table[m] == s._solve(m), (side, m)
 
 
 def test_deep_reads_do_not_recurse():

@@ -19,27 +19,27 @@ def test_mismatched_inner_vertices_vanish(pipes):
     assert tc.tensor(a, b) == {}
 
 
-def test_matching_tensor_keeps_middle(pipes):
+def test_matching_tensor_keeps_middle(pipes, decode):
     tc = tc_of(pipes, 0)
     res = tc.res
     left = res.act(trivial("e1"), res.generator(Label(0, "S", None)), arrow("a1"))
     right = res.generator(Label(1, "U", None))  # (e2, e0)
     got = tc.tensor(left, right)
-    ((g1, g2, l, m, r),) = got
+    ((g1, g2, l, m, r),) = decode(tc, got)
     assert (str(g1), str(g2)) == ("S0", "U1")
     assert str(m) == "a1" and l == trivial("e1")
 
 
-def test_diagonal_tensor_trivial_middle(pipes):
+def test_diagonal_tensor_trivial_middle(pipes, decode):
     tc = tc_of(pipes, 0)
     res = tc.res
     g = res.generator(Label(0, "R", None))
     got = tc.tensor(g, g)
-    ((_, _, l, m, r),) = got
+    ((_, _, l, m, r),) = decode(tc, got)
     assert l == m == r == trivial("e0")
 
 
-def test_tensor_bilinear_and_idempotent_normalisation(pipes):
+def test_tensor_bilinear_and_idempotent_normalisation(pipes, decode):
     tc = tc_of(pipes, 1)
     res = tc.res
     alg = res.algebra
@@ -50,7 +50,7 @@ def test_tensor_bilinear_and_idempotent_normalisation(pipes):
     t2 = axpy({}, two, tc.tensor(a, b), 0)
     assert t1 == t2
     # slot paths of a normalised element are already basis normal forms
-    for (g1, g2, l, m, r) in t1:
+    for (g1, g2, l, m, r) in decode(tc, t1):
         assert alg.normal_form_path(l) == l
         assert alg.normal_form_path(m) == m
         assert alg.normal_form_path(r) == r
