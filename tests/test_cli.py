@@ -413,6 +413,14 @@ PINNED_REPORTS = [
      "1a57dc1093bb22503cd9da229a1d41baffc1450edd079ef02c59ed7215bd1cde"),
     ("diagonal --n 3 --max-degree 13 build",
      "b467cebb54a4b7079cfcf7fb62ffbb08d780c960d4f73def37d9734b6e23e9e7"),
+    # the `ring-n0` benchmark report, a second member through the whole
+    # report, and cohomology past one period over GF(7)
+    ("report --n 0 --max-degree 12",
+     "906a5bee5889fc5a5b40c5eac76a9801d9d14874933020795669b2eefcdc02e2"),
+    ("report --n 3 --max-degree 12",
+     "9f36ba10e8e0f747f1e69a87eaac94294fd48ea4609c38e45914dd64822b9e18"),
+    ("hochschild --n 1 --field gf:7 --max-degree 13 all",
+     "03b709cb130bd376494b3ee45696d001016c28ffec594f32ffef7d3b3cafc797"),
 ]
 
 
