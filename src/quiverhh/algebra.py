@@ -40,11 +40,13 @@ class FamilyAlgebra:
 
     Elements are plain dicts {normal-form Path: coefficient} with no zero
     coefficients stored.  The instance carries the monomial basis, corner
-    decomposition tables, and the rewriting rules.  Products of basis
-    paths are memoised in a table filled on first use, and restated on
-    basis indices in `product_rows`: `product_rows[i][j]` is the index of
-    basis[i] * basis[j], or None when it vanishes.  A row is filled by
-    `mul_path` the first time it is read.
+    decomposition tables of paths, and the rewriting rules.  The tables
+    the resolution reads are on basis indices: `paths_from[v]` and
+    `paths_into[v]` list the indices of the paths out of and into vertex
+    v, `from_index[i]` and `into_index[i]` are the position of path i in
+    those lists, and the one memo of products is `product_rows`:
+    `product_rows[i][j]` is the index of basis[i] * basis[j], or None
+    when it vanishes.  A row is filled the first time it is read.
     """
 
     def __init__(self, n, field=QQ):
@@ -67,13 +69,11 @@ class FamilyAlgebra:
         self.corners = {(u, v): [] for u in VERTICES for v in VERTICES}
         for p in self.basis:
             self.corners[(p.source, p.target)].append(p)
-        self.paths_from = {v: [p for p in self.basis if p.source == v] for v in VERTICES}
-        self.paths_into = {v: [p for p in self.basis if p.target == v] for v in VERTICES}
-        # each basis path's position in `paths_into` of its target and in
-        # `paths_from` of its source
-        self.into_index = {p: i for ps in self.paths_into.values() for i, p in enumerate(ps)}
-        self.from_index = {p: i for ps in self.paths_from.values() for i, p in enumerate(ps)}
-        self._products = {}  # (p, q) -> normal form of p*q, or None
+        ends = list(enumerate(self.basis))
+        self.paths_from = {v: [i for i, p in ends if p.source == v] for v in VERTICES}
+        self.paths_into = {v: [i for i, p in ends if p.target == v] for v in VERTICES}
+        self.from_index = [self.paths_from[p.source].index(i) for i, p in ends]
+        self.into_index = [self.paths_into[p.target].index(i) for i, p in ends]
         # a `Degrees` table keyed by the left factor's index
         self.product_rows = Degrees(self._product_row, upward=False)
 
@@ -104,19 +104,22 @@ class FamilyAlgebra:
         )
 
     def mul_path(self, p, q):
-        """Product of two basis paths: a normal-form Path or None."""
-        key = (p, q)
-        try:
-            return self._products[key]
-        except KeyError:
-            pq = compose(p, q)
-            r = None if pq is None else self.normal_form_path(pq)
-            self._products[key] = r
-            return r
+        """Product of two basis paths, read from `product_rows`: a
+        normal-form Path or None."""
+        index = self.basis_index
+        r = self.product_rows[index[p]][index[q]]
+        return None if r is None else self.basis[r]
 
     def _product_row(self, i):
-        p, mul, index = self.basis[i], self.mul_path, self.basis_index
-        return [None if (r := mul(p, q)) is None else index[r] for q in self.basis]
+        """Row i of `product_rows`, by rewriting: only the paths out of the
+        target of basis[i] compose with it, and every other entry is None."""
+        p, basis, index = self.basis[i], self.basis, self.basis_index
+        row = [None] * len(basis)
+        for j in self.paths_from[p.target]:
+            r = self.normal_form_path(compose(p, basis[j]))
+            if r is not None:
+                row[j] = index[r]
+        return row
 
     def mul(self, x, y):
         mul = self.mul_path
@@ -146,9 +149,8 @@ _ALGEBRAS = {}  # (n, characteristic) -> FamilyAlgebra
 def get_algebra(n, field=QQ):
     """Shared algebra instances, one per n and characteristic.
 
-    Sharing is safe: the only mutable fields are the product tables behind
-    `mul_path` and `product_rows`, and each of their entries is a pure
-    function of its key.
+    Sharing is safe: the only mutable field is the product table
+    `product_rows`, and each of its rows is a pure function of its key.
     """
     key = (n, field.p)
     if key not in _ALGEBRAS:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .linalg import Matrix, SparseEchelon, accumulate, axpy, kernel_basis
 from .quiver import a_cycle, arrow, trivial
-from .uniform import Degrees, label_at, label_pair
+from .uniform import Degrees, label_at, label_index, label_pair
 
 
 @dataclass(frozen=True)
@@ -147,18 +147,23 @@ class HochschildComplex:
         return self._cob_columns[self.res.period_rep(m + 1) - 1]
 
     def _coboundary_columns_at(self, m):
-        # read off the boundary image of each degree-(m+1) generator
-        basis, index = self.hom_basis(m)
-        target = self.hom_basis(m + 1)[1]
-        mul, corners = self.alg.mul_path, self.alg.corners
-        terms = [[] for _ in basis]
-        for gen in self.res.labels(m + 1):
-            image = self.res.apply_boundary(m + 1, self.res.generator(gen))
-            for (lab, left, right), c in image.items():
-                for p in corners[label_pair(lab)]:
-                    q = mul(left, p)
-                    if q is not None and (q := mul(q, right)) is not None:
-                        terms[index[(lab, p)]].append((target[(gen, q)], c))
+        # read off the boundary image of each degree-(m+1) generator, with
+        # both hom bases restated on label numbers and path indices
+        res, rows, index = self.res, self.alg.product_rows, self.alg.basis_index
+        corner = {}  # label number -> [(hom basis position, path index)]
+        for i, (lab, p) in enumerate(self.hom_basis(m)[0]):
+            corner.setdefault(label_index(lab), []).append((i, index[p]))
+        target = {
+            (label_index(lab), index[p]): i for i, (lab, p) in enumerate(self.hom_basis(m + 1)[0])
+        }
+        terms = [[] for _ in range(self.hom_dim(m))]
+        for gen in res.labels(m + 1):
+            h = label_index(gen)
+            for (g, left, right), c in res.apply_boundary(m + 1, res.generator(gen)).items():
+                for i, p in corner.get(g, ()):
+                    q = rows[left][p]
+                    if q is not None and (q := rows[q][right]) is not None:
+                        terms[i].append((target[(h, q)], c))
         return [accumulate(t, self.field.p) for t in terms]
 
     def _coboundary_space(self, m):

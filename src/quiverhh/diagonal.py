@@ -54,11 +54,14 @@ splits into one-sided corner blocks.
 
 Every value here (family and homotopy images, the vertex table, the
 solver's right-hand sides) is a tensor element in the integer index form
-of `tensorcx.py`: {(g1, g2, left, mid, right): coefficient}.  Generator
-images are kept per `Label`, and resolution elements (the boundary of a
-generator, the input of `evaluate`) keep their `Label` and `Path`
-triples; `_extend`, `delta_prime_apply` and `TensorComplex.tensor` turn
-their terms into numbers.
+of `tensorcx.py`: {(g1, g2, left, mid, right): coefficient}, and every
+input (the boundary of a generator, the argument of `evaluate`) is a
+resolution element {(g, left, right): coefficient} on the same numbers.
+Generator images are kept per degree by label number, so `_extend` and
+`delta_prime_apply` read a resolution term's numbers as they are.  A
+chain-map family also keeps its value on the boundary of each generator,
+which is both the right-hand side of the generator's lift and the left
+side of its square.
 
 A contraction table holds, per degree m, one entry per generator in a
 fixed order, and each entry is the generator's image as {position in
@@ -67,28 +70,29 @@ degree, so where the resolution repeats itself the tables may too:
 degrees 0..7 are solved, and a degree m >= 8 holds the very table of
 m - 6 only when `period_rep` certifies m and m + 1 and the table of
 m - 1 is that of m - 7 (at m = 8, when the solved tables of 7 and 1 are
-equal); every other degree is solved.  `_solve_boundary` reads a table
-entry through `TensorComplex.triple_ids` of its own degree.
+equal); every other degree is solved.  `OneSidedContraction.terms` is
+the homotopy on one basis triple and `section` the augmentation and its
+degree-0 section on one, and a tensor factor is such a triple, with the
+middle path as the right path of the first factor and the left path of
+the second: `apply` and `_solve_boundary` both read them.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .linalg import accumulate, axpy
-from .quiver import VERTICES, arrow, trivial
+from .quiver import VERTICES, arrow
 from .uniform import Degrees, label_at, label_index, label_pair
 
 
 def _extend(tc, images, elem):
-    """Bimodule-linear extension of generator images {label: tensor
-    element} to a resolution element."""
-    act, index = tc.act, tc.algebra.basis_index
+    """Bimodule-linear extension of generator images {label number:
+    tensor element} to a resolution element."""
+    act, p = tc.act, tc.field.p
     out = {}
-    for (lab, left, right), c in elem.items():
-        img = images.get(lab)
+    for (g, left, right), c in elem.items():
+        img = images.get(g)
         if img:
-            axpy(out, c, act(index[left], img, index[right]), tc.field.p)
+            axpy(out, c, act(left, img, right), p)
     return out
 
 
@@ -116,14 +120,10 @@ class OneSidedContraction:
         self.res = resolution
         self.alg = resolution.algebra
         self.side = side
+        # by path index: the position of the free path within its label
+        self._slot = self.alg.into_index if side == "right" else self.alg.from_index
         self._offsets = Degrees(self._offsets_at, upward=False)
         self.table = Degrees(self._table_at, upward=True)
-
-    @cached_property
-    def _slot(self):
-        """By path index: the position of the free path within its label."""
-        slot = self.alg.into_index if self.side == "right" else self.alg.from_index
-        return [slot[p] for p in self.alg.basis]
 
     def position(self, g, path):
         """Position in `table[g >> 3]` of the generator of label number g
@@ -132,56 +132,49 @@ class OneSidedContraction:
 
     def _offsets_at(self, m):
         """For each label of degree m, the position of its first generator."""
-        out, k = [], 0
-        for lab in self.res.labels(m):
-            out.append(k)
-            o, t = label_pair(lab)
-            k += len(self.alg.paths_into[o] if self.side == "right" else self.alg.paths_from[t])
-        return out
+        numbers = [g for g, _, _ in self._generators(m)]
+        return [numbers.index(g) for g in dict.fromkeys(numbers)]
 
-    def section(self, p):
-        """The degree-0 section of the augmentation: a path p lifts to the
-        diagonal generator at its source (right side) / target (left side)."""
+    def section(self, left, right):
+        """The augmentation, then its degree-0 section, on a degree-0 triple
+        with paths `left` and `right`: their product q lifts to the
+        diagonal generator at its source (right side) / target (left side)
+        with q as the free path, or to {} when it vanishes."""
+        q = self.alg.product_rows[left][right]
+        if q is None:
+            return {}
+        res, p = self.res, self.alg.basis[q]
         if self.side == "right":
-            return {(label_at(0, p.source, p.source), trivial(p.source), p): 1}
-        return {(label_at(0, p.target, p.target), p, trivial(p.target)): 1}
+            return {(res.vertex_label[p.source], res.vertex[p.source], q): 1}
+        return {(res.vertex_label[p.target], q, res.vertex[p.target]): 1}
 
-    def section_apply(self, lam_elem):
-        return accumulate(
-            ((k, c * d) for p, c in lam_elem.items() for k, d in self.section(p).items()),
-            self.res.field.p,
-        )
+    def terms(self, g, left, right):
+        """The homotopy on the basis triple (g, left, right): its (triple,
+        coefficient) terms, not summed."""
+        m, rows = g >> 3, self.alg.product_rows
+        src = self.res.triples(m + 1)
+        right_side = self.side == "right"
+        for i, d in self.table[m][self.position(g, left if right_side else right)].items():
+            g2, l2, r2 = src[i]
+            if right_side:
+                if (nr := rows[r2][right]) is not None:
+                    yield (g2, l2, nr), d
+            elif (nl := rows[left][l2]) is not None:
+                yield (g2, nl, r2), d
 
     def apply(self, m, elem):
         """Apply the degree-m homotopy to a degree-m element."""
-        mul, index = self.alg.mul_path, self.alg.basis_index
-        table, src = self.table[m], self.res.triples(m + 1)
-        right_side = self.side == "right"
-
-        def terms():
-            for (lab, left, right), c in elem.items():
-                free = left if right_side else right
-                for i, d in table[self.position(label_index(lab), index[free])].items():
-                    l2, L2, R2 = src[i]
-                    if right_side:
-                        if (nr := mul(R2, right)) is not None:
-                            yield (l2, L2, nr), c * d
-                    elif (nl := mul(left, L2)) is not None:
-                        yield (l2, nl, R2), c * d
-
-        return accumulate(terms(), self.res.field.p)
+        return accumulate(
+            ((k, c * d) for (g, l, r), c in elem.items() for k, d in self.terms(g, l, r)),
+            self.res.field.p,
+        )
 
     def _generators(self, m):
-        """The generators of degree m as resolution elements, in table order."""
-        alg = self.alg
-        for lab in self.res.labels(m):
-            o, t = label_pair(lab)
-            if self.side == "right":
-                for left in alg.paths_into[o]:
-                    yield {(lab, left, trivial(t)): 1}
-            else:
-                for right in alg.paths_from[t]:
-                    yield {(lab, trivial(o), right): 1}
+        """The generators of degree m, in table order: the triples of degree
+        m whose fixed path (the right one on the right side) is trivial."""
+        fixed = 2 if self.side == "right" else 1
+        trivial_paths = set(self.res.vertex.values())
+        return [tr for tr in self.res.triples(m) if tr[fixed] in trivial_paths]
 
     def _table_at(self, m):
         return self.table[m - 6] if m >= 8 and self._repeats(m) else self._solve(m)
@@ -213,9 +206,10 @@ class OneSidedContraction:
         solver = res.boundary_solver(m + 1)
         tgt_index = res.triple_index(m)
         out = []
-        for gen_elem in self._generators(m):
+        for tr in self._generators(m):
+            gen_elem = {tr: 1}
             if m == 0:
-                defect = self.section_apply(res.augment(gen_elem))
+                defect = self.section(tr[1], tr[2])
             else:
                 defect = self.apply(m - 1, res.apply_boundary(m, gen_elem))
             rhs_elem = axpy(gen_elem, -1, defect, res.field.p)
@@ -231,20 +225,29 @@ class ChainMapFamily:
 
     Given `images`, the map is their bimodule-linear extension.  Given
     `rule(m, elem)` instead, the map is that rule, and its images are its
-    own values on the generators."""
+    own values on the generators.  `on_boundary` holds the map's value on
+    the boundary of each generator of degree >= 1, evaluated once."""
 
     def __init__(self, diagonal, lift_factor, images=None, rule=None):
         self.dm = diagonal
         self.lift_factor = lift_factor
         self.verified = {}  # degree -> bool, filled by verify_square
         self._rule = rule
+        res = diagonal.res
         if images is None:
-            generator = diagonal.res.generator
-            images = diagonal.per_label(lambda lab: rule(lab.degree, generator(lab)), upward=False)
-        self.images = images  # {degree: {label: tensor element}}
+            images = diagonal.per_label(
+                lambda lab: rule(lab.degree, res.generator(lab)), upward=False
+            )
+        self.images = images  # {degree: {label number: tensor element}}
+        self.on_boundary = diagonal.per_label(
+            lambda lab: self.evaluate(
+                lab.degree - 1, res.apply_boundary(lab.degree, res.generator(lab))
+            ),
+            upward=False,
+        )
 
     def image(self, label):
-        return self.images[label.degree][label]
+        return self.images[label.degree][label_index(label)]
 
     def evaluate(self, m, elem):
         """Value on a degree-m element of the resolution."""
@@ -259,7 +262,7 @@ class HomotopyFamily:
 
     def __init__(self, diagonal, images, star):
         self.dm = diagonal
-        self.images = images  # {degree: {label: tensor element of degree+1}}
+        self.images = images  # {degree: {label number: tensor element of degree+1}}
         self.star = star  # {vertex: tensor element of degree 0}
 
     def apply(self, m, elem):
@@ -296,10 +299,10 @@ class DiagonalMaps:
         self.s_left = OneSidedContraction(resolution, "left")
 
     def per_label(self, rule, upward):
-        """{degree: {label: rule(label)}}, one degree filled on first read
-        (see `Degrees`)."""
+        """{degree: {label number: rule(label)}}, one degree filled on first
+        read (see `Degrees`)."""
         labels = self.res.labels
-        return Degrees(lambda m: {lab: rule(lab) for lab in labels(m)}, upward)
+        return Degrees(lambda m: {label_index(lab): rule(lab) for lab in labels(m)}, upward)
 
     # -- the literal two-corner diagonal --------------------------------
 
@@ -308,12 +311,10 @@ class DiagonalMaps:
         On a generator: origin corner on the left, terminus corner on the
         right; at degree 0 both corners coincide and the coefficient
         doubles."""
-        tc = self.tc
-        index, vertex, vertex_label = tc.algebra.basis_index, tc.vertex, tc.vertex_label
+        basis, vertex, vertex_label = self.tc.algebra.basis, self.res.vertex, self.res.vertex_label
         terms = []
-        for (lab, left, right), c in elem.items():
-            g, l, r = label_index(lab), index[left], index[right]
-            o, t = left.source, right.target
+        for (g, l, r), c in elem.items():
+            o, t = basis[l].source, basis[r].target
             terms.append(((vertex_label[o], g, vertex[o], l, r), c))
             terms.append(((g, vertex_label[t], l, r, vertex[t]), c))
         return accumulate(terms, self.field.p)
@@ -348,7 +349,7 @@ class DiagonalMaps:
         for v in VERTICES:
             gen = res.generator(label_at(0, v, v))
             step = tc.algebra.basis_index[arrow(succ_arrow[v])]
-            acted = tc.act(tc.vertex[v], tc.tensor(gen, gen), step)
+            acted = tc.act(res.vertex[v], tc.tensor(gen, gen), step)
             star[v] = axpy({}, sign[v], acted, self.field.p)
         return HomotopyFamily(self, self.per_label(image, upward=False), star)
 
@@ -382,35 +383,28 @@ class DiagonalMaps:
         augmenting to zero.  Contract the first factor, then push the
         degree-(0, b) leftover through the left contraction of the second.
         """
-        tc, p = self.tc, self.field.p
-        rows, ids = tc.rows, tc.triple_ids
-        basis, vertex, vertex_label = tc.algebra.basis, tc.vertex, tc.vertex_label
-        first, second = self.s_right, self.s_left
+        p, first, second = self.field.p, self.s_right, self.s_left
 
         def contract_first():
-            # (first-factor contraction) tensor identity
+            # (first-factor contraction) tensor identity: the middle path is
+            # the right path of the first factor
             for (g1, g2, left, mid, right), c in rhs.items():
-                src = ids((g1 >> 3) + 1)
-                for i, d in first.table[g1 >> 3][first.position(g1, left)].items():
-                    l2, L2, R2 = src[i]
-                    if (nm := rows[R2][mid]) is not None:
-                        yield (l2, g2, L2, nm, right), c * d
+                for (h, nl, nm), d in first.terms(g1, left, mid):
+                    yield (h, g2, nl, nm, right), c * d
 
         def augment_first():
             # a degree-0 first factor, replaced through augment-then-section
             for (g1, g2, left, mid, right), c in rhs.items():
-                if g1 < 8 and (q := rows[left][mid]) is not None:
-                    v = basis[q].source
-                    yield (vertex_label[v], g2, vertex[v], q, right), c
+                if g1 < 8:
+                    for (h, nl, q), d in first.section(left, mid).items():
+                        yield (h, g2, nl, q, right), c * d
 
         def contract_second(leftover):
-            # identity tensor (second-factor contraction)
+            # identity tensor (second-factor contraction): the middle path
+            # is the left path of the second factor
             for (g1, g2, left, mid, right), c in leftover.items():
-                src = ids((g2 >> 3) + 1)
-                for i, d in second.table[g2 >> 3][second.position(g2, right)].items():
-                    l2, L2, R2 = src[i]
-                    if (nm := rows[mid][L2]) is not None:
-                        yield (g1, l2, left, nm, R2), c * d
+                for (h, nm, nr), d in second.terms(g2, mid, right):
+                    yield (g1, h, left, nm, nr), c * d
 
         x = accumulate(contract_first(), p)
         y = accumulate(contract_second(accumulate(augment_first(), p)), p)
@@ -422,7 +416,7 @@ class DiagonalMaps:
         o, t = label_pair(lab)
         # keep only the generator's own corner; the complement is
         # boundary-free junk the one-sided contractions may add
-        vertex = self.tc.vertex
+        vertex = self.res.vertex
         return self.tc.act(vertex[o], self._solve_boundary(rhs), vertex[t])
 
     def solved_family(self):
@@ -432,10 +426,10 @@ class DiagonalMaps:
 
         def lift(lab):
             m = lab.degree
-            gen = res.generator(lab)
             if m == 0:
+                gen = res.generator(lab)
                 return tc.tensor(gen, gen)
-            return self._lift(lab, family.evaluate(m - 1, res.apply_boundary(m, gen)))
+            return self._lift(lab, family.on_boundary[m][label_index(lab)])
 
         family = ChainMapFamily(self, 1, images=self.per_label(lift, upward=True))
         return family
@@ -447,18 +441,19 @@ class DiagonalMaps:
 
         m >= 1: family∘boundary versus differential∘family.  m == 0: the
         augmentation square, compared against lift_factor times the
-        augmentation."""
+        augmentation.  Both sides are sparse vectors without zeros, so a
+        square commutes when they are equal."""
+        res, tc = self.res, self.tc
         rows = []
-        for lab in self.res.labels(m):
-            gen = self.res.generator(lab)
+        for lab in res.labels(m):
+            g = label_index(lab)
+            image = family.images[m][g]
             if m == 0:
-                got = self.tc.augment(family.image(lab))
-                diff = axpy(got, -family.lift_factor, self.res.augment(gen), self.field.p)
+                want = res.augment(res.generator(lab))
+                ok = not axpy(tc.augment(image), -family.lift_factor, want, self.field.p)
                 check = "augmentation-square"
             else:
-                lhs = family.evaluate(m - 1, self.res.apply_boundary(m, gen))
-                rhs = self.tc.differential(family.image(lab))
-                diff = axpy(lhs, -1, rhs, self.field.p)
+                ok = family.on_boundary[m][g] == tc.differential(image)
                 check = "square"
             rows.append(
                 {
@@ -467,7 +462,7 @@ class DiagonalMaps:
                     "degree": m,
                     "check": check,
                     "generator": str(lab),
-                    "status": "pass" if not diff else "fail",
+                    "status": "pass" if ok else "fail",
                 }
             )
         ok = all(r["status"] == "pass" for r in rows)
@@ -495,6 +490,6 @@ class DiagonalMaps:
                 x = self._lift(lab, e)
                 if axpy(self.tc.differential(x), -1, e, self.field.p):
                     return None, m
-                imgs[lab] = x
+                imgs[label_index(lab)] = x
             images[m] = imgs
         return h, None

@@ -25,7 +25,7 @@ from .products import Products
 from .quiver import VERTICES, parse_path
 from .resolution import Resolution
 from .tensorcx import TensorComplex
-from .uniform import Degrees, generator_labels, label_pair, parse_label
+from .uniform import Degrees, generator_labels, label_index, label_pair, parse_label
 
 
 @dataclass
@@ -145,7 +145,7 @@ class Pipeline:
             {
                 "degree": m,
                 "generator": str(lab),
-                "terms": _terms_json(self._names, fam.images[m][lab], field),
+                "terms": _terms_json(self._names, fam.images[m][label_index(lab)], field),
             }
             for m in range(self.config.max_degree + 1)
             for lab in self.resolution.labels(m)

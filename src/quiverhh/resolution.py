@@ -1,9 +1,13 @@
 """The periodic projective bimodule resolution and its verifiers.
 
 Degree m of the resolution is the free bimodule with one generator per
-label of `generator_labels(m)`; an element is a combination of triples
-(label g, left path ending at the origin of g, right path starting at
-the terminus of g), both paths normal-form basis paths of the algebra.
+label of `generator_labels(m)`; an element is a dict {(g, left, right):
+coefficient} of int triples, with g the number of a label
+(`uniform.label_index`: 8 * degree + position, so the degree is g >> 3)
+and `left` and `right` the basis indices (`FamilyAlgebra.basis_index`)
+of a path ending at the origin of g and of a path starting at its
+terminus.  Every product of paths is read from the algebra's
+`product_rows`; the tensor complex and the diagonal use the same numbers.
 
 The boundary map out of degree m is given on generators by one of six
 printed shapes selected by m mod 6, with special variants at m = 0 (the
@@ -11,16 +15,22 @@ augmentation, which is multiplication) and m = 1 (whose target lacks the
 two mixed-pair generators).  The long shapes contain telescoping sums
 whose k-th term splits the long cycle word into (left, generator, right)
 with the generator absorbing 2, 1 or 0 arrows depending on the residue
-of the target degree.  All coefficients are +-1.  One period of boundary
-matrices, ranks and solvers serves every degree m >= 8; `period_rep` makes
-that check per n and degree from the shapes.
+of the target degree.  All coefficients are +-1.  `Resolution.shape`
+restates each degree's printed shape on the same numbers, once.  One
+period of boundary matrices, ranks and solvers serves every degree
+m >= 8; `period_rep` makes that check per n and degree from the shapes.
+
+`Label` and `Path` objects remain in the printed shapes, in the value of
+`augment` (an algebra element) and in the witnesses of the verifiers.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .linalg import LinearSolver, Matrix, accumulate, rank
-from .quiver import a_cycle, arrow, trivial
-from .uniform import Degrees, Label, generator_labels, label_at, label_pair
+from .quiver import VERTICES, a_cycle, arrow, trivial
+from .uniform import Degrees, Label, generator_labels, label_at, label_index, label_pair
 
 
 def boundary_shape(m, n):
@@ -139,26 +149,44 @@ class Resolution:
     def labels(self, m):
         return self._labels[m]
 
+    @cached_property
+    def vertex(self):
+        """{vertex: index of its trivial path}."""
+        return {v: self.algebra.basis_index[trivial(v)] for v in VERTICES}
+
+    @cached_property
+    def vertex_label(self):
+        """{vertex: number of the degree-0 label at it}."""
+        return {v: label_index(label_at(0, v, v)) for v in VERTICES}
+
     def generator(self, label):
-        """The basis triple (label, origin, terminus) with coefficient 1."""
+        """The basis triple (label number, origin, terminus) with coefficient 1."""
         o, t = label_pair(label)
-        return {(label, trivial(o), trivial(t)): 1}
+        return {(label_index(label), self.vertex[o], self.vertex[t]): 1}
 
     def shape(self, m):
+        """The boundary shape of degree m >= 1 on numbers: for each label,
+        in the order of `labels(m)`, its terms (left path index, target
+        label number, right path index, sign)."""
         return self._shapes[m]
 
     def _shape_at(self, m):
         sh = boundary_shape(m, self.n)
-        for lab, terms in sh.items():
+        index = self.algebra.basis_index
+        out = []
+        for lab in generator_labels(m):
             o, t = label_pair(lab)
-            for left, tgt, right, sign in terms:
+            terms = []
+            for left, tgt, right, sign in sh[lab]:
                 to, tt = label_pair(tgt)
                 assert left.source == o and left.target == to, (lab, tgt)
                 assert right.source == tt and right.target == t, (lab, tgt)
-        return sh
+                terms.append((index[left], label_index(tgt), index[right], sign))
+            out.append(terms)
+        return out
 
     def triples(self, m):
-        """Ordered scalar basis of degree m: (label, left, right) triples."""
+        """Ordered scalar basis of degree m: (label number, left, right) triples."""
         return self._triples[m][0]
 
     def triple_index(self, m):
@@ -170,22 +198,25 @@ class Resolution:
         out = []
         for lab in self.labels(m):
             o, t = label_pair(lab)
-            out.extend((lab, left, right) for left in alg.paths_into[o] for right in alg.paths_from[t])
+            g, rights = label_index(lab), alg.paths_from[t]
+            out.extend((g, left, right) for left in alg.paths_into[o] for right in rights)
         return out, {tr: i for i, tr in enumerate(out)}
 
     def _blocks_at(self, m):
-        """({label: position in `triples(m)` where its block starts}, dim(m)).
+        """([(start, width)] by label position, dim(m)).
 
-        A label's block lists each left path into its origin with every
-        right path out of its terminus, left-major.
+        A label's block of `triples(m)` starts at `start` and lists each
+        left path into its origin with every right path out of its
+        terminus, left-major: `width` is the number of right paths.
         """
         alg = self.algebra
-        offsets, dim = {}, 0
+        blocks, dim = [], 0
         for lab in self.labels(m):
             o, t = label_pair(lab)
-            offsets[lab] = dim
-            dim += len(alg.paths_into[o]) * len(alg.paths_from[t])
-        return offsets, dim
+            width = len(alg.paths_from[t])
+            blocks.append((dim, width))
+            dim += len(alg.paths_into[o]) * width
+        return blocks, dim
 
     def dim(self, m):
         return self._blocks[m][1]
@@ -194,38 +225,41 @@ class Resolution:
 
     def apply_boundary(self, m, elem):
         """Boundary of a degree-m element (m >= 1), as a degree-(m-1) element."""
-        mul = self.algebra.mul_path
+        rows = self.algebra.product_rows
         shape = self.shape(m)
         return accumulate(
             (
                 ((tgt, nl, nr), c if sign > 0 else -c)
-                for (lab, left, right), c in elem.items()
-                for x, tgt, y, sign in shape[lab]
-                if (nl := mul(left, x)) is not None and (nr := mul(y, right)) is not None
+                for (g, left, right), c in elem.items()
+                for x, tgt, y, sign in shape[g & 7]
+                if (nl := rows[left][x]) is not None and (nr := rows[y][right]) is not None
             ),
             self.field.p,
         )
 
     def augment(self, elem):
-        """The degree-0 augmentation: multiply left and right paths."""
-        mul = self.algebra.mul_path
+        """The degree-0 augmentation: multiply left and right paths, into
+        an algebra element {Path: coefficient}."""
+        mul, basis = self.algebra.mul_path, self.algebra.basis
         return accumulate(
             (
-                (p, c)
-                for (lab, left, right), c in elem.items()
-                if (p := mul(left, right)) is not None
+                (q, c)
+                for (g, left, right), c in elem.items()
+                if (q := mul(basis[left], basis[right])) is not None
             ),
             self.field.p,
         )
 
     def act(self, x, elem, y):
-        """Bimodule action: multiply by path x on the left, path y on the right."""
-        mul = self.algebra.mul_path
+        """Bimodule action: multiply by the basis path of index x on the
+        left and by that of index y on the right."""
+        rows = self.algebra.product_rows
+        row_x = rows[x]
         return accumulate(
             (
-                ((lab, nl, nr), c)
-                for (lab, left, right), c in elem.items()
-                if (nl := mul(x, left)) is not None and (nr := mul(right, y)) is not None
+                ((g, nl, nr), c)
+                for (g, left, right), c in elem.items()
+                if (nl := row_x[left]) is not None and (nr := rows[right][y]) is not None
             ),
             self.field.p,
         )
@@ -252,12 +286,13 @@ class Resolution:
         if any(tuple(map(up, labels(k - m + r))) != labels(k) for k in (m, m - 1)):
             return m
         # a shape read only here is built, checked and dropped, so a deep
-        # read keeps one period of shapes
+        # read keeps one period of shapes; a label number shifts up by 8
+        # per degree
         shape = self._shapes[m] if m in self._shapes else self._shape_at(m)
-        return r if shape == {
-            up(lab): [(x, up(t), y, s) for x, t, y, s in terms]
-            for lab, terms in self.shape(r).items()
-        } else m
+        shift = 8 * (m - r)
+        return r if shape == [
+            [(x, tgt + shift, y, s) for x, tgt, y, s in terms] for terms in self.shape(r)
+        ] else m
 
     def boundary_matrix(self, m):
         """Matrix of the boundary out of degree m; rows follow the target basis.
@@ -277,49 +312,48 @@ class Resolution:
         """The boundary out of degree m, assembled by index arithmetic.
 
         Column j is `apply_boundary` of the j-th triple of degree m: a shape
-        term (x, tgt, y, sign) sends (label, left, right) to row offset(tgt)
-        + pos(left * x) * width(tgt) + pos(y * right).  Each column is summed
-        in term order, as `accumulate` sums the element's image.  At m = 0
-        column j is `augment` of the j-th triple: 1 at left * right, if
-        nonzero.
+        term (x, tgt, y, sign) sends (g, left, right) to row start(tgt)
+        + into_index(left * x) * width(tgt) + from_index(y * right).  Each
+        column is summed in term order, as `accumulate` sums the element's
+        image.  At m = 0 column j is `augment` of the j-th triple: 1 at
+        left * right, if nonzero.
         """
         alg = self.algebra
-        mul = alg.mul_path
+        prod = alg.product_rows
         if m == 0:
             entries = [
-                (alg.basis_index[p], j, 1)
-                for j, (lab, left, right) in enumerate(self.triples(0))
-                if (p := mul(left, right)) is not None
+                (q, j, 1)
+                for j, (g, left, right) in enumerate(self.triples(0))
+                if (q := prod[left][right]) is not None
             ]
             return Matrix(len(alg.basis), self.dim(0), entries)
         into, outof = alg.paths_into, alg.paths_from
         left_pos, right_pos = alg.into_index, alg.from_index
-        offsets, rows = self._blocks[m - 1]
-        shape = self.shape(m)
+        blocks, rows = self._blocks[m - 1]
         # one int object per row index, shared by every entry in that row
         idx = list(range(rows))
         entries = []
         col0 = 0
-        for lab in self.labels(m):
+        for lab, terms in zip(self.labels(m), self.shape(m)):
             o, t = label_pair(lab)
             lefts, rights = into[o], outof[t]
             width = len(rights)
             cols = [[] for _ in range(len(lefts) * width)]
-            for x, tgt, y, sign in shape[lab]:
-                base = offsets[tgt]
-                tgt_width = len(outof[label_pair(tgt)[1]])
+            for x, tgt, y, sign in terms:
+                base, tgt_width = blocks[tgt & 7]
                 # a one-term column skips `accumulate`, so reduce here
                 c = sign % self.field.p if self.field.p else sign
+                row_y = prod[y]
                 hits = [
-                    (ri, right_pos[p])
+                    (ri, right_pos[q])
                     for ri, right in enumerate(rights)
-                    if (p := mul(y, right)) is not None
+                    if (q := row_y[right]) is not None
                 ]
                 for li, left in enumerate(lefts):
-                    p = mul(left, x)
-                    if p is None:
+                    q = prod[left][x]
+                    if q is None:
                         continue
-                    row0 = base + left_pos[p] * tgt_width
+                    row0 = base + left_pos[q] * tgt_width
                     c0 = li * width
                     for ri, r in hits:
                         cols[c0 + ri].append((row0 + r, c))
@@ -382,10 +416,12 @@ class Resolution:
         return rows
 
     def minimality_violations(self, m):
-        """Generator-image terms with both decorations trivial (none expected)."""
-        bad = []
-        for lab, terms in self.shape(m).items():
-            for left, tgt, right, sign in terms:
-                if left.is_vertex() and right.is_vertex():
-                    bad.append((lab, tgt))
-        return bad
+        """Generator-image terms with both decorations trivial (none
+        expected), as (label, target label) pairs."""
+        trivial_paths = set(self.vertex.values())
+        return [
+            (lab, self.labels(m - 1)[tgt & 7])
+            for lab, terms in zip(self.labels(m), self.shape(m))
+            for x, tgt, y, sign in terms
+            if x in trivial_paths and y in trivial_paths
+        ]

@@ -7,7 +7,8 @@ A scalar basis element in total degree a+b is a quintuple of ints
 with g1 the number of a label of degree a and g2 of a label of degree b,
 and `left`, `mid` and `right` the indices of basis paths: `left` ends at
 the origin of g1, `mid` runs from the terminus of g1 to the origin of
-g2, and `right` starts at the terminus of g2.  A label is numbered by
+g2, and `right` starts at the terminus of g2.  These are the numbers of
+the resolution's own elements (`resolution.py`): a label is numbered by
 `uniform.label_index` (8 * degree + its position among the generators
 of its degree, so its degree is g >> 3) and a path by
 `FamilyAlgebra.basis_index`.  The middle slot is the canonical home for
@@ -18,24 +19,19 @@ is zero unless the inner vertices match.  Tensor elements are dicts
 The total differential applies the boundary on either factor, with the
 sign (-1)^a on the second factor, and drops the augmentation (factors of
 degree 0 contribute nothing from their own boundary).  It reads each
-label's boundary shape restated on the same numbers (`_shape_at`), and
-every product of paths from the algebra's `product_rows`, so it hashes
-nothing but ints.
+label's boundary shape from `Resolution.shape` and every product of
+paths from the algebra's `product_rows`, so it hashes nothing but ints.
 
 `Label` and `Path` objects meet the index form only at its edges:
-`tensor` takes two resolution elements, whose terms are triples of
-objects; `augment` returns an algebra element; `encode` converts a whole
-element read from a homotopy file; and a printed term names its numbers
+`augment` returns an algebra element; `encode` converts a whole element
+read from a homotopy file; and a printed term names its numbers
 (`pipeline._terms_json`).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .linalg import accumulate
-from .quiver import VERTICES, trivial
-from .uniform import Degrees, label_at, label_index, label_pair
+from .uniform import label_index, label_pair
 
 
 class TensorComplex:
@@ -44,18 +40,6 @@ class TensorComplex:
         self.algebra = alg = resolution.algebra
         self.field = resolution.field
         self.rows = alg.product_rows
-        self._shapes = Degrees(self._shape_at, upward=False)
-        self._triple_ids = Degrees(self._triple_ids_at, upward=False)
-
-    @cached_property
-    def vertex(self):
-        """{vertex: index of its trivial path}."""
-        return {v: self.algebra.basis_index[trivial(v)] for v in VERTICES}
-
-    @cached_property
-    def vertex_label(self):
-        """{vertex: number of the degree-0 label at it}."""
-        return {v: label_index(label_at(0, v, v)) for v in VERTICES}
 
     # -- the index scheme -------------------------------------------------
 
@@ -67,25 +51,6 @@ class TensorComplex:
             for (g1, g2, left, mid, right), c in elem.items()
         }
 
-    def _shape_at(self, m):
-        """The boundary shape of degree m >= 1 on numbers: for each label,
-        in the order of `generator_labels(m)`, its terms (left path index,
-        target label number, right path index, sign)."""
-        index = self.algebra.basis_index
-        shape = self.res.shape(m)
-        return [
-            [(index[x], label_index(tgt), index[y], sign) for x, tgt, y, sign in shape[lab]]
-            for lab in self.res.labels(m)
-        ]
-
-    def triple_ids(self, m):
-        """`res.triples(m)` on numbers: (label number, left index, right index)."""
-        return self._triple_ids[m]
-
-    def _triple_ids_at(self, m):
-        index = self.algebra.basis_index
-        return [(label_index(lab), index[l], index[r]) for lab, l, r in self.res.triples(m)]
-
     # -- construction ---------------------------------------------------
 
     def tensor(self, elem_a, elem_b):
@@ -95,16 +60,12 @@ class TensorComplex:
         of the second multiply into the middle slot; terms whose middle
         product vanishes are dropped.
         """
-        rows, index = self.rows, self.algebra.basis_index
-        a, b = (
-            [(label_index(g), index[left], index[right], c) for (g, left, right), c in e.items()]
-            for e in (elem_a, elem_b)
-        )
+        rows = self.rows
         return accumulate(
             (
                 ((g1, g2, l1, mid, r2), c1 * c2)
-                for g1, l1, r1, c1 in a
-                for g2, l2, r2, c2 in b
+                for (g1, l1, r1), c1 in elem_a.items()
+                for (g2, l2, r2), c2 in elem_b.items()
                 if (mid := rows[r1][l2]) is not None
             ),
             self.field.p,
@@ -127,15 +88,14 @@ class TensorComplex:
     # -- differential -----------------------------------------------------
 
     def differential(self, elem):
-        rows = self.rows
-        shapes = self._shapes
+        rows, shape = self.rows, self.res.shape
 
         def terms():
             for (g1, g2, left, mid, right), c in elem.items():
                 a = g1 >> 3
                 if a:
                     row_left = rows[left]
-                    for x, tgt, y, sign in shapes[a][g1 & 7]:
+                    for x, tgt, y, sign in shape(a)[g1 & 7]:
                         nl = row_left[x]
                         if nl is None:
                             continue
@@ -147,7 +107,7 @@ class TensorComplex:
                 if b:
                     c2 = -c if a & 1 else c
                     row_mid = rows[mid]
-                    for x, tgt, y, sign in shapes[b][g2 & 7]:
+                    for x, tgt, y, sign in shape(b)[g2 & 7]:
                         nm = row_mid[x]
                         if nm is None:
                             continue
@@ -178,7 +138,7 @@ class TensorComplex:
                     for left in alg.paths_into[o1]:
                         for mid in mids:
                             for right in alg.paths_from[t2]:
-                                out.append((i1, i2, index[left], index[mid], index[right]))
+                                out.append((i1, i2, left, index[mid], right))
         return out
 
     def augment(self, elem):

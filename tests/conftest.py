@@ -60,18 +60,30 @@ def _corner_homotopy(dm):
     return HomotopyFamily(dm, dm.per_label(image, upward=False), {v: {} for v in VERTICES})
 
 
-def _decode(tc, elem):
-    """A tensor element of `tc` keyed by (Label, Label, Path, Path, Path)."""
-    labels, basis = tc.res.labels, tc.algebra.basis
-    return {
-        (labels(g1 >> 3)[g1 & 7], labels(g2 >> 3)[g2 & 7], basis[l], basis[m], basis[r]): c
-        for (g1, g2, l, m, r), c in elem.items()
-    }
+def _decode(owner, elem):
+    """An element of a `Resolution` or a `TensorComplex` with its label
+    numbers and path indices replaced by `Label` and `Path` objects: keys
+    (Label, Path, Path) for a resolution element and (Label, Label, Path,
+    Path, Path) for a tensor element."""
+    res = getattr(owner, "res", owner)
+    basis = res.algebra.basis
+    label = lambda g: res.labels(g >> 3)[g & 7]
+    out = {}
+    for key, c in elem.items():
+        if len(key) == 3:
+            g, l, r = key
+            out[(label(g), basis[l], basis[r])] = c
+        else:
+            g1, g2, l, m, r = key
+            out[(label(g1), label(g2), basis[l], basis[m], basis[r])] = c
+    return out
 
 
 @pytest.fixture(scope="session")
 def decode():
-    """`decode(tc, elem)`: the inverse of `TensorComplex.encode`."""
+    """`decode(owner, elem)`: a resolution or tensor element of `owner` (a
+    `Resolution` or a `TensorComplex`) keyed by `Label` and `Path` objects;
+    on tensor elements the inverse of `TensorComplex.encode`."""
     return _decode
 
 

@@ -119,7 +119,8 @@ def direct_coboundary_columns(hc, m):
     target = hc.hom_basis(m + 1)[1]
     terms = [[] for _ in basis]
     for gen in res.labels(m + 1):
-        for (lab, left, right), c in res.apply_boundary(m + 1, res.generator(gen)).items():
+        for (g, l, r), c in res.apply_boundary(m + 1, res.generator(gen)).items():
+            lab, left, right = res.labels(m)[g & 7], alg.basis[l], alg.basis[r]
             for p in alg.corners[label_pair(lab)]:
                 for q, d in alg.mul(alg.mul({left: 1}, {p: 1}), {right: 1}).items():
                     terms[index[(lab, p)]].append((target[(gen, q)], c * d))

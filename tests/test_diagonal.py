@@ -5,7 +5,7 @@ import pytest
 
 from quiverhh.linalg import axpy
 from quiverhh.quiver import trivial
-from quiverhh.uniform import Label, label_pair
+from quiverhh.uniform import Label, label_index, label_pair
 
 
 def dm_of(pipes, n):
@@ -74,7 +74,7 @@ def test_literal_squares_match_golden(pipes):
 def test_default_homotopy_images(pipes, decode):
     dm = dm_of(pipes, 0)
     h = dm.default_homotopy()
-    img = h.images[0][Label(0, "S", None)]
+    img = h.images[0][label_index(Label(0, "S", None))]
     assert as_strs(decode(dm.tc, img)) == {("S0", "S1", "e1", "e1", "e2"): Fraction(1)}
     star0 = h.star["e0"]
     assert as_strs(decode(dm.tc, star0)) == {("R0", "R0", "e0", "e0", "a0"): Fraction(-1)}
@@ -85,7 +85,7 @@ def test_default_homotopy_images(pipes, decode):
 def test_detour_homotopy_follows_b_chain(pipes, decode):
     dm = dm_of(pipes, 0)
     h = dm.default_homotopy()
-    img = h.images[0][Label(0, "T", None)]
+    img = h.images[0][label_index(Label(0, "T", None))]
     ((g1, g2, l, m, r),) = decode(dm.tc, img)
     assert label_pair(g2) == ("f1", "e2")
 
@@ -93,8 +93,8 @@ def test_detour_homotopy_follows_b_chain(pipes, decode):
 def test_mixed_pairs_have_no_homotopy_value(pipes):
     dm = dm_of(pipes, 1)
     h = dm.default_homotopy()
-    assert h.images[3][Label(3, "S", 1)] == {}
-    assert h.images[3][Label(3, "T", 0)] == {}
+    assert h.images[3][label_index(Label(3, "S", 1))] == {}
+    assert h.images[3][label_index(Label(3, "T", 0))] == {}
 
 
 def test_zero_homotopy_formula_equals_literal(pipes):
@@ -130,8 +130,9 @@ def test_formula_family_with_random_corner_homotopies(pipes):
                     if basis[tr[2]].source == o and basis[tr[4]].target == t
                 ]
                 pick = rng.sample(cands, k=min(2, len(cands)))
-                imgs[lab] = {tr: Fraction(rng.randint(-2, 2)) for tr in pick}
-                imgs[lab] = {k: c for k, c in imgs[lab].items() if c}
+                g = label_index(lab)
+                imgs[g] = {tr: Fraction(rng.randint(-2, 2)) for tr in pick}
+                imgs[g] = {k: c for k, c in imgs[g].items() if c}
             images[m] = imgs
         from quiverhh.diagonal import HomotopyFamily
 
@@ -165,7 +166,7 @@ def test_contraction_is_a_contracting_homotopy(pipes, n, side):
         for tr in res.triples(m):
             x = {tr: 1}
             if m == 0:
-                back = s.section_apply(res.augment(x))
+                back = s.section(tr[1], tr[2])
             else:
                 back = s.apply(m - 1, res.apply_boundary(m, x))
             assert axpy(res.apply_boundary(m + 1, s.apply(m, x)), 1, back, 0) == x, (m, tr)
@@ -230,6 +231,33 @@ def test_solved_run_takes_one_differential_per_generator(monkeypatch):
     assert len(calls) == sum(len(dm.res.labels(m)) for m in range(1, 13)) == 64
 
 
+def test_solved_run_evaluates_the_family_once_per_generator(monkeypatch):
+    # the lift and verify_square read the family's value on each
+    # generator's boundary from one table: 69 generators in degrees 1..13
+    from quiverhh import Pipeline, RunConfig
+    from quiverhh.diagonal import ChainMapFamily
+
+    calls = []
+    evaluate = ChainMapFamily.evaluate
+
+    def counting(self, m, elem):
+        calls.append(m)
+        return evaluate(self, m, elem)
+
+    monkeypatch.setattr(ChainMapFamily, "evaluate", counting)
+    pipe = Pipeline(RunConfig(n=0, max_degree=13))
+    dm, res = pipe.diagonal, pipe.resolution
+    fam = dm.solved_family()
+    rows = dm.verify_squares(fam, 13)
+    assert all(r["status"] == "pass" for r in rows)
+    assert len(calls) == sum(len(res.labels(m)) for m in range(1, 14)) == 69
+    # verifying left the table as the lift read it
+    for m in range(1, 14):
+        for lab in res.labels(m):
+            want = evaluate(fam, m - 1, res.apply_boundary(m, res.generator(lab)))
+            assert want and fam.on_boundary[m][label_index(lab)] == want, (m, lab)
+
+
 def test_degrees_fill_upward_without_recursion():
     import sys
 
@@ -267,9 +295,9 @@ def test_solved_family_endpoint_conservation(pipes, solved_families):
         dm = dm_of(pipes, n)
         fam = solved_families[n]
         for m, imgs in fam.images.items():
-            for lab, img in imgs.items():
-                o, t = label_pair(lab)
-                vertex = dm.tc.vertex
+            for g, img in imgs.items():
+                o, t = label_pair(dm.res.labels(m)[g & 7])
+                vertex = dm.res.vertex
                 assert dm.tc.act(vertex[o], img, vertex[t]) == img
 
 
@@ -323,7 +351,8 @@ def test_corrected_family_agrees_with_the_extension_of_its_images(
             gen = res.generator(lab)
             for x in [trivial(o)] + [a for a in arrows if a.target == o]:
                 for y in [trivial(t)] + [a for a in arrows if a.source == t]:
-                    elem = res.act(x, gen, y)
+                    index = res.algebra.basis_index
+                    elem = res.act(index[x], gen, index[y])
                     got = fam.evaluate(m, elem)
                     assert got == extended.evaluate(m, elem), (m, lab, x, y)
                     decorated += bool(got) and not x.is_vertex() and not y.is_vertex()
@@ -352,9 +381,9 @@ def test_corrupted_family_fails_square(pipes, solved_families):
     from quiverhh.diagonal import ChainMapFamily
 
     images = {m: dict(imgs) for m, imgs in fam.images.items()}
-    lab = dm.res.labels(2)[0]
+    g = label_index(dm.res.labels(2)[0])
     images[2] = dict(images[2])
-    images[2][lab] = axpy({}, Fraction(-1), images[2][lab], 0)
+    images[2][g] = axpy({}, Fraction(-1), images[2][g], 0)
     broken = ChainMapFamily(dm, 1, images=images)
     rows = dm.verify_square(broken, 2)
     assert any(r["status"] == "fail" for r in rows)

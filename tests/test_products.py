@@ -6,6 +6,7 @@ import pytest
 from quiverhh.cochains import CochainName
 from quiverhh.linalg import axpy
 from quiverhh.products import UnsupportedRightFactor, star_table
+from quiverhh.uniform import label_index
 
 
 def ctx(pipes, n):
@@ -176,7 +177,7 @@ def test_star_cup_relation(pipes, corner_homotopy):
         corr = dm.tc.differential(h.apply(m, gen))
         if m >= 1:
             axpy(corr, 1, h.apply(m - 1, pipe.resolution.apply_boundary(m, gen)), 0)
-        corr_images[lab] = corr
+        corr_images[label_index(lab)] = corr
     # evaluate (f tensor g) on the correction exactly as the cup does
     from quiverhh.diagonal import ChainMapFamily
 
@@ -191,9 +192,9 @@ def test_cup_refuses_family_that_fails_verification(pipes, solved_families):
 
     fam = solved_families[0]
     images = {m: dict(imgs) for m, imgs in fam.images.items()}
-    lab = dm.res.labels(1)[0]
+    g = label_index(dm.res.labels(1)[0])
     images[1] = dict(images[1])
-    images[1][lab] = axpy({}, Fraction(3), images[1][lab], 0)
+    images[1][g] = axpy({}, Fraction(3), images[1][g], 0)
     bogus = ChainMapFamily(dm, 1, images=images)
     with pytest.raises(ValueError):
         pr.cup(hc.x_cochain(), hc.y_cochain(), bogus)
@@ -208,8 +209,8 @@ def test_cup_checks_every_square_up_to_one_above_the_product(pipes, solved_famil
 
     fam = solved_families[0]
     images = {m: dict(fam.images[m]) for m in range(9)}
-    lab = dm.res.labels(degree)[0]
-    images[degree][lab] = axpy({}, Fraction(3), images[degree][lab], 0)
+    g = label_index(dm.res.labels(degree)[0])
+    images[degree][g] = axpy({}, Fraction(3), images[degree][g], 0)
     bogus = ChainMapFamily(dm, 1, images=images)
     x, z = hc.x_cochain(), hc.z_cochain()
     assert x.degree + z.degree == 6

@@ -132,8 +132,9 @@ def test_multiply_examples():
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_product_table_matches_rewriting(n):
     fresh = FamilyAlgebra(n)
-    assert not fresh._products  # filled on first use, not when built
+    assert not fresh.product_rows  # filled on first use, not when built
     shared = get_algebra(n)
+    index = fresh.basis_index
     for p in fresh.basis:
         for q in fresh.basis:
             pq = compose(p, q)
@@ -141,7 +142,10 @@ def test_product_table_matches_rewriting(n):
             assert fresh.mul_path(p, q) == want
             assert fresh.mul_path(p, q) == want  # served from the table
             assert shared.mul_path(p, q) == want
-    assert len(fresh._products) == len(fresh.basis) ** 2
+            row = fresh.product_rows[index[p]]
+            assert row[index[q]] == (None if want is None else index[want])
+    assert len(fresh.product_rows) == len(fresh.basis)
+    assert all(len(row) == len(fresh.basis) for row in fresh.product_rows.values())
 
 
 @pytest.mark.parametrize("n", [0, 1])

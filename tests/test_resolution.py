@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverhh.algebra import get_algebra
-from quiverhh.linalg import QQ, PrimeField, axpy, rank
+from quiverhh.linalg import QQ, PrimeField, accumulate, axpy, rank
 from quiverhh.quiver import arrow, parse_path, trivial
 from quiverhh.cochains import HochschildComplex
 from quiverhh.diagonal import OneSidedContraction
@@ -51,42 +53,46 @@ def test_augmentation_is_multiplication(pipes):
         o, _ = label_pair(lab)
         assert r.augment(r.generator(lab)) == {trivial(o): Fraction(1)}
     # and on decorated elements it multiplies through
-    elem = r.act(arrow("a0"), r.generator(Label(0, "S", None)), arrow("a1"))
+    index = r.algebra.basis_index
+    elem = r.act(index[arrow("a0")], r.generator(Label(0, "S", None)), index[arrow("a1")])
     assert r.augment(elem) == {parse_path("a0*a1"): Fraction(1)}
 
 
-def test_degree_one_boundary_any_n(pipes):
+def test_degree_one_boundary_any_n(pipes, decode):
     for n in (0, 1, 2):
         r = res(pipes, n)
         img = r.apply_boundary(1, r.generator(Label(1, "R", 0)))
-        assert term_set(img) == {("R0", "e0", "a0"): Fraction(1), ("S0", "a0", "e1"): Fraction(-1)}
+        assert term_set(decode(r, img)) == {
+            ("R0", "e0", "a0"): Fraction(1),
+            ("S0", "a0", "e1"): Fraction(-1),
+        }
 
 
-def test_degree_three_mixed_boundary_n0(pipes):
+def test_degree_three_mixed_boundary_n0(pipes, decode):
     r = res(pipes, 0)
     img = r.apply_boundary(3, r.generator(Label(3, "S", 1)))
-    assert term_set(img) == {
+    assert term_set(decode(r, img)) == {
         ("S2", "e1", "b0"): Fraction(1),
         ("U2_1", "a1", "f1"): Fraction(-1),
     }
 
 
-def test_degree_three_mixed_boundary_n1(pipes):
+def test_degree_three_mixed_boundary_n1(pipes, decode):
     # the long coefficient appears once n is positive
     r = res(pipes, 1)
     img = r.apply_boundary(3, r.generator(Label(3, "S", 1)))
-    assert term_set(img) == {
+    assert term_set(decode(r, img)) == {
         ("S2", "e1", "b0"): Fraction(1),
         ("U2_1", "a1*a2*a0*a1", "f1"): Fraction(-1),
     }
 
 
-def test_degree_two_detour_boundary(pipes):
+def test_degree_two_detour_boundary(pipes, decode):
     # the (f1, e0) generator maps through the closing arrow of the cycle
     for n in (0, 1):
         r = res(pipes, n)
         img = r.apply_boundary(2, r.generator(Label(2, "T", None)))
-        assert term_set(img) == {
+        assert term_set(decode(r, img)) == {
             ("T1", "f1", "a2"): Fraction(1),
             ("U1", "b1", "e0"): Fraction(1),
         }
@@ -95,10 +101,14 @@ def test_degree_two_detour_boundary(pipes):
 def test_boundary_respects_endpoints(pipes):
     for n in (0, 1, 2):
         r = res(pipes, n)
+        basis = r.algebra.basis
         for m in range(1, 10):
-            for lab, terms in r.shape(m).items():
+            assert len(r.shape(m)) == len(r.labels(m))
+            for lab, terms in zip(r.labels(m), r.shape(m)):
                 o, t = label_pair(lab)
-                for left, tgt, right, sign in terms:
+                for x, g, y, sign in terms:
+                    left, tgt, right = basis[x], r.labels(m - 1)[g & 7], basis[y]
+                    assert g >> 3 == m - 1
                     to, tt = label_pair(tgt)
                     assert left.source == o and left.target == to
                     assert right.source == tt and right.target == t
@@ -119,6 +129,85 @@ def test_bimodule_linearity_random(pipes):
         lhs = r.apply_boundary(m, r.act(x, gen, y))
         rhs = r.act(x, r.apply_boundary(m, gen), y)
         assert lhs == rhs
+
+
+def test_resolution_elements_are_int_triples(pipes):
+    # generators, boundaries, actions and bases share the tensor complex's
+    # numbers: (label number, left path index, right path index)
+    def int_triples(keys):
+        keys = list(keys)
+        return keys and all(
+            type(k) is tuple and len(k) == 3 and all(type(x) is int for x in k) for k in keys
+        )
+
+    r = res(pipes, 1)
+    alg = r.algebra
+    for m in range(0, 8):
+        assert int_triples(r.triples(m)), m
+        for lab in r.labels(m):
+            o, t = label_pair(lab)
+            gen = r.generator(lab)
+            assert int_triples(gen), lab
+            acted = r.act(alg.paths_into[o][-1], gen, alg.paths_from[t][-1])
+            assert int_triples(acted), lab
+            if m:
+                assert int_triples(r.apply_boundary(m, gen)), lab
+
+
+_RESOLUTIONS = {}
+
+
+def _resolution(n, field):
+    key = (n, field.p)
+    if key not in _RESOLUTIONS:
+        _RESOLUTIONS[key] = Resolution(get_algebra(n, field))
+    return _RESOLUTIONS[key]
+
+
+def _reference_boundary(r, m, elem):
+    """The boundary of a (Label, Path, Path)-keyed element, read off the
+    printed shapes with products of `Path` objects."""
+    shape, mul = boundary_shape(m, r.n), r.algebra.mul_path
+    return accumulate(
+        (
+            ((tgt, nl, nr), c * sign)
+            for (lab, left, right), c in elem.items()
+            for x, tgt, y, sign in shape[lab]
+            if (nl := mul(left, x)) is not None and (nr := mul(y, right)) is not None
+        ),
+        r.field.p,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_index_form_matches_the_printed_shapes(decode, data):
+    n = data.draw(st.integers(0, 3), label="n")
+    field = data.draw(st.sampled_from([QQ, PrimeField(7)]), label="field")
+    m = data.draw(st.integers(0, 13), label="degree")
+    r = _resolution(n, field)
+    alg, p = r.algebra, field.p
+    tris = r.triples(m)
+    picks = st.tuples(st.integers(0, len(tris) - 1), st.integers(-3, 3))
+    elem = accumulate(((tris[i], c) for i, c in data.draw(st.lists(picks, max_size=6))), p)
+    x, y = (data.draw(st.integers(0, len(alg.basis) - 1)) for _ in range(2))
+    plain = decode(r, elem)
+    mul, X, Y = alg.mul_path, alg.basis[x], alg.basis[y]
+    acted = accumulate(
+        (
+            ((lab, nl, nr), c)
+            for (lab, left, right), c in plain.items()
+            if (nl := mul(X, left)) is not None and (nr := mul(right, Y)) is not None
+        ),
+        p,
+    )
+    assert decode(r, r.act(x, elem, y)) == acted
+    if m == 0:
+        products = ((mul(left, right), c) for (lab, left, right), c in plain.items())
+        want = accumulate(((q, c) for q, c in products if q is not None), p)
+        assert r.augment(elem) == want
+    else:
+        assert decode(r, r.apply_boundary(m, elem)) == _reference_boundary(r, m, plain)
 
 
 def test_to_matrix_identity_and_zero(pipes):
@@ -174,9 +263,7 @@ def test_period_shared_boundary_data_match_direct_computation(n, field):
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_period_certificate_is_checked_not_assumed(pipes, n):
     r = Resolution(res(pipes, n).algebra)
-    r.shape(8)
-    for lab in list(r._shapes[8]):
-        r._shapes[8][lab] = []
+    r._shapes[8] = [[] for _ in r.shape(8)]
     assert r.boundary_matrix(8) is not r.boundary_matrix(2)
     rows = r.verify_exactness(9)
     assert [row["degree"] for row in rows if row["status"] == "fail"] == [7, 8]
@@ -200,10 +287,9 @@ def test_period_certificate_is_checked_not_assumed(pipes, n):
     # degree 7 changes sign; every table that reads degree 8, or a table
     # that does, is then solved and not shared
     flipped = Resolution(res(pipes, n).algebra)
-    flipped._shapes[8] = {
-        lab: [(x, tgt, y, -sign) for x, tgt, y, sign in terms]
-        for lab, terms in flipped.shape(8).items()
-    }
+    flipped._shapes[8] = [
+        [(x, tgt, y, -sign) for x, tgt, y, sign in terms] for terms in flipped.shape(8)
+    ]
     assert all(row["status"] == "pass" for row in flipped.verify_exactness(14))
     for side in ("right", "left"):
         s = OneSidedContraction(flipped, side)
@@ -267,10 +353,10 @@ def test_complex_property(pipes, n):
 
 def test_corrupted_boundary_fails_complex_check(pipes):
     r = Resolution(res(pipes, 0).algebra)
-    r.shape(2)  # build, then flip one sign
-    lab = Label(2, "R", None)
-    left, tgt, right, sign = r._shapes[2][lab][0]
-    r._shapes[2][lab][0] = (left, tgt, right, -sign)
+    r.shape(2)  # build, then flip one sign of R2, the first label
+    assert r.labels(2)[0] == Label(2, "R", None)
+    left, tgt, right, sign = r._shapes[2][0][0]
+    r._shapes[2][0][0] = (left, tgt, right, -sign)
     rows = r.verify_complex(3)
     assert rows[1]["status"] == "fail" and rows[1]["witness"]
 
@@ -283,9 +369,7 @@ def test_exactness(pipes, n):
 
 def test_zeroed_boundary_breaks_exactness(pipes):
     r = Resolution(res(pipes, 0).algebra)
-    r.shape(2)
-    for lab in list(r._shapes[2]):
-        r._shapes[2][lab] = []
+    r._shapes[2] = [[] for _ in r.shape(2)]
     rows = r.verify_exactness(3)
     assert rows[1]["status"] == "fail"
 

@@ -22,7 +22,8 @@ def test_mismatched_inner_vertices_vanish(pipes):
 def test_matching_tensor_keeps_middle(pipes, decode):
     tc = tc_of(pipes, 0)
     res = tc.res
-    left = res.act(trivial("e1"), res.generator(Label(0, "S", None)), arrow("a1"))
+    index = res.algebra.basis_index
+    left = res.act(index[trivial("e1")], res.generator(Label(0, "S", None)), index[arrow("a1")])
     right = res.generator(Label(1, "U", None))  # (e2, e0)
     got = tc.tensor(left, right)
     ((g1, g2, l, m, r),) = decode(tc, got)
@@ -44,7 +45,8 @@ def test_tensor_bilinear_and_idempotent_normalisation(pipes, decode):
     res = tc.res
     alg = res.algebra
     two = Fraction(2)
-    a = res.act(trivial("e0"), res.generator(Label(1, "R", 0)), arrow("a1"))
+    index = alg.basis_index
+    a = res.act(index[trivial("e0")], res.generator(Label(1, "R", 0)), index[arrow("a1")])
     b = res.generator(Label(2, "U", 0))
     t1 = tc.tensor(axpy({}, two, a, 0), b)
     t2 = axpy({}, two, tc.tensor(a, b), 0)
