@@ -20,8 +20,10 @@ which `cli.cmd_algebra` runs on every `algebra` and `report` run.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .linalg import QQ, SparseEchelon, accumulate
-from .quiver import VERTICES, Path, a_cycle, compose, trivial, walk_paths
+from .quiver import ARROW_SOURCE, ARROWS, VERTICES, Path, a_cycle, compose, trivial, walk_paths
 from .uniform import Degrees
 
 
@@ -46,7 +48,9 @@ class FamilyAlgebra:
     v, `from_index[i]` and `into_index[i]` are the position of path i in
     those lists, and the one memo of products is `product_rows`:
     `product_rows[i][j]` is the index of basis[i] * basis[j], or None
-    when it vanishes.  A row is filled the first time it is read.
+    when it vanishes.  A row is filled the first time it is read, by
+    arrow steps over prefixes (`_product_row`), from a table of basis
+    path times arrow that the first row read builds.
     """
 
     def __init__(self, n, field=QQ):
@@ -110,15 +114,47 @@ class FamilyAlgebra:
         r = self.product_rows[index[p]][index[q]]
         return None if r is None else self.basis[r]
 
+    @cached_property
+    def _arrow_steps(self):
+        """(splits, steps), built when the first product row is read.
+
+        `splits[j]` is (index of basis[j] without its last arrow, that
+        arrow), or None for a trivial path; that prefix is a basis path,
+        since a reducible prefix would make basis[j] reducible.
+        `steps[k][tag]`, for each arrow out of the target of basis[k], is
+        the index of the normal form of basis[k] times that arrow, or None
+        when it vanishes: one rewriting per basis path and arrow.
+        """
+        basis, index, nf = self.basis, self.basis_index, self.normal_form_path
+        splits, steps = [], []
+        for p in basis:
+            prefix = Path(p.source, p.arrows[:-1])
+            splits.append((index[prefix], p.arrows[-1]) if p.arrows else None)
+            step = {}
+            for tag in ARROWS:
+                if ARROW_SOURCE[tag] == p.target:
+                    r = nf(Path(p.source, p.arrows + (tag,)))
+                    step[tag] = None if r is None else index[r]
+            steps.append(step)
+        return splits, steps
+
     def _product_row(self, i):
-        """Row i of `product_rows`, by rewriting: only the paths out of the
-        target of basis[i] compose with it, and every other entry is None."""
-        p, basis, index = self.basis[i], self.basis, self.basis_index
-        row = [None] * len(basis)
-        for j in self.paths_from[p.target]:
-            r = self.normal_form_path(compose(p, basis[j]))
-            if r is not None:
-                row[j] = index[r]
+        """Row i of `product_rows`, by arrow steps.
+
+        Normal forms are unique, so if basis[j] is prefix * arrow, then
+        basis[i] * basis[j] is the normal form of (basis[i] * prefix) *
+        arrow.  The prefix sorts before basis[j], so filling the paths out
+        of the target of basis[i] in order reads only filled entries.
+        Every other entry is None.
+        """
+        splits, steps = self._arrow_steps
+        row = [None] * len(self.basis)
+        for j in self.paths_from[self.basis[i].target]:
+            split = splits[j]
+            if split is None:
+                row[j] = i
+            elif (k := row[split[0]]) is not None:
+                row[j] = steps[k][split[1]]
         return row
 
     def mul(self, x, y):
@@ -149,8 +185,9 @@ _ALGEBRAS = {}  # (n, characteristic) -> FamilyAlgebra
 def get_algebra(n, field=QQ):
     """Shared algebra instances, one per n and characteristic.
 
-    Sharing is safe: the only mutable field is the product table
-    `product_rows`, and each of its rows is a pure function of its key.
+    Sharing is safe: the only mutable fields are the product table
+    `product_rows`, each of whose rows is a pure function of its key, and
+    the arrow-step table behind it, built once.
     """
     key = (n, field.p)
     if key not in _ALGEBRAS:

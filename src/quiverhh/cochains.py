@@ -209,9 +209,8 @@ class HochschildComplex:
         return self._cocycle_basis[self.res.period_rep(m + 1) - 1]
 
     def _cocycle_vectors_at(self, m):
-        cols = self._coboundary_columns(m)
-        entries = [(i, j, c) for j, col in enumerate(cols) for i, c in col.items()]
-        return kernel_basis(Matrix(self.hom_dim(m + 1), len(cols), entries), self.field.p)
+        matrix = Matrix(self.hom_dim(m + 1), self._coboundary_columns(m))
+        return kernel_basis(matrix, self.field.p)
 
     def hh_dimension(self, m):
         return self.cohomology(m)[0]

@@ -8,11 +8,13 @@ not 0; it has no default, so a sum cannot forget to reduce.
 
 One engine, `SparseEchelon`, does all the elimination in the package.
 It takes sparse vectors {index: coeff} in order and keeps them in
-echelon form.  `rank`, `kernel_basis` and `LinearSolver` insert the
-columns of a sparse `Matrix` one by one, so the pivot columns are
-exactly those of the reduced row echelon form: particular solutions set
-every free variable to zero, and kernel vectors are listed by
-increasing free-column index.
+echelon form.  A `Matrix` is its list of sparse columns {row: coeff},
+as the callers build them.  `rank`, `kernel_basis` and `LinearSolver`
+insert those columns one by one, so the pivot columns are exactly those
+of the reduced row echelon form: particular solutions set every free
+variable to zero, and kernel vectors are listed by increasing
+free-column index.  The echelon copies a vector before reducing it, so
+a matrix is never written into and may be shared between callers.
 
 Coefficients over Q are ints until a non-unit pivot divides them, and
 `fractions.Fraction` values from then on; the two compare, hash and
@@ -114,18 +116,20 @@ def axpy(out, c, x, p):
 
 @dataclass
 class Matrix:
-    """Sparse matrix: `entries` holds the nonzero (row, col, coeff) triples."""
+    """Sparse matrix kept as its columns: `columns[j]` is the sparse
+    vector {row: coeff} of column j, with no zero stored."""
 
     rows: int
-    cols: int
-    entries: list
+    columns: list
 
-    def columns(self):
-        """The columns as sparse vectors {row: coeff}, in column order."""
-        out = [{} for _ in range(self.cols)]
-        for i, j, c in self.entries:
-            out[j][i] = c
-        return out
+    @property
+    def cols(self):
+        return len(self.columns)
+
+    @property
+    def entries(self):
+        """The nonzero (row, col, coeff) triples, column by column."""
+        return [(i, j, c) for j, col in enumerate(self.columns) for i, c in col.items()]
 
 
 class SparseEchelon:
@@ -218,7 +222,7 @@ class SparseEchelon:
 
 def _column_echelon(a, p, track=False):
     ech = SparseEchelon(p, track)
-    for j, col in enumerate(a.columns()):
+    for j, col in enumerate(a.columns):
         ech.add(col, j)
     return ech
 
@@ -233,7 +237,7 @@ def kernel_basis(a, p):
     pivot columns before it."""
     ech = SparseEchelon(p, track=True)
     basis = []
-    for j, col in enumerate(a.columns()):
+    for j, col in enumerate(a.columns):
         if ech.add(col, j) is None:
             v = axpy({}, -1, ech.express(col), p)
             v[j] = 1

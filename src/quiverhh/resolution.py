@@ -321,19 +321,19 @@ class Resolution:
         alg = self.algebra
         prod = alg.product_rows
         if m == 0:
-            entries = [
-                (q, j, 1)
-                for j, (g, left, right) in enumerate(self.triples(0))
-                if (q := prod[left][right]) is not None
+            columns = [
+                {} if (q := prod[left][right]) is None else {q: 1}
+                for g, left, right in self.triples(0)
             ]
-            return Matrix(len(alg.basis), self.dim(0), entries)
+            return Matrix(len(alg.basis), columns)
         into, outof = alg.paths_into, alg.paths_from
         left_pos, right_pos = alg.into_index, alg.from_index
         blocks, rows = self._blocks[m - 1]
-        # one int object per row index, shared by every entry in that row
+        # one int object per row index, shared by every column with that row
         idx = list(range(rows))
-        entries = []
-        col0 = 0
+        # the empty columns share one dict, as nothing writes into a column
+        empty = {}
+        columns = []
         for lab, terms in zip(self.labels(m), self.shape(m)):
             o, t = label_pair(lab)
             lefts, rights = into[o], outof[t]
@@ -356,13 +356,12 @@ class Resolution:
                     row0 = base + left_pos[q] * tgt_width
                     c0 = li * width
                     for ri, r in hits:
-                        cols[c0 + ri].append((row0 + r, c))
-            for j, col in enumerate(cols, col0):
-                if len(col) > 1:
-                    col = accumulate(col, self.field.p).items()
-                entries.extend((idx[r], j, c) for r, c in col)
-            col0 += len(cols)
-        return Matrix(rows, col0, entries)
+                        cols[c0 + ri].append((idx[row0 + r], c))
+            columns.extend(
+                accumulate(col, self.field.p) if len(col) > 1 else dict(col) if col else empty
+                for col in cols
+            )
+        return Matrix(rows, columns)
 
     # -- verifiers --------------------------------------------------------
 

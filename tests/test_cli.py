@@ -421,6 +421,11 @@ PINNED_REPORTS = [
      "9f36ba10e8e0f747f1e69a87eaac94294fd48ea4609c38e45914dd64822b9e18"),
     ("hochschild --n 1 --field gf:7 --max-degree 13 all",
      "03b709cb130bd376494b3ee45696d001016c28ffec594f32ffef7d3b3cafc797"),
+    # the GF(p) boundary matrices, ranks and kernels at larger n
+    ("resolution --n 7 --field gf:7 --max-degree 14 all",
+     "5a19d093dd0f3079936ffdffcab8a2c609396c6a1ac085dbf62a2533570503e8"),
+    ("hochschild --n 4 --field gf:5 --max-degree 13 all",
+     "ddd42fe9dc0fad44e325e6091ddf2aed782ca4d0fa2551323a53d418a2ad4f7b"),
 ]
 
 

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -19,13 +20,11 @@ from quiverhh.linalg import (
 def mat(rows, ncols=None, p=0):
     """Sparse matrix from dense integer rows, reduced mod p when p is not 0."""
     ncols = len(rows[0]) if rows else ncols
-    entries = [
-        (i, j, c)
-        for i, row in enumerate(rows)
-        for j, x in enumerate(row)
-        if (c := x % p if p else x)
+    columns = [
+        {i: c for i, row in enumerate(rows) if (c := row[j] % p if p else row[j])}
+        for j in range(ncols)
     ]
-    return Matrix(len(rows), ncols, entries)
+    return Matrix(len(rows), columns)
 
 
 def identity(n):
@@ -55,7 +54,7 @@ def pivot_columns(m):
     """Columns independent of the columns before them (the RREF pivots)."""
     out = []
     for j in range(m.cols):
-        left = Matrix(m.rows, j + 1, [e for e in m.entries if e[1] <= j])
+        left = Matrix(m.rows, m.columns[: j + 1])
         if rank(left, 0) > len(out):
             out.append(j)
     return out
@@ -119,7 +118,7 @@ def test_kernel_single_row():
 
 
 def test_empty_matrix_allowed():
-    m = Matrix(0, 3, [])
+    m = Matrix(0, [{}, {}, {}])
     assert rank(m, 0) == 0
     assert len(kernel_basis(m, 0)) == 3
     assert LinearSolver(m, 0).solve({}) == {}
@@ -163,7 +162,7 @@ def test_solve_back_substitutes(rows, y, consistent):
     b = mat_vec(m, yq) if consistent else yq
     x = LinearSolver(m, 0).solve(b)
     if x is None:
-        augmented = Matrix(m.rows, m.cols + 1, m.entries + [(i, m.cols, c) for i, c in b.items()])
+        augmented = Matrix(m.rows, m.columns + [b])
         assert not consistent and rank(augmented, 0) > rank(m, 0)
     else:
         assert mat_vec(m, x) == b
@@ -174,6 +173,33 @@ def test_solve_back_substitutes(rows, y, consistent):
     for fc, v in zip(free, kernel):
         assert mat_vec(m, v) == {}
         assert v[fc] == 1 and set(v) - {fc} <= {p for p in pivots if p < fc}
+
+
+def test_entries_list_the_nonzero_triples_column_by_column():
+    m = mat([[1, 0, 2], [0, 0, 3], [4, 0, 0]])
+    assert (m.rows, m.cols) == (3, 3)
+    assert m.columns == [{0: 1, 2: 4}, {}, {0: 2, 1: 3}]
+    assert m.entries == [(0, 0, 1), (2, 0, 4), (0, 2, 2), (1, 2, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0, 7]),
+    st.lists(st.lists(sq, min_size=4, max_size=4), min_size=1, max_size=5),
+    st.lists(sq, min_size=5, max_size=5),
+)
+def test_elimination_leaves_the_matrix_columns_unchanged(p, rows, b):
+    # cached boundary matrices share their columns with the echelon and
+    # over the period, so nothing that reads a matrix may write into it
+    m = mat(rows, p=p)
+    before = copy.deepcopy(m.columns)
+    rank(m, p)
+    kernel_basis(m, p)
+    solver = LinearSolver(m, p)
+    for col in m.columns:
+        solver.solve(col)
+    solver.solve({i: r for i, c in enumerate(b[: m.rows]) if (r := c % p if p else c)})
+    assert m.columns == before
 
 
 def test_gf_matches_rationals_mod_p():
@@ -251,7 +277,7 @@ def _coefficients(x):
 def test_int_coefficients_make_no_float_and_match_fractions(rows, b, y):
     ints = mat(rows)
     assert all(type(c) is int for _, _, c in ints.entries)
-    fracs = Matrix(ints.rows, ints.cols, [(i, j, Fraction(c)) for i, j, c in ints.entries])
+    fracs = Matrix(ints.rows, [{i: Fraction(c) for i, c in col.items()} for col in ints.columns])
     rhs = [{i: c for i, c in enumerate(b[: ints.rows]) if c}, mat_vec(ints, dict(enumerate(y)))]
     solver, old_solver = LinearSolver(ints, 0), LinearSolver(fracs, 0)
     ech = solver.echelon

@@ -11,9 +11,10 @@ from quiverhh.algebra import (
     oracle_quotient_dim,
     truncated_ideal_echelon,
 )
-from quiverhh.linalg import PrimeField, axpy
+from quiverhh.linalg import QQ, PrimeField, axpy
 from quiverhh.quiver import (
     ARROW_SOURCE,
+    ARROWS,
     ARROW_TARGET,
     Path,
     a_cycle,
@@ -129,11 +130,17 @@ def test_multiply_examples():
     assert prod == {parse_path("a0*a1"): Fraction(1)}
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_product_table_matches_rewriting(n):
-    fresh = FamilyAlgebra(n)
-    assert not fresh.product_rows  # filled on first use, not when built
-    shared = get_algebra(n)
+@pytest.mark.parametrize(
+    "n,field",
+    [(n, QQ) for n in range(7)] + [(2, PrimeField(7))],
+    ids=[str(n) for n in range(7)] + ["2-GF7"],
+)
+def test_product_table_matches_rewriting(n, field):
+    fresh = FamilyAlgebra(n, field)
+    # filled on first use, not when built: the rows and the arrow steps
+    assert not fresh.product_rows
+    assert "_arrow_steps" not in vars(fresh)
+    shared = get_algebra(n, field)
     index = fresh.basis_index
     for p in fresh.basis:
         for q in fresh.basis:
@@ -146,9 +153,30 @@ def test_product_table_matches_rewriting(n):
             assert row[index[q]] == (None if want is None else index[want])
     assert len(fresh.product_rows) == len(fresh.basis)
     assert all(len(row) == len(fresh.basis) for row in fresh.product_rows.values())
+    assert "_arrow_steps" in vars(fresh)
 
 
-@pytest.mark.parametrize("n", [0, 1])
+def test_arrow_steps_are_built_by_the_first_row_read():
+    alg = FamilyAlgebra(1)
+    alg.product_rows[0]
+    splits, steps = vars(alg)["_arrow_steps"]
+    assert len(splits) == len(steps) == len(alg.basis)
+    for k, p in enumerate(alg.basis):
+        if splits[k] is None:
+            assert p.is_vertex()
+        else:
+            prefix, tag = splits[k]
+            assert compose(alg.basis[prefix], arrow(tag)) == p and prefix < k
+        for tag in ARROWS:
+            pa = compose(p, arrow(tag))
+            if pa is None:
+                assert tag not in steps[k]
+            else:
+                want = alg.normal_form_path(pa)
+                assert steps[k][tag] == (None if want is None else alg.basis_index[want])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_product_table_associative_on_basis(n):
     alg = FamilyAlgebra(n)
     mul = lambda p, q: None if p is None or q is None else alg.mul_path(p, q)

@@ -232,7 +232,7 @@ def test_boundary_matrix_columns_are_apply_boundary(n, field):
         # degree 0 maps to the algebra by the augmentation
         row_index = r.algebra.basis_index if m == 0 else r.triple_index(m - 1)
         assert (mat.rows, mat.cols) == (len(row_index), r.dim(m))
-        cols = mat.columns()
+        cols = mat.columns
         for j, tr in enumerate(r.triples(m)):
             img = r.augment({tr: 1}) if m == 0 else r.apply_boundary(m, {tr: 1})
             # in the same order: each column sums the shape terms in turn
@@ -250,7 +250,7 @@ def test_period_shared_boundary_data_match_direct_computation(n, field):
         assert r.boundary_matrix(m) is r.boundary_matrix(m - 6)
         assert r.boundary_matrix(m).entries == direct.entries
         assert r.boundary_rank(m) == rank(direct, p)
-        cols = direct.columns()
+        cols = direct.columns
         for b in cols[:: max(1, len(cols) // 7)]:
             x = r.boundary_solver(m).solve(b)
             assert x is not None
