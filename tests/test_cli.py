@@ -426,6 +426,11 @@ PINNED_REPORTS = [
      "5a19d093dd0f3079936ffdffcab8a2c609396c6a1ac085dbf62a2533570503e8"),
     ("hochschild --n 4 --field gf:5 --max-degree 13 all",
      "ddd42fe9dc0fad44e325e6091ddf2aed782ca4d0fa2551323a53d418a2ad4f7b"),
+    # 3080 star products, each matched against the named basis
+    ("hochschild --n 8 --max-degree 12 all",
+     "06c1bf938fdaf886be5e7a74c272bad935140f1c334d0da45d4492756557f00b"),
+    ("report --n 1 --max-degree 12",
+     "8a9b4a6d657421e33c9c6e5a6e051ab9fff100b996f5013a4c8cd57ca989cc77"),
 ]
 
 
