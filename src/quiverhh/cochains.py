@@ -1,10 +1,11 @@
 """Cochains on the resolution, the induced differential, and cohomology.
 
 A degree-m cochain is a bimodule map from degree m of the resolution to
-the algebra: a dict {generator label: algebra element in the label's
-corner}.  The scalar coordinate basis indexes pairs (label, corner
-basis path); the named bases below give the same spaces the classical
-generator-by-generator presentation:
+the algebra, fixed by one element of each generator's corner.  It is
+kept as its coordinate vector on the hom basis: the (label number, path
+index) pairs of the generators in label order, each followed by its
+corner's basis paths in basis order.  The named bases below give the
+same spaces the classical generator-by-generator presentation:
 
     degree 0:        alpha_s^t (s = 0,1,2; t = 0..n) and beta
     degree 3m, m>0:  phi_i^t and psi
@@ -47,25 +48,22 @@ class CochainName:
 
 
 class Cochain:
-    """Generator images plus the degree they live at."""
+    """A degree-m cochain as its coordinate vector {position in
+    `hom_basis(m)`: coeff}, with no zero stored, so equal cochains have
+    equal vectors and the zero cochain's is empty."""
 
-    __slots__ = ("degree", "images", "name")
+    __slots__ = ("degree", "vec", "name")
 
-    def __init__(self, degree, images, name=None):
+    def __init__(self, degree, vec, name=None):
         self.degree = degree
-        self.images = images
+        self.vec = vec
         self.name = name
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.degree == other.degree
-            and {k: v for k, v in self.images.items() if v}
-            == {k: v for k, v in other.images.items() if v}
-        )
+        return isinstance(other, Cochain) and (self.degree, self.vec) == (other.degree, other.vec)
 
     def is_zero(self):
-        return all(not v for v in self.images.values())
+        return not self.vec
 
 
 class HochschildComplex:
@@ -82,58 +80,40 @@ class HochschildComplex:
     # -- coordinates ------------------------------------------------------
 
     def hom_basis(self, m):
-        """Scalar basis of the cochain space: (label, corner path) pairs."""
+        """Scalar basis of the cochain space, (label number, corner path
+        index) pairs, and its index {pair: position}."""
         return self._hom_basis[m]
 
     def _hom_basis_at(self, m):
-        corners = self.alg.corners
-        out = [(lab, p) for lab in self.res.labels(m) for p in corners[label_pair(lab)]]
+        corners, index = self.alg.corners, self.alg.basis_index
+        out = [
+            (label_index(lab), index[p])
+            for lab in self.res.labels(m)
+            for p in corners[label_pair(lab)]
+        ]
         return out, {k: i for i, k in enumerate(out)}
 
     def hom_dim(self, m):
         return len(self.hom_basis(m)[0])
 
-    def to_vec(self, cochain):
-        basis, index = self.hom_basis(cochain.degree)
-        vec = {}
-        for lab, val in cochain.images.items():
-            for p, c in val.items():
-                vec[index[(lab, p)]] = c
-        return vec
-
-    def from_vec(self, m, vec):
-        basis, _ = self.hom_basis(m)
-        images = {lab: {} for lab in self.res.labels(m)}
-        for i, c in vec.items():
-            if not c:
-                continue
-            lab, p = basis[i]
-            images[lab][p] = c
-        return Cochain(m, images)
-
     def zero_cochain(self, m):
-        return Cochain(m, {lab: {} for lab in self.res.labels(m)})
+        return Cochain(m, {})
 
     def add(self, f, g):
         assert f.degree == g.degree
-        images = {
-            lab: axpy(dict(f.images.get(lab, {})), 1, g.images.get(lab, {}), self.field.p)
-            for lab in self.res.labels(f.degree)
-        }
-        return Cochain(f.degree, images)
+        return Cochain(f.degree, axpy(dict(f.vec), 1, g.vec, self.field.p))
 
     def scale(self, c, f):
-        images = {lab: axpy({}, c, v, self.field.p) for lab, v in f.images.items()}
-        return Cochain(f.degree, images)
+        return Cochain(f.degree, axpy({}, c, f.vec, self.field.p))
 
     # -- the induced differential ------------------------------------------
 
     def coboundary(self, cochain):
         """The induced differential: precompose with the boundary map."""
         cols, vec = self._coboundary_columns(cochain.degree), {}
-        for j, c in self.to_vec(cochain).items():
+        for j, c in cochain.vec.items():
             axpy(vec, c, cols[j], self.field.p)
-        return self.from_vec(cochain.degree + 1, vec)
+        return Cochain(cochain.degree + 1, vec)
 
     def is_cocycle(self, cochain):
         return self.coboundary(cochain).is_zero()
@@ -147,24 +127,24 @@ class HochschildComplex:
         return self._cob_columns[self.res.period_rep(m + 1) - 1]
 
     def _coboundary_columns_at(self, m):
-        # read off the boundary image of each degree-(m+1) generator, with
-        # both hom bases restated on label numbers and path indices
-        res, rows, index = self.res, self.alg.product_rows, self.alg.basis_index
-        corner = {}  # label number -> [(hom basis position, path index)]
-        for i, (lab, p) in enumerate(self.hom_basis(m)[0]):
-            corner.setdefault(label_index(lab), []).append((i, index[p]))
-        target = {
-            (label_index(lab), index[p]): i for i, (lab, p) in enumerate(self.hom_basis(m + 1)[0])
-        }
-        terms = [[] for _ in range(self.hom_dim(m))]
+        # the coboundary of basis cochain (g, p) sends each degree-(m+1)
+        # generator h to the sum of c * left . p . right over the terms
+        # (g, left, right) with coefficient c of h's boundary
+        res, rows, target = self.res, self.alg.product_rows, self.hom_basis(m + 1)[1]
+        faces = {}  # label number g -> [(h, left, right, c)]
         for gen in res.labels(m + 1):
             h = label_index(gen)
             for (g, left, right), c in res.apply_boundary(m + 1, res.generator(gen)).items():
-                for i, p in corner.get(g, ()):
-                    q = rows[left][p]
-                    if q is not None and (q := rows[q][right]) is not None:
-                        terms[i].append((target[(h, q)], c))
-        return [accumulate(t, self.field.p) for t in terms]
+                faces.setdefault(g, []).append((h, left, right, c))
+        columns = []
+        for g, p in self.hom_basis(m)[0]:
+            terms = []
+            for h, left, right, c in faces.get(g, ()):
+                q = rows[left][p]
+                if q is not None and (q := rows[q][right]) is not None:
+                    terms.append((target[(h, q)], c))
+            columns.append(accumulate(terms, self.field.p))
+        return columns
 
     def _coboundary_space(self, m):
         """Echelon of the coboundaries landing in degree m, shared with
@@ -182,7 +162,7 @@ class HochschildComplex:
         """Canonical representative vector of the cohomology class."""
         assert self.is_cocycle(cochain), "not a cocycle"
         ech = self._coboundary_space(cochain.degree)
-        res = ech.reduce(self.to_vec(cochain))
+        res = ech.reduce(cochain.vec)
         return tuple(sorted(res.items()))
 
     def classes_equal(self, f, g):
@@ -196,11 +176,7 @@ class HochschildComplex:
         """
         combined = SparseEchelon(self.field.p)
         combined.rows.update(self._coboundary_space(m).rows)
-        reps = [
-            self.from_vec(m, vec)
-            for vec in self._cocycle_vectors(m)
-            if combined.add(vec) is not None
-        ]
+        reps = [Cochain(m, vec) for vec in self._cocycle_vectors(m) if combined.add(vec) is not None]
         return len(reps), reps
 
     def _cocycle_vectors(self, m):
@@ -219,36 +195,33 @@ class HochschildComplex:
 
     def named_basis(self, m):
         """The classical named cochain basis at degree m."""
-        n = self.n
+        n, index, path_index = self.n, self.hom_basis(m)[1], self.alg.basis_index
         out = []
 
-        def mk(name, pairs):
-            images = {lab: {} for lab in self.res.labels(m)}
-            for lab, path in pairs:
-                images[lab] = {path: 1}
-            out.append(Cochain(m, images, name))
+        def mk(name, lab, path):
+            out.append(Cochain(m, {index[(label_index(lab), path_index[path])]: 1}, name))
 
         if m % 3 == 0:
             kind = "alpha" if m == 0 else "phi"
             for s in range(3):
                 for t in range(n + 1):
                     lab = label_at(m, f"e{s}", f"e{s}")
-                    mk(CochainName(kind, s, t), [(lab, a_cycle(s, 3 * t))])
+                    mk(CochainName(kind, s, t), lab, a_cycle(s, 3 * t))
             name = CochainName("beta" if m == 0 else "psi")
-            mk(name, [(label_at(m, "f1", "f1"), trivial("f1"))])
+            mk(name, label_at(m, "f1", "f1"), trivial("f1"))
         elif m % 3 == 1:
             for i in range(3):
                 for t in range(n + 1):
                     lab = label_at(m, f"e{i}", f"e{(i + 1) % 3}")
-                    mk(CochainName("mu", i, t), [(lab, a_cycle(i, 3 * t + 1))])
-            mk(CochainName("nu", 0), [(label_at(m, "e0", "f1"), arrow("b0"))])
-            mk(CochainName("nu", 1), [(label_at(m, "f1", "e2"), arrow("b1"))])
+                    mk(CochainName("mu", i, t), lab, a_cycle(i, 3 * t + 1))
+            mk(CochainName("nu", 0), label_at(m, "e0", "f1"), arrow("b0"))
+            mk(CochainName("nu", 1), label_at(m, "f1", "e2"), arrow("b1"))
         else:
             for i in range(3):
                 for t in range(n):
                     lab = label_at(m, f"e{i}", f"e{(i + 2) % 3}")
-                    mk(CochainName("theta", i, t), [(lab, a_cycle(i, 3 * t + 2))])
-            mk(CochainName("eta"), [(label_at(m, "e0", "e2"), a_cycle(0, 3 * n + 2))])
+                    mk(CochainName("theta", i, t), lab, a_cycle(i, 3 * t + 2))
+            mk(CochainName("eta"), label_at(m, "e0", "e2"), a_cycle(0, 3 * n + 2))
         return out
 
     def named(self, m, name):

@@ -57,10 +57,13 @@ class Rationals:
 
 
 class PrimeField:
-    """GF(p) for an odd prime p (characteristic 2 is rejected); elements
-    are the ints 1..p-1, and 0 is never stored."""
+    """GF(p) for an odd prime p < 2**31 (characteristic 2 is rejected, and
+    the bound keeps the trial division of `_is_prime` short); elements are
+    the ints 1..p-1, and 0 is never stored."""
 
     def __init__(self, p):
+        if p >= 2**31:
+            raise ValueError(f"{p} is too large: GF(p) needs p < 2**31")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p == 2:

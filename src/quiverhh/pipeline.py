@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +32,7 @@ from .uniform import Degrees, generator_labels, label_index, label_pair, parse_l
 @dataclass
 class RunConfig:
     n: int = 0
-    field: str = "rationals"  # or "gf:P" with P an odd prime
+    field: str = "rationals"  # or "gf:P" with P an odd prime below 2**31
     max_degree: int = 9
     delta_mode: str = "solved"  # literal | formula | solved
     homotopy: str = "default"  # default | zero | file:PATH
@@ -71,7 +72,7 @@ class RunConfig:
         p = self.field[3:]
         if not (self.field.startswith("gf:") and p.isascii() and p.isdigit() and p == str(int(p))):
             raise ValueError("field must be 'rationals' or 'gf:P' with P in plain decimal")
-        return PrimeField(int(p))  # validates P an odd prime
+        return PrimeField(int(p))  # validates P an odd prime below 2**31
 
     def as_dict(self):
         homotopy = self.homotopy
@@ -211,6 +212,11 @@ def _basis_path(algebra, text):
     return p
 
 
+# the coefficient spellings `_terms_json` writes: an integer or a/b, and
+# over GF(p) an integer followed by " (mod p)"
+_COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?(?: \(mod ([0-9]+)\))?")
+
+
 def _terms_from_json(algebra, terms, total, origin):
     """The tensor element of serialised terms of total degree `total` in a
     row whose generator (or vertex) starts at `origin`.
@@ -218,9 +224,10 @@ def _terms_from_json(algebra, terms, total, origin):
     Raises ValueError on a term whose bidegree does not sum to `total`,
     whose paths are not basis paths of the member or do not meet the
     endpoints of its generators, whose left path does not start at
-    `origin`, or whose coefficient is not in the field.  The right path
-    may end anywhere: the published successor homotopy moves each
-    generator's terminus one step along the quiver.
+    `origin`, or whose coefficient is not spelled as `_terms_json` spells
+    a coefficient of the field.  The right path may end anywhere: the
+    published successor homotopy moves each generator's terminus one step
+    along the quiver.
     """
     field = algebra.field
     out = {}
@@ -248,11 +255,14 @@ def _terms_from_json(algebra, terms, total, origin):
                 f"{term}: right path {right} does not start at {t2}, the terminus of {g2}"
             )
         text = t["coeff"]
-        value, _, modulus = text.partition(" (mod ")
-        if modulus and (field is QQ or modulus != f"{field.p})"):
+        spelled = _COEFF.fullmatch(text)
+        if spelled is None:
+            raise ValueError(f"coefficient {text!r} is not spelled as an integer or a/b")
+        num, den, modulus = spelled.groups()
+        if (modulus and (field is QQ or modulus != str(field.p))) or (den and field is not QQ):
             raise ValueError(f"coefficient {text!r} does not lie in {field!r}")
         try:
-            c = Fraction(value) if field is QQ else int(value) % field.p
+            c = Fraction(int(num), int(den or 1)) if field is QQ else int(num) % field.p
         except ZeroDivisionError as exc:
             raise ValueError(f"coefficient {text!r} has a zero denominator") from exc
         if field is QQ and c.denominator == 1:

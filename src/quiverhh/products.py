@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .cochains import Cochain, CochainName
 from .linalg import accumulate
-from .uniform import Degrees, label_index
+from .uniform import Degrees
 
 
 class UnsupportedRightFactor(ValueError):
@@ -69,51 +69,51 @@ class Products:
         self._names = Degrees(self._names_at, upward=False)
 
     def _names_at(self, m):
-        """{(label, path): name} of the named basis at degree m."""
-        return {
-            (lab, p): named.name
-            for named in self.hc.named_basis(m)
-            for lab, v in named.images.items()
-            for p in v
-        }
+        """{hom basis position: name} of the named basis at degree m."""
+        return {i: named.name for named in self.hc.named_basis(m) for i in named.vec}
 
     # -- evaluation through a diagonal --------------------------------------
 
-    def _product_on(self, image_of, f, g):
-        """(f, g) paired against a diagonal image table at degree deg f + deg g."""
+    def _product_on(self, family, f, g):
+        """The cochain f . g of degree m = deg f + deg g read off the
+        family's degree-m generator images: an image term (g1, g2, left,
+        mid, right) with coefficient c of generator h adds c * c1 * c2 at
+        the hom basis position of (h, left . p1 . mid . p2 . right) for
+        each coordinate c1 of f at (g1, p1) and c2 of g at (g2, p2)."""
         m = f.degree + g.degree
-        alg = self.alg
-        rows, index, basis = alg.product_rows, alg.basis_index, alg.basis
-        # each factor's images by label number, on path indices; a label of
-        # another degree finds none
-        fv, gv = (
-            {label_index(lab): [(index[p], c) for p, c in v.items()] for lab, v in h.images.items()}
-            for h in (f, g)
-        )
+        rows, index = self.alg.product_rows, self.hc.hom_basis(m)[1]
+        # each factor's coordinates by label number; a label of another
+        # degree finds none
+        fv, gv = {}, {}
+        for factor, by_label in ((f, fv), (g, gv)):
+            basis = self.hc.hom_basis(factor.degree)[0]
+            for i, c in factor.vec.items():
+                lab, p = basis[i]
+                by_label.setdefault(lab, []).append((p, c))
 
-        def terms(image):
-            for (g1, g2, left, mid, right), c in image.items():
-                f_terms = fv.get(g1)
-                g_terms = gv.get(g2)
-                if not f_terms or not g_terms:
-                    continue
-                row_left = rows[left]
-                for p1, c1 in f_terms:
-                    q = row_left[p1]
-                    if q is None or (q := rows[q][mid]) is None:
+        def terms():
+            for h, image in family.images[m].items():
+                for (g1, g2, left, mid, right), c in image.items():
+                    f_terms = fv.get(g1)
+                    g_terms = gv.get(g2)
+                    if not f_terms or not g_terms:
                         continue
-                    row_q = rows[q]
-                    for p2, c2 in g_terms:
-                        r = row_q[p2]
-                        if r is not None and (r := rows[r][right]) is not None:
-                            yield basis[r], c * c1 * c2
+                    row_left = rows[left]
+                    for p1, c1 in f_terms:
+                        q = row_left[p1]
+                        if q is None or (q := rows[q][mid]) is None:
+                            continue
+                        row_q = rows[q]
+                        for p2, c2 in g_terms:
+                            r = row_q[p2]
+                            if r is not None and (r := rows[r][right]) is not None:
+                                yield index[(h, r)], c * c1 * c2
 
-        labels = self.hc.res.labels(m)
-        return Cochain(m, {lab: accumulate(terms(image_of(lab)), self.field.p) for lab in labels})
+        return Cochain(m, accumulate(terms(), self.field.p))
 
     def star(self, f, g):
         """Product through the literal two-corner diagonal."""
-        return self._product_on(self.literal.image, f, g)
+        return self._product_on(self.literal, f, g)
 
     def cup(self, f, g, family):
         """Product through a diagonal family verified at every square the
@@ -123,7 +123,7 @@ class Products:
                 self.dm.verify_square(family, k)
             if not family.verified[k]:
                 raise UnverifiedDiagonal(f"diagonal family not a chain map at degree {k}")
-        return self._product_on(family.image, f, g)
+        return self._product_on(family, f, g)
 
     # -- named output --------------------------------------------------------
 
@@ -133,11 +133,10 @@ class Products:
         with coefficient 1, so the cochain must have exactly one nonzero
         coordinate, and a named one."""
         names = self._names[cochain.degree]
-        support = [((lab, p), c) for lab, v in cochain.images.items() for p, c in v.items() if c]
-        if len(support) == 1:
-            ((key, c),) = support
-            if key in names:
-                return names[key], c
+        if len(cochain.vec) == 1:
+            ((i, c),) = cochain.vec.items()
+            if i in names:
+                return names[i], c
         return None, None
 
     def table_comparison(self, degrees=(0, 3, 1, 2)):

@@ -457,6 +457,7 @@ def test_homotopy_file_coefficients_must_lie_in_the_field(tmp_path, capsys):
         ("generator", "", "is not a generator label of degree 0"),
         ("degree", "x", "is not an integer >= 0"),
         ("coeff", "1/0", "has a zero denominator"),
+        ("coeff", "1e100000000", "is not spelled as an integer or a/b"),
         ("vertex", "e9", "unknown vertex 'e9'"),
         ("g1", "R3", "has bidegree 3+1; its row needs total degree 1"),
         ("left", "a1", "left path a1 does not end at e0, the origin of R0"),
@@ -467,6 +468,7 @@ def test_homotopy_file_coefficients_must_lie_in_the_field(tmp_path, capsys):
         "empty-generator",
         "degree-not-an-int",
         "zero-denominator",
+        "coeff-with-an-exponent",
         "unknown-vertex",
         "bidegree-off-the-row",
         "left-path-off-the-origin",
@@ -517,8 +519,10 @@ def test_gf_coefficients_are_reduced_ints(n, p):
         coeffs += [c for row in ech.rows.values() for c in row.values()]
         coeffs += [c for combo in ech.combos.values() for c in combo.values()]
         coeffs += [c for _, _, c in res.boundary_matrix(m).entries]
-    for m in range(7):
-        for rep in hc.cohomology(m)[1]:
-            coeffs += [c for img in rep.images.values() for c in img.values()]
+    pr, fam = pipe.products, pipe.family("solved")
+    x, y, z = hc.x_cochain(), hc.y_cochain(), hc.z_cochain()
+    cochains = [rep for m in range(7) for rep in hc.cohomology(m)[1]]
+    cochains += [z, pr.star(x, x), pr.cup(y, x, fam)]
+    coeffs += [c for f in cochains for c in f.vec.values()]
     bad = [c for c in coeffs if type(c) is not int or not 0 < c < p]
     assert coeffs and not bad, f"{len(bad)} of {len(coeffs)} coefficients: {bad[:3]}"

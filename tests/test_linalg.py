@@ -221,6 +221,9 @@ def test_prime_field_rejects_two_and_composites():
         PrimeField(2)
     with pytest.raises(ValueError):
         PrimeField(9)
+    # a prime, but its trial division would take about 1.5e9 steps
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2**61 - 1)
 
 
 def test_gf_division():

@@ -182,7 +182,7 @@ def test_star_cup_relation(pipes, corner_homotopy):
     from quiverhh.diagonal import ChainMapFamily
 
     corr_fam = ChainMapFamily(dm, 1, images={m: corr_images})
-    expect = pr._product_on(corr_fam.image, f, g)
+    expect = pr._product_on(corr_fam, f, g)
     assert got == hc.add(base, expect)
 
 
