@@ -13,17 +13,20 @@ word b0*b1 rewrites into the long a-cycle word:
 Every rule either kills a word or strictly lowers the number of b-arrows,
 so rewriting terminates, and each path normalises to a single path or to
 zero (no coefficients ever appear).  The surviving normal forms are the
-monomial basis; rather than by a confluence proof, its size is certified
-against a length-truncated row-reduction oracle (`oracle_quotient_dim`),
-which `cli.cmd_algebra` runs on every `algebra` and `report` run.
+monomial basis.  It is found by one walk from the trivial paths, which
+rewrites each basis path times each arrow out of its target once; a
+word that is its own normal form is the next basis path.  No basis path
+is longer than the detour replacement (3n + 2 arrows), and a walk that
+finds a longer one stops with a ValueError.  Rather than by a confluence
+proof, the basis size is certified against a length-truncated
+row-reduction oracle (`oracle_quotient_dim`), which `cli.cmd_algebra`
+runs on every `algebra` and `report` run.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from .linalg import QQ, SparseEchelon, accumulate
-from .quiver import ARROW_SOURCE, ARROWS, VERTICES, Path, a_cycle, compose, trivial, walk_paths
+from .linalg import QQ, SparseEchelon
+from .quiver import ARROW_SOURCE, ARROWS, VERTICES, Path, a_cycle, compose, path_sort_key, trivial
 from .uniform import Degrees
 
 
@@ -38,19 +41,22 @@ def _find_subword(word, sub):
 
 
 class FamilyAlgebra:
-    """Exact arithmetic in the member with index n over a chosen field.
+    """The member with index n over a chosen field: its monomial basis,
+    the rewriting rules, and the tables of products of basis paths.
 
-    Elements are plain dicts {normal-form Path: coefficient} with no zero
-    coefficients stored.  The instance carries the monomial basis, corner
-    decomposition tables of paths, and the rewriting rules.  The tables
-    the resolution reads are on basis indices: `paths_from[v]` and
+    `basis` is sorted by `path_sort_key`, and `basis_index` inverts it.
+    `corners[(u, v)]` lists the basis paths from u to v.  The tables the
+    resolution reads are on basis indices: `paths_from[v]` and
     `paths_into[v]` list the indices of the paths out of and into vertex
-    v, `from_index[i]` and `into_index[i]` are the position of path i in
-    those lists, and the one memo of products is `product_rows`:
-    `product_rows[i][j]` is the index of basis[i] * basis[j], or None
-    when it vanishes.  A row is filled the first time it is read, by
-    arrow steps over prefixes (`_product_row`), from a table of basis
-    path times arrow that the first row read builds.
+    v, and `from_index[i]` and `into_index[i]` are the position of path i
+    in those lists.  The walk that finds the basis also fills the arrow
+    steps: `splits[j]` is (index of basis[j] without its last arrow, that
+    arrow), or None for a trivial path, and `steps[k][tag]`, for each
+    arrow out of the target of basis[k], is the index of the normal form
+    of basis[k] times that arrow, or None when it vanishes.  The one memo
+    of products is `product_rows`: `product_rows[i][j]` is the index of
+    basis[i] * basis[j], or None when it vanishes.  A row is filled the
+    first time it is read, by arrow steps over prefixes (`_product_row`).
     """
 
     def __init__(self, n, field=QQ):
@@ -66,18 +72,39 @@ class FamilyAlgebra:
         )
         self.detour = ("b0", "b1")
         self.detour_replacement = a_cycle(0, 3 * n + 2).arrows
-        # no irreducible path is longer than the detour replacement, and
-        # a path with a reducible prefix is reducible
-        self.basis = walk_paths(3 * n + 2, lambda p: self.normal_form_path(p) == p)
-        self.basis_index = {p: i for i, p in enumerate(self.basis)}
+        # a path with a reducible prefix is reducible, so the walk meets
+        # every irreducible path; `rewritten[p][tag]` is the normal form of
+        # p times the arrow
+        found, rewritten = [trivial(v) for v in VERTICES], {}
+        for p in found:
+            rewritten[p] = step = {}
+            for tag in ARROWS:
+                if ARROW_SOURCE[tag] == p.target:
+                    word = Path(p.source, p.arrows + (tag,))
+                    step[tag] = r = self.normal_form_path(word)
+                    if r == word:
+                        if len(word.arrows) > 3 * n + 2:
+                            raise ValueError(
+                                f"irreducible path {word} is longer than 3n + 2 = {3 * n + 2}"
+                            )
+                        found.append(word)
+        self.basis = basis = sorted(found, key=path_sort_key)
+        self.basis_index = index = {p: i for i, p in enumerate(basis)}
         self.corners = {(u, v): [] for u in VERTICES for v in VERTICES}
-        for p in self.basis:
+        self.paths_from = {v: [] for v in VERTICES}
+        self.paths_into = {v: [] for v in VERTICES}
+        self.from_index, self.into_index, self.splits, self.steps = [], [], [], []
+        for i, p in enumerate(basis):
             self.corners[(p.source, p.target)].append(p)
-        ends = list(enumerate(self.basis))
-        self.paths_from = {v: [i for i, p in ends if p.source == v] for v in VERTICES}
-        self.paths_into = {v: [i for i, p in ends if p.target == v] for v in VERTICES}
-        self.from_index = [self.paths_from[p.source].index(i) for i, p in ends]
-        self.into_index = [self.paths_into[p.target].index(i) for i, p in ends]
+            self.from_index.append(len(self.paths_from[p.source]))
+            self.paths_from[p.source].append(i)
+            self.into_index.append(len(self.paths_into[p.target]))
+            self.paths_into[p.target].append(i)
+            prefix = Path(p.source, p.arrows[:-1])
+            self.splits.append((index[prefix], p.arrows[-1]) if p.arrows else None)
+            self.steps.append(
+                {tag: None if r is None else index[r] for tag, r in rewritten[p].items()}
+            )
         # a `Degrees` table keyed by the left factor's index
         self.product_rows = Degrees(self._product_row, upward=False)
 
@@ -98,14 +125,7 @@ class FamilyAlgebra:
     def normal_form_path(self, p):
         return self.reduce_word(p.source, p.arrows)
 
-    # -- element arithmetic ------------------------------------------
-
-    def normal_form(self, combo):
-        """Reduce a formal {Path: coeff} combination to the basis."""
-        nf = self.normal_form_path
-        return accumulate(
-            ((q, c) for p, c in combo.items() if (q := nf(p)) is not None), self.field.p
-        )
+    # -- products ------------------------------------------------------
 
     def mul_path(self, p, q):
         """Product of two basis paths, read from `product_rows`: a
@@ -113,30 +133,6 @@ class FamilyAlgebra:
         index = self.basis_index
         r = self.product_rows[index[p]][index[q]]
         return None if r is None else self.basis[r]
-
-    @cached_property
-    def _arrow_steps(self):
-        """(splits, steps), built when the first product row is read.
-
-        `splits[j]` is (index of basis[j] without its last arrow, that
-        arrow), or None for a trivial path; that prefix is a basis path,
-        since a reducible prefix would make basis[j] reducible.
-        `steps[k][tag]`, for each arrow out of the target of basis[k], is
-        the index of the normal form of basis[k] times that arrow, or None
-        when it vanishes: one rewriting per basis path and arrow.
-        """
-        basis, index, nf = self.basis, self.basis_index, self.normal_form_path
-        splits, steps = [], []
-        for p in basis:
-            prefix = Path(p.source, p.arrows[:-1])
-            splits.append((index[prefix], p.arrows[-1]) if p.arrows else None)
-            step = {}
-            for tag in ARROWS:
-                if ARROW_SOURCE[tag] == p.target:
-                    r = nf(Path(p.source, p.arrows + (tag,)))
-                    step[tag] = None if r is None else index[r]
-            steps.append(step)
-        return splits, steps
 
     def _product_row(self, i):
         """Row i of `product_rows`, by arrow steps.
@@ -147,7 +143,7 @@ class FamilyAlgebra:
         of the target of basis[i] in order reads only filled entries.
         Every other entry is None.
         """
-        splits, steps = self._arrow_steps
+        splits, steps = self.splits, self.steps
         row = [None] * len(self.basis)
         for j in self.paths_from[self.basis[i].target]:
             split = splits[j]
@@ -156,21 +152,6 @@ class FamilyAlgebra:
             elif (k := row[split[0]]) is not None:
                 row[j] = steps[k][split[1]]
         return row
-
-    def mul(self, x, y):
-        mul = self.mul_path
-        return accumulate(
-            (
-                (r, c * d)
-                for p, c in x.items()
-                for q, d in y.items()
-                if (r := mul(p, q)) is not None
-            ),
-            self.field.p,
-        )
-
-    def unit(self):
-        return {trivial(v): 1 for v in VERTICES}
 
     def dim(self):
         return len(self.basis)
@@ -185,9 +166,8 @@ _ALGEBRAS = {}  # (n, characteristic) -> FamilyAlgebra
 def get_algebra(n, field=QQ):
     """Shared algebra instances, one per n and characteristic.
 
-    Sharing is safe: the only mutable fields are the product table
-    `product_rows`, each of whose rows is a pure function of its key, and
-    the arrow-step table behind it, built once.
+    Sharing is safe: the only mutable field is the product table
+    `product_rows`, each of whose rows is a pure function of its key.
     """
     key = (n, field.p)
     if key not in _ALGEBRAS:
@@ -208,8 +188,15 @@ def ideal_relations(n):
 
 
 def all_paths_up_to(length):
-    """Every path in the quiver of length <= `length`, sorted."""
-    return walk_paths(length, lambda p: True)
+    """Every path in the quiver of length <= `length`, sorted by
+    `path_sort_key`: the walk of `FamilyAlgebra` without rewriting."""
+    paths = [trivial(v) for v in VERTICES]
+    for p in paths:
+        if len(p.arrows) < length:
+            paths.extend(
+                Path(p.source, p.arrows + (tag,)) for tag in ARROWS if ARROW_SOURCE[tag] == p.target
+            )
+    return sorted(paths, key=path_sort_key)
 
 
 def truncated_ideal_echelon(n, length, field=QQ):

@@ -122,11 +122,8 @@ class Pipeline:
             return dm.zero_homotopy()
         # zero on every generator the file does not list
         images, star = self.config.homotopy_data
-        encode = self.tensor.encode
-        table = dm.per_label(
-            lambda lab: encode(images.get(lab.degree, {}).get(lab, {})), upward=False
-        )
-        return HomotopyFamily(dm, table, {v: encode(e) for v, e in star.items()})
+        table = dm.per_label(lambda lab: images.get(label_index(lab), {}), upward=False)
+        return HomotopyFamily(dm, table, star)
 
     @cached_property
     def _names(self):
@@ -218,8 +215,9 @@ _COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?(?: \(mod ([0-9]+)\))?")
 
 
 def _terms_from_json(algebra, terms, total, origin):
-    """The tensor element of serialised terms of total degree `total` in a
-    row whose generator (or vertex) starts at `origin`.
+    """The tensor element, keyed by label numbers and basis path indices,
+    of serialised terms of total degree `total` in a row whose generator
+    (or vertex) starts at `origin`.
 
     Raises ValueError on a term whose bidegree does not sum to `total`,
     whose paths are not basis paths of the member or do not meet the
@@ -229,7 +227,7 @@ def _terms_from_json(algebra, terms, total, origin):
     published successor homotopy moves each generator's terminus one step
     along the quiver.
     """
-    field = algebra.field
+    field, index = algebra.field, algebra.basis_index
     out = {}
     for t in terms:
         g1 = _generator_label(t["g1"])
@@ -268,12 +266,13 @@ def _terms_from_json(algebra, terms, total, origin):
         if field is QQ and c.denominator == 1:
             c = c.numerator  # an integral coefficient stays an int, as QQ makes them
         if c:
-            out[(g1, g2, left, mid, right)] = c
+            out[(label_index(g1), label_index(g2), index[left], index[mid], index[right])] = c
     return out
 
 
 def _parse_homotopy_json(algebra, data):
-    """Generator images {degree: {label: element}} and the vertex table.
+    """Generator images {label number: element} and the vertex table
+    {vertex: element}, both in index form.
 
     Raises ValueError on a degree that is not an int >= 0, a label that
     is not a generator of its degree, an unknown vertex, or a malformed
@@ -286,7 +285,7 @@ def _parse_homotopy_json(algebra, data):
         if type(m) is not int or m < 0:
             raise ValueError(f"homotopy degree {m!r} is not an integer >= 0")
         lab = _generator_label(row["generator"], m)
-        images.setdefault(m, {})[lab] = _terms_from_json(
+        images[label_index(lab)] = _terms_from_json(
             algebra, row["terms"], m + 1, label_pair(lab)[0]
         )
     star = {}

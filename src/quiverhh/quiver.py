@@ -7,7 +7,9 @@ everything is stored in the four/five canonical names.  Arrows:
     a0: e0 -> e1    a1: e1 -> e2    a2: e2 -> e0   (the 3-cycle)
     b0: e0 -> f1    b1: f1 -> e2                   (the detour)
 
-Paths concatenate left to right.
+Paths concatenate left to right and sort by `path_sort_key`.  Nothing
+here enumerates paths: the algebra's basis walk and its oracle's list of
+all short paths (`algebra.py`) extend paths arrow by arrow.
 """
 
 from __future__ import annotations
@@ -97,28 +99,6 @@ def a_cycle(i, length):
 def path_sort_key(p):
     """Length, then source vertex in e0 < e1 < f1 < e2, then arrow word."""
     return (len(p.arrows), VERTEX_ORDER[p.source], p.arrows)
-
-
-def walk_paths(length, keep):
-    """Every path of length <= `length` that `keep` accepts, sorted by
-    `path_sort_key`.  A rejected path is not extended, so `keep` must
-    reject every extension of a path it rejects."""
-    found = []
-
-    def extend(p):
-        found.append(p)
-        if len(p.arrows) == length:
-            return
-        for tag in ARROWS:
-            if ARROW_SOURCE[tag] == p.target:
-                q = Path(p.source, p.arrows + (tag,))
-                if keep(q):
-                    extend(q)
-
-    for v in VERTICES:
-        extend(trivial(v))
-    found.sort(key=path_sort_key)
-    return found
 
 
 def parse_path(text):

@@ -23,9 +23,9 @@ label's boundary shape from `Resolution.shape` and every product of
 paths from the algebra's `product_rows`, so it hashes nothing but ints.
 
 `Label` and `Path` objects meet the index form only at its edges:
-`augment` returns an algebra element; `encode` converts a whole element
-read from a homotopy file; and a printed term names its numbers
-(`pipeline._terms_json`).
+`augment` returns an algebra element; a homotopy file is read straight
+into numbers (`pipeline._terms_from_json`); and a printed term names its
+numbers (`pipeline._terms_json`).
 """
 
 from __future__ import annotations
@@ -40,16 +40,6 @@ class TensorComplex:
         self.algebra = alg = resolution.algebra
         self.field = resolution.field
         self.rows = alg.product_rows
-
-    # -- the index scheme -------------------------------------------------
-
-    def encode(self, elem):
-        """An element keyed by (Label, Label, Path, Path, Path), in index form."""
-        index = self.algebra.basis_index
-        return {
-            (label_index(g1), label_index(g2), index[left], index[mid], index[right]): c
-            for (g1, g2, left, mid, right), c in elem.items()
-        }
 
     # -- construction ---------------------------------------------------
 

@@ -31,10 +31,10 @@ def _corner_homotopy(dm):
     genuinely different lifts of the same map."""
     from quiverhh.diagonal import HomotopyFamily
     from quiverhh.quiver import VERTICES
-    from quiverhh.uniform import label_pair
+    from quiverhh.uniform import label_index, label_pair
 
     alg = dm.res.algebra
-    labels = dm.res.labels
+    labels, index = dm.res.labels, alg.basis_index
 
     def image(lab):
         m = lab.degree
@@ -48,13 +48,13 @@ def _corner_homotopy(dm):
                     o2, t2 = label_pair(g2)
                     if alg.corners[(t1, o2)] and alg.corners[(t2, t)]:
                         pick = (
-                            g1,
-                            g2,
-                            alg.corners[(o, o1)][0],
-                            alg.corners[(t1, o2)][0],
-                            alg.corners[(t2, t)][0],
+                            label_index(g1),
+                            label_index(g2),
+                            index[alg.corners[(o, o1)][0]],
+                            index[alg.corners[(t1, o2)][0]],
+                            index[alg.corners[(t2, t)][0]],
                         )
-                        return dm.tc.encode({pick: 1})
+                        return {pick: 1}
         return {}
 
     return HomotopyFamily(dm, dm.per_label(image, upward=False), {v: {} for v in VERTICES})
@@ -82,8 +82,9 @@ def _decode(owner, elem):
 @pytest.fixture(scope="session")
 def decode():
     """`decode(owner, elem)`: a resolution or tensor element of `owner` (a
-    `Resolution` or a `TensorComplex`) keyed by `Label` and `Path` objects;
-    on tensor elements the inverse of `TensorComplex.encode`."""
+    `Resolution` or a `TensorComplex`) keyed by `Label` and `Path` objects:
+    the inverse of `uniform.label_index` and `FamilyAlgebra.basis_index`
+    on each key."""
     return _decode
 
 

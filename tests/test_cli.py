@@ -431,6 +431,11 @@ PINNED_REPORTS = [
      "06c1bf938fdaf886be5e7a74c272bad935140f1c334d0da45d4492756557f00b"),
     ("report --n 1 --max-degree 12",
      "8a9b4a6d657421e33c9c6e5a6e051ab9fff100b996f5013a4c8cd57ca989cc77"),
+    # the rewriting basis and the oracle's raw path list
+    ("algebra --n 4 all",
+     "0bb289dc44fd1fc500383c9d7b30255038180300cc4ca18448b139875c17d9fd"),
+    ("algebra --n 2 --field gf:7 all",
+     "50f9a2b9bdc1d2465f43257a45ce7d6aef2e61a6edff749ca6563465745fcafc"),
 ]
 
 

@@ -123,8 +123,9 @@ def direct_coboundary_columns(hc, m):
         for (g, l, r), c in res.apply_boundary(m + 1, res.generator(gen)).items():
             lab, left, right = res.labels(m)[g & 7], alg.basis[l], alg.basis[r]
             for p in alg.corners[label_pair(lab)]:
-                for q, d in alg.mul(alg.mul({left: 1}, {p: 1}), {right: 1}).items():
-                    terms[position(hc, lab, p)].append((position(hc, gen, q), c * d))
+                q = alg.mul_path(left, p)
+                if q is not None and (q := alg.mul_path(q, right)) is not None:
+                    terms[position(hc, lab, p)].append((position(hc, gen, q), c))
     return [accumulate(t, hc.field.p) for t in terms]
 
 

@@ -1,6 +1,8 @@
 import pytest
 
+from quiverhh.linalg import axpy
 from quiverhh.quiver import Path, a_cycle, arrow, compose
+from quiverhh.resolution import boundary_shape
 from quiverhh.uniform import Label, UniformPaths, generator_labels, label_at, label_pair
 
 
@@ -155,3 +157,31 @@ def test_alias_steps_agree(n):
     r2 = u.element(Label(2, "R", None))
     assert u.element(Label(3, "R", None)) == _fmul(r2, arrow("a2"))
     assert parse_path("b2") == arrow("a2")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_uniform_paths_match_the_boundary_shapes(n):
+    """The two transcriptions of the generators, in the free algebra: the
+    terms (e, tgt, right, s) of a printed boundary shape with a trivial
+    left path give sum s * g_tgt * right = g, the uniform element of their
+    label, and at n = 0 the terms with a trivial right path give
+    sum s * left * g_tgt = (-1)^m g.  For n >= 1 the recursion steps of
+    S4 and U6 and their period copies multiply by a1 where the boundary
+    shape, which the resolution verifies exact, has (a1 a2 a0)^n a1."""
+    u = UniformPaths(n)
+    differ = set()
+    for m in range(1, 19):
+        for lab, terms in boundary_shape(m, n).items():
+            times_right, times_left = {}, {}
+            for left, tgt, right, s in terms:
+                g = u.element(tgt)
+                if left.is_vertex():
+                    axpy(times_right, s, _fmul(g, right), 0)
+                if right.is_vertex():
+                    axpy(times_left, s, {compose(left, q): c for q, c in g.items()}, 0)
+            g = u.element(lab)
+            if times_right != g:
+                differ.add(str(lab))
+            if n == 0:
+                assert times_left == {q: (-1) ** m * c for q, c in g.items()}, lab
+    assert differ == (set() if n == 0 else {"S4", "U6", "S10", "U12", "S16", "U18"})
