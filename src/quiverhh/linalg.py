@@ -13,8 +13,9 @@ as the callers build them.  `rank`, `kernel_basis` and `LinearSolver`
 insert those columns one by one, so the pivot columns are exactly those
 of the reduced row echelon form: particular solutions set every free
 variable to zero, and kernel vectors are listed by increasing
-free-column index.  The echelon copies a vector before reducing it, so
-a matrix is never written into and may be shared between callers.
+free-column index.  The echelon reads a vector in place and copies it
+only before the first subtraction, so no vector passed in is ever
+written into.
 
 Coefficients over Q are ints until a non-unit pivot divides them, and
 `fractions.Fraction` values from then on; the two compare, hash and
@@ -151,24 +152,67 @@ class SparseEchelon:
         self.rows = {}
         self.combos = {} if track else None
 
-    def _subtract(self, vec, f, lead, combo):
-        """vec -= f * row[lead], in place; combo += f * combo of that row."""
-        axpy(vec, -f, self.rows[lead], self.p)
-        if combo is not None:
-            axpy(combo, f, self.combos[lead], self.p)
-
     def _eliminate(self, vec, combo=None):
-        """Reduce vec in place until its leading index has no row.
+        """The residual of vec once its leading index has no row.
 
-        This decides membership: vec ends empty exactly when it lay in
-        the span.  Afterwards the original vec equals what is left plus
-        the combination collected in `combo`.
+        This decides membership: the residual is empty exactly when vec
+        lay in the span.  vec itself is only read: it is copied before
+        the first subtraction, so the residual is vec when nothing was
+        subtracted.  With `combo` the combination of rows subtracted is
+        collected there, and vec equals the residual plus that sum.
         """
+        rows, p = self.rows, self.p
+        own = False
         while vec:
             lead = min(vec)
-            if lead not in self.rows:
+            row = rows.get(lead)
+            if row is None:
                 break
-            self._subtract(vec, vec[lead], lead, combo)
+            f = vec[lead]
+            if not own:
+                vec, own = dict(vec), True
+            # vec -= f * row, as `axpy(vec, -f, row, p)` forms it
+            get = vec.get
+            if p:
+                c = -f % p
+                for k, v in row.items():
+                    acc = get(k)
+                    if acc is None:
+                        vec[k] = c * v % p
+                    elif acc := (acc + c * v) % p:
+                        vec[k] = acc
+                    else:
+                        del vec[k]
+            elif f == 1:
+                for k, v in row.items():
+                    acc = get(k)
+                    if acc is None:
+                        vec[k] = -v
+                    elif acc := acc - v:
+                        vec[k] = acc
+                    else:
+                        del vec[k]
+            elif f == -1:
+                for k, v in row.items():
+                    acc = get(k)
+                    if acc is None:
+                        vec[k] = v
+                    elif acc := acc + v:
+                        vec[k] = acc
+                    else:
+                        del vec[k]
+            else:
+                c = -f
+                for k, v in row.items():
+                    acc = get(k)
+                    if acc is None:
+                        vec[k] = c * v
+                    elif acc := acc + c * v:
+                        vec[k] = acc
+                    else:
+                        del vec[k]
+            if combo is not None:
+                axpy(combo, f, self.combos[lead], p)
         return vec
 
     def reduce(self, vec):
@@ -178,15 +222,17 @@ class SparseEchelon:
         for lead in sorted(self.rows):
             f = vec.get(lead)
             if f:
-                self._subtract(vec, f, lead, None)
+                axpy(vec, -f, self.rows[lead], self.p)
         return vec
 
     def add(self, vec, tag=None):
         """Insert vec (under `tag` when tracking).  Returns the new row's
         leading index, or None when vec already lies in the span."""
+        if not vec:
+            return None
         p = self.p
         combo = None if self.combos is None else {}
-        res = self._eliminate(dict(vec), combo)
+        res = self._eliminate(vec, combo)
         if not res:
             return None
         lead = min(res)
@@ -196,7 +242,8 @@ class SparseEchelon:
             inv = pow(inv, -1, p)
             row = {j: c * inv % p for j, c in res.items()}
         elif inv == 1:  # a pivot of ±1 is its own inverse
-            row = res
+            # a row is never written into, but the caller's vector may be
+            row = dict(res) if res is vec else res
         elif inv == -1:
             row = {j: -c for j, c in res.items()}
         else:
@@ -214,7 +261,7 @@ class SparseEchelon:
         """{tag: coeff}, sorted by tag, with vec = sum of coeff times the
         vector inserted under tag; None when vec is outside the span."""
         combo = {}
-        if self._eliminate(dict(vec), combo):
+        if self._eliminate(vec, combo):
             return None
         return dict(sorted(combo.items()))
 

@@ -17,8 +17,10 @@ whose k-th term splits the long cycle word into (left, generator, right)
 with the generator absorbing 2, 1 or 0 arrows depending on the residue
 of the target degree.  All coefficients are +-1.  `Resolution.shape`
 restates each degree's printed shape on the same numbers, once.  One
-period of boundary matrices, ranks and solvers serves every degree
-m >= 8; `period_rep` makes that check per n and degree from the shapes.
+period of boundary ranks and solvers serves every degree m >= 8;
+`period_rep` makes that check per n and degree from the shapes.  A
+boundary matrix is not kept: it is built for the rank or solver that
+reads it and dropped.
 
 `Label` and `Path` objects remain in the printed shapes, in the value of
 `augment` (an algebra element) and in the witnesses of the verifiers.
@@ -137,12 +139,12 @@ class Resolution:
         self._triples = Degrees(self._triples_at, upward=False)
         self._blocks = Degrees(self._blocks_at, upward=False)
         self._reps = Degrees(self._period_rep_at, upward=False)
-        self._matrices = Degrees(self._boundary_matrix, upward=False)
-        # the matrix, solver and rank tables are keyed by `period_rep`
+        # the solver and rank tables are keyed by `period_rep`; the matrix
+        # each is made from is built for it and dropped
         self._solvers = Degrees(
             lambda m: LinearSolver(self.boundary_matrix(m), self.field.p), upward=False
         )
-        self._ranks = Degrees(lambda m: rank(self.boundary_matrix(m), self.field.p), upward=False)
+        self._ranks = Degrees(self._rank_at, upward=False)
 
     # -- structure -----------------------------------------------------
 
@@ -297,9 +299,10 @@ class Resolution:
     def boundary_matrix(self, m):
         """Matrix of the boundary out of degree m; rows follow the target basis.
 
-        At m = 0 the target is the algebra itself (the augmentation).
+        At m = 0 the target is the algebra itself (the augmentation).  It
+        is built anew, from the period rep of m, on every call.
         """
-        return self._matrices[self.period_rep(m)]
+        return self._boundary_matrix(self.period_rep(m))
 
     def boundary_solver(self, m):
         """LinearSolver of `boundary_matrix(m)`, built once per period rep."""
@@ -308,41 +311,51 @@ class Resolution:
     def boundary_rank(self, m):
         return self._ranks[self.period_rep(m)]
 
+    def _rank_at(self, m):
+        # a cached solver has the rank already; else rank a matrix built
+        # for this call alone
+        if m in self._solvers:
+            return self._solvers[m].echelon.rank
+        return rank(self.boundary_matrix(m), self.field.p)
+
     def _boundary_matrix(self, m):
         """The boundary out of degree m, assembled by index arithmetic.
 
         Column j is `apply_boundary` of the j-th triple of degree m: a shape
         term (x, tgt, y, sign) sends (g, left, right) to row start(tgt)
         + into_index(left * x) * width(tgt) + from_index(y * right).  Each
-        column is summed in term order, as `accumulate` sums the element's
-        image.  At m = 0 column j is `augment` of the j-th triple: 1 at
-        left * right, if nonzero.
+        entry is written straight into its column in term order, and an
+        entry that cancels is dropped once the column is complete, as
+        `accumulate` sums the element's image.  At m = 0 column j is
+        `augment` of the j-th triple: 1 at left * right, if nonzero.
         """
         alg = self.algebra
         prod = alg.product_rows
-        if m == 0:
-            columns = [
-                {} if (q := prod[left][right]) is None else {q: 1}
-                for g, left, right in self.triples(0)
-            ]
-            return Matrix(len(alg.basis), columns)
         into, outof = alg.paths_into, alg.paths_from
+        p = self.field.p
+        # the empty columns share one dict, as nothing writes into a column
+        empty = {}
+        columns = []
+        if m == 0:
+            for lab in self.labels(0):
+                o, t = label_pair(lab)
+                rights = outof[t]
+                for left in into[o]:
+                    row = prod[left]
+                    columns.extend(empty if (q := row[r]) is None else {q: 1} for r in rights)
+            return Matrix(len(alg.basis), columns)
         left_pos, right_pos = alg.into_index, alg.from_index
         blocks, rows = self._blocks[m - 1]
         # one int object per row index, shared by every column with that row
         idx = list(range(rows))
-        # the empty columns share one dict, as nothing writes into a column
-        empty = {}
-        columns = []
         for lab, terms in zip(self.labels(m), self.shape(m)):
             o, t = label_pair(lab)
             lefts, rights = into[o], outof[t]
             width = len(rights)
-            cols = [[] for _ in range(len(lefts) * width)]
+            cols = [{} for _ in range(len(lefts) * width)]
             for x, tgt, y, sign in terms:
                 base, tgt_width = blocks[tgt & 7]
-                # a one-term column skips `accumulate`, so reduce here
-                c = sign % self.field.p if self.field.p else sign
+                c = sign % p if p else sign
                 row_y = prod[y]
                 hits = [
                     (ri, right_pos[q])
@@ -356,11 +369,18 @@ class Resolution:
                     row0 = base + left_pos[q] * tgt_width
                     c0 = li * width
                     for ri, r in hits:
-                        cols[c0 + ri].append((idx[row0 + r], c))
-            columns.extend(
-                accumulate(col, self.field.p) if len(col) > 1 else dict(col) if col else empty
-                for col in cols
-            )
+                        col = cols[c0 + ri]
+                        i = idx[row0 + r]
+                        if i in col:
+                            # reduced as it is summed: a zero stays in place
+                            v = col[i] + c
+                            col[i] = v % p if p else v
+                        else:
+                            col[i] = c
+            for col in cols:
+                if not all(col.values()):
+                    col = {i: v for i, v in col.items() if v}
+                columns.append(col or empty)
         return Matrix(rows, columns)
 
     # -- verifiers --------------------------------------------------------

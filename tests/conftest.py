@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from quiverhh import Pipeline, RunConfig
+from quiverhh.linalg import axpy
 
 
 @pytest.fixture(scope="session")
@@ -92,3 +95,81 @@ def decode():
 def corner_homotopy():
     """`corner_homotopy(dm)`: the corner homotopy of a `DiagonalMaps`."""
     return _corner_homotopy
+
+
+class _ReferenceEchelon:
+    """The elimination loop of `linalg.SparseEchelon` before it read its
+    vectors in place: each vector is copied first, then reduced one
+    `axpy` per row.  The reference of a differential test."""
+
+    def __init__(self, p, track=False):
+        self.p = p
+        self.rows = {}
+        self.combos = {} if track else None
+
+    def _subtract(self, vec, f, lead, combo):
+        axpy(vec, -f, self.rows[lead], self.p)
+        if combo is not None:
+            axpy(combo, f, self.combos[lead], self.p)
+
+    def _eliminate(self, vec, combo=None):
+        while vec:
+            lead = min(vec)
+            if lead not in self.rows:
+                break
+            self._subtract(vec, vec[lead], lead, combo)
+        return vec
+
+    def add(self, vec, tag=None):
+        p = self.p
+        combo = None if self.combos is None else {}
+        res = self._eliminate(dict(vec), combo)
+        if not res:
+            return None
+        lead = min(res)
+        inv = res[lead]
+        if p:
+            inv = pow(inv, -1, p)
+            row = {j: c * inv % p for j, c in res.items()}
+        elif inv == 1:
+            row = res
+        elif inv == -1:
+            row = {j: -c for j, c in res.items()}
+        else:
+            inv = Fraction(1, inv) if type(inv) is int else 1 / inv
+            row = {j: c * inv for j, c in res.items()}
+        self.rows[lead] = row
+        if combo is not None:
+            row_combo = axpy({}, -inv, combo, p)
+            row_combo[tag] = inv
+            self.combos[lead] = row_combo
+        return lead
+
+    def express(self, vec):
+        combo = {}
+        if self._eliminate(dict(vec), combo):
+            return None
+        return dict(sorted(combo.items()))
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+
+def _reference_kernel_basis(a, p):
+    ech = _ReferenceEchelon(p, track=True)
+    basis = []
+    for j, col in enumerate(a.columns):
+        if ech.add(col, j) is None:
+            v = axpy({}, -1, ech.express(col), p)
+            v[j] = 1
+            basis.append(v)
+    return basis
+
+
+@pytest.fixture(scope="session")
+def reference_echelon():
+    """`(echelon class, kernel_basis)` of the reference elimination loop:
+    `SparseEchelon` and `kernel_basis` as they were before the echelon
+    read its vectors copy-on-write."""
+    return _ReferenceEchelon, _reference_kernel_basis

@@ -409,6 +409,9 @@ PINNED_REPORTS = [
     # degrees 8..13 produce
     ("diagonal --n 1 --max-degree 14 build",
      "931705e44a04375891343db0ec24ca220864685627e58473df8d47a76dd89f98"),
+    # the solver echelons at the largest n of any pin
+    ("diagonal --n 5 --max-degree 12 squares",
+     "09a767b1d2ab1dbf332f719fa09333baed3fb1f3b8e0ffdd77b85c49bc4ae536"),
     ("diagonal --n 2 --field gf:7 --max-degree 14 build",
      "1a57dc1093bb22503cd9da229a1d41baffc1450edd079ef02c59ed7215bd1cde"),
     ("diagonal --n 3 --max-degree 13 build",

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -247,8 +249,8 @@ def test_period_shared_boundary_data_match_direct_computation(n, field):
     p = field.p
     for m in range(8, 14):
         direct = r._boundary_matrix(m)
-        assert r.boundary_matrix(m) is r.boundary_matrix(m - 6)
-        assert r.boundary_matrix(m).entries == direct.entries
+        assert r.boundary_solver(m) is r.boundary_solver(m - 6)
+        assert r.boundary_matrix(m).entries == r.boundary_matrix(m - 6).entries == direct.entries
         assert r.boundary_rank(m) == rank(direct, p)
         cols = direct.columns
         for b in cols[:: max(1, len(cols) // 7)]:
@@ -264,7 +266,8 @@ def test_period_shared_boundary_data_match_direct_computation(n, field):
 def test_period_certificate_is_checked_not_assumed(pipes, n):
     r = Resolution(res(pipes, n).algebra)
     r._shapes[8] = [[] for _ in r.shape(8)]
-    assert r.boundary_matrix(8) is not r.boundary_matrix(2)
+    assert r.period_rep(8) == 8
+    assert r.boundary_solver(8) is not r.boundary_solver(2)
     rows = r.verify_exactness(9)
     assert [row["degree"] for row in rows if row["status"] == "fail"] == [7, 8]
     # the cochain tables that read shape(8) are built for their own degree
@@ -300,11 +303,35 @@ def test_period_certificate_is_checked_not_assumed(pipes, n):
             assert s.table[m] == s._solve(m), (side, m)
 
 
+def test_no_boundary_matrix_outlives_its_rank_or_solver(monkeypatch):
+    # a matrix is built for the rank or solver that reads it, then dropped
+    built, refs = Resolution._boundary_matrix, []
+
+    def tracked(self, m):
+        mat = built(self, m)
+        refs.append(weakref.ref(mat))
+        return mat
+
+    monkeypatch.setattr(Resolution, "_boundary_matrix", tracked)
+    r = Resolution(get_algebra(2))
+    assert all(row["status"] == "pass" for row in r.verify_exactness(12))
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
+    # a cached solver serves the rank: no matrix is built for it
+    r = Resolution(get_algebra(2))
+    r.boundary_solver(5)
+    before = len(refs)
+    assert r.boundary_rank(5) == r.boundary_solver(5).echelon.rank
+    assert r.boundary_rank(11) == r.boundary_rank(5)
+    assert len(refs) == before
+
+
 def test_deep_reads_do_not_recurse():
     r = Resolution(get_algebra(0))
     assert r.boundary_rank(7000) == r.boundary_rank(4)
     assert r.period_rep(7000) == 4
-    assert r.boundary_matrix(7000) is r.boundary_matrix(4)
+    assert r.boundary_solver(7000) is r.boundary_solver(4)
+    assert r.boundary_matrix(7000).entries == r.boundary_matrix(4).entries
 
 
 def test_deep_read_keeps_one_period_of_shapes():
