@@ -171,46 +171,7 @@ class SparseEchelon:
             f = vec[lead]
             if not own:
                 vec, own = dict(vec), True
-            # vec -= f * row, as `axpy(vec, -f, row, p)` forms it
-            get = vec.get
-            if p:
-                c = -f % p
-                for k, v in row.items():
-                    acc = get(k)
-                    if acc is None:
-                        vec[k] = c * v % p
-                    elif acc := (acc + c * v) % p:
-                        vec[k] = acc
-                    else:
-                        del vec[k]
-            elif f == 1:
-                for k, v in row.items():
-                    acc = get(k)
-                    if acc is None:
-                        vec[k] = -v
-                    elif acc := acc - v:
-                        vec[k] = acc
-                    else:
-                        del vec[k]
-            elif f == -1:
-                for k, v in row.items():
-                    acc = get(k)
-                    if acc is None:
-                        vec[k] = v
-                    elif acc := acc + v:
-                        vec[k] = acc
-                    else:
-                        del vec[k]
-            else:
-                c = -f
-                for k, v in row.items():
-                    acc = get(k)
-                    if acc is None:
-                        vec[k] = c * v
-                    elif acc := acc + c * v:
-                        vec[k] = acc
-                    else:
-                        del vec[k]
+            axpy(vec, -f, row, p)
             if combo is not None:
                 axpy(combo, f, self.combos[lead], p)
         return vec
@@ -228,8 +189,6 @@ class SparseEchelon:
     def add(self, vec, tag=None):
         """Insert vec (under `tag` when tracking).  Returns the new row's
         leading index, or None when vec already lies in the span."""
-        if not vec:
-            return None
         p = self.p
         combo = None if self.combos is None else {}
         res = self._eliminate(vec, combo)

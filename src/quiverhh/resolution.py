@@ -144,7 +144,7 @@ class Resolution:
         self._solvers = Degrees(
             lambda m: LinearSolver(self.boundary_matrix(m), self.field.p), upward=False
         )
-        self._ranks = Degrees(self._rank_at, upward=False)
+        self._ranks = Degrees(lambda m: rank(self.boundary_matrix(m), self.field.p), upward=False)
 
     # -- structure -----------------------------------------------------
 
@@ -311,28 +311,19 @@ class Resolution:
     def boundary_rank(self, m):
         return self._ranks[self.period_rep(m)]
 
-    def _rank_at(self, m):
-        # a cached solver has the rank already; else rank a matrix built
-        # for this call alone
-        if m in self._solvers:
-            return self._solvers[m].echelon.rank
-        return rank(self.boundary_matrix(m), self.field.p)
-
     def _boundary_matrix(self, m):
         """The boundary out of degree m, assembled by index arithmetic.
 
         Column j is `apply_boundary` of the j-th triple of degree m: a shape
         term (x, tgt, y, sign) sends (g, left, right) to row start(tgt)
         + into_index(left * x) * width(tgt) + from_index(y * right).  Each
-        entry is written straight into its column in term order, and an
-        entry that cancels is dropped once the column is complete, as
-        `accumulate` sums the element's image.  At m = 0 column j is
-        `augment` of the j-th triple: 1 at left * right, if nonzero.
+        column is summed in term order, as `accumulate` sums the element's
+        image.  At m = 0 column j is `augment` of the j-th triple: 1 at
+        left * right, if nonzero.
         """
         alg = self.algebra
         prod = alg.product_rows
         into, outof = alg.paths_into, alg.paths_from
-        p = self.field.p
         # the empty columns share one dict, as nothing writes into a column
         empty = {}
         columns = []
@@ -352,10 +343,11 @@ class Resolution:
             o, t = label_pair(lab)
             lefts, rights = into[o], outof[t]
             width = len(rights)
-            cols = [{} for _ in range(len(lefts) * width)]
+            cols = [[] for _ in range(len(lefts) * width)]
             for x, tgt, y, sign in terms:
                 base, tgt_width = blocks[tgt & 7]
-                c = sign % p if p else sign
+                # a one-term column skips `accumulate`, so reduce here
+                c = sign % self.field.p if self.field.p else sign
                 row_y = prod[y]
                 hits = [
                     (ri, right_pos[q])
@@ -369,18 +361,11 @@ class Resolution:
                     row0 = base + left_pos[q] * tgt_width
                     c0 = li * width
                     for ri, r in hits:
-                        col = cols[c0 + ri]
-                        i = idx[row0 + r]
-                        if i in col:
-                            # reduced as it is summed: a zero stays in place
-                            v = col[i] + c
-                            col[i] = v % p if p else v
-                        else:
-                            col[i] = c
-            for col in cols:
-                if not all(col.values()):
-                    col = {i: v for i, v in col.items() if v}
-                columns.append(col or empty)
+                        cols[c0 + ri].append((idx[row0 + r], c))
+            columns.extend(
+                accumulate(col, self.field.p) if len(col) > 1 else dict(col) if col else empty
+                for col in cols
+            )
         return Matrix(rows, columns)
 
     # -- verifiers --------------------------------------------------------
