@@ -266,8 +266,12 @@ def cmd_report(pipe, action):
         (cmd_diagonal, "all"),
         (partial(cmd_hochschild, prints_payload=True), "bases"),
     )
+    # the diagonal runs first: it builds the boundary solvers whose ranks
+    # the resolution's exactness rows then read, so no boundary matrix is
+    # eliminated twice; the sections are merged in the order above
+    diagonal = cmd_diagonal(pipe, "all")
     for sub, sub_action in sections:
-        sub_payload, _, sub_ok = sub(pipe, sub_action)
+        sub_payload, _, sub_ok = diagonal if sub is cmd_diagonal else sub(pipe, sub_action)
         payload["checks"].extend(sub_payload["checks"])
         payload["tables"].update(sub_payload["tables"])
         payload["deviations"].extend(sub_payload["deviations"])

@@ -26,15 +26,14 @@ every degree.  Every table here is a `Degrees` table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import Matrix, SparseEchelon, accumulate, axpy, kernel_basis
 from .quiver import a_cycle, arrow, trivial
 from .uniform import Degrees, label_at, label_index, label_pair
 
 
-@dataclass(frozen=True)
-class CochainName:
+class CochainName(NamedTuple):
     kind: str  # 'alpha','beta','phi','psi','mu','nu','theta','eta'
     i: int | None = None
     t: int | None = None

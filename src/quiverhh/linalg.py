@@ -1,10 +1,12 @@
 """Exact sparse vectors and elimination over the rationals or a prime field.
 
 A sparse vector is a dict {key: coeff} with no zero coefficient stored.
-`accumulate` and `axpy` are the one place in the package where sparse
-sums are formed: every layer builds its vectors with them.  Each takes
-the characteristic p of the field (0 for Q) and reduces mod p when p is
-not 0; it has no default, so a sum cannot forget to reduce.
+`accumulate` and `axpy` form the package's sparse sums: every layer
+builds its vectors with them.  Each takes the characteristic p of the
+field (0 for Q) and reduces mod p when p is not 0; it has no default, so
+a sum cannot forget to reduce.  The two loops run once per matrix entry,
+the echelon's row subtraction and `Resolution._boundary_matrix`, sum in
+place instead, in the same order and with the same reduction.
 
 One engine, `SparseEchelon`, does all the elimination in the package.
 It takes sparse vectors {index: coeff} in order and keeps them in
@@ -28,7 +30,6 @@ only in a report, through its field's `format`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -118,13 +119,13 @@ def axpy(out, c, x, p):
     return out
 
 
-@dataclass
 class Matrix:
     """Sparse matrix kept as its columns: `columns[j]` is the sparse
     vector {row: coeff} of column j, with no zero stored."""
 
-    rows: int
-    columns: list
+    def __init__(self, rows, columns):
+        self.rows = rows
+        self.columns = columns
 
     @property
     def cols(self):
@@ -153,13 +154,16 @@ class SparseEchelon:
         self.combos = {} if track else None
 
     def _eliminate(self, vec, combo=None):
-        """The residual of vec once its leading index has no row.
+        """(residual, lead): the residual of vec once its leading index has
+        no row, and that index (None when the residual is empty).
 
         This decides membership: the residual is empty exactly when vec
         lay in the span.  vec itself is only read: it is copied before
         the first subtraction, so the residual is vec when nothing was
-        subtracted.  With `combo` the combination of rows subtracted is
-        collected there, and vec equals the residual plus that sum.
+        subtracted.  Each pivot row is subtracted here, entry by entry in
+        the row's order, with the sum reduced mod p when p is not 0.  With
+        `combo` the combination of rows subtracted is collected there, and
+        vec equals the residual plus that sum.
         """
         rows, p = self.rows, self.p
         own = False
@@ -167,14 +171,24 @@ class SparseEchelon:
             lead = min(vec)
             row = rows.get(lead)
             if row is None:
-                break
+                return vec, lead
             f = vec[lead]
             if not own:
                 vec, own = dict(vec), True
-            axpy(vec, -f, row, p)
+            get = vec.get
+            c = -f % p if p else -f
+            for k, v in row.items():
+                acc = get(k)
+                acc = c * v if acc is None else acc + c * v
+                if p:
+                    acc %= p
+                if acc:
+                    vec[k] = acc
+                else:
+                    del vec[k]
             if combo is not None:
                 axpy(combo, f, self.combos[lead], p)
-        return vec
+        return vec, None
 
     def reduce(self, vec):
         """Fully reduced residual of vec: zero at every leading index, so
@@ -191,10 +205,9 @@ class SparseEchelon:
         leading index, or None when vec already lies in the span."""
         p = self.p
         combo = None if self.combos is None else {}
-        res = self._eliminate(vec, combo)
-        if not res:
+        res, lead = self._eliminate(vec, combo)
+        if lead is None:
             return None
-        lead = min(res)
         inv = res[lead]
         if p:
             # entries the elimination did not touch may be unreduced
@@ -220,7 +233,7 @@ class SparseEchelon:
         """{tag: coeff}, sorted by tag, with vec = sum of coeff times the
         vector inserted under tag; None when vec is outside the span."""
         combo = {}
-        if self._eliminate(vec, combo):
+        if self._eliminate(vec, combo)[0]:
             return None
         return dict(sorted(combo.items()))
 

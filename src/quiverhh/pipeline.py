@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from functools import cached_property
 
@@ -29,38 +28,45 @@ from .tensorcx import TensorComplex
 from .uniform import Degrees, generator_labels, label_index, label_pair, parse_label
 
 
-@dataclass
 class RunConfig:
-    n: int = 0
-    field: str = "rationals"  # or "gf:P" with P an odd prime below 2**31
-    max_degree: int = 9
-    delta_mode: str = "solved"  # literal | formula | solved
-    homotopy: str = "default"  # default | zero | file:PATH
-    output: str = "text"  # text | json | markdown
-    out_path: str | None = None
-    # for file:PATH, the parsed (images, star) and the sha256 of the file's bytes
-    homotopy_data: tuple | None = _field(default=None, init=False, repr=False, compare=False)
-    homotopy_sha256: str | None = _field(default=None, init=False, repr=False, compare=False)
+    """A validated run configuration: the CLI's options, checked on
+    construction (ValueError on a bad one)."""
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(
+        self,
+        n=0,
+        field="rationals",  # or "gf:P" with P an odd prime below 2**31
+        max_degree=9,
+        delta_mode="solved",  # literal | formula | solved
+        homotopy="default",  # default | zero | file:PATH
+        output="text",  # text | json | markdown
+        out_path=None,
+    ):
+        self.n = n
+        self.field = field
+        self.max_degree = max_degree
+        self.delta_mode = delta_mode
+        self.homotopy = homotopy
+        self.output = output
+        self.out_path = out_path
+        # for file:PATH, the parsed (images, star) and the sha256 of the file's bytes
+        self.homotopy_data = self.homotopy_sha256 = None
+        if n < 0:
             raise ValueError("n must be >= 0")
-        if self.max_degree < 2:
+        if max_degree < 2:
             raise ValueError("max-degree must be >= 2")
-        if self.delta_mode not in ("literal", "formula", "solved"):
-            raise ValueError(f"unknown delta mode {self.delta_mode!r}")
-        if self.homotopy not in ("default", "zero") and not self.homotopy.startswith(
-            "file:"
-        ):
-            raise ValueError(f"unknown homotopy choice {self.homotopy!r}")
+        if delta_mode not in ("literal", "formula", "solved"):
+            raise ValueError(f"unknown delta mode {delta_mode!r}")
+        if homotopy not in ("default", "zero") and not homotopy.startswith("file:"):
+            raise ValueError(f"unknown homotopy choice {homotopy!r}")
         field = self.field_object
-        if self.out_path is not None:
-            folder = os.path.dirname(self.out_path) or "."
-            if os.path.isdir(self.out_path) or not os.path.isdir(folder):
-                raise ValueError(f"--out-path {self.out_path!r} is a directory or in a missing one")
-        if self.homotopy.startswith("file:"):
+        if out_path is not None:
+            folder = os.path.dirname(out_path) or "."
+            if os.path.isdir(out_path) or not os.path.isdir(folder):
+                raise ValueError(f"--out-path {out_path!r} is a directory or in a missing one")
+        if homotopy.startswith("file:"):
             self.homotopy_data, self.homotopy_sha256 = _read_homotopy_file(
-                self.homotopy[5:], get_algebra(self.n, field)
+                homotopy[5:], get_algebra(n, field)
             )
 
     @cached_property

@@ -90,10 +90,21 @@ def compose(p, q):
     return Path(p.source, p.arrows + q.arrows)
 
 
+_cycles = {}  # {(i mod 3, length): path}, filled by `a_cycle`
+
+
 def a_cycle(i, length):
-    """The a-arrow path of the given length starting at e_{i mod 3}."""
-    arrows = tuple(f"a{(i + k) % 3}" for k in range(length))
-    return Path(f"e{i % 3}", arrows)
+    """The a-arrow path of the given length starting at e_{i mod 3}.
+
+    Each path is built once and then shared: the boundary shapes of
+    every degree split the same few cycle words."""
+    key = (i % 3, length)
+    path = _cycles.get(key)
+    if path is None:
+        i = key[0]
+        arrows = tuple(f"a{(i + k) % 3}" for k in range(length))
+        path = _cycles[key] = Path(f"e{i}", arrows)
+    return path
 
 
 def path_sort_key(p):

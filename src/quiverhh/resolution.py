@@ -309,7 +309,12 @@ class Resolution:
         return self._solvers[self.period_rep(m)]
 
     def boundary_rank(self, m):
-        return self._ranks[self.period_rep(m)]
+        """Rank of `boundary_matrix(m)`, read off its solver when one is
+        built, so no matrix is eliminated twice."""
+        r = self.period_rep(m)
+        if r in self._solvers:
+            return self._solvers[r].echelon.rank
+        return self._ranks[r]
 
     def _boundary_matrix(self, m):
         """The boundary out of degree m, assembled by index arithmetic.
@@ -317,9 +322,11 @@ class Resolution:
         Column j is `apply_boundary` of the j-th triple of degree m: a shape
         term (x, tgt, y, sign) sends (g, left, right) to row start(tgt)
         + into_index(left * x) * width(tgt) + from_index(y * right).  Each
-        column is summed in term order, as `accumulate` sums the element's
-        image.  At m = 0 column j is `augment` of the j-th triple: 1 at
-        left * right, if nonzero.
+        entry is added straight into its column, in term order; an entry
+        that cancels stays in place until its label's block is done, so
+        a row that returns keeps its first position, as in the dict that
+        `accumulate` sums for `apply_boundary`.  At m = 0 column j is
+        `augment` of the j-th triple: 1 at left * right, if nonzero.
         """
         alg = self.algebra
         prod = alg.product_rows
@@ -335,6 +342,7 @@ class Resolution:
                     row = prod[left]
                     columns.extend(empty if (q := row[r]) is None else {q: 1} for r in rights)
             return Matrix(len(alg.basis), columns)
+        p = self.field.p
         left_pos, right_pos = alg.into_index, alg.from_index
         blocks, rows = self._blocks[m - 1]
         # one int object per row index, shared by every column with that row
@@ -343,11 +351,11 @@ class Resolution:
             o, t = label_pair(lab)
             lefts, rights = into[o], outof[t]
             width = len(rights)
-            cols = [[] for _ in range(len(lefts) * width)]
+            cols = [{} for _ in range(len(lefts) * width)]
+            cancelled = []
             for x, tgt, y, sign in terms:
                 base, tgt_width = blocks[tgt & 7]
-                # a one-term column skips `accumulate`, so reduce here
-                c = sign % self.field.p if self.field.p else sign
+                c = sign % p if p else sign
                 row_y = prod[y]
                 hits = [
                     (ri, right_pos[q])
@@ -361,11 +369,20 @@ class Resolution:
                     row0 = base + left_pos[q] * tgt_width
                     c0 = li * width
                     for ri, r in hits:
-                        cols[c0 + ri].append((idx[row0 + r], c))
-            columns.extend(
-                accumulate(col, self.field.p) if len(col) > 1 else dict(col) if col else empty
-                for col in cols
-            )
+                        col = cols[c0 + ri]
+                        k = idx[row0 + r]
+                        acc = col.get(k)
+                        if acc is None:
+                            col[k] = c
+                        else:
+                            acc = (acc + c) % p if p else acc + c
+                            col[k] = acc
+                            if not acc:
+                                cancelled.append(col)
+            for col in cancelled:
+                for k in [k for k, v in col.items() if not v]:
+                    del col[k]
+            columns.extend(col or empty for col in cols)
         return Matrix(rows, columns)
 
     # -- verifiers --------------------------------------------------------

@@ -31,7 +31,6 @@ numbers (`pipeline._terms_json`).
 from __future__ import annotations
 
 from .linalg import accumulate
-from .uniform import label_index, label_pair
 
 
 class TensorComplex:
@@ -107,29 +106,6 @@ class TensorComplex:
                         yield (g1, tgt, left, nm, nr), c2 if sign > 0 else -c2
 
         return accumulate(terms(), self.field.p)
-
-    # -- bases ------------------------------------------------------------
-
-    def triples(self, m):
-        """Ordered scalar basis of total degree m."""
-        alg = self.algebra
-        index = alg.basis_index
-        out = []
-        for a in range(m + 1):
-            b = m - a
-            for g1 in self.res.labels(a):
-                o1, t1 = label_pair(g1)
-                for g2 in self.res.labels(b):
-                    o2, t2 = label_pair(g2)
-                    mids = alg.corners[(t1, o2)]
-                    if not mids:
-                        continue
-                    i1, i2 = label_index(g1), label_index(g2)
-                    for left in alg.paths_into[o1]:
-                        for mid in mids:
-                            for right in alg.paths_from[t2]:
-                                out.append((i1, i2, left, index[mid], right))
-        return out
 
     def augment(self, elem):
         """Apply the augmentation on both factors and multiply out: an

@@ -91,6 +91,36 @@ def decode():
     return _decode
 
 
+def _tensor_triples(tc, m):
+    """The ordered scalar basis of total degree m of a `TensorComplex`: its
+    quintuples (g1, g2, left, mid, right), by degree of the first factor,
+    then label, left, middle and right path."""
+    from quiverhh.uniform import label_index, label_pair
+
+    alg, labels = tc.algebra, tc.res.labels
+    index = alg.basis_index
+    out = []
+    for a in range(m + 1):
+        for g1 in labels(a):
+            o1, t1 = label_pair(g1)
+            for g2 in labels(m - a):
+                o2, t2 = label_pair(g2)
+                mids = alg.corners[(t1, o2)]
+                i1, i2 = label_index(g1), label_index(g2)
+                for left in alg.paths_into[o1]:
+                    for mid in mids:
+                        for right in alg.paths_from[t2]:
+                            out.append((i1, i2, left, index[mid], right))
+    return out
+
+
+@pytest.fixture(scope="session")
+def tensor_triples():
+    """`tensor_triples(tc, m)`: the scalar basis of total degree m of the
+    tensor complex `tc`."""
+    return _tensor_triples
+
+
 @pytest.fixture(scope="session")
 def corner_homotopy():
     """`corner_homotopy(dm)`: the corner homotopy of a `DiagonalMaps`."""

@@ -306,6 +306,39 @@ def test_report_n0_computes_the_cup_table_once(capsys, monkeypatch):
     assert tables["cup_table"] == tables["ring"]["cup"]
 
 
+def test_report_eliminates_each_boundary_matrix_once(capsys, monkeypatch):
+    # the exactness rows read the ranks of the solvers the diagonal built
+    from quiverhh.resolution import Resolution
+
+    built = []
+    build = Resolution._boundary_matrix
+
+    def counting(self, m):
+        built.append(m)
+        return build(self, m)
+
+    monkeypatch.setattr(Resolution, "_boundary_matrix", counting)
+    code, _ = run(capsys, "report", "--n", "0", "--max-degree", "12", "--output", "json")
+    assert code == 0
+    assert sorted(built) == list(range(8))
+
+
+def test_cli_import_loads_no_dataclasses():
+    # importing dataclasses (and inspect with it) is a cost of every start
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import quiverhh.cli; "
+        "print('dataclasses' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(src)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("output", ["json", "text", "markdown"])
 def test_report_is_serialised_once(capsys, monkeypatch, output):
     from quiverhh import reports

@@ -112,7 +112,7 @@ def test_formula_family_chain_map_above_degree_zero(pipes, n):
     assert all(r["status"] == "pass" for r in rows)
 
 
-def test_formula_family_with_random_corner_homotopies(pipes):
+def test_formula_family_with_random_corner_homotopies(pipes, tensor_triples):
     # any corner-respecting correction keeps every square commuting
     dm = dm_of(pipes, 0)
     rng = random.Random(11)
@@ -126,7 +126,7 @@ def test_formula_family_with_random_corner_homotopies(pipes):
                 basis = tc.algebra.basis
                 cands = [
                     tr
-                    for tr in tc.triples(m + 1)
+                    for tr in tensor_triples(tc, m + 1)
                     if basis[tr[2]].source == o and basis[tr[4]].target == t
                 ]
                 pick = rng.sample(cands, k=min(2, len(cands)))

@@ -35,6 +35,16 @@ def test_quiver_shape():
     assert parse_path("f0") == trivial("e0")
 
 
+def test_cycle_words_are_shared_per_start_mod_3():
+    for i in range(3):
+        for length in range(8):
+            p = a_cycle(i, length)
+            assert a_cycle(i + 3, length) is p
+            assert a_cycle(i + 300, length) is p
+            assert p.source == f"e{i}" and len(p) == length
+            assert p.arrows == tuple(f"a{(i + k) % 3}" for k in range(length))
+
+
 def test_vertex_composition():
     a0 = arrow("a0")
     assert compose(trivial("e0"), a0) == a0

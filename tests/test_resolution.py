@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from quiverhh.algebra import get_algebra
 from quiverhh.linalg import QQ, PrimeField, accumulate, axpy, rank
+from quiverhh import quiver
 from quiverhh.quiver import arrow, parse_path, trivial
 from quiverhh.cochains import HochschildComplex
 from quiverhh.diagonal import OneSidedContraction
@@ -226,7 +227,7 @@ def test_to_matrix_identity_and_zero(pipes):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
-@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_boundary_matrix_columns_are_apply_boundary(n, field):
     r = Resolution(get_algebra(n, field))
     for m in range(0, 14):
@@ -239,6 +240,27 @@ def test_boundary_matrix_columns_are_apply_boundary(n, field):
             img = r.augment({tr: 1}) if m == 0 else r.apply_boundary(m, {tr: 1})
             # in the same order: each column sums the shape terms in turn
             want = [(row_index[key], c) for key, c in img.items()]
+            assert list(cols[j].items()) == want, (m, tr)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_boundary_matrix_sums_repeated_terms_as_apply_boundary(n, field):
+    # no printed shape repeats a row within a column, so repeat terms: the
+    # first term cancels and returns (it keeps its place), the last
+    # cancels for good, and the second is summed seven times (zero mod 7)
+    r = Resolution(get_algebra(n, field))
+    for m in range(1, 8):
+        r._shapes[m] = [
+            terms
+            + [(*terms[0][:3], -terms[0][3]), terms[0], (*terms[-1][:3], -terms[-1][3])]
+            + [terms[1]] * 6
+            for terms in r.shape(m)
+        ]
+        row_index = r.triple_index(m - 1)
+        cols = r._boundary_matrix(m).columns
+        for j, tr in enumerate(r.triples(m)):
+            want = [(row_index[key], c) for key, c in r.apply_boundary(m, {tr: 1}).items()]
             assert list(cols[j].items()) == want, (m, tr)
 
 
@@ -325,6 +347,17 @@ def test_deep_reads_do_not_recurse():
     assert r.period_rep(7000) == 4
     assert r.boundary_solver(7000) is r.boundary_solver(4)
     assert r.boundary_matrix(7000).entries == r.boundary_matrix(4).entries
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_deep_read_builds_each_cycle_word_once(n):
+    # the cycle words are memoised by start mod 3 and length, and the
+    # shapes read no word longer than 3n + 2
+    get_algebra(n)
+    quiver._cycles.clear()
+    r = Resolution(get_algebra(n))
+    assert r.boundary_solver(7000) is r.boundary_solver(4)
+    assert 0 < len(quiver._cycles) <= 3 * (3 * n + 3)
 
 
 def test_deep_read_keeps_one_period_of_shapes():

@@ -92,17 +92,17 @@ def test_sign_on_second_factor(pipes):
 
 
 @pytest.mark.parametrize("n,top", [(0, 8), (1, 8), (2, 8)])
-def test_differential_squares_to_zero_exhaustively(pipes, n, top):
+def test_differential_squares_to_zero_exhaustively(pipes, tensor_triples, n, top):
     tc = tc_of(pipes, n)
     one = Fraction(1) if n >= 0 else None
     for m in range(2, top + 1):
-        for tr in tc.triples(m):
+        for tr in tensor_triples(tc, m):
             assert not tc.differential(tc.differential({tr: 1})), (n, m, tr)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
-def test_augmentation_kills_first_boundary(pipes, n):
+def test_augmentation_kills_first_boundary(pipes, tensor_triples, n):
     tc = tc_of(pipes, n)
-    for tr in tc.triples(1):
+    for tr in tensor_triples(tc, 1):
         img = tc.differential({tr: 1})
         assert tc.augment(img) == {}
