@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 
 from . import reports
 from .algebra import oracle_quotient_dim
@@ -258,20 +257,17 @@ def cmd_ring(pipe, action):
 def cmd_report(pipe, action):
     payload = {"config": pipe.config.as_dict(), "checks": [], "tables": {}, "deviations": []}
     ok = True
-    # "bases" is "all" without the cup table, which is the ring's table
-    # and is computed once, in the ring section below
-    sections = (
-        (cmd_algebra, "all"),
-        (cmd_resolution, "all"),
-        (cmd_diagonal, "all"),
-        (partial(cmd_hochschild, prints_payload=True), "bases"),
-    )
     # the diagonal runs first: it builds the boundary solvers whose ranks
     # the resolution's exactness rows then read, so no boundary matrix is
-    # eliminated twice; the sections are merged in the order above
+    # eliminated twice
     diagonal = cmd_diagonal(pipe, "all")
-    for sub, sub_action in sections:
-        sub_payload, _, sub_ok = diagonal if sub is cmd_diagonal else sub(pipe, sub_action)
+    algebra = cmd_algebra(pipe, "all")
+    resolution = cmd_resolution(pipe, "all")
+    # "bases" is "all" without the cup table, which is the ring's table
+    # and is computed once, in the ring section below
+    hochschild = cmd_hochschild(pipe, "bases", prints_payload=True)
+    # merged in the printed order
+    for sub_payload, _, sub_ok in (algebra, resolution, diagonal, hochschild):
         payload["checks"].extend(sub_payload["checks"])
         payload["tables"].update(sub_payload["tables"])
         payload["deviations"].extend(sub_payload["deviations"])

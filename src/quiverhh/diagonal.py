@@ -39,11 +39,9 @@ Each step has one body: the two-corner rule is
 `HomotopyFamily.correction` and the family it corrects is
 `DiagonalMaps.corrected_family`, the bimodule-linear extension is
 `_extend`, and the lift step (solve, keep the generator's own corner) is
-`DiagonalMaps._lift`, shared by `solved_family` and `homotopy_solve`.
-The lift only solves: `DiagonalMaps.verify_square` is the one comparison
-of a solved square, and a square the lift got wrong is a failing row of
-it, not an error.  `homotopy_solve` compares d x with its right-hand side
-only to find the degree where two families stop being homotopic.
+the `lift` of `DiagonalMaps.solved_family`.  The lift only solves:
+`DiagonalMaps.verify_square` is the one comparison of a solved square,
+and a square the lift got wrong is a failing row of it, not an error.
 
 The solver never forms the total-complex boundary as one big matrix: it
 contracts the first tensor factor with the right-linear contraction of
@@ -246,9 +244,6 @@ class ChainMapFamily:
             upward=False,
         )
 
-    def image(self, label):
-        return self.images[label.degree][label_index(label)]
-
     def evaluate(self, m, elem):
         """Value on a degree-m element of the resolution."""
         if self._rule is not None:
@@ -335,7 +330,7 @@ class DiagonalMaps:
         succ = {"e0": "e1", "e1": "e2", "e2": "e0", "f1": "e2"}
         res, tc = self.res, self.tc
 
-        def image(lab):
+        def on_generator(lab):
             m = lab.degree
             o, t = label_pair(lab)
             if m % 3 == 0 and o != t:
@@ -351,7 +346,7 @@ class DiagonalMaps:
             step = tc.algebra.basis_index[arrow(succ_arrow[v])]
             acted = tc.act(res.vertex[v], tc.tensor(gen, gen), step)
             star[v] = axpy({}, sign[v], acted, self.field.p)
-        return HomotopyFamily(self, self.per_label(image, upward=False), star)
+        return HomotopyFamily(self, self.per_label(on_generator, upward=False), star)
 
     def zero_homotopy(self):
         images = self.per_label(lambda lab: {}, upward=False)
@@ -410,26 +405,23 @@ class DiagonalMaps:
         y = accumulate(contract_second(accumulate(augment_first(), p)), p)
         return axpy(x, 1, y, p)
 
-    def _lift(self, lab, rhs):
-        """X in the corner of generator lab with dX = rhs when rhs is a
-        boundary there; nothing here checks that it is."""
-        o, t = label_pair(lab)
-        # keep only the generator's own corner; the complement is
-        # boundary-free junk the one-sided contractions may add
-        vertex = self.res.vertex
-        return self.tc.act(vertex[o], self._solve_boundary(rhs), vertex[t])
-
     def solved_family(self):
         """A lift of the identity solved one square at a time; each square
         is decided by `verify_square`."""
-        res, tc = self.res, self.tc
+        res, tc, vertex = self.res, self.tc, self.res.vertex
 
         def lift(lab):
             m = lab.degree
             if m == 0:
                 gen = res.generator(lab)
                 return tc.tensor(gen, gen)
-            return self._lift(lab, family.on_boundary[m][label_index(lab)])
+            # X with dX = the family on the generator's boundary, when that is
+            # a boundary (nothing here checks it), kept in the generator's own
+            # corner: the complement is boundary-free junk the one-sided
+            # contractions may add
+            o, t = label_pair(lab)
+            x = self._solve_boundary(family.on_boundary[m][label_index(lab)])
+            return tc.act(vertex[o], x, vertex[t])
 
         family = ChainMapFamily(self, 1, images=self.per_label(lift, upward=True))
         return family
@@ -474,22 +466,3 @@ class DiagonalMaps:
         for m in range(0, max_degree + 1):
             rows.extend(self.verify_square(family, m))
         return rows
-
-    def homotopy_solve(self, fam_f, fam_g, max_degree):
-        """Find h with f - g = h∘boundary + d∘h, or report the degree
-        where the two families cannot be homotopic."""
-        images = {}
-        h = HomotopyFamily(self, images, {v: {} for v in VERTICES})
-        for m in range(0, max_degree + 1):
-            imgs = {}
-            for lab in self.res.labels(m):
-                gen = self.res.generator(lab)
-                e = axpy(dict(fam_f.image(lab)), -1, fam_g.image(lab), self.field.p)
-                if m >= 1:
-                    axpy(e, -1, h.apply(m - 1, self.res.apply_boundary(m, gen)), self.field.p)
-                x = self._lift(lab, e)
-                if axpy(self.tc.differential(x), -1, e, self.field.p):
-                    return None, m
-                imgs[label_index(lab)] = x
-            images[m] = imgs
-        return h, None

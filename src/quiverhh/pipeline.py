@@ -1,8 +1,8 @@
 """One object tying the whole computation together for a chosen
 configuration: algebra member, resolution, tensor complex, diagonal
 machinery, cochain complex, and products, plus the diagonal family of
-each mode, the chosen homotopy, and the reading and writing of
-serialised families and homotopies.  It builds no report rows: each
+each mode, the chosen homotopy, the writing of serialised families and
+the reading of a serialised homotopy.  It builds no report rows: each
 check row is finished by the code that decides it, and the CLI
 assembles the sections.  Everything below it is deterministic, so a
 pipeline built twice from the same configuration produces identical
@@ -155,16 +155,6 @@ class Pipeline:
             for lab in self.resolution.labels(m)
         ]
 
-    def homotopy_json(self, h):
-        """Serialise a homotopy family (generator images in degrees
-        0..max_degree plus vertex table)."""
-        field = self.algebra.field
-        star = [
-            {"vertex": v, "terms": _terms_json(self._names, h.star.get(v, {}), field)}
-            for v in VERTICES
-        ]
-        return {"images": self.family_json(h), "star": star}
-
 
 def _str_and_repr(obj):
     return str(obj), repr(obj)
@@ -215,8 +205,7 @@ def _basis_path(algebra, text):
     return p
 
 
-# the coefficient spellings `_terms_json` writes: an integer or a/b, and
-# over GF(p) an integer followed by " (mod p)"
+# a coefficient: an integer, optionally followed by /b or by " (mod p)"
 _COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?(?: \(mod ([0-9]+)\))?")
 
 
@@ -228,10 +217,15 @@ def _terms_from_json(algebra, terms, total, origin):
     Raises ValueError on a term whose bidegree does not sum to `total`,
     whose paths are not basis paths of the member or do not meet the
     endpoints of its generators, whose left path does not start at
-    `origin`, or whose coefficient is not spelled as `_terms_json` spells
-    a coefficient of the field.  The right path may end anywhere: the
-    published successor homotopy moves each generator's terminus one step
-    along the quiver.
+    `origin`, or whose coefficient does not read as an element of the
+    field.  A coefficient is an integer a in decimal digits with an
+    optional leading minus, followed over Q by an optional /b with b > 0
+    and over GF(p) by an optional " (mod p)" naming the field's own p in
+    plain decimal.  Q reads a/b as that fraction in any terms, and GF(p)
+    reads a mod p.  So every coefficient `_terms_json` writes reads back
+    as itself, and `4/2` over Q and `9` or `9 (mod 7)` over GF(7) all
+    read as 2.  The right path may end anywhere: the published successor
+    homotopy moves each generator's terminus one step along the quiver.
     """
     field, index = algebra.field, algebra.basis_index
     out = {}
@@ -276,7 +270,7 @@ def _terms_from_json(algebra, terms, total, origin):
     return out
 
 
-def _parse_homotopy_json(algebra, data):
+def _parse_homotopy(algebra, data):
     """Generator images {label number: element} and the vertex table
     {vertex: element}, both in index form.
 
@@ -304,7 +298,7 @@ def _parse_homotopy_json(algebra, data):
 
 def _read_homotopy_file(path, algebra):
     """The parsed (images, star) of a serialised homotopy (see
-    `_parse_homotopy_json`) and the sha256 of the file's bytes.
+    `_parse_homotopy`) and the sha256 of the file's bytes.
 
     Raises ValueError when the file cannot be read or does not parse as a
     homotopy for `algebra`.
@@ -317,7 +311,7 @@ def _read_homotopy_file(path, algebra):
     except OSError as exc:
         raise ValueError(f"cannot read homotopy file {path!r}: {exc.strerror}") from exc
     try:
-        parsed = _parse_homotopy_json(algebra, json.loads(raw))
+        parsed = _parse_homotopy(algebra, json.loads(raw))
     except RecursionError as exc:
         raise ValueError(f"homotopy file {path!r} is nested too deeply to parse") from exc
     except (AttributeError, KeyError, TypeError) as exc:

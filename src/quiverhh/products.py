@@ -139,17 +139,18 @@ class Products:
                 return names[i], c
         return None, None
 
-    def table_comparison(self, degrees=(0, 3, 1, 2)):
+    def table_comparison(self):
         """Computed two-corner products versus the published table.
 
         Right factors run over the degree-0 names; left factors over the
-        named bases at the given degrees.  Each row records the computed
-        value, the published value, and a match / deviation verdict.
+        named bases of degrees 0, 3, 1 and 2, in that order.  Each row
+        records the computed value, the published value, and a match /
+        deviation verdict.
         """
         rows = []
         n = self.hc.n
         right = self.hc.named_basis(0)
-        for d in degrees:
+        for d in (0, 3, 1, 2):
             for f in self.hc.named_basis(d):
                 for g in right:
                     want = star_table(f.name, g.name, n)

@@ -51,9 +51,6 @@ class Path(NamedTuple):
     def target(self):
         return ARROW_TARGET[self.arrows[-1]] if self.arrows else self.source
 
-    def __len__(self):
-        return len(self.arrows)
-
     def is_vertex(self):
         return not self.arrows
 

@@ -127,6 +127,66 @@ def corner_homotopy():
     return _corner_homotopy
 
 
+def _homotopy_solve(dm, fam_f, fam_g, max_degree):
+    """(h, None) with f - g = h∘boundary + d∘h through `max_degree`, or
+    (None, m) with m the degree where the two families of the
+    `DiagonalMaps` dm stop being homotopic.  h has an empty vertex table,
+    and each image is solved by the diagonal's exact solver and kept in
+    its generator's own corner, as the solved family's lift keeps it."""
+    from quiverhh.diagonal import HomotopyFamily
+    from quiverhh.quiver import VERTICES
+    from quiverhh.uniform import label_index, label_pair
+
+    res, tc, p = dm.res, dm.tc, dm.field.p
+    vertex = res.vertex
+    images = {}
+    h = HomotopyFamily(dm, images, {v: {} for v in VERTICES})
+    for m in range(0, max_degree + 1):
+        imgs = {}
+        for lab in res.labels(m):
+            g = label_index(lab)
+            e = axpy(dict(fam_f.images[m][g]), -1, fam_g.images[m][g], p)
+            if m >= 1:
+                axpy(e, -1, h.apply(m - 1, res.apply_boundary(m, res.generator(lab))), p)
+            o, t = label_pair(lab)
+            x = tc.act(vertex[o], dm._solve_boundary(e), vertex[t])
+            if axpy(tc.differential(x), -1, e, p):
+                return None, m
+            imgs[g] = x
+        images[m] = imgs
+    return h, None
+
+
+@pytest.fixture(scope="session")
+def homotopy_solve():
+    """`homotopy_solve(dm, fam_f, fam_g, max_degree)`: a homotopy between
+    two chain-map families of a `DiagonalMaps`, or the degree where none
+    exists."""
+    return _homotopy_solve
+
+
+def _homotopy_json(pipe, h):
+    """The `--homotopy file:` format of the homotopy family h of a
+    `Pipeline`: its generator images in degrees 0..max_degree, as
+    `Pipeline.family_json` writes them, and its vertex table."""
+    from quiverhh.pipeline import _terms_json
+    from quiverhh.quiver import VERTICES
+
+    field = pipe.algebra.field
+    star = [
+        {"vertex": v, "terms": _terms_json(pipe._names, h.star.get(v, {}), field)}
+        for v in VERTICES
+    ]
+    return {"images": pipe.family_json(h), "star": star}
+
+
+@pytest.fixture(scope="session")
+def homotopy_json():
+    """`homotopy_json(pipe, h)`: the serialised homotopy that
+    `--homotopy file:PATH` reads."""
+    return _homotopy_json
+
+
 class _ReferenceEchelon:
     """The elimination loop of `linalg.SparseEchelon` before it read its
     vectors in place: each vector is copied first, then reduced one

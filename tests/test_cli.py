@@ -492,7 +492,7 @@ def _without_bidegree(data):
     return data
 
 
-def test_file_homotopy_report_digest_is_pinned(tmp_path, capsys):
+def test_file_homotopy_report_digest_is_pinned(tmp_path, capsys, homotopy_json):
     # the report names the file by the sha256 of its bytes, so the file is
     # written without the derived `bidegree` keys and with sorted keys
     import hashlib
@@ -500,7 +500,7 @@ def test_file_homotopy_report_digest_is_pinned(tmp_path, capsys):
     from quiverhh.pipeline import Pipeline, RunConfig
 
     pipe = Pipeline(RunConfig(n=1, max_degree=6))
-    data = pipe.homotopy_json(pipe.diagonal.default_homotopy())
+    data = homotopy_json(pipe, pipe.diagonal.default_homotopy())
     path = tmp_path / "homotopy.json"
     path.write_text(json.dumps(_without_bidegree(data), sort_keys=True))
     command = "diagonal --n 1 --delta-mode formula --max-degree 6 all --output json"

@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from quiverhh.linalg import axpy
 from quiverhh.quiver import trivial
 from quiverhh.uniform import Label, label_index, label_pair
+
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
 
 def dm_of(pipes, n):
@@ -56,10 +59,8 @@ def test_literal_squares_all_pass(pipes, n):
 
 def test_literal_squares_match_golden(pipes):
     import json
-    from importlib import resources
 
-    with resources.files("quiverhh.goldens").joinpath("squares_literal.json").open() as fh:
-        golden = json.load(fh)
+    golden = json.loads((GOLDENS / "squares_literal.json").read_text())
     for n in (0, 1, 2):
         dm = dm_of(pipes, n)
         fam = dm.literal_family()
@@ -151,7 +152,7 @@ def test_solved_family_exact_and_lifts_identity(pipes, n, solved_families):
     assert all(r["status"] == "pass" for r in rows)
     assert fam.lift_factor == 1
     for lab in dm.res.labels(0):
-        got = dm.tc.augment(fam.image(lab))
+        got = dm.tc.augment(fam.images[0][label_index(lab)])
         assert got == dm.res.augment(dm.res.generator(lab))
 
 
@@ -309,7 +310,9 @@ def test_solved_family_deterministic(pipes):
     assert [a.images[m] for m in range(7)] == [b.images[m] for m in range(7)]
 
 
-def test_perturbed_family_differs_but_homotopic(pipes, solved_families, corner_homotopy):
+def test_perturbed_family_differs_but_homotopic(
+    pipes, solved_families, corner_homotopy, homotopy_solve
+):
     dm = dm_of(pipes, 0)
     fam = solved_families[0]
     k = corner_homotopy(dm)
@@ -317,12 +320,13 @@ def test_perturbed_family_differs_but_homotopic(pipes, solved_families, corner_h
     assert any(fam.images[m] != fam2.images[m] for m in fam.images)
     rows = dm.verify_squares(fam2, 12)
     assert all(r["status"] == "pass" for r in rows)
-    h, bad = dm.homotopy_solve(fam, fam2, 12)
+    h, bad = homotopy_solve(dm, fam, fam2, 12)
     assert bad is None and h is not None
     for m in range(0, 12):
         for lab in dm.res.labels(m):
             gen = dm.res.generator(lab)
-            lhs = axpy(dict(fam.image(lab)), -1, fam2.image(lab), 0)
+            g = label_index(lab)
+            lhs = axpy(dict(fam.images[m][g]), -1, fam2.images[m][g], 0)
             rhs = dm.tc.differential(h.apply(m, gen))
             if m >= 1:
                 axpy(rhs, 1, h.apply(m - 1, dm.res.apply_boundary(m, gen)), 0)
@@ -359,19 +363,19 @@ def test_corrected_family_agrees_with_the_extension_of_its_images(
     assert decorated > 0
 
 
-def test_equal_families_have_zero_homotopy(pipes, solved_families):
+def test_equal_families_have_zero_homotopy(pipes, solved_families, homotopy_solve):
     dm = dm_of(pipes, 0)
     fam = solved_families[0]
-    h, bad = dm.homotopy_solve(fam, fam, 6)
+    h, bad = homotopy_solve(dm, fam, fam, 6)
     assert bad is None
     assert all(not img for imgs in h.images.values() for img in imgs.values())
 
 
-def test_mismatched_lifts_reported_inconsistent(pipes, solved_families):
+def test_mismatched_lifts_reported_inconsistent(pipes, solved_families, homotopy_solve):
     dm = dm_of(pipes, 0)
     fam = solved_families[0]
     lit = dm.literal_family()  # lifts twice the identity
-    h, bad = dm.homotopy_solve(fam, lit, 4)
+    h, bad = homotopy_solve(dm, fam, lit, 4)
     assert h is None and bad == 0
 
 
@@ -389,7 +393,7 @@ def test_corrupted_family_fails_square(pipes, solved_families):
     assert any(r["status"] == "fail" for r in rows)
 
 
-def test_homotopy_file_round_trip(tmp_path, pipes):
+def test_homotopy_file_round_trip(tmp_path, pipes, homotopy_json):
     import json
 
     from quiverhh import Pipeline, RunConfig
@@ -397,7 +401,7 @@ def test_homotopy_file_round_trip(tmp_path, pipes):
     pipe = Pipeline(RunConfig(n=0, max_degree=4, delta_mode="formula"))
     h = pipe.diagonal.default_homotopy()
     p = tmp_path / "h.json"
-    p.write_text(json.dumps(pipe.homotopy_json(h)))
+    p.write_text(json.dumps(homotopy_json(pipe, h)))
     pipe2 = Pipeline(
         RunConfig(n=0, max_degree=4, delta_mode="formula", homotopy=f"file:{p}")
     )
@@ -429,7 +433,7 @@ def test_homotopy_file_round_trip(tmp_path, pipes):
         jsonschema.validate(payload, json.load(fh))
 
 
-def test_homotopy_file_coefficients_must_lie_in_the_field(tmp_path, capsys):
+def test_homotopy_file_coefficients_must_lie_in_the_field(tmp_path, capsys, homotopy_json):
     import json
 
     from quiverhh import Pipeline, RunConfig
@@ -437,7 +441,7 @@ def test_homotopy_file_coefficients_must_lie_in_the_field(tmp_path, capsys):
 
     pipe7 = Pipeline(RunConfig(n=0, max_degree=4, field="gf:7", delta_mode="formula"))
     p = tmp_path / "h7.json"
-    p.write_text(json.dumps(pipe7.homotopy_json(pipe7.diagonal.default_homotopy())))
+    p.write_text(json.dumps(homotopy_json(pipe7, pipe7.diagonal.default_homotopy())))
     assert "(mod 7)" in p.read_text()
     RunConfig(n=0, max_degree=4, field="gf:7", delta_mode="formula", homotopy=f"file:{p}")
     for field in ("gf:5", "rationals"):
@@ -449,6 +453,29 @@ def test_homotopy_file_coefficients_must_lie_in_the_field(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--field", "gf:5", "--homotopy", homotopy, "squares"])
         assert exc.value.code == 2
+
+
+def test_homotopy_file_over_q_reads_into_gf7(tmp_path, capsys, homotopy_json):
+    # GF(p) reads an integer coefficient mod p, with or without " (mod p)":
+    # a file written over Q (with -1 in its vertex table) and one written
+    # over GF(7) give the same images
+    import json
+
+    from quiverhh import Pipeline, RunConfig
+    from quiverhh.cli import main
+
+    images = []
+    for field in ("rationals", "gf:7"):
+        pipe = Pipeline(RunConfig(n=0, max_degree=4, field=field, delta_mode="formula"))
+        p = tmp_path / f"{field[:2]}.json"
+        p.write_text(json.dumps(homotopy_json(pipe, pipe.diagonal.default_homotopy())))
+        assert ("(mod 7)" in p.read_text()) == (field == "gf:7")
+        argv = ["diagonal", "--n", "0", "--max-degree", "4", "--delta-mode", "formula"]
+        argv += ["--field", "gf:7", "--homotopy", f"file:{p}", "--output", "json", "build"]
+        assert main(argv) == 0
+        images.append(json.loads(capsys.readouterr().out)["tables"]["images"])
+    assert images[0] == images[1]
+    assert any("6 (mod 7)" == t["coeff"] for row in images[0] for t in row["terms"])
 
 
 @pytest.mark.parametrize(
@@ -476,14 +503,16 @@ def test_homotopy_file_coefficients_must_lie_in_the_field(tmp_path, capsys):
         "left-path-off-the-row-origin",
     ],
 )
-def test_malformed_homotopy_file_is_a_usage_error(tmp_path, capsys, field, value, reason):
+def test_malformed_homotopy_file_is_a_usage_error(
+    tmp_path, capsys, homotopy_json, field, value, reason
+):
     import json
 
     from quiverhh import Pipeline, RunConfig
     from quiverhh.cli import main
 
     pipe = Pipeline(RunConfig(n=0, max_degree=4, delta_mode="formula"))
-    data = pipe.homotopy_json(pipe.diagonal.default_homotopy())
+    data = homotopy_json(pipe, pipe.diagonal.default_homotopy())
     if field == "vertex":
         data["star"][0]["vertex"] = value
     elif field in ("coeff", "g1", "left"):

@@ -35,13 +35,21 @@ def test_quiver_shape():
     assert parse_path("f0") == trivial("e0")
 
 
+def test_every_basis_path_is_truthy():
+    # a path is a two-field NamedTuple, truthy like any other, so a
+    # trivial path is no falsy "empty" value
+    assert trivial("e0")
+    for n in (0, 1):
+        assert all(get_algebra(n, QQ).basis)
+
+
 def test_cycle_words_are_shared_per_start_mod_3():
     for i in range(3):
         for length in range(8):
             p = a_cycle(i, length)
             assert a_cycle(i + 3, length) is p
             assert a_cycle(i + 300, length) is p
-            assert p.source == f"e{i}" and len(p) == length
+            assert p.source == f"e{i}" and len(p.arrows) == length
             assert p.arrows == tuple(f"a{(i + k) % 3}" for k in range(length))
 
 
