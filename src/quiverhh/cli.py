@@ -8,18 +8,28 @@ Subcommands
     ring        the n = 0 reconciliation (star, cup, known deviations)
     report      everything above in one JSON document
 
+Each option is declared once, in `OPTIONS`.  A plain command line (a
+command name, then full option names each with a valid value that does
+not start with "-", and at most one action) is read by `parse_plain`,
+which builds no parser.  Any other argv, such as `-h`, `--opt=value`, an
+abbreviation like `--max`, `--`, a negative number or a bad value, goes
+to the argparse parser of `build_parser`, which alone prints help and
+usage errors; a configuration error builds it too, to print the usage of
+its subcommand.
+
 Exit status is 0 exactly when every requested must-pass check passes,
 and 1 when one fails.  Each check is decided from the rows the run
 computed: a solved square the lift got wrong is a failing `square-*`
 row.  A documented deviation never fails a run; a deviation that no
 ledger entry explains fails `ring-star-table`.  Exit status 2 is a usage
-error, or a cup product refused because its diagonal fails a square the
-product needs; that prints one line on stderr and no report.
+error, a cup product refused because its diagonal fails a square the
+product needs, or a report that cannot be written (for example to a full
+disk).  Each prints one line on stderr; the first two print no report.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
 
 from . import reports
@@ -30,14 +40,29 @@ from .uniform import generator_labels
 
 
 def _emit(config, payload, text):
+    """Write the report; False, after one line on stderr, when it cannot
+    be written."""
     # text and markdown are built by the caller; None means the JSON itself
     if config.output == "json" or text is None:
         text = reports.canonical_json(payload)
-    if config.out_path:
-        with open(config.out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if config.out_path:
+            with open(config.out_path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not config.out_path:
+            # the interpreter flushes stdout again at exit, which would fail
+            # the same way and print a second error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        target = config.out_path or "standard output"
+        sys.stderr.write(f"quiverhh: cannot write the report to {target}: {exc.strerror}\n")
+        return False
+    return True
 
 
 def _check_lines(rows):
@@ -294,7 +319,28 @@ COMMANDS = {
 }
 
 
+# Each option once, as (name, dest, type, default, choices, help): the
+# plain parse and `build_parser` both read this table, and each dest is
+# a parameter of `RunConfig`.
+OPTIONS = (
+    ("--n", "n", int, 0, None, None),
+    ("--field", "field", str, "rationals", None, None),
+    ("--max-degree", "max_degree", int, 9, None, None),
+    ("--delta-mode", "delta_mode", str, "solved", ("literal", "formula", "solved"), None),
+    ("--homotopy", "homotopy", str, "default", None,
+     "default | zero | file:PATH (serialised homotopy images)"),
+    ("--output", "output", str, "text", ("text", "json", "markdown"), None),
+    ("--out-path", "out_path", str, None, None, None),
+)
+_OPTION_NAMED = {option[0]: option for option in OPTIONS}
+
+
 def build_parser():
+    """The argparse parser of `OPTIONS`, the one author of help and usage
+    errors."""
+    # imported here: a plain command line never builds the parser
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="quiverhh",
         description="exact homological computations for the quiver algebra family",
@@ -302,55 +348,75 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, actions) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=0)
-        p.add_argument("--field", default="rationals")
-        p.add_argument("--max-degree", type=int, default=9)
-        p.add_argument(
-            "--delta-mode", default="solved", choices=("literal", "formula", "solved")
-        )
-        p.add_argument(
-            "--homotopy",
-            default="default",
-            help="default | zero | file:PATH (serialised homotopy images)",
-        )
-        p.add_argument("--output", default="text", choices=("text", "json", "markdown"))
-        p.add_argument("--out-path", default=None)
+        for option, dest, kind, default, choices, help_text in OPTIONS:
+            p.add_argument(option, dest=dest, type=kind, default=default, choices=choices,
+                           help=help_text)
         p.add_argument("action", nargs="?", default="all", choices=actions)
         # a configuration error is reported with the usage of its subcommand
         p.set_defaults(usage_error=p.error)
     return parser
 
 
+def parse_plain(argv):
+    """The arguments of a plain command line, as a dict of what
+    `build_parser().parse_args(argv)` returns but `usage_error`; None for
+    any other argv.
+
+    Plain is a command name, then in any order option names spelled in
+    full, each followed by a valid value that does not start with "-",
+    and at most one action.  A repeated option keeps its last value.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    actions = COMMANDS[argv[0]][1]
+    args = {"command": argv[0]}
+    args.update((dest, default) for _, dest, _, default, _, _ in OPTIONS)
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in _OPTION_NAMED:
+            if token not in actions:
+                return None
+            positionals.append(token)
+            continue
+        _, dest, kind, _, choices, _ = _OPTION_NAMED[token]
+        value = next(tokens, None)
+        if value is None or value.startswith("-") or (choices and value not in choices):
+            return None
+        try:
+            args[dest] = kind(value)
+        except ValueError:
+            return None
+    if len(positionals) > 1:
+        return None
+    args["action"] = positionals[0] if positionals else "all"
+    return args
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_plain(argv) or vars(build_parser().parse_args(argv))
     try:
-        if args.command == "ring" and args.n != 0:
+        if args["command"] == "ring" and args["n"] != 0:
             raise ValueError("ring reconciliation is defined for --n 0")
-        config = RunConfig(
-            n=args.n,
-            field=args.field,
-            max_degree=args.max_degree,
-            delta_mode=args.delta_mode,
-            homotopy=args.homotopy,
-            output=args.output,
-            out_path=args.out_path,
-        )
-        if args.command == "hochschild" and args.action == "cup-table":
+        config = RunConfig(**{dest: args[dest] for _, dest, *_ in OPTIONS})
+        if args["command"] == "hochschild" and args["action"] == "cup-table":
             if not _cup_table_wanted(config):
                 raise ValueError(
                     "the cup table is defined for --n 0 --delta-mode solved --max-degree >= 12"
                 )
     except ValueError as exc:
-        args.usage_error(str(exc))
+        build_parser().parse_args(argv).usage_error(str(exc))
     pipe = Pipeline(config)
-    handler, _ = COMMANDS[args.command]
+    handler, _ = COMMANDS[args["command"]]
     try:
-        payload, text, ok = handler(pipe, args.action)
+        payload, text, ok = handler(pipe, args["action"])
     except UnverifiedDiagonal as exc:
         sys.stderr.write(f"cup product refused: {exc}\n")
         return 2
-    _emit(config, payload, text)
+    if not _emit(config, payload, text):
+        return 2
     return 0 if ok else 1
 
 

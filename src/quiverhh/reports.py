@@ -10,19 +10,29 @@ serialised reports.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 from json.encoder import encode_basestring_ascii
 
 from .linalg import axpy
 from .quiver import parse_path
 from .uniform import label_at
 
+_LEDGER = os.path.join(os.path.dirname(__file__), "goldens", "kd_ledger.json")
+
 
 def kd_ledger():
     """The documented systematic gaps between the published multiplication
-    tables and the two-corner-diagonal products."""
-    with resources.files("quiverhh.goldens").joinpath("kd_ledger.json").open() as fh:
+    tables and the two-corner-diagonal products.
+
+    Read from `goldens/kd_ledger.json` by its path next to this module,
+    where the package data is installed; `importlib.resources` would
+    import the `goldens` namespace package and search `sys.path` for it.
+    """
+    with open(_LEDGER, "rb") as fh:
         return json.load(fh)
+
+
+_CHUNK = 2048  # pending fragments that canonical_json joins into one chunk
 
 
 def canonical_json(data):
@@ -32,13 +42,20 @@ def canonical_json(data):
     the same text, escaping strings with the C `encode_basestring_ascii`.
     Object keys must be strings; a value that is not a dict, list, tuple,
     str, int, float, bool or None raises TypeError, as in `json`.
+
+    A full report has some 10^4 fragments, whose objects take several
+    times the memory of the text they spell.  So after a list item, once
+    `_CHUNK` fragments are pending, they are joined into one chunk, and
+    the chunks are joined at the end: the same single string, with a
+    transient heap of about twice the text instead of five times.
     """
     if not isinstance(data, (dict, list, tuple)):
         return _scalar_json(data) + "\n"
-    parts = []
-    _write_json(data, "\n", parts.append)
+    parts, chunks = [], []
+    _write_json(data, "\n", parts, chunks)
     parts.append("\n")
-    return "".join(parts)
+    chunks.append("".join(parts))
+    return "".join(chunks)
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -57,10 +74,12 @@ def _scalar_json(data):
     raise TypeError(f"Object of type {type(data).__name__} is not JSON serializable")
 
 
-def _write_json(data, newline, emit):
-    """Emit `data` (a dict, list or tuple) as `json.dumps(..., indent=2,
-    sort_keys=True)` would, with `newline` the line break and indent of its
-    own level."""
+def _write_json(data, newline, parts, chunks):
+    """Append `data` (a dict, list or tuple) to `parts` as `json.dumps(...,
+    indent=2, sort_keys=True)` would write it, with `newline` the line
+    break and indent of its own level; `parts` goes into `chunks` as one
+    string whenever a list item leaves `_CHUNK` fragments in it."""
+    emit = parts.append
     inner = newline + "  "
     if isinstance(data, dict):
         if not data:
@@ -76,7 +95,7 @@ def _write_json(data, newline, emit):
                 emit(head + encode_basestring_ascii(value))
             elif isinstance(value, (dict, list, tuple)):
                 emit(head)
-                _write_json(value, inner, emit)
+                _write_json(value, inner, parts, chunks)
             else:
                 emit(head + _scalar_json(value))
             sep = "," + inner
@@ -91,10 +110,13 @@ def _write_json(data, newline, emit):
                 emit(sep + encode_basestring_ascii(item))
             elif isinstance(item, (dict, list, tuple)):
                 emit(sep)
-                _write_json(item, inner, emit)
+                _write_json(item, inner, parts, chunks)
             else:
                 emit(sep + _scalar_json(item))
             sep = "," + inner
+            if len(parts) >= _CHUNK:
+                chunks.append("".join(parts))
+                parts.clear()
         emit(newline + "]")
 
 

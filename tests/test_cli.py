@@ -1,8 +1,10 @@
 import json
+import os
+import sys
 
 import pytest
 
-from quiverhh.cli import main
+from quiverhh.cli import COMMANDS, build_parser, main, parse_plain
 
 
 def run(capsys, *argv):
@@ -217,6 +219,30 @@ def test_field_has_one_spelling(capsys, spelling):
     assert "plain decimal" in err
 
 
+def _usage_pins():
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent / "goldens" / "cli_usage.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="argparse words and lays out its help and errors differently in other Python versions",
+)
+@pytest.mark.parametrize("pin", _usage_pins(), ids=lambda pin: " ".join(pin["argv"]) or "<empty>")
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, pin):
+    # recorded with 80 columns from the argparse-only parser; the option
+    # table and the plain parse must leave every byte of them as it was
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        status = main(list(pin["argv"]))
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == (pin["status"], pin["stdout"], pin["stderr"])
+
+
 def test_json_report_deterministic_and_valid(tmp_path, capsys):
     import jsonschema
     from importlib import resources
@@ -337,6 +363,145 @@ def test_cli_import_loads_no_dataclasses():
     proc = subprocess.run([sys.executable, "-c", script, str(src)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_plain_runs_load_no_parser_or_package_data_modules():
+    # argparse and gettext cost every start, and its first message imports
+    # locale; finding package data imports the `goldens` namespace package
+    import subprocess
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import quiverhh.cli\n"
+        "loaded = lambda names: [m for m in names if m in sys.modules]\n"
+        "seen = [loaded(['argparse', 'gettext'])]\n"
+        "argv = ['resolution', '--n', '0', '--max-degree', '2', '--output', 'json', 'exactness']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert quiverhh.cli.main(argv) == 0\n"
+        "seen.append(loaded(['argparse', 'locale']))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert quiverhh.cli.main(['ring', '--n', '0', '--max-degree', '12']) == 0\n"
+        "seen.append(loaded(['quiverhh.goldens']))\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(src)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_resolution, after_ring = json.loads(proc.stdout)
+    assert after_import == []
+    assert after_resolution == []
+    assert after_ring == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("target", ["out-path", "stdout"])
+def test_unwritable_report_is_one_line_and_exit_2(target):
+    # the write fails after the whole computation; it once ended in an
+    # OSError traceback with exit status 1
+    import subprocess
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [sys.executable, "-m", "quiverhh.cli"]
+    if target == "out-path":
+        argv += ["algebra", "--n", "0", "--out-path", "/dev/full"]
+        name = "/dev/full"
+    else:
+        argv += ["report", "--n", "0", "--max-degree", "12", "--output", "json"]
+        name = "standard output"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with open("/dev/full", "w") as full:
+        stdout = full if target == "stdout" else subprocess.PIPE
+        proc = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr == f"quiverhh: cannot write the report to {name}: No space left on device\n"
+    assert not proc.stdout
+
+
+def _argv_cases(command, actions, rng):
+    """Command lines for `command`, plain ones and every kind argparse
+    must see: shuffled, repeated and missing options, one, two or no
+    actions anywhere, odd int spellings and odd tokens."""
+    values = {
+        "--n": ["0", "3", "05", " 5", "+5", "\u0665", "5_0", "-1", "", "-", "--n=5", "x", "1.5"],
+        "--max-degree": ["12", "2", "0", "\u0663", " 7 ", "-1", "", "-", "--max-degree=5"],
+        "--field": ["rationals", "gf:7", "QQ", "", "-", "all", "--n"],
+        "--delta-mode": ["solved", "literal", "formula", "bogus", "", "-"],
+        "--homotopy": ["default", "zero", "file:x", "all", "-x", "- x"],
+        "--output": ["json", "text", "markdown", "yaml", "-", "json "],
+        "--out-path": ["r.json", "", "-", "all", "--output"],
+    }
+    odd = ["--max", "--out", "--max-deg", "-h", "--help", "--", "--bogus", "-n", "--n=5",
+           "--output=json", "-1", "", "-", "bogus", "report", "cup-table"]
+    other = [a for _, acts in COMMANDS_ACTIONS for a in acts if a not in actions]
+    cases = [[command], [command, "--n"], [command, actions[-1], actions[0]]]
+    for action in actions:
+        cases.append([command, action])
+        cases.append([command, "--n", "2", action, "--output", "json"])
+    for _ in range(300):
+        opts = rng.sample(sorted(values), rng.randint(0, len(values)))
+        opts += rng.choices(sorted(values), k=rng.randint(0, 2))  # repeated options
+        rng.shuffle(opts)
+        tokens = []
+        for opt in opts:
+            tokens += [opt, rng.choice(values[opt][:3])]
+        if tokens and rng.random() < 0.3:
+            spot = rng.randrange(1, len(tokens), 2)
+            tokens[spot] = rng.choice(values[tokens[spot - 1]])
+        for _ in range(rng.choice([0, 1, 1, 1, 1, 2])):
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(actions))
+        roll = rng.random()
+        if roll < 0.15:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(odd))
+        elif roll < 0.2 and other:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(other))
+        elif roll < 0.25 and tokens and tokens[-1] not in actions:
+            tokens.pop()  # the last option loses its value
+        cases.append([command] + tokens)
+    return cases
+
+
+COMMANDS_ACTIONS = [(name, actions) for name, (_, actions) in COMMANDS.items()]
+
+
+@pytest.mark.parametrize("command,actions", COMMANDS_ACTIONS, ids=[c for c, _ in COMMANDS_ACTIONS])
+def test_plain_parse_agrees_with_argparse_or_declines(capsys, command, actions):
+    import random
+
+    parser = build_parser()
+    taken = declined = 0
+    for argv in _argv_cases(command, actions, random.Random(command)):
+        plain = parse_plain(argv)
+        if plain is None:
+            declined += 1
+            continue
+        taken += 1
+        try:
+            reference = vars(parser.parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"plain parse took {argv!r}, which argparse refuses: {capsys.readouterr().err}")
+        del reference["usage_error"]
+        assert plain == reference, argv
+    # both sides of the choice are exercised
+    assert taken >= 75 and declined >= 75, (taken, declined)
+
+
+def test_the_benchmark_command_lines_are_plain(monkeypatch):
+    import random
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS
+
+    for name in ("exactness-n5", "ring-n0"):
+        w = WORKLOADS[name]
+        for seed in range(24):
+            args = parse_plain(w.argv(random.Random(seed)))
+            assert args is not None
+            assert (args["command"], args["n"], args["max_degree"], args["field"], args["output"],
+                    args["action"]) == (w.command, w.n, w.max_degree, w.field, "json", w.action)
 
 
 @pytest.mark.parametrize("output", ["json", "text", "markdown"])

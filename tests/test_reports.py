@@ -98,3 +98,38 @@ def test_canonical_json_matches_json_dumps_on_a_report(pipes):
 def test_canonical_json_refuses_unsupported_types(bad):
     with pytest.raises(TypeError):
         reports.canonical_json(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values, st.integers(min_value=1, max_value=4))
+def test_canonical_json_matches_json_dumps_in_small_chunks(data, chunk):
+    # every chunk boundary, nested lists included, joins to the same text
+    default, reports._CHUNK = reports._CHUNK, chunk
+    try:
+        assert reports.canonical_json(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    finally:
+        reports._CHUNK = default
+
+
+def test_canonical_json_memory_is_bounded_by_the_text(capsys, monkeypatch):
+    # the fragments of a whole report, held at once, took about 4.7 times
+    # the memory of its text
+    import tracemalloc
+
+    from quiverhh.cli import main
+
+    payloads = []
+    dumps = reports.canonical_json
+    monkeypatch.setattr(reports, "canonical_json", lambda data: payloads.append(data) or dumps(data))
+    assert main(["report", "--n", "0", "--max-degree", "12", "--output", "json"]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = dumps(payloads[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 100_000
+    assert peak - before <= 3.5 * len(text)
