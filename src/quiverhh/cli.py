@@ -8,14 +8,18 @@ Subcommands
     ring        the n = 0 reconciliation (star, cup, known deviations)
     report      everything above in one JSON document
 
-Each option is declared once, in `OPTIONS`.  A plain command line (a
-command name, then full option names each with a valid value that does
-not start with "-", and at most one action) is read by `parse_plain`,
-which builds no parser.  Any other argv, such as `-h`, `--opt=value`, an
-abbreviation like `--max`, `--`, a negative number or a bad value, goes
-to the argparse parser of `build_parser`, which alone prints help and
-usage errors; a configuration error builds it too, to print the usage of
-its subcommand.
+Each option is declared once, in `pipeline.OPTIONS`, the table that
+`RunConfig` also takes its defaults and choices from.  A handler returns
+its checks, tables and deviations, and `_emit` stamps the run's config
+on the JSON report.
+
+A plain command line (a command name, then full option names each with
+a valid value that does not start with "-", and at most one action) is
+read by `parse_plain`, which builds no parser.  Any other argv, such as
+`-h`, `--opt=value`, an abbreviation like `--max`, `--`, a negative
+number or a bad value, goes to the argparse parser of `build_parser`,
+which alone prints help and usage errors; a configuration error builds
+it too, to print the usage of its subcommand.
 
 Exit status is 0 exactly when every requested must-pass check passes,
 and 1 when one fails.  Each check is decided from the rows the run
@@ -34,17 +38,21 @@ import sys
 
 from . import reports
 from .algebra import oracle_quotient_dim
-from .pipeline import Pipeline, RunConfig
+from .pipeline import OPTIONS, Pipeline, RunConfig
 from .products import UnverifiedDiagonal
 from .uniform import generator_labels
 
 
 def _emit(config, payload, text):
     """Write the report; False, after one line on stderr, when it cannot
-    be written."""
+    be written.
+
+    The JSON report is `payload` (its checks, tables and deviations)
+    stamped with the run's config, the one place a report gets it.
+    """
     # text and markdown are built by the caller; None means the JSON itself
     if config.output == "json" or text is None:
-        text = reports.canonical_json(payload)
+        text = reports.canonical_json({"config": config.as_dict(), **payload})
     try:
         if config.out_path:
             with open(config.out_path, "w") as fh:
@@ -109,7 +117,7 @@ def cmd_algebra(pipe, action):
             if alg.corner_dim(u, v)
         },
     }
-    payload = {"config": pipe.config.as_dict(), "checks": rows, "tables": tables, "deviations": []}
+    payload = {"checks": rows, "tables": tables, "deviations": []}
     text = _check_lines(rows)
     if action in ("basis", "all"):
         text += "basis: " + " ".join(tables["basis"]) + "\n"
@@ -145,7 +153,7 @@ def cmd_resolution(pipe, action):
         text += reports.render_markdown_table(tables["dimensions"], ["degree", "dim", "generators"])
     else:
         text = _check_lines(rows)
-    payload = {"config": pipe.config.as_dict(), "checks": rows, "tables": tables, "deviations": []}
+    payload = {"checks": rows, "tables": tables, "deviations": []}
     return payload, text, _status_ok(rows)
 
 
@@ -169,12 +177,7 @@ def cmd_diagonal(pipe, action):
                     "status": "documented",
                 }
             )
-    payload = {
-        "config": pipe.config.as_dict(),
-        "checks": rows,
-        "tables": tables,
-        "deviations": deviations,
-    }
+    payload = {"checks": rows, "tables": tables, "deviations": deviations}
     return payload, _check_lines(rows), ok
 
 
@@ -193,9 +196,12 @@ def cmd_hochschild(pipe, action, prints_payload=False):
             for m in range(0, pipe.config.max_degree)
         ],
     }
-    # text output prints no star table
+    # each table is computed only when printed: text output prints the
+    # dimensions, markdown adds the star table, and only the JSON holds
+    # the rest
     if prints_payload or pipe.config.output != "text":
         tables["star_table"] = pipe.products.table_comparison()
+    prints_json = prints_payload or pipe.config.output == "json"
     checks = []
     for row in tables["dimensions"]:
         m = row["degree"]
@@ -208,12 +214,12 @@ def cmd_hochschild(pipe, action, prints_payload=False):
                 "status": "pass" if row["hom_dim"] == want else "fail",
             }
         )
-    if action in ("bases", "all"):
+    if prints_json and action in ("bases", "all"):
         tables["named_bases"] = {
             str(m): [str(c.name) for c in hc.named_basis(m)]
             for m in range(0, min(3, pipe.config.max_degree))
         }
-    if action in ("cup-table", "all") and _cup_table_wanted(pipe.config):
+    if prints_json and action in ("cup-table", "all") and _cup_table_wanted(pipe.config):
         tables["cup_table"] = reports.ring_cup_report(hc, pipe.products, pipe.family("solved"))
     text = _check_lines(checks)
     text += "degree  hom-dim  hh-dim\n"
@@ -225,12 +231,7 @@ def cmd_hochschild(pipe, action, prints_payload=False):
         ) + reports.render_markdown_table(
             tables["star_table"], ["left", "right", "table", "computed", "status"]
         )
-    payload = {
-        "config": pipe.config.as_dict(),
-        "checks": checks,
-        "tables": tables,
-        "deviations": [],
-    }
+    payload = {"checks": checks, "tables": tables, "deviations": []}
     return payload, text, _status_ok(checks)
 
 
@@ -270,17 +271,12 @@ def cmd_ring(pipe, action):
     text += reports.render_markdown_table(
         tables["presentation"], ["relation", "published", "computed", "status"]
     )
-    payload = {
-        "config": pipe.config.as_dict(),
-        "checks": checks,
-        "tables": tables,
-        "deviations": ledger,
-    }
+    payload = {"checks": checks, "tables": tables, "deviations": ledger}
     return payload, text, _status_ok(checks)
 
 
 def cmd_report(pipe, action):
-    payload = {"config": pipe.config.as_dict(), "checks": [], "tables": {}, "deviations": []}
+    payload = {"checks": [], "tables": {}, "deviations": []}
     ok = True
     # the diagonal runs first: it builds the boundary solvers whose ranks
     # the resolution's exactness rows then read, so no boundary matrix is
@@ -319,19 +315,6 @@ COMMANDS = {
 }
 
 
-# Each option once, as (name, dest, type, default, choices, help): the
-# plain parse and `build_parser` both read this table, and each dest is
-# a parameter of `RunConfig`.
-OPTIONS = (
-    ("--n", "n", int, 0, None, None),
-    ("--field", "field", str, "rationals", None, None),
-    ("--max-degree", "max_degree", int, 9, None, None),
-    ("--delta-mode", "delta_mode", str, "solved", ("literal", "formula", "solved"), None),
-    ("--homotopy", "homotopy", str, "default", None,
-     "default | zero | file:PATH (serialised homotopy images)"),
-    ("--output", "output", str, "text", ("text", "json", "markdown"), None),
-    ("--out-path", "out_path", str, None, None, None),
-)
 _OPTION_NAMED = {option[0]: option for option in OPTIONS}
 
 

@@ -28,45 +28,53 @@ from .tensorcx import TensorComplex
 from .uniform import Degrees, generator_labels, label_index, label_pair, parse_label
 
 
-class RunConfig:
-    """A validated run configuration: the CLI's options, checked on
-    construction (ValueError on a bad one)."""
+# Each run option once, as (name, dest, type, default, choices, help):
+# `RunConfig` takes its defaults and choice sets from this table, and the
+# CLI's plain parse and argparse parser read it unchanged.
+OPTIONS = (
+    ("--n", "n", int, 0, None, None),
+    # or "gf:P" with P an odd prime below 2**31
+    ("--field", "field", str, "rationals", None, None),
+    ("--max-degree", "max_degree", int, 9, None, None),
+    ("--delta-mode", "delta_mode", str, "solved", ("literal", "formula", "solved"), None),
+    ("--homotopy", "homotopy", str, "default", None,
+     "default | zero | file:PATH (serialised homotopy images)"),
+    ("--output", "output", str, "text", ("text", "json", "markdown"), None),
+    ("--out-path", "out_path", str, None, None, None),
+)
 
-    def __init__(
-        self,
-        n=0,
-        field="rationals",  # or "gf:P" with P an odd prime below 2**31
-        max_degree=9,
-        delta_mode="solved",  # literal | formula | solved
-        homotopy="default",  # default | zero | file:PATH
-        output="text",  # text | json | markdown
-        out_path=None,
-    ):
-        self.n = n
-        self.field = field
-        self.max_degree = max_degree
-        self.delta_mode = delta_mode
-        self.homotopy = homotopy
-        self.output = output
-        self.out_path = out_path
+
+class RunConfig:
+    """A validated run configuration: one attribute per option of
+    `OPTIONS`, by its dest, each defaulting to the table's default and
+    checked on construction (ValueError on a bad value, TypeError on an
+    unknown keyword)."""
+
+    def __init__(self, **options):
+        for _, dest, _, default, choices, _ in OPTIONS:
+            value = options.pop(dest, default)
+            if choices and value not in choices:
+                raise ValueError(f"unknown {dest.replace('_', ' ')} {value!r}")
+            setattr(self, dest, value)
+        if options:
+            raise TypeError(f"unknown run options {sorted(options)}")
         # for file:PATH, the parsed (images, star) and the sha256 of the file's bytes
         self.homotopy_data = self.homotopy_sha256 = None
-        if n < 0:
+        if self.n < 0:
             raise ValueError("n must be >= 0")
-        if max_degree < 2:
+        if self.max_degree < 2:
             raise ValueError("max-degree must be >= 2")
-        if delta_mode not in ("literal", "formula", "solved"):
-            raise ValueError(f"unknown delta mode {delta_mode!r}")
+        homotopy, out_path = self.homotopy, self.out_path
         if homotopy not in ("default", "zero") and not homotopy.startswith("file:"):
             raise ValueError(f"unknown homotopy choice {homotopy!r}")
         field = self.field_object
         if out_path is not None:
             folder = os.path.dirname(out_path) or "."
-            if os.path.isdir(out_path) or not os.path.isdir(folder):
-                raise ValueError(f"--out-path {out_path!r} is a directory or in a missing one")
+            if not out_path or os.path.isdir(out_path) or not os.path.isdir(folder):
+                raise ValueError(f"--out-path {out_path!r} names no file in an existing directory")
         if homotopy.startswith("file:"):
             self.homotopy_data, self.homotopy_sha256 = _read_homotopy_file(
-                homotopy[5:], get_algebra(n, field)
+                homotopy[5:], get_algebra(self.n, field)
             )
 
     @cached_property
@@ -81,17 +89,14 @@ class RunConfig:
         return PrimeField(int(p))  # validates P an odd prime below 2**31
 
     def as_dict(self):
-        homotopy = self.homotopy
+        """The options that decide what the report holds, by dest: all but
+        `output` and `out_path`, which say where it goes."""
+        skip = ("output", "out_path")
+        config = {dest: getattr(self, dest) for _, dest, *_ in OPTIONS if dest not in skip}
         if self.homotopy_sha256 is not None:
             # the content, not the location, identifies the run
-            homotopy = f"file:sha256:{self.homotopy_sha256}"
-        return {
-            "n": self.n,
-            "field": self.field,
-            "max_degree": self.max_degree,
-            "delta_mode": self.delta_mode,
-            "homotopy": homotopy,
-        }
+            config["homotopy"] = f"file:sha256:{self.homotopy_sha256}"
+        return config
 
 
 class Pipeline:

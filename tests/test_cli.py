@@ -197,9 +197,11 @@ def test_cup_table_off_its_configuration_is_a_usage_error(capsys, argv):
     assert "cup_table" not in out
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, where):
-    target = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+    # an empty path was once taken as no path, and the report went to stdout
+    targets = {"missing-directory": tmp_path / "missing" / "out.json", "directory": tmp_path}
+    target = targets.get(where, "")
     with pytest.raises(SystemExit) as exc:
         main(["algebra", "--n", "0", "--out-path", str(target)])
     assert exc.value.code == 2
@@ -730,3 +732,191 @@ def test_text_hochschild_computes_no_star_table(capsys, monkeypatch):
             main(command.split() + argv)
     with pytest.raises(AssertionError, match="no star table"):
         main(["report", "--n", "1", "--max-degree", "3"])
+
+
+def test_run_config_checks_every_declared_choice_and_the_parser_agrees():
+    from quiverhh.pipeline import OPTIONS, RunConfig
+
+    with pytest.raises(ValueError, match="unknown output 'xml'"):
+        RunConfig(output="xml")
+    with pytest.raises(ValueError, match="unknown delta mode 'x'"):
+        RunConfig(delta_mode="x")
+    with pytest.raises(TypeError):
+        RunConfig(bogus=1)
+    for _, dest, _, _, choices, _ in OPTIONS:
+        for choice in choices or ():
+            assert getattr(RunConfig(**{dest: choice}), dest) == choice
+    defaults = RunConfig()
+    dests = [dest for _, dest, *_ in OPTIONS]
+    parser = build_parser()
+    for command in COMMANDS:
+        args = vars(parser.parse_args([command]))
+        options = {k: v for k, v in args.items() if k not in ("command", "action", "usage_error")}
+        assert sorted(options) == sorted(dests)
+        assert options == {dest: getattr(defaults, dest) for dest in dests}
+    # a report holds what was computed, not where it was written
+    assert list(defaults.as_dict()) == ["n", "field", "max_degree", "delta_mode", "homotopy"]
+
+
+def test_hochschild_computes_the_cup_table_only_when_the_json_is_printed(capsys, monkeypatch):
+    from quiverhh import reports
+
+    calls = []
+    cup = reports.ring_cup_report
+
+    def counting(*args):
+        calls.append(args)
+        return cup(*args)
+
+    monkeypatch.setattr(reports, "ring_cup_report", counting)
+    for output, wanted in (("text", 0), ("markdown", 0), ("json", 1)):
+        for action in ("cup-table", "all"):
+            calls.clear()
+            argv = ["hochschild", "--n", "0", "--max-degree", "12", "--output", output, action]
+            assert run(capsys, *argv)[0] == 0
+            assert len(calls) == wanted, (output, action)
+
+
+# a cheap configuration at which every action of each command runs
+CHEAP_OPTIONS = {
+    "algebra": ["--n", "1"],
+    "resolution": ["--n", "1", "--max-degree", "6"],
+    "diagonal": ["--n", "1", "--max-degree", "6"],
+    "hochschild": ["--n", "0", "--max-degree", "12"],
+    "ring": ["--n", "0", "--max-degree", "12"],
+    "report": ["--n", "0", "--max-degree", "12"],
+}
+
+
+def _outcome_digest(capsys, argv):
+    """The sha256 of the exit status, stdout and stderr of `main(argv)`."""
+    import hashlib
+
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    return hashlib.sha256(json.dumps([status, captured.out, captured.err]).encode()).hexdigest()
+
+
+# `_outcome_digest` of every (command, action) pair in text and markdown,
+# at `CHEAP_OPTIONS`: every run exits 0 with nothing on stderr
+PINNED_OUTCOMES = {
+    "algebra --n 1 --output text all":
+        "b7718ce70ebf2bc19cf5ba856e1303f4d9f0e947fcacb09c050c6794c43e881c",
+    "algebra --n 1 --output text basis":
+        "bf80845478ce3d95cb50e1866ab5ef3e0f21726d2d2a3ca0dfab8e344a21f611",
+    "algebra --n 1 --output text dims":
+        "bb02f4e82ea8f7692288edd4aa9567974b4d96f1d72007d4aae2640b22afde02",
+    "algebra --n 1 --output text corners":
+        "bb02f4e82ea8f7692288edd4aa9567974b4d96f1d72007d4aae2640b22afde02",
+    "resolution --n 1 --max-degree 6 --output text all":
+        "14697e33460563ad2ce54103c45065c8566d5f03fd4b046b895c7bc2c29c127c",
+    "resolution --n 1 --max-degree 6 --output text verify":
+        "7790f2cf3a35bc83dc79be8e10890fb0fb8f8f41b23526a4ebfd1418f871a6af",
+    "resolution --n 1 --max-degree 6 --output text exactness":
+        "c1f9b6d5210957e0c296495d63e2700cf15acfc16d8283ae3bc4b0bbd12a8b22",
+    "resolution --n 1 --max-degree 6 --output text dims":
+        "14697e33460563ad2ce54103c45065c8566d5f03fd4b046b895c7bc2c29c127c",
+    "diagonal --n 1 --max-degree 6 --output text all":
+        "19998c026363999aa7906871f0fe745da0f6df760fb852aec1e335e4f1f5958e",
+    "diagonal --n 1 --max-degree 6 --output text build":
+        "19998c026363999aa7906871f0fe745da0f6df760fb852aec1e335e4f1f5958e",
+    "diagonal --n 1 --max-degree 6 --output text verify":
+        "19998c026363999aa7906871f0fe745da0f6df760fb852aec1e335e4f1f5958e",
+    "diagonal --n 1 --max-degree 6 --output text squares":
+        "19998c026363999aa7906871f0fe745da0f6df760fb852aec1e335e4f1f5958e",
+    "hochschild --n 0 --max-degree 12 --output text all":
+        "116d3ad021b14e36009bd2a97e0ff3734ebfb86bb068b6300f84ded57d048f7d",
+    "hochschild --n 0 --max-degree 12 --output text dims":
+        "116d3ad021b14e36009bd2a97e0ff3734ebfb86bb068b6300f84ded57d048f7d",
+    "hochschild --n 0 --max-degree 12 --output text bases":
+        "116d3ad021b14e36009bd2a97e0ff3734ebfb86bb068b6300f84ded57d048f7d",
+    "hochschild --n 0 --max-degree 12 --output text star-table":
+        "116d3ad021b14e36009bd2a97e0ff3734ebfb86bb068b6300f84ded57d048f7d",
+    "hochschild --n 0 --max-degree 12 --output text cup-table":
+        "116d3ad021b14e36009bd2a97e0ff3734ebfb86bb068b6300f84ded57d048f7d",
+    "ring --n 0 --max-degree 12 --output text all":
+        "35018f6f2d3218df7a7bc2a568ec5ddf161c58f7a41f88ecca5b17e30da4ceed",
+    "report --n 0 --max-degree 12 --output text all":
+        "bd80d3967f355b3c1dbc2dbc8d609fe921bbffed53046fce078d055fc7df8a87",
+    "algebra --n 1 --output markdown all":
+        "b7718ce70ebf2bc19cf5ba856e1303f4d9f0e947fcacb09c050c6794c43e881c",
+    "algebra --n 1 --output markdown basis":
+        "bf80845478ce3d95cb50e1866ab5ef3e0f21726d2d2a3ca0dfab8e344a21f611",
+    "algebra --n 1 --output markdown dims":
+        "bb02f4e82ea8f7692288edd4aa9567974b4d96f1d72007d4aae2640b22afde02",
+    "algebra --n 1 --output markdown corners":
+        "bb02f4e82ea8f7692288edd4aa9567974b4d96f1d72007d4aae2640b22afde02",
+    "resolution --n 1 --max-degree 6 --output markdown all":
+        "c80df7d81867a55e7070a1cae9f94cfd960fa6b48465e99921ca168a686dd64a",
+    "resolution --n 1 --max-degree 6 --output markdown verify":
+        "aad83d1b9addc0fb6c28d80b87b9872b7c8ad05449ef6cf7772067937b0bc037",
+    "resolution --n 1 --max-degree 6 --output markdown exactness":
+        "a3486515cbe5aa2b80ba18d1c0def49df0055ed86685902907d1e47d6c3b086f",
+    "resolution --n 1 --max-degree 6 --output markdown dims":
+        "c80df7d81867a55e7070a1cae9f94cfd960fa6b48465e99921ca168a686dd64a",
+    "diagonal --n 1 --max-degree 6 --output markdown all":
+        "19998c026363999aa7906871f0fe745da0f6df760fb852aec1e335e4f1f5958e",
+    "diagonal --n 1 --max-degree 6 --output markdown build":
+        "19998c026363999aa7906871f0fe745da0f6df760fb852aec1e335e4f1f5958e",
+    "diagonal --n 1 --max-degree 6 --output markdown verify":
+        "19998c026363999aa7906871f0fe745da0f6df760fb852aec1e335e4f1f5958e",
+    "diagonal --n 1 --max-degree 6 --output markdown squares":
+        "19998c026363999aa7906871f0fe745da0f6df760fb852aec1e335e4f1f5958e",
+    "hochschild --n 0 --max-degree 12 --output markdown all":
+        "397fb18928c06a0b1535ec1853161032b97ecff320f9079ff87898d143fceaab",
+    "hochschild --n 0 --max-degree 12 --output markdown dims":
+        "397fb18928c06a0b1535ec1853161032b97ecff320f9079ff87898d143fceaab",
+    "hochschild --n 0 --max-degree 12 --output markdown bases":
+        "397fb18928c06a0b1535ec1853161032b97ecff320f9079ff87898d143fceaab",
+    "hochschild --n 0 --max-degree 12 --output markdown star-table":
+        "397fb18928c06a0b1535ec1853161032b97ecff320f9079ff87898d143fceaab",
+    "hochschild --n 0 --max-degree 12 --output markdown cup-table":
+        "397fb18928c06a0b1535ec1853161032b97ecff320f9079ff87898d143fceaab",
+    "ring --n 0 --max-degree 12 --output markdown all":
+        "35018f6f2d3218df7a7bc2a568ec5ddf161c58f7a41f88ecca5b17e30da4ceed",
+    "report --n 0 --max-degree 12 --output markdown all":
+        "bd80d3967f355b3c1dbc2dbc8d609fe921bbffed53046fce078d055fc7df8a87",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, *CHEAP_OPTIONS[command], "--output", output, action]
+        for output in ("text", "markdown")
+        for command, (_, actions) in COMMANDS.items()
+        for action in actions
+    ],
+    ids=" ".join,
+)
+def test_text_and_markdown_outcome_is_pinned(capsys, argv):
+    assert _outcome_digest(capsys, argv) == PINNED_OUTCOMES[" ".join(argv)]
+
+
+def _schema_cases():
+    """The JSON command line of each (command, action) pair over Q and over
+    GF(5), and in each delta mode where it changes the report."""
+    cases = []
+    for command, (_, actions) in COMMANDS.items():
+        extras = [[], ["--field", "gf:5"]]
+        if command in ("diagonal", "report"):
+            extras += [["--delta-mode", "formula"], ["--delta-mode", "literal"]]
+        for action in actions:
+            for extra in extras:
+                cases.append([command, *CHEAP_OPTIONS[command], *extra, "--output", "json", action])
+    return cases
+
+
+@pytest.mark.parametrize("argv", _schema_cases(), ids=" ".join)
+def test_every_json_report_validates_against_the_schema(capsys, argv):
+    import jsonschema
+    from importlib import resources
+
+    with resources.files("quiverhh.goldens").joinpath("report.schema.json").open() as fh:
+        schema = json.load(fh)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    jsonschema.validate(json.loads(out), schema)
