@@ -18,10 +18,10 @@ at every pivot index; two cocycles are cohomologous exactly when their
 residuals agree.
 
 The coboundary out of degree m reads only the labels of m and m + 1 and
-the shape of m + 1, so its columns, the echelon of the coboundaries and
-the cocycle basis are keyed by the period representative that
-`Resolution.period_rep` certifies: one period of coboundary data serves
-every degree.  Every table here is a `Degrees` table.
+the shape of m + 1, so its columns and their one elimination (the cocycle
+basis and the echelon of the coboundaries) are keyed by the period
+representative that `Resolution.period_rep` certifies: one period of
+coboundary data serves every degree.  Every table here is a `Degrees` table.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ class HochschildComplex:
         self.field = resolution.field
         self._hom_basis = Degrees(self._hom_basis_at, upward=False)
         self._cob_columns = Degrees(self._coboundary_columns_at, upward=False)
-        self._cob_echelon = Degrees(self._coboundary_space_at, upward=False)
-        self._cocycle_basis = Degrees(self._cocycle_vectors_at, upward=False)
+        self._elimination = Degrees(self._elimination_at, upward=False)
 
     # -- coordinates ------------------------------------------------------
 
@@ -131,9 +130,10 @@ class HochschildComplex:
         # (g, left, right) with coefficient c of h's boundary
         res, rows, target = self.res, self.alg.product_rows, self.hom_basis(m + 1)[1]
         faces = {}  # label number g -> [(h, left, right, c)]
-        for gen in res.labels(m + 1):
+        for gen, terms in zip(res.labels(m + 1), res.shape(m + 1)):
             h = label_index(gen)
-            for (g, left, right), c in res.apply_boundary(m + 1, res.generator(gen)).items():
+            boundary = accumulate((((g, x, y), sign) for x, g, y, sign in terms), self.field.p)
+            for (g, left, right), c in boundary.items():
                 faces.setdefault(g, []).append((h, left, right, c))
         columns = []
         for g, p in self.hom_basis(m)[0]:
@@ -146,20 +146,16 @@ class HochschildComplex:
         return columns
 
     def _coboundary_space(self, m):
-        """Echelon of the coboundaries landing in degree m, shared with
-        `period_rep(m)`."""
-        return self._cob_echelon[self.res.period_rep(m)]
-
-    def _coboundary_space_at(self, m):
-        ech = SparseEchelon(self.field.p)
-        if m >= 1:
-            for vec in self._coboundary_columns(m - 1):
-                ech.add(vec)
-        return ech
+        """Echelon of the coboundaries landing in degree m: that of the
+        coboundary out of m - 1, and empty at m = 0."""
+        if m == 0:
+            return SparseEchelon(self.field.p)
+        return self._elimination[self.res.period_rep(m) - 1][1]
 
     def class_residual(self, cochain):
         """Canonical representative vector of the cohomology class."""
-        assert self.is_cocycle(cochain), "not a cocycle"
+        if not self.is_cocycle(cochain):
+            raise ValueError("not a cocycle")
         ech = self._coboundary_space(cochain.degree)
         res = ech.reduce(cochain.vec)
         return tuple(sorted(res.items()))
@@ -181,9 +177,9 @@ class HochschildComplex:
     def _cocycle_vectors(self, m):
         """Basis of the cocycle space: the kernel of the coboundary, shared
         with `period_rep(m + 1) - 1` as the columns are."""
-        return self._cocycle_basis[self.res.period_rep(m + 1) - 1]
+        return self._elimination[self.res.period_rep(m + 1) - 1][0]
 
-    def _cocycle_vectors_at(self, m):
+    def _elimination_at(self, m):
         matrix = Matrix(self.hom_dim(m + 1), self._coboundary_columns(m))
         return kernel_basis(matrix, self.field.p)
 

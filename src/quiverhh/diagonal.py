@@ -212,7 +212,8 @@ class OneSidedContraction:
                 defect = self.apply(m - 1, res.apply_boundary(m, gen_elem))
             rhs_elem = axpy(gen_elem, -1, defect, res.field.p)
             x = solver.solve({tgt_index[k]: c for k, c in rhs_elem.items()})
-            assert x is not None, f"contraction solve failed at degree {m}"
+            if x is None:
+                raise ValueError(f"contraction solve failed at degree {m}")
             out.append(x)
         return out
 

@@ -15,9 +15,10 @@ as the callers build them.  `rank`, `kernel_basis` and `LinearSolver`
 insert those columns one by one, so the pivot columns are exactly those
 of the reduced row echelon form: particular solutions set every free
 variable to zero, and kernel vectors are listed by increasing
-free-column index.  The echelon reads a vector in place and copies it
-only before the first subtraction, so no vector passed in is ever
-written into.
+free-column index.  `kernel_basis` also returns its echelon, so one
+elimination gives both a map's kernel and its image.  The echelon reads
+a vector in place and copies it only before the first subtraction, so
+no vector passed in is ever written into.
 
 Coefficients over Q are ints until a non-unit pivot divides them, and
 `fractions.Fraction` values from then on; the two compare, hash and
@@ -200,11 +201,13 @@ class SparseEchelon:
                 axpy(vec, -f, self.rows[lead], self.p)
         return vec
 
-    def add(self, vec, tag=None):
-        """Insert vec (under `tag` when tracking).  Returns the new row's
-        leading index, or None when vec already lies in the span."""
+    def add(self, vec, tag=None, combo=None):
+        """Insert vec (under `tag` when tracking, filling a `combo` passed in
+        as `_eliminate` does).  Returns the new row's leading index, or None
+        when vec already lies in the span."""
         p = self.p
-        combo = None if self.combos is None else {}
+        if combo is None and self.combos is not None:
+            combo = {}
         res, lead = self._eliminate(vec, combo)
         if lead is None:
             return None
@@ -254,17 +257,19 @@ def rank(m, p):
 
 
 def kernel_basis(a, p):
-    """Basis of the right kernel as sparse vectors {col: coeff}: one per
-    free column, in order, with 1 there and support otherwise on the
-    pivot columns before it."""
+    """(kernel, echelon) of one pass over the columns: a basis of the right
+    kernel as sparse vectors {col: coeff}, one per free column, in order,
+    with 1 there and support otherwise on the pivot columns before it; and
+    the tracked echelon of the columns, whose rows span the image."""
     ech = SparseEchelon(p, track=True)
-    basis = []
+    kernel = []
     for j, col in enumerate(a.columns):
-        if ech.add(col, j) is None:
-            v = axpy({}, -1, ech.express(col), p)
+        combo = {}
+        if ech.add(col, j, combo) is None:
+            v = accumulate(((k, -c) for k, c in sorted(combo.items())), p)
             v[j] = 1
-            basis.append(v)
-    return basis
+            kernel.append(v)
+    return kernel, ech
 
 
 class LinearSolver:

@@ -316,9 +316,13 @@ def _read_homotopy_file(path, algebra):
     except OSError as exc:
         raise ValueError(f"cannot read homotopy file {path!r}: {exc.strerror}") from exc
     try:
-        parsed = _parse_homotopy(algebra, json.loads(raw))
+        data = json.loads(raw)
     except RecursionError as exc:
         raise ValueError(f"homotopy file {path!r} is nested too deeply to parse") from exc
+    except ValueError as exc:
+        raise ValueError(f"homotopy file {path!r} is not JSON: {exc}") from exc
+    try:
+        parsed = _parse_homotopy(algebra, data)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed homotopy file {path!r}: {exc!r}") from exc
     return parsed, hashlib.sha256(raw).hexdigest()

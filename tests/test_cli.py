@@ -164,6 +164,18 @@ def test_deeply_nested_homotopy_file_is_a_usage_error(tmp_path, capsys):
     assert "is nested too deeply to parse" in err
 
 
+@pytest.mark.parametrize("raw", [b"", b"\xff\xfe\x00"], ids=["empty", "bad-utf16"])
+def test_homotopy_file_that_is_not_json_is_named(tmp_path, capsys, raw):
+    path = tmp_path / "homotopy.json"
+    path.write_bytes(raw)
+    with pytest.raises(SystemExit) as exc:
+        main(["diagonal", "--delta-mode", "formula", "--homotopy", f"file:{path}", "squares"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quiverhh diagonal ")
+    assert f"homotopy file {str(path)!r} is not JSON: " in err
+
+
 def test_ring_off_n0_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ring", "--n", "1"])
@@ -349,6 +361,35 @@ def test_report_eliminates_each_boundary_matrix_once(capsys, monkeypatch):
     code, _ = run(capsys, "report", "--n", "0", "--max-degree", "12", "--output", "json")
     assert code == 0
     assert sorted(built) == list(range(8))
+
+
+def test_hochschild_eliminates_each_coboundary_column_once(capsys, monkeypatch):
+    # one tracked elimination per coboundary map gives both its kernel,
+    # the cocycles, and its echelon, the coboundaries
+    from collections import Counter
+
+    from quiverhh.cochains import HochschildComplex
+    from quiverhh.linalg import SparseEchelon
+
+    built, passed = [], []
+    build, eliminate = HochschildComplex._coboundary_columns_at, SparseEchelon._eliminate
+
+    def building(self, m):
+        built.append(build(self, m))
+        return built[-1]
+
+    def eliminating(self, vec, *rest):
+        passed.append(vec)  # kept, so that no id is reused
+        return eliminate(self, vec, *rest)
+
+    monkeypatch.setattr(HochschildComplex, "_coboundary_columns_at", building)
+    monkeypatch.setattr(SparseEchelon, "_eliminate", eliminating)
+    code, _ = run(capsys, "hochschild", "--n", "8", "--max-degree", "12", "--output", "json", "dims")
+    assert code == 0
+    times = Counter(map(id, passed))
+    columns = [col for cols in built for col in cols]
+    assert len(columns) > 100
+    assert [times[id(col)] for col in columns] == [1] * len(columns)
 
 
 def test_cli_import_loads_no_dataclasses():
@@ -629,6 +670,12 @@ PINNED_REPORTS = [
      "5a19d093dd0f3079936ffdffcab8a2c609396c6a1ac085dbf62a2533570503e8"),
     ("hochschild --n 4 --field gf:5 --max-degree 13 all",
      "ddd42fe9dc0fad44e325e6091ddf2aed782ca4d0fa2551323a53d418a2ad4f7b"),
+    # fields where HH^3 and HH^4 grow to n + 1: the coboundary echelons
+    # of those degrees lose rank
+    ("hochschild --n 1 --field gf:5 --max-degree 14 all",
+     "76cfbc328d24b166d9298d8d53554e78208c40f3f4f435e1715e5b78a30f9c0d"),
+    ("hochschild --n 3 --field gf:11 --max-degree 14 dims",
+     "16244825ca9fb496a8640f02a66674dd4fa217c93073fbeb4254d2903abefe82"),
     # 3080 star products, each matched against the named basis
     ("hochschild --n 8 --max-degree 12 all",
      "06c1bf938fdaf886be5e7a74c272bad935140f1c334d0da45d4492756557f00b"),

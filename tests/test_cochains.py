@@ -144,4 +144,46 @@ def test_period_shared_coboundary_data_match_direct_computation(n, field):
         for vec in direct_coboundary_columns(hc, m - 1):
             ech.add(vec)
         assert hc._coboundary_space(m).rows == ech.rows
-        assert hc._cocycle_vectors(m) == kernel_basis(Matrix(hc.hom_dim(m + 1), cols), p)
+        assert hc._cocycle_vectors(m) == kernel_basis(Matrix(hc.hom_dim(m + 1), cols), p)[0]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(11)], ids=["QQ", "GF5", "GF11"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_hh_dimension_is_cocycles_minus_coboundaries(n, field):
+    # the combined echelon of `cohomology` against kernel minus image
+    hc = HochschildComplex(Resolution(get_algebra(n, field)))
+    for m in range(14):
+        want = len(hc._cocycle_vectors(m)) - hc._coboundary_space(m).rank
+        assert hc.hh_dimension(m) == want, m
+
+
+def test_guards_hold_under_python_O():
+    # python -O drops assert statements, so a guard must raise instead
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from quiverhh.algebra import get_algebra\n"
+        "from quiverhh.cochains import CochainName, HochschildComplex\n"
+        "from quiverhh.diagonal import OneSidedContraction\n"
+        "from quiverhh.linalg import QQ, LinearSolver\n"
+        "from quiverhh.resolution import Resolution\n"
+        "def refusal(call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        return str(exc)\n"
+        "res = Resolution(get_algebra(0, QQ))\n"
+        "hc = HochschildComplex(res)\n"
+        "print(refusal(lambda: hc.class_residual(hc.named(1, CochainName('nu', 0)))))\n"
+        "LinearSolver.solve = lambda self, b: None\n"
+        "print(refusal(lambda: OneSidedContraction(res, 'right').table[0]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(src)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["not a cocycle", "contraction solve failed at degree 0"]

@@ -106,24 +106,24 @@ def test_linear_solver_many_right_hand_sides():
 
 
 def test_kernel_of_identity_empty():
-    assert kernel_basis(identity(4), 0) == []
+    assert kernel_basis(identity(4), 0)[0] == []
 
 
 def test_kernel_zero_matrix():
-    vecs = kernel_basis(mat([[0, 0, 0], [0, 0, 0]]), 0)
+    vecs = kernel_basis(mat([[0, 0, 0], [0, 0, 0]]), 0)[0]
     assert vecs == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_kernel_single_row():
     # hand computation: x + 2y = 0 -> (-2, 1)
-    (v,) = kernel_basis(mat([[1, 2]]), 0)
+    (v,) = kernel_basis(mat([[1, 2]]), 0)[0]
     assert v == {0: Fraction(-2), 1: Fraction(1)}
 
 
 def test_empty_matrix_allowed():
     m = Matrix(0, [{}, {}, {}])
     assert rank(m, 0) == 0
-    assert len(kernel_basis(m, 0)) == 3
+    assert len(kernel_basis(m, 0)[0]) == 3
     assert LinearSolver(m, 0).solve({}) == {}
 
 
@@ -140,7 +140,7 @@ def test_rref_idempotent_and_rank_nullity(rows, v, coeffs):
     m = mat(rows)
     ech = row_echelon(m)
     assert ech.rank == rank(m, 0)
-    assert rank(m, 0) + len(kernel_basis(m, 0)) == m.cols
+    assert rank(m, 0) + len(kernel_basis(m, 0)[0]) == m.cols
     vec = {j: Fraction(c) for j, c in enumerate(v) if c}
     res = ech.reduce(vec)
     assert ech.reduce(res) == res
@@ -171,7 +171,7 @@ def test_solve_back_substitutes(rows, y, consistent):
         assert mat_vec(m, x) == b
         assert set(x) <= set(pivots)
     free = [j for j in range(m.cols) if j not in pivots]
-    kernel = kernel_basis(m, 0)
+    kernel = kernel_basis(m, 0)[0]
     assert len(kernel) == len(free)
     for fc, v in zip(free, kernel):
         assert mat_vec(m, v) == {}
@@ -210,8 +210,8 @@ def test_gf_matches_rationals_mod_p():
     # full rank; then rank 2 (third row = first + second) with a kernel in sixths
     for rows in ([[1, 2, 3], [4, 5, 6], [7, 8, 10]], [[2, 1, 0, 5], [0, 3, 1, 1], [2, 4, 1, 6]]):
         assert rank(mat(rows), 0) == rank(mat(rows, p=p), p)
-        kq = kernel_basis(mat(rows), 0)
-        kp = kernel_basis(mat(rows, p=p), p)
+        kq = kernel_basis(mat(rows), 0)[0]
+        kp = kernel_basis(mat(rows, p=p), p)[0]
         assert len(kq) == len(kp)
         for vq, vp in zip(kq, kp):
             assert all(q.denominator % p for q in vq.values())
@@ -287,12 +287,12 @@ def test_int_coefficients_make_no_float_and_match_fractions(rows, b, y):
     rhs = [{i: c for i, c in enumerate(b[: ints.rows]) if c}, mat_vec(ints, dict(enumerate(y)))]
     solver, old_solver = LinearSolver(ints, 0), LinearSolver(fracs, 0)
     ech = solver.echelon
-    got = [kernel_basis(ints, 0), list(ech.rows.values()), list(ech.combos.values())]
+    got = [kernel_basis(ints, 0)[0], list(ech.rows.values()), list(ech.combos.values())]
     got += [solver.solve(v) for v in rhs]
     for c in _coefficients(got):
         assert type(c) in (int, Fraction), c
     assert rank(ints, 0) == rank(fracs, 0)
-    assert kernel_basis(ints, 0) == kernel_basis(fracs, 0)
+    assert kernel_basis(ints, 0)[0] == kernel_basis(fracs, 0)[0]
     assert [solver.solve(v) for v in rhs] == [old_solver.solve(v) for v in rhs]
 
 
@@ -300,7 +300,8 @@ def _same_elimination(a, p, reference_echelon, rhs=()):
     """Eliminate the columns of `a` with `SparseEchelon` and with the
     reference loop, and require the same rows and combinations, in the
     same order, the same rank, the same solutions of each column and of
-    each vector of `rhs`, and the same kernel basis."""
+    each vector of `rhs`, and the same kernel basis, returned with the
+    same echelon."""
     Reference, reference_kernel = reference_echelon
     ech, ref = SparseEchelon(p, track=True), Reference(p, track=True)
     for j, col in enumerate(a.columns):
@@ -311,7 +312,11 @@ def _same_elimination(a, p, reference_echelon, rhs=()):
     assert rank(a, p) == ech.rank == ref.rank
     for b in [*a.columns, *rhs]:
         assert ech.express(b) == ref.express(b)
-    assert kernel_basis(a, p) == reference_kernel(a, p)
+    kernel, kernel_echelon = kernel_basis(a, p)
+    assert kernel == reference_kernel(a, p)
+    # and its echelon is the tracked echelon of the columns
+    assert items(kernel_echelon.rows) == items(ref.rows)
+    assert items(kernel_echelon.combos) == items(ref.combos)
 
 
 @st.composite
