@@ -61,18 +61,20 @@ chain-map family also keeps its value on the boundary of each generator,
 which is both the right-hand side of the generator's lift and the left
 side of its square.
 
-A contraction table holds, per degree m, one entry per generator in a
-fixed order, and each entry is the generator's image as {position in
-`res.triples(m + 1)`: coefficient}.  The positions are relative to the
-degree, so where the resolution repeats itself the tables may too:
-degrees 0..7 are solved, and a degree m >= 8 holds the very table of
-m - 6 only when `period_rep` certifies m and m + 1 and the table of
-m - 1 is that of m - 7 (at m = 8, when the solved tables of 7 and 1 are
-equal); every other degree is solved.  `OneSidedContraction.terms` is
-the homotopy on one basis triple and `section` the augmentation and its
-degree-0 section on one, and a tensor factor is such a triple, with the
-middle path as the right path of the first factor and the left path of
-the second: `apply` and `_solve_boundary` both read them.
+A contraction table holds, per degree m, one entry per label and within
+it one per free path of a generator, and each entry is the generator's
+image as a tuple of (label position, left, right, coefficient) terms,
+the label position among those of degree m + 1.  The entries are
+relative to the degree, so where the resolution repeats itself the
+tables may too: degrees 0..7 are solved, and a degree m >= 8 holds the
+very table of m - 6 only when `period_rep` certifies m and m + 1 and the
+table of m - 1 is that of m - 7 (at m = 8, when the solved tables of 7
+and 1 are equal); every other degree is solved.
+`OneSidedContraction.terms` is the homotopy on one basis triple and
+`section` the augmentation and its degree-0 section on one, and a tensor
+factor is such a triple, with the middle path as the right path of the
+first factor and the left path of the second: `apply` and
+`_solve_boundary` both read them.
 """
 
 from __future__ import annotations
@@ -104,13 +106,13 @@ class OneSidedContraction:
     correction through the augmentation section) are solved with the
     resolution's boundary solver of each degree.
 
-    Degree m of `table` is a list with one entry per generator of degree
-    m, label by label in the order of `generator_labels(m)`, and within a
-    label by the position of its free path (`into_index` of the left path
-    on the right side, `from_index` of the right path on the left side).
-    An entry is the generator's image {position in `res.triples(m + 1)`:
-    coefficient}.  The positions are relative to the degree, so degree m
-    may hold the very table of degree m - 6 (see `_repeats`).
+    `table[m][k][slot]` is the image of the degree-m generator whose label
+    has position k in `generator_labels(m)` and whose free path has
+    position `slot` (`into_index` of the left path on the right side,
+    `from_index` of the right path on the left side).  An image is a
+    tuple of (k2, left, right, coefficient) terms, k2 the position of a
+    label of degree m + 1.  The entries are relative to the degree, so
+    degree m may hold the very table of degree m - 6 (see `_repeats`).
     """
 
     def __init__(self, resolution, side):
@@ -120,18 +122,7 @@ class OneSidedContraction:
         self.side = side
         # by path index: the position of the free path within its label
         self._slot = self.alg.into_index if side == "right" else self.alg.from_index
-        self._offsets = Degrees(self._offsets_at, upward=False)
         self.table = Degrees(self._table_at, upward=True)
-
-    def position(self, g, path):
-        """Position in `table[g >> 3]` of the generator of label number g
-        whose free path has index `path`."""
-        return self._offsets[g >> 3][g & 7] + self._slot[path]
-
-    def _offsets_at(self, m):
-        """For each label of degree m, the position of its first generator."""
-        numbers = [g for g, _, _ in self._generators(m)]
-        return [numbers.index(g) for g in dict.fromkeys(numbers)]
 
     def section(self, left, right):
         """The augmentation, then its degree-0 section, on a degree-0 triple
@@ -150,15 +141,15 @@ class OneSidedContraction:
         """The homotopy on the basis triple (g, left, right): its (triple,
         coefficient) terms, not summed."""
         m, rows = g >> 3, self.alg.product_rows
-        src = self.res.triples(m + 1)
-        right_side = self.side == "right"
-        for i, d in self.table[m][self.position(g, left if right_side else right)].items():
-            g2, l2, r2 = src[i]
-            if right_side:
+        base, images = 8 * (m + 1), self.table[m][g & 7]
+        if self.side == "right":
+            for k2, l2, r2, d in images[self._slot[left]]:
                 if (nr := rows[r2][right]) is not None:
-                    yield (g2, l2, nr), d
-            elif (nl := rows[left][l2]) is not None:
-                yield (g2, nl, r2), d
+                    yield (base + k2, l2, nr), d
+        else:
+            for k2, l2, r2, d in images[self._slot[right]]:
+                if (nl := rows[left][l2]) is not None:
+                    yield (base + k2, nl, r2), d
 
     def apply(self, m, elem):
         """Apply the degree-m homotopy to a degree-m element."""
@@ -166,13 +157,6 @@ class OneSidedContraction:
             ((k, c * d) for (g, l, r), c in elem.items() for k, d in self.terms(g, l, r)),
             self.res.field.p,
         )
-
-    def _generators(self, m):
-        """The generators of degree m, in table order: the triples of degree
-        m whose fixed path (the right one on the right side) is trivial."""
-        fixed = 2 if self.side == "right" else 1
-        trivial_paths = set(self.res.vertex.values())
-        return [tr for tr in self.res.triples(m) if tr[fixed] in trivial_paths]
 
     def _table_at(self, m):
         return self.table[m - 6] if m >= 8 and self._repeats(m) else self._solve(m)
@@ -200,22 +184,30 @@ class OneSidedContraction:
         # The boundary commutes with both actions, so the echelon of each
         # degree's boundary matrix splits into one-sided corner blocks and
         # a solution never leaves the corner of its right-hand side.
-        res = self.res
+        res, alg, p = self.res, self.alg, self.res.field.p
         solver = res.boundary_solver(m + 1)
-        tgt_index = res.triple_index(m)
-        out = []
-        for tr in self._generators(m):
-            gen_elem = {tr: 1}
-            if m == 0:
-                defect = self.section(tr[1], tr[2])
-            else:
-                defect = self.apply(m - 1, res.apply_boundary(m, gen_elem))
-            rhs_elem = axpy(gen_elem, -1, defect, res.field.p)
-            x = solver.solve({tgt_index[k]: c for k, c in rhs_elem.items()})
-            if x is None:
-                raise ValueError(f"contraction solve failed at degree {m}")
-            out.append(x)
-        return out
+        right_side = self.side == "right"
+        solutions = []
+        for lab in res.labels(m):
+            o, t = label_pair(lab)
+            g = label_index(lab)
+            xs = []
+            for free in alg.paths_into[o] if right_side else alg.paths_from[t]:
+                gen = (g, free, res.vertex[t]) if right_side else (g, res.vertex[o], free)
+                if m == 0:
+                    defect = self.section(gen[1], gen[2])
+                else:
+                    defect = self.apply(m - 1, res.apply_boundary(m, {gen: 1}))
+                rhs = axpy({gen: 1}, -1, defect, p)
+                x = solver.solve({res.position(m, *k): c for k, c in rhs.items()})
+                if x is None:
+                    raise ValueError(f"contraction solve failed at degree {m}")
+                xs.append(x)
+            solutions.append(xs)
+        # a solution's positions decoded once, with the target label by its
+        # position, so the table stays relative to the degree
+        src = [(g2 & 7, l2, r2) for g2, l2, r2 in res.triples(m + 1)]
+        return [[tuple((*src[i], d) for i, d in x.items()) for x in xs] for xs in solutions]
 
 
 class ChainMapFamily:

@@ -325,4 +325,6 @@ def _read_homotopy_file(path, algebra):
         parsed = _parse_homotopy(algebra, data)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed homotopy file {path!r}: {exc!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"malformed homotopy file {path!r}: {exc}") from exc
     return parsed, hashlib.sha256(raw).hexdigest()

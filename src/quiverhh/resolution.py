@@ -136,7 +136,6 @@ class Resolution:
         self.field = algebra.field
         self._labels = Degrees(generator_labels, upward=False)
         self._shapes = Degrees(self._shape_at, upward=False)
-        self._triples = Degrees(self._triples_at, upward=False)
         self._blocks = Degrees(self._blocks_at, upward=False)
         self._reps = Degrees(self._period_rep_at, upward=False)
         # the solver and rank tables are keyed by `period_rep`; the matrix
@@ -188,21 +187,20 @@ class Resolution:
         return out
 
     def triples(self, m):
-        """Ordered scalar basis of degree m: (label number, left, right) triples."""
-        return self._triples[m][0]
-
-    def triple_index(self, m):
-        """{triple: position in `triples(m)`}."""
-        return self._triples[m][1]
-
-    def _triples_at(self, m):
+        """Ordered scalar basis of degree m: (label number, left, right)
+        triples in the layout of `_blocks`, listed anew on every call."""
         alg = self.algebra
         out = []
         for lab in self.labels(m):
             o, t = label_pair(lab)
             g, rights = label_index(lab), alg.paths_from[t]
             out.extend((g, left, right) for left in alg.paths_into[o] for right in rights)
-        return out, {tr: i for i, tr in enumerate(out)}
+        return out
+
+    def position(self, m, g, left, right):
+        """The position of the triple (g, left, right) in `triples(m)`."""
+        start, width = self._blocks[m][0][g & 7]
+        return start + self.algebra.into_index[left] * width + self.algebra.from_index[right]
 
     def _blocks_at(self, m):
         """([(start, width)] by label position, dim(m)).
@@ -248,20 +246,6 @@ class Resolution:
                 (q, c)
                 for (g, left, right), c in elem.items()
                 if (q := mul(basis[left], basis[right])) is not None
-            ),
-            self.field.p,
-        )
-
-    def act(self, x, elem, y):
-        """Bimodule action: multiply by the basis path of index x on the
-        left and by that of index y on the right."""
-        rows = self.algebra.product_rows
-        row_x = rows[x]
-        return accumulate(
-            (
-                ((g, nl, nr), c)
-                for (g, left, right), c in elem.items()
-                if (nl := row_x[left]) is not None and (nr := rows[right][y]) is not None
             ),
             self.field.p,
         )

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from quiverhh import Pipeline, RunConfig
-from quiverhh.linalg import axpy
+from quiverhh.linalg import accumulate, axpy
 
 
 @pytest.fixture(scope="session")
@@ -89,6 +89,29 @@ def decode():
     the inverse of `uniform.label_index` and `FamilyAlgebra.basis_index`
     on each key."""
     return _decode
+
+
+def _act(res, x, elem, y):
+    """Bimodule action on an element of the `Resolution` res: multiply by
+    the basis path of index x on the left and by that of index y on the
+    right."""
+    rows = res.algebra.product_rows
+    row_x = rows[x]
+    return accumulate(
+        (
+            ((g, nl, nr), c)
+            for (g, left, right), c in elem.items()
+            if (nl := row_x[left]) is not None and (nr := rows[right][y]) is not None
+        ),
+        res.field.p,
+    )
+
+
+@pytest.fixture(scope="session")
+def act():
+    """`act(res, x, elem, y)`: the bimodule action on a resolution element,
+    by the basis paths of indices x (left) and y (right)."""
+    return _act
 
 
 def _tensor_triples(tc, m):

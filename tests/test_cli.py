@@ -176,6 +176,32 @@ def test_homotopy_file_that_is_not_json_is_named(tmp_path, capsys, raw):
     assert f"homotopy file {str(path)!r} is not JSON: " in err
 
 
+@pytest.mark.parametrize(
+    "data,reason",
+    [
+        (
+            {"images": [], "star": [{"vertex": "zz", "terms": []}]},
+            "unknown vertex 'zz' in the homotopy star table",
+        ),
+        (
+            {"images": [{"degree": -1, "generator": "R0", "terms": []}]},
+            "homotopy degree -1 is not an integer >= 0",
+        ),
+    ],
+    ids=["unknown-vertex", "negative-degree"],
+)
+def test_homotopy_file_content_errors_name_the_file(tmp_path, capsys, data, reason):
+    path = tmp_path / "homotopy.json"
+    path.write_text(json.dumps(data))
+    argv = ["diagonal", "--delta-mode", "formula", "--homotopy", f"file:{path}", "squares"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quiverhh diagonal ")
+    assert err.endswith(f"error: malformed homotopy file {str(path)!r}: {reason}\n")
+
+
 def test_ring_off_n0_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ring", "--n", "1"])

@@ -188,6 +188,25 @@ def test_period_shared_contractions_match_direct_solves(n, field):
         assert all(s.table[m] is s.table[m - 6] for m in range(8, 14)), s.side
 
 
+def test_a_degree_basis_is_listed_only_where_a_table_is_solved(monkeypatch, capsys):
+    # a contraction table of degree m <= 7 lists the basis of degree m + 1
+    # once, to decode its solutions; a table shared from m - 6 lists none,
+    # and no other read lists a basis
+    from quiverhh.cli import main
+    from quiverhh.resolution import Resolution
+
+    listed, triples = set(), Resolution.triples
+
+    def tracked(self, m):
+        listed.add(m)
+        return triples(self, m)
+
+    monkeypatch.setattr(Resolution, "triples", tracked)
+    assert main(["diagonal", "--n", "1", "--max-degree", "20", "squares"]) == 0
+    capsys.readouterr()
+    assert listed and listed <= set(range(1, 9)), sorted(listed)
+
+
 def test_solved_family_builds_one_solver_per_degree(monkeypatch):
     from quiverhh import Pipeline, RunConfig, linalg
 
@@ -335,7 +354,7 @@ def test_perturbed_family_differs_but_homotopic(
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_corrected_family_agrees_with_the_extension_of_its_images(
-    pipes, solved_families, corner_homotopy, n
+    pipes, solved_families, corner_homotopy, act, n
 ):
     # a corrected family is evaluated as base + correction; over the solved
     # family and a corner homotopy with no vertex table that is the
@@ -356,7 +375,7 @@ def test_corrected_family_agrees_with_the_extension_of_its_images(
             for x in [trivial(o)] + [a for a in arrows if a.target == o]:
                 for y in [trivial(t)] + [a for a in arrows if a.source == t]:
                     index = res.algebra.basis_index
-                    elem = res.act(index[x], gen, index[y])
+                    elem = act(res, index[x], gen, index[y])
                     got = fam.evaluate(m, elem)
                     assert got == extended.evaluate(m, elem), (m, lab, x, y)
                     decorated += bool(got) and not x.is_vertex() and not y.is_vertex()
@@ -542,7 +561,9 @@ def test_gf_coefficients_are_reduced_ints(n, p):
         coeffs += [c for m in range(7) for img in fam.images[m].values() for c in img.values()]
     for side in ("right", "left"):
         table = getattr(dm, f"s_{side}").table
-        coeffs += [c for m in range(6) for elem in table[m] for c in elem.values()]
+        coeffs += [
+            c for m in range(6) for images in table[m] for img in images for *_, c in img
+        ]
     for m in range(8):
         ech = res.boundary_solver(m).echelon
         coeffs += [c for row in ech.rows.values() for c in row.values()]

@@ -50,14 +50,14 @@ def test_generator_set_orders():
     ]
 
 
-def test_augmentation_is_multiplication(pipes):
+def test_augmentation_is_multiplication(pipes, act):
     r = res(pipes, 0)
     for lab in r.labels(0):
         o, _ = label_pair(lab)
         assert r.augment(r.generator(lab)) == {trivial(o): Fraction(1)}
     # and on decorated elements it multiplies through
     index = r.algebra.basis_index
-    elem = r.act(index[arrow("a0")], r.generator(Label(0, "S", None)), index[arrow("a1")])
+    elem = act(r, index[arrow("a0")], r.generator(Label(0, "S", None)), index[arrow("a1")])
     assert r.augment(elem) == {parse_path("a0*a1"): Fraction(1)}
 
 
@@ -118,7 +118,7 @@ def test_boundary_respects_endpoints(pipes):
                     assert sign in (1, -1)
 
 
-def test_bimodule_linearity_random(pipes):
+def test_bimodule_linearity_random(pipes, act):
     r = res(pipes, 1)
     alg = r.algebra
     rng = random.Random(4242)
@@ -129,12 +129,12 @@ def test_bimodule_linearity_random(pipes):
         x = rng.choice(alg.paths_into[o])
         y = rng.choice(alg.paths_from[t])
         gen = r.generator(lab)
-        lhs = r.apply_boundary(m, r.act(x, gen, y))
-        rhs = r.act(x, r.apply_boundary(m, gen), y)
+        lhs = r.apply_boundary(m, act(r, x, gen, y))
+        rhs = act(r, x, r.apply_boundary(m, gen), y)
         assert lhs == rhs
 
 
-def test_resolution_elements_are_int_triples(pipes):
+def test_resolution_elements_are_int_triples(pipes, act):
     # generators, boundaries, actions and bases share the tensor complex's
     # numbers: (label number, left path index, right path index)
     def int_triples(keys):
@@ -151,7 +151,7 @@ def test_resolution_elements_are_int_triples(pipes):
             o, t = label_pair(lab)
             gen = r.generator(lab)
             assert int_triples(gen), lab
-            acted = r.act(alg.paths_into[o][-1], gen, alg.paths_from[t][-1])
+            acted = act(r, alg.paths_into[o][-1], gen, alg.paths_from[t][-1])
             assert int_triples(acted), lab
             if m:
                 assert int_triples(r.apply_boundary(m, gen)), lab
@@ -184,7 +184,7 @@ def _reference_boundary(r, m, elem):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_index_form_matches_the_printed_shapes(decode, data):
+def test_index_form_matches_the_printed_shapes(decode, act, data):
     n = data.draw(st.integers(0, 3), label="n")
     field = data.draw(st.sampled_from([QQ, PrimeField(7)]), label="field")
     m = data.draw(st.integers(0, 13), label="degree")
@@ -204,7 +204,7 @@ def test_index_form_matches_the_printed_shapes(decode, data):
         ),
         p,
     )
-    assert decode(r, r.act(x, elem, y)) == acted
+    assert decode(r, act(r, x, elem, y)) == acted
     if m == 0:
         products = ((mul(left, right), c) for (lab, left, right), c in plain.items())
         want = accumulate(((q, c) for q, c in products if q is not None), p)
@@ -228,18 +228,31 @@ def test_to_matrix_identity_and_zero(pipes):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_position_inverts_the_listing(n, field):
+    # `triples` lists a degree's basis and `position` computes a place in
+    # it, both from the one layout of `_blocks`
+    r = _resolution(n, field)
+    for m in range(0, 14):
+        assert [r.position(m, *tr) for tr in r.triples(m)] == list(range(r.dim(m))), m
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_boundary_matrix_columns_are_apply_boundary(n, field):
     r = Resolution(get_algebra(n, field))
     for m in range(0, 14):
         mat = r.boundary_matrix(m)
         # degree 0 maps to the algebra by the augmentation
-        row_index = r.algebra.basis_index if m == 0 else r.triple_index(m - 1)
-        assert (mat.rows, mat.cols) == (len(row_index), r.dim(m))
+        if m == 0:
+            rows, row = len(r.algebra.basis), r.algebra.basis_index.__getitem__
+        else:
+            rows, row = r.dim(m - 1), lambda key: r.position(m - 1, *key)
+        assert (mat.rows, mat.cols) == (rows, r.dim(m))
         cols = mat.columns
         for j, tr in enumerate(r.triples(m)):
             img = r.augment({tr: 1}) if m == 0 else r.apply_boundary(m, {tr: 1})
             # in the same order: each column sums the shape terms in turn
-            want = [(row_index[key], c) for key, c in img.items()]
+            want = [(row(key), c) for key, c in img.items()]
             assert list(cols[j].items()) == want, (m, tr)
 
 
@@ -257,10 +270,10 @@ def test_boundary_matrix_sums_repeated_terms_as_apply_boundary(n, field):
             + [terms[1]] * 6
             for terms in r.shape(m)
         ]
-        row_index = r.triple_index(m - 1)
         cols = r._boundary_matrix(m).columns
         for j, tr in enumerate(r.triples(m)):
-            want = [(row_index[key], c) for key, c in r.apply_boundary(m, {tr: 1}).items()]
+            img = r.apply_boundary(m, {tr: 1})
+            want = [(r.position(m - 1, *key), c) for key, c in img.items()]
             assert list(cols[j].items()) == want, (m, tr)
 
 
@@ -319,7 +332,11 @@ def test_period_certificate_is_checked_not_assumed(pipes, n):
     for side in ("right", "left"):
         s = OneSidedContraction(flipped, side)
         plain = OneSidedContraction(res(pipes, n), side)
-        assert s.table[7] == [{i: -c for i, c in x.items()} for x in plain.table[7]]
+        negated = [
+            [tuple((k, left, right, -d) for k, left, right, d in img) for img in images]
+            for images in plain.table[7]
+        ]
+        assert s.table[7] == negated
         for m in range(8, 14):
             assert s.table[m] is not s.table[m - 6], (side, m)
             assert s.table[m] == s._solve(m), (side, m)

@@ -19,11 +19,11 @@ def test_mismatched_inner_vertices_vanish(pipes):
     assert tc.tensor(a, b) == {}
 
 
-def test_matching_tensor_keeps_middle(pipes, decode):
+def test_matching_tensor_keeps_middle(pipes, decode, act):
     tc = tc_of(pipes, 0)
     res = tc.res
     index = res.algebra.basis_index
-    left = res.act(index[trivial("e1")], res.generator(Label(0, "S", None)), index[arrow("a1")])
+    left = act(res, index[trivial("e1")], res.generator(Label(0, "S", None)), index[arrow("a1")])
     right = res.generator(Label(1, "U", None))  # (e2, e0)
     got = tc.tensor(left, right)
     ((g1, g2, l, m, r),) = decode(tc, got)
@@ -40,13 +40,13 @@ def test_diagonal_tensor_trivial_middle(pipes, decode):
     assert l == m == r == trivial("e0")
 
 
-def test_tensor_bilinear_and_idempotent_normalisation(pipes, decode):
+def test_tensor_bilinear_and_idempotent_normalisation(pipes, decode, act):
     tc = tc_of(pipes, 1)
     res = tc.res
     alg = res.algebra
     two = Fraction(2)
     index = alg.basis_index
-    a = res.act(index[trivial("e0")], res.generator(Label(1, "R", 0)), index[arrow("a1")])
+    a = act(res, index[trivial("e0")], res.generator(Label(1, "R", 0)), index[arrow("a1")])
     b = res.generator(Label(2, "U", 0))
     t1 = tc.tensor(axpy({}, two, a, 0), b)
     t2 = axpy({}, two, tc.tensor(a, b), 0)
