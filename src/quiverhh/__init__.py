@@ -12,7 +12,7 @@ from .products import Products, UnsupportedRightFactor, star_table
 from .quiver import Path, parse_path
 from .resolution import Resolution
 from .tensorcx import TensorComplex
-from .uniform import Label, UniformPaths, generator_labels, label_at, label_pair
+from .uniform import Label, generator_labels, label_at, label_pair
 
 __all__ = [
     "FamilyAlgebra",
@@ -38,7 +38,6 @@ __all__ = [
     "Resolution",
     "TensorComplex",
     "Label",
-    "UniformPaths",
     "generator_labels",
     "label_at",
     "label_pair",

@@ -151,8 +151,9 @@ class OneSidedContraction:
                 if (nl := rows[left][l2]) is not None:
                     yield (base + k2, nl, r2), d
 
-    def apply(self, m, elem):
-        """Apply the degree-m homotopy to a degree-m element."""
+    def apply(self, elem):
+        """Apply the homotopy to an element of one degree (each term's label
+        number carries the degree)."""
         return accumulate(
             ((k, c * d) for (g, l, r), c in elem.items() for k, d in self.terms(g, l, r)),
             self.res.field.p,
@@ -197,7 +198,7 @@ class OneSidedContraction:
                 if m == 0:
                     defect = self.section(gen[1], gen[2])
                 else:
-                    defect = self.apply(m - 1, res.apply_boundary(m, {gen: 1}))
+                    defect = self.apply(res.apply_boundary(m, {gen: 1}))
                 rhs = axpy({gen: 1}, -1, defect, p)
                 x = solver.solve({res.position(m, *k): c for k, c in rhs.items()})
                 if x is None:

@@ -222,18 +222,19 @@ def _terms_from_json(algebra, terms, total, origin):
     Raises ValueError on a term whose bidegree does not sum to `total`,
     whose paths are not basis paths of the member or do not meet the
     endpoints of its generators, whose left path does not start at
-    `origin`, or whose coefficient does not read as an element of the
-    field.  A coefficient is an integer a in decimal digits with an
-    optional leading minus, followed over Q by an optional /b with b > 0
-    and over GF(p) by an optional " (mod p)" naming the field's own p in
-    plain decimal.  Q reads a/b as that fraction in any terms, and GF(p)
+    `origin`, whose coefficient does not read as an element of the
+    field, or whose generators and paths repeat an earlier term's.  A
+    coefficient is an integer a in decimal digits with an optional
+    leading minus, followed over Q by an optional /b with b > 0 and over
+    GF(p) by an optional " (mod p)" naming the field's own p in plain
+    decimal.  Q reads a/b as that fraction in any terms, and GF(p)
     reads a mod p.  So every coefficient `_terms_json` writes reads back
     as itself, and `4/2` over Q and `9` or `9 (mod 7)` over GF(7) all
     read as 2.  The right path may end anywhere: the published successor
     homotopy moves each generator's terminus one step along the quiver.
     """
     field, index = algebra.field, algebra.basis_index
-    out = {}
+    out, seen = {}, set()
     for t in terms:
         g1 = _generator_label(t["g1"])
         g2 = _generator_label(t["g2"])
@@ -270,8 +271,12 @@ def _terms_from_json(algebra, terms, total, origin):
             raise ValueError(f"coefficient {text!r} has a zero denominator") from exc
         if field is QQ and c.denominator == 1:
             c = c.numerator  # an integral coefficient stays an int, as QQ makes them
+        key = (label_index(g1), label_index(g2), index[left], index[mid], index[right])
+        if key in seen:
+            raise ValueError(f"{term} with paths {left}, {mid}, {right} is listed twice")
+        seen.add(key)
         if c:
-            out[(label_index(g1), label_index(g2), index[left], index[mid], index[right])] = c
+            out[key] = c
     return out
 
 
@@ -280,9 +285,9 @@ def _parse_homotopy(algebra, data):
     {vertex: element}, both in index form.
 
     Raises ValueError on a degree that is not an int >= 0, a label that
-    is not a generator of its degree, an unknown vertex, or a malformed
-    term (see `_terms_from_json`; vertex-table terms have bidegree (0, 0)
-    and start at their vertex).
+    is not a generator of its degree, an unknown vertex, a generator or a
+    vertex with two rows, or a malformed term (see `_terms_from_json`;
+    vertex-table terms have bidegree (0, 0) and start at their vertex).
     """
     images = {}
     for row in data["images"]:
@@ -290,14 +295,18 @@ def _parse_homotopy(algebra, data):
         if type(m) is not int or m < 0:
             raise ValueError(f"homotopy degree {m!r} is not an integer >= 0")
         lab = _generator_label(row["generator"], m)
-        images[label_index(lab)] = _terms_from_json(
-            algebra, row["terms"], m + 1, label_pair(lab)[0]
-        )
+        g = label_index(lab)
+        if g in images:
+            raise ValueError(f"homotopy generator {lab} has two rows")
+        images[g] = _terms_from_json(algebra, row["terms"], m + 1, label_pair(lab)[0])
     star = {}
     for row in data.get("star", []):
-        if row["vertex"] not in VERTICES:
-            raise ValueError(f"unknown vertex {row['vertex']!r} in the homotopy star table")
-        star[row["vertex"]] = _terms_from_json(algebra, row["terms"], 0, row["vertex"])
+        v = row["vertex"]
+        if v not in VERTICES:
+            raise ValueError(f"unknown vertex {v!r} in the homotopy star table")
+        if v in star:
+            raise ValueError(f"vertex {v!r} has two rows in the homotopy star table")
+        star[v] = _terms_from_json(algebra, row["terms"], 0, v)
     return images, star
 
 

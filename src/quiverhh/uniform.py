@@ -1,17 +1,14 @@
-"""Uniform path families and the generator labels of the resolution.
+"""The generator labels of the resolution and the per-degree cache.
 
-Each degree m carries a finite set of labelled uniform elements of the
-free path algebra (no quotient relations applied: from degree 2 on these
-elements generate the ideal, so reducing them would collapse them to
-zero).  The label determines a (origin, terminus) vertex pair, and within
-its degree the pair determines the label (`label_at`); the pairs repeat
-with period 3 in the degree, except that degree 0 omits the two mixed
-pairs and has only four labels.
-
-Degrees 0..2 are given by explicit lists; higher degrees are produced by
-the period-6 recursion, each degree from the previous one.  The degree-1
-step of the S and T families would need mixed-pair degree-0 inputs that
-do not exist, which is why those two lists are explicit.
+The paper names the generators of each degree m by labelled uniform
+elements of the free path algebra; `resolution.boundary_shape`
+transcribes their boundaries, and no command needs the elements
+themselves (the tests rebuild them, see `tests/conftest.py`).  A label
+is a degree, a family R, S, T or U and, for a doubled family, a
+sub-index 0 or 1 (`generator_labels(m)`).  It determines a (origin,
+terminus) vertex pair, and within its degree the pair determines the
+label (`label_at`); the pairs repeat with period 3 in the degree, except
+that degree 0 omits the two mixed pairs and has only four labels.
 
 `Degrees` is the package's one per-degree cache: every table of data
 kept per degree of the resolution (shapes, bases, matrices, cochain
@@ -23,9 +20,6 @@ the printed names of label numbers and path indices.
 from __future__ import annotations
 
 from typing import NamedTuple
-
-from .linalg import accumulate, axpy
-from .quiver import Path, a_cycle, arrow, compose, trivial
 
 
 class Label(NamedTuple):
@@ -136,108 +130,3 @@ def label_at(m, origin, terminus):
     key = (_INVERSE_DEG0 if m == 0 else _INVERSE_MOD3[m % 3]).get((origin, terminus))
     return None if key is None else Label(m, *key)
 
-
-def _fmul(elem, p):
-    """Right-multiply a formal path combination by a path, in the free algebra."""
-    assert all(q.target == p.source for q in elem), "ill-composed word in the uniform recursion"
-    return accumulate(((compose(q, p), c) for q, c in elem.items()), 0)
-
-
-class UniformPaths:
-    """The labelled families for one value of n, built degree by degree."""
-
-    def __init__(self, n):
-        self.n = n
-        g0 = {
-            Label(0, "R", None): {trivial("e0"): 1},
-            Label(0, "S", None): {trivial("e1"): 1},
-            Label(0, "T", None): {trivial("f1"): 1},
-            Label(0, "U", None): {trivial("e2"): 1},
-        }
-        g1 = {
-            Label(1, "R", 0): {arrow("a0"): 1},
-            Label(1, "R", 1): {arrow("b0"): 1},
-            Label(1, "S", None): {arrow("a1"): 1},
-            Label(1, "T", None): {arrow("b1"): 1},
-            Label(1, "U", None): {arrow("a2"): 1},
-        }
-        g2 = {
-            Label(2, "R", None): {a_cycle(0, 3 * n + 2): 1, Path("e0", ("b0", "b1")): -1},
-            Label(2, "S", None): {a_cycle(1, 3 * n + 2): 1},
-            Label(2, "T", None): {Path("f1", ("b1", "a2")): 1},
-            Label(2, "U", 0): {a_cycle(2, 3 * n + 2): 1},
-            Label(2, "U", 1): {Path("e2", ("a2", "b0")): 1},
-        }
-        self._families = [g0, g1, g2]
-
-    def family(self, m):
-        while len(self._families) <= m:
-            self._families.append(self._step(len(self._families)))
-        return self._families[m]
-
-    def element(self, label):
-        return self.family(label.degree)[label]
-
-    def _step(self, m):
-        assert m >= 3
-        n = self.n
-        prev = self._families[m - 1]
-
-        def pv(fam, sub=None):
-            return prev[Label(m - 1, fam, sub)]
-
-        a0, a1, a2, b0, b1 = (arrow(t) for t in ("a0", "a1", "a2", "b0", "b1"))
-        long0 = a_cycle(0, 3 * n + 1)  # (a0 a1 a2)^n a0
-        long1 = a_cycle(1, 3 * n + 1)  # (a1 a2 a0)^n a1
-        long2 = a_cycle(2, 3 * n + 1)  # (a2 a0 a1)^n a2
-        r = m % 6
-        out = {}
-        if r == 1:
-            out[Label(m, "R", 0)] = _fmul(pv("R"), a0)
-            out[Label(m, "R", 1)] = _fmul(pv("R"), b0)
-            out[Label(m, "S", None)] = axpy(_fmul(pv("S", 0), a1), -1, _fmul(pv("S", 1), b1), 0)
-            out[Label(m, "T", None)] = axpy(_fmul(pv("T", 0), long1), -1, _fmul(pv("T", 1), b1), 0)
-            out[Label(m, "U", None)] = _fmul(pv("U"), a2)
-        elif r == 2:
-            out[Label(m, "R", None)] = axpy(_fmul(pv("R", 0), long1), -1, _fmul(pv("R", 1), b1), 0)
-            out[Label(m, "S", None)] = _fmul(pv("S"), long2)
-            out[Label(m, "T", None)] = _fmul(pv("T"), a2)
-            out[Label(m, "U", 0)] = _fmul(pv("U"), long0)
-            out[Label(m, "U", 1)] = _fmul(pv("U"), b0)
-        elif r == 3:
-            out[Label(m, "R", None)] = _fmul(pv("R"), a2)
-            out[Label(m, "S", 0)] = _fmul(pv("S"), a0)
-            out[Label(m, "S", 1)] = _fmul(pv("S"), b0)
-            out[Label(m, "T", 0)] = _fmul(pv("T"), long0)
-            out[Label(m, "T", 1)] = _fmul(pv("T"), b0)
-            out[Label(m, "U", None)] = axpy(_fmul(pv("U", 0), a1), -1, _fmul(pv("U", 1), b1), 0)
-        elif r == 4:
-            out[Label(m, "R", 0)] = _fmul(pv("R"), long0)
-            out[Label(m, "R", 1)] = _fmul(pv("R"), b0)
-            out[Label(m, "S", None)] = axpy(_fmul(pv("S", 0), a1), -1, _fmul(pv("S", 1), b1), 0)
-            out[Label(m, "T", None)] = axpy(_fmul(pv("T", 0), a1), -1, _fmul(pv("T", 1), b1), 0)
-            out[Label(m, "U", None)] = _fmul(pv("U"), long2)
-        elif r == 5:
-            out[Label(m, "R", None)] = axpy(_fmul(pv("R", 0), a1), -1, _fmul(pv("R", 1), b1), 0)
-            out[Label(m, "S", None)] = _fmul(pv("S"), a2)
-            # the printed step has an ill-composed word here; the composable
-            # version with the same endpoints is (a2 a0 a1)^n a2
-            out[Label(m, "T", None)] = _fmul(pv("T"), long2)
-            out[Label(m, "U", 0)] = _fmul(pv("U"), a0)
-            out[Label(m, "U", 1)] = _fmul(pv("U"), b0)
-        else:  # r == 0, m >= 6
-            out[Label(m, "R", None)] = _fmul(pv("R"), long2)
-            out[Label(m, "S", 0)] = _fmul(pv("S"), long0)
-            out[Label(m, "S", 1)] = _fmul(pv("S"), b0)
-            out[Label(m, "T", 0)] = _fmul(pv("T"), a0)
-            out[Label(m, "T", 1)] = _fmul(pv("T"), b0)
-            out[Label(m, "U", None)] = axpy(_fmul(pv("U", 0), a1), -1, _fmul(pv("U", 1), b1), 0)
-        assert set(out) == set(generator_labels(m))
-        return out
-
-    def endpoints(self, label):
-        """Common (origin, terminus) of the element's monomials."""
-        elem = self.element(label)
-        pairs = {(p.source, p.target) for p in elem}
-        assert len(pairs) == 1, f"{label} is not uniform"
-        return next(iter(pairs))

@@ -4,6 +4,8 @@ import pytest
 
 from quiverhh import Pipeline, RunConfig
 from quiverhh.linalg import accumulate, axpy
+from quiverhh.quiver import Path, a_cycle, arrow, compose, trivial
+from quiverhh.uniform import Label
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +27,133 @@ def solved_families(pipes):
         pipe.diagonal.verify_squares(fam, pipe.config.max_degree)
         out[n] = fam
     return out
+
+
+def _fmul(elem, p):
+    """Right multiplication of a formal path combination by a path, in
+    the free path algebra."""
+    out = {}
+    for q, c in elem.items():
+        qp = compose(q, p)
+        assert qp is not None, "ill-composed word in the uniform recursion"
+        out[qp] = out.get(qp, 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
+def _fsub(x, y):
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, 0) - c
+        if not out[k]:
+            del out[k]
+    return out
+
+
+def _uniform_families(n, max_degree):
+    """The paper's labelled uniform elements of the member n, in degrees
+    0..max_degree: `families[m][label]` is a {Path: coefficient} element
+    of the free path algebra (no relation applied: from degree 2 on they
+    generate the ideal, so reducing them would give zero).
+
+    Degrees 0..2 are the explicit lists; each higher degree is the
+    period-6 step from the one below it, by m mod 6.  The degree-1 step of
+    the S and T families would need mixed-pair degree-0 elements that do
+    not exist, which is why degree 1 is listed too."""
+    a0, a1, a2, b0, b1 = (arrow(t) for t in ("a0", "a1", "a2", "b0", "b1"))
+    long0, long1, long2 = (a_cycle(i, 3 * n + 1) for i in range(3))  # (a_i ...)^n a_i
+    families = [
+        {
+            Label(0, "R", None): {trivial("e0"): 1},
+            Label(0, "S", None): {trivial("e1"): 1},
+            Label(0, "T", None): {trivial("f1"): 1},
+            Label(0, "U", None): {trivial("e2"): 1},
+        },
+        {
+            Label(1, "R", 0): {arrow("a0"): 1},
+            Label(1, "R", 1): {arrow("b0"): 1},
+            Label(1, "S", None): {arrow("a1"): 1},
+            Label(1, "T", None): {arrow("b1"): 1},
+            Label(1, "U", None): {arrow("a2"): 1},
+        },
+        {
+            Label(2, "R", None): {a_cycle(0, 3 * n + 2): 1, Path("e0", ("b0", "b1")): -1},
+            Label(2, "S", None): {a_cycle(1, 3 * n + 2): 1},
+            Label(2, "T", None): {Path("f1", ("b1", "a2")): 1},
+            Label(2, "U", 0): {a_cycle(2, 3 * n + 2): 1},
+            Label(2, "U", 1): {Path("e2", ("a2", "b0")): 1},
+        },
+    ]
+    for m in range(3, max_degree + 1):
+        prev = families[m - 1]
+
+        def g(fam, sub=None):
+            return prev[Label(m - 1, fam, sub)]
+
+        r = m % 6
+        if r == 1:
+            step = {
+                ("R", 0): _fmul(g("R"), a0),
+                ("R", 1): _fmul(g("R"), b0),
+                ("S", None): _fsub(_fmul(g("S", 0), a1), _fmul(g("S", 1), b1)),
+                ("T", None): _fsub(_fmul(g("T", 0), long1), _fmul(g("T", 1), b1)),
+                ("U", None): _fmul(g("U"), a2),
+            }
+        elif r == 2:
+            step = {
+                ("R", None): _fsub(_fmul(g("R", 0), long1), _fmul(g("R", 1), b1)),
+                ("S", None): _fmul(g("S"), long2),
+                ("T", None): _fmul(g("T"), a2),
+                ("U", 0): _fmul(g("U"), long0),
+                ("U", 1): _fmul(g("U"), b0),
+            }
+        elif r == 3:
+            step = {
+                ("R", None): _fmul(g("R"), a2),
+                ("S", 0): _fmul(g("S"), a0),
+                ("S", 1): _fmul(g("S"), b0),
+                ("T", 0): _fmul(g("T"), long0),
+                ("T", 1): _fmul(g("T"), b0),
+                ("U", None): _fsub(_fmul(g("U", 0), a1), _fmul(g("U", 1), b1)),
+            }
+        elif r == 4:
+            step = {
+                ("R", 0): _fmul(g("R"), long0),
+                ("R", 1): _fmul(g("R"), b0),
+                ("S", None): _fsub(_fmul(g("S", 0), a1), _fmul(g("S", 1), b1)),
+                ("T", None): _fsub(_fmul(g("T", 0), a1), _fmul(g("T", 1), b1)),
+                ("U", None): _fmul(g("U"), long2),
+            }
+        elif r == 5:
+            step = {
+                ("R", None): _fsub(_fmul(g("R", 0), a1), _fmul(g("R", 1), b1)),
+                ("S", None): _fmul(g("S"), a2),
+                # the printed step has an ill-composed word here; the
+                # composable version with the same endpoints is
+                # (a2 a0 a1)^n a2
+                ("T", None): _fmul(g("T"), long2),
+                ("U", 0): _fmul(g("U"), a0),
+                ("U", 1): _fmul(g("U"), b0),
+            }
+        else:
+            step = {
+                ("R", None): _fmul(g("R"), long2),
+                ("S", 0): _fmul(g("S"), long0),
+                ("S", 1): _fmul(g("S"), b0),
+                ("T", 0): _fmul(g("T"), a0),
+                ("T", 1): _fmul(g("T"), b0),
+                ("U", None): _fsub(_fmul(g("U", 0), a1), _fmul(g("U", 1), b1)),
+            }
+        families.append({Label(m, fam, sub): elem for (fam, sub), elem in step.items()})
+    return families[: max_degree + 1]
+
+
+@pytest.fixture(scope="session")
+def uniform_families():
+    """`uniform_families(n, max_degree)`: the labelled uniform elements of
+    the member n by degree, from the paper's explicit lists and recursion.
+    The package keeps only their labels; `boundary_shape` is the
+    transcription the resolution verifies."""
+    return _uniform_families
 
 
 def _corner_homotopy(dm):

@@ -176,6 +176,18 @@ def test_homotopy_file_that_is_not_json_is_named(tmp_path, capsys, raw):
     assert f"homotopy file {str(path)!r} is not JSON: " in err
 
 
+# one term of R0's image: R0 tensor R1_0, every path trivial
+_R0_TERM = {
+    "bidegree": [0, 1],
+    "g1": "R0",
+    "g2": "R1_0",
+    "left": "e0",
+    "middle": "e0",
+    "right": "e1",
+    "coeff": "1",
+}
+
+
 @pytest.mark.parametrize(
     "data,reason",
     [
@@ -187,8 +199,31 @@ def test_homotopy_file_that_is_not_json_is_named(tmp_path, capsys, raw):
             {"images": [{"degree": -1, "generator": "R0", "terms": []}]},
             "homotopy degree -1 is not an integer >= 0",
         ),
+        (
+            {"images": [{"degree": 0, "generator": "R0", "terms": [_R0_TERM, _R0_TERM]}]},
+            "homotopy term (R0, R1_0) with paths e0, e0, e1 is listed twice",
+        ),
+        (
+            {
+                "images": [
+                    {"degree": 0, "generator": "R0", "terms": [_R0_TERM]},
+                    {"degree": 0, "generator": "R0", "terms": []},
+                ]
+            },
+            "homotopy generator R0 has two rows",
+        ),
+        (
+            {"images": [], "star": [{"vertex": "e0", "terms": []}] * 2},
+            "vertex 'e0' has two rows in the homotopy star table",
+        ),
     ],
-    ids=["unknown-vertex", "negative-degree"],
+    ids=[
+        "unknown-vertex",
+        "negative-degree",
+        "repeated-term",
+        "repeated-generator",
+        "repeated-vertex",
+    ],
 )
 def test_homotopy_file_content_errors_name_the_file(tmp_path, capsys, data, reason):
     path = tmp_path / "homotopy.json"

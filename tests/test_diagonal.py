@@ -169,8 +169,8 @@ def test_contraction_is_a_contracting_homotopy(pipes, n, side):
             if m == 0:
                 back = s.section(tr[1], tr[2])
             else:
-                back = s.apply(m - 1, res.apply_boundary(m, x))
-            assert axpy(res.apply_boundary(m + 1, s.apply(m, x)), 1, back, 0) == x, (m, tr)
+                back = s.apply(res.apply_boundary(m, x))
+            assert axpy(res.apply_boundary(m + 1, s.apply(x)), 1, back, 0) == x, (m, tr)
 
 
 @pytest.mark.parametrize("field", ["rationals", "gf:7"])

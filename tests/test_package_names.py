@@ -10,9 +10,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "quiverhh").glob("*.py"))
 # the tracer wraps package attributes named by strings
 TRACER = ROOT / "perfbench" / "tracing.py"
-# claim 11's transcription of the paper's printed recursion for the
-# uniform-path families: checked against the resolution by the tests
-EXEMPT_CLASSES = {"UniformPaths"}
 
 
 def _defined(tree):
@@ -21,7 +18,7 @@ def _defined(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node.name, node.name
-        elif isinstance(node, ast.ClassDef) and node.name not in EXEMPT_CLASSES:
+        elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if not (item.name.startswith("__") and item.name.endswith("__")):
@@ -60,3 +57,15 @@ def test_every_package_def_is_named_by_the_package_or_perfbench():
         if name not in named
     ]
     assert unnamed == [], "only the tests use these; move them into tests/"
+
+
+def test_uniform_imports_no_other_package_module():
+    # the label scheme is the leaf every other module reads
+    tree = ast.parse((ROOT / "src" / "quiverhh" / "uniform.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {name for name in imported if name.startswith((".", "quiverhh"))} == set()
