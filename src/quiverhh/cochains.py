@@ -17,11 +17,14 @@ cocycle against the echelonised coboundary space, which leaves it zero
 at every pivot index; two cocycles are cohomologous exactly when their
 residuals agree.
 
-The coboundary out of degree m reads only the labels of m and m + 1 and
-the shape of m + 1, so its columns and their one elimination (the cocycle
-basis and the echelon of the coboundaries) are keyed by the period
-representative that `Resolution.period_rep` certifies: one period of
-coboundary data serves every degree.  Every table here is a `Degrees` table.
+Each coboundary map delta^m is one record (columns, cocycles, echelon):
+the coboundaries of the degree-m basis cochains, then the kernel and the
+echelon of one elimination of those columns: a basis of the degree-m
+cocycles and the echelonised coboundaries in degree m + 1.  The map
+reads only the labels of m and m + 1 and the shape of m + 1, so
+`_map(m)` keys its record by `Resolution.period_rep(m + 1) - 1`: one
+period of records serves every degree, and `_map(-1)`, the zero map into
+degree 0, is empty.  Every table here is a `Degrees` table.
 """
 
 from __future__ import annotations
@@ -72,8 +75,7 @@ class HochschildComplex:
         self.n = resolution.n
         self.field = resolution.field
         self._hom_basis = Degrees(self._hom_basis_at, upward=False)
-        self._cob_columns = Degrees(self._coboundary_columns_at, upward=False)
-        self._elimination = Degrees(self._elimination_at, upward=False)
+        self._maps = Degrees(self._map_at, upward=False)
 
     # -- coordinates ------------------------------------------------------
 
@@ -108,7 +110,7 @@ class HochschildComplex:
 
     def coboundary(self, cochain):
         """The induced differential: precompose with the boundary map."""
-        cols, vec = self._coboundary_columns(cochain.degree), {}
+        cols, vec = self._map(cochain.degree)[0], {}
         for j, c in cochain.vec.items():
             axpy(vec, c, cols[j], self.field.p)
         return Cochain(cochain.degree + 1, vec)
@@ -118,11 +120,16 @@ class HochschildComplex:
 
     # -- cohomology ---------------------------------------------------------
 
-    def _coboundary_columns(self, m):
-        """Coordinate vectors of the coboundaries of the degree-m basis
-        cochains.  They read only the labels of m and m + 1 and the shape
-        of m + 1, so degree m shares the columns of `period_rep(m + 1) - 1`."""
-        return self._cob_columns[self.res.period_rep(m + 1) - 1]
+    def _map(self, m):
+        """The record (columns, cocycles, echelon) of the coboundary out of
+        degree m, shared with `period_rep(m + 1) - 1`."""
+        return self._maps[self.res.period_rep(m + 1) - 1]
+
+    def _map_at(self, m):
+        if m < 0:
+            return [], [], SparseEchelon(self.field.p)
+        columns = self._coboundary_columns_at(m)
+        return (columns, *kernel_basis(Matrix(self.hom_dim(m + 1), columns), self.field.p))
 
     def _coboundary_columns_at(self, m):
         # the coboundary of basis cochain (g, p) sends each degree-(m+1)
@@ -145,19 +152,11 @@ class HochschildComplex:
             columns.append(accumulate(terms, self.field.p))
         return columns
 
-    def _coboundary_space(self, m):
-        """Echelon of the coboundaries landing in degree m: that of the
-        coboundary out of m - 1, and empty at m = 0."""
-        if m == 0:
-            return SparseEchelon(self.field.p)
-        return self._elimination[self.res.period_rep(m) - 1][1]
-
     def class_residual(self, cochain):
         """Canonical representative vector of the cohomology class."""
         if not self.is_cocycle(cochain):
             raise ValueError("not a cocycle")
-        ech = self._coboundary_space(cochain.degree)
-        res = ech.reduce(cochain.vec)
+        res = self._map(cochain.degree - 1)[2].reduce(cochain.vec)
         return tuple(sorted(res.items()))
 
     def classes_equal(self, f, g):
@@ -170,18 +169,9 @@ class HochschildComplex:
         independent modulo the coboundaries and the earlier ones.
         """
         combined = SparseEchelon(self.field.p)
-        combined.rows.update(self._coboundary_space(m).rows)
-        reps = [Cochain(m, vec) for vec in self._cocycle_vectors(m) if combined.add(vec) is not None]
+        combined.rows.update(self._map(m - 1)[2].rows)
+        reps = [Cochain(m, vec) for vec in self._map(m)[1] if combined.add(vec) is not None]
         return len(reps), reps
-
-    def _cocycle_vectors(self, m):
-        """Basis of the cocycle space: the kernel of the coboundary, shared
-        with `period_rep(m + 1) - 1` as the columns are."""
-        return self._elimination[self.res.period_rep(m + 1) - 1][0]
-
-    def _elimination_at(self, m):
-        matrix = Matrix(self.hom_dim(m + 1), self._coboundary_columns(m))
-        return kernel_basis(matrix, self.field.p)
 
     def hh_dimension(self, m):
         return self.cohomology(m)[0]

@@ -48,11 +48,14 @@ class RunConfig:
     """A validated run configuration: one attribute per option of
     `OPTIONS`, by its dest, each defaulting to the table's default and
     checked on construction (ValueError on a bad value, TypeError on an
-    unknown keyword)."""
+    unknown keyword or on a value not of the option's type, so no bool
+    passes for an int and None only for a default of None)."""
 
     def __init__(self, **options):
-        for _, dest, _, default, choices, _ in OPTIONS:
+        for _, dest, kind, default, choices, _ in OPTIONS:
             value = options.pop(dest, default)
+            if type(value) is not kind and not (value is None and default is None):
+                raise TypeError(f"{dest.replace('_', ' ')} must be {kind.__name__}, not {value!r}")
             if choices and value not in choices:
                 raise ValueError(f"unknown {dest.replace('_', ' ')} {value!r}")
             setattr(self, dest, value)

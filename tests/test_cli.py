@@ -866,6 +866,22 @@ def test_run_config_checks_every_declared_choice_and_the_parser_agrees():
     assert list(defaults.as_dict()) == ["n", "field", "max_degree", "delta_mode", "homotopy"]
 
 
+def test_run_config_refuses_a_value_of_the_wrong_type():
+    # a bool reads as an int and a float reaches range(); the CLI parsers
+    # convert every value, so only a direct construction can pass these
+    from quiverhh.pipeline import RunConfig
+
+    with pytest.raises(TypeError, match="n must be int"):
+        RunConfig(n=True)
+    with pytest.raises(TypeError, match="max degree must be int"):
+        RunConfig(max_degree=3.0)
+    with pytest.raises(TypeError, match="n must be int"):
+        RunConfig(n=1.5)
+    with pytest.raises(TypeError, match="field must be str"):
+        RunConfig(field=None)
+    assert RunConfig(out_path=None).out_path is None
+
+
 def test_hochschild_computes_the_cup_table_only_when_the_json_is_printed(capsys, monkeypatch):
     from quiverhh import reports
 

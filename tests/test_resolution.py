@@ -307,12 +307,12 @@ def test_period_certificate_is_checked_not_assumed(pipes, n):
     assert [row["degree"] for row in rows if row["status"] == "fail"] == [7, 8]
     # the cochain tables that read shape(8) are built for their own degree
     hc = HochschildComplex(r)
-    assert hc._coboundary_columns(7) is not hc._coboundary_columns(1)
-    assert hc._cocycle_vectors(7) is not hc._cocycle_vectors(1)
-    assert hc._coboundary_space(8) is not hc._coboundary_space(2)
-    assert all(not col for col in hc._coboundary_columns(7))
+    assert hc._map(7)[0] is not hc._map(1)[0]
+    assert hc._map(7)[1] is not hc._map(1)[1]
+    assert hc._map(7)[2] is not hc._map(1)[2]
+    assert all(not col for col in hc._map(7)[0])
     # the coboundary out of degree 8 reads shape(9), which still matches
-    assert hc._coboundary_columns(8) is hc._coboundary_columns(2)
+    assert hc._map(8)[0] is hc._map(2)[0]
     # a contraction table of degree m reads the shape of m and the solver of
     # m + 1, so the certificate refuses to share the tables of degrees 8
     # (shape 8), 13 (solver 14, whose shape no longer matches that of 8)
