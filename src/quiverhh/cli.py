@@ -6,7 +6,12 @@ Subcommands
     diagonal    build a diagonal family and verify its squares
     hochschild  cohomology dimensions, named bases, star table
     ring        the n = 0 reconciliation (star, cup, known deviations)
-    report      everything above in one JSON document
+    report      the sections above in one JSON document
+
+`report` merges the sections' tables by key, so the hochschild section's
+`dimensions` table (degree, hom_dim, hh_dim) replaces the resolution
+section's (degree, dim, generators): a report holds no resolution
+dimensions.
 
 Each option is declared once, in `pipeline.OPTIONS`, the table that
 `RunConfig` also takes its defaults and choices from.  A handler returns
@@ -287,7 +292,7 @@ def cmd_report(pipe, action):
     # "bases" is "all" without the cup table, which is the ring's table
     # and is computed once, in the ring section below
     hochschild = cmd_hochschild(pipe, "bases", prints_payload=True)
-    # merged in the printed order
+    # merged in the printed order; a table replaces an earlier one of its key
     for sub_payload, _, sub_ok in (algebra, resolution, diagonal, hochschild):
         payload["checks"].extend(sub_payload["checks"])
         payload["tables"].update(sub_payload["tables"])

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .linalg import Matrix, SparseEchelon, accumulate, axpy, kernel_basis
 from .quiver import a_cycle, arrow, trivial
-from .uniform import Degrees, label_at, label_index, label_pair
+from .uniform import Degrees, generator_labels, label_at, label_index, label_pair
 
 
 class CochainName(NamedTuple):
@@ -88,7 +88,7 @@ class HochschildComplex:
         corners, index = self.alg.corners, self.alg.basis_index
         out = [
             (label_index(lab), index[p])
-            for lab in self.res.labels(m)
+            for lab in generator_labels(m)
             for p in corners[label_pair(lab)]
         ]
         return out, {k: i for i, k in enumerate(out)}
@@ -137,7 +137,7 @@ class HochschildComplex:
         # (g, left, right) with coefficient c of h's boundary
         res, rows, target = self.res, self.alg.product_rows, self.hom_basis(m + 1)[1]
         faces = {}  # label number g -> [(h, left, right, c)]
-        for gen, terms in zip(res.labels(m + 1), res.shape(m + 1)):
+        for gen, terms in zip(generator_labels(m + 1), res.shape(m + 1)):
             h = label_index(gen)
             boundary = accumulate((((g, x, y), sign) for x, g, y, sign in terms), self.field.p)
             for (g, left, right), c in boundary.items():

@@ -81,7 +81,7 @@ from __future__ import annotations
 
 from .linalg import accumulate, axpy
 from .quiver import VERTICES, arrow
-from .uniform import Degrees, label_at, label_index, label_pair
+from .uniform import Degrees, generator_labels, label_at, label_index, label_pair
 
 
 def _extend(tc, images, elem):
@@ -189,7 +189,7 @@ class OneSidedContraction:
         solver = res.boundary_solver(m + 1)
         right_side = self.side == "right"
         solutions = []
-        for lab in res.labels(m):
+        for lab in generator_labels(m):
             o, t = label_pair(lab)
             g = label_index(lab)
             xs = []
@@ -290,8 +290,9 @@ class DiagonalMaps:
     def per_label(self, rule, upward):
         """{degree: {label number: rule(label)}}, one degree filled on first
         read (see `Degrees`)."""
-        labels = self.res.labels
-        return Degrees(lambda m: {label_index(lab): rule(lab) for lab in labels(m)}, upward)
+        return Degrees(
+            lambda m: {label_index(lab): rule(lab) for lab in generator_labels(m)}, upward
+        )
 
     # -- the literal two-corner diagonal --------------------------------
 
@@ -341,10 +342,6 @@ class DiagonalMaps:
             acted = tc.act(res.vertex[v], tc.tensor(gen, gen), step)
             star[v] = axpy({}, sign[v], acted, self.field.p)
         return HomotopyFamily(self, self.per_label(on_generator, upward=False), star)
-
-    def zero_homotopy(self):
-        images = self.per_label(lambda lab: {}, upward=False)
-        return HomotopyFamily(self, images, {v: {} for v in VERTICES})
 
     def corrected_family(self, base, h):
         """base + h∘boundary + d∘h, with the lift factor of base: the
@@ -431,7 +428,7 @@ class DiagonalMaps:
         square commutes when they are equal."""
         res, tc = self.res, self.tc
         rows = []
-        for lab in res.labels(m):
+        for lab in generator_labels(m):
             g = label_index(lab)
             image = family.images[m][g]
             if m == 0:

@@ -129,13 +129,11 @@ class Pipeline:
 
     def homotopy_family(self):
         dm = self.diagonal
-        choice = self.config.homotopy
-        if choice == "default":
+        if self.config.homotopy == "default":
             return dm.default_homotopy()
-        if choice == "zero":
-            return dm.zero_homotopy()
-        # zero on every generator the file does not list
-        images, star = self.config.homotopy_data
+        # zero on every generator and vertex the file does not list; "zero"
+        # lists none
+        images, star = self.config.homotopy_data or ({}, {})
         table = dm.per_label(lambda lab: images.get(label_index(lab), {}), upward=False)
         return HomotopyFamily(dm, table, star)
 
@@ -143,9 +141,9 @@ class Pipeline:
     def _names(self):
         """The (str, repr) of the `Label` each label number stands for and of
         the `Path` each basis index stands for, built as terms are printed."""
-        labels, basis = self.resolution.labels, self.algebra.basis
+        basis = self.algebra.basis
         return (
-            Degrees(lambda g: _str_and_repr(labels(g >> 3)[g & 7]), upward=False),
+            Degrees(lambda g: _str_and_repr(generator_labels(g >> 3)[g & 7]), upward=False),
             Degrees(lambda i: _str_and_repr(basis[i]), upward=False),
         )
 
@@ -160,7 +158,7 @@ class Pipeline:
                 "terms": _terms_json(self._names, fam.images[m][label_index(lab)], field),
             }
             for m in range(self.config.max_degree + 1)
-            for lab in self.resolution.labels(m)
+            for lab in generator_labels(m)
         ]
 
 

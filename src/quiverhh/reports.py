@@ -165,27 +165,31 @@ def _ledger_entry(f, g, table, computed):
     return None
 
 
+def _xyz_products(hc, product):
+    """The cochains x, y, z by name, and the nine (left name, right name,
+    product of their cochains) triples in row order."""
+    basis = {"x": hc.x_cochain(), "y": hc.y_cochain(), "z": hc.z_cochain()}
+    return basis, [(fn, gn, product(basis[fn], basis[gn])) for fn in basis for gn in basis]
+
+
 def ring_star_report(hc, products):
     """Chain-level products of x, y, z through the two-corner diagonal,
     reconciled entry by entry against the published table."""
-    x, y, z = hc.x_cochain(), hc.y_cochain(), hc.z_cochain()
-    basis = {"x": x, "y": y, "z": z}
+    basis, triples = _xyz_products(hc, products.star)
     rows = []
-    for fn in ("x", "y", "z"):
-        for gn in ("x", "y", "z"):
-            got = products.star(basis[fn], basis[gn])
-            got_str = _describe_vs(hc, got, basis)
-            want = PUBLISHED_XYZ_TABLE[(fn, gn)]
-            row = {
-                "left": fn,
-                "right": gn,
-                "table": want,
-                "computed": got_str,
-                "status": "match" if got_str == want else "deviation",
-            }
-            if got_str != want and (kd := _ledger_entry(basis[fn], basis[gn], want, got_str)):
-                row["kd"] = kd
-            rows.append(row)
+    for fn, gn, got in triples:
+        got_str = _describe_vs(hc, got, basis)
+        want = PUBLISHED_XYZ_TABLE[(fn, gn)]
+        row = {
+            "left": fn,
+            "right": gn,
+            "table": want,
+            "computed": got_str,
+            "status": "match" if got_str == want else "deviation",
+        }
+        if got_str != want and (kd := _ledger_entry(basis[fn], basis[gn], want, got_str)):
+            row["kd"] = kd
+        rows.append(row)
     return rows
 
 
@@ -212,25 +216,17 @@ def ring_presentation(cup_rows):
 
 def ring_cup_report(hc, products, family):
     """Class-level cup products of x, y, z through a solved diagonal."""
-    x, y, z = hc.x_cochain(), hc.y_cochain(), hc.z_cochain()
-    basis = {"x": x, "y": y, "z": z}
+    basis, triples = _xyz_products(hc, lambda f, g: products.cup(f, g, family))
+    # x, y and z have degrees 0, 1 and 6, so no two share a key
+    names = {(c.degree, hc.class_residual(c)): name for name, c in basis.items()}
     rows = []
-    for fn in ("x", "y", "z"):
-        for gn in ("x", "y", "z"):
-            got = products.cup(basis[fn], basis[gn], family)
-            res = hc.class_residual(got)
-            if res == ():
-                desc = "0"
-            else:
-                desc = next(
-                    (
-                        name
-                        for name, c in basis.items()
-                        if c.degree == got.degree and hc.class_residual(c) == res
-                    ),
-                    f"nonzero class in degree {got.degree}",
-                )
-            rows.append({"left": fn, "right": gn, "class": desc})
+    for fn, gn, got in triples:
+        res = hc.class_residual(got)
+        if res == ():
+            desc = "0"
+        else:
+            desc = names.get((got.degree, res), f"nonzero class in degree {got.degree}")
+        rows.append({"left": fn, "right": gn, "class": desc})
     return rows
 
 

@@ -134,10 +134,9 @@ class Resolution:
         self.algebra = algebra
         self.n = algebra.n
         self.field = algebra.field
-        self._labels = Degrees(generator_labels, upward=False)
         self._shapes = Degrees(self._shape_at, upward=False)
         self._blocks = Degrees(self._blocks_at, upward=False)
-        self._reps = Degrees(self._period_rep_at, upward=False)
+        self._reps = Degrees(self._period_rep_at, upward=True)
         # the solver and rank tables are keyed by `period_rep`; the matrix
         # each is made from is built for it and dropped
         self._solvers = Degrees(
@@ -146,9 +145,6 @@ class Resolution:
         self._ranks = Degrees(lambda m: rank(self.boundary_matrix(m), self.field.p), upward=False)
 
     # -- structure -----------------------------------------------------
-
-    def labels(self, m):
-        return self._labels[m]
 
     @cached_property
     def vertex(self):
@@ -167,8 +163,8 @@ class Resolution:
 
     def shape(self, m):
         """The boundary shape of degree m >= 1 on numbers: for each label,
-        in the order of `labels(m)`, its terms (left path index, target
-        label number, right path index, sign)."""
+        in the order of `generator_labels(m)`, its terms (left path index,
+        target label number, right path index, sign)."""
         return self._shapes[m]
 
     def _shape_at(self, m):
@@ -191,7 +187,7 @@ class Resolution:
         triples in the layout of `_blocks`, listed anew on every call."""
         alg = self.algebra
         out = []
-        for lab in self.labels(m):
+        for lab in generator_labels(m):
             o, t = label_pair(lab)
             g, rights = label_index(lab), alg.paths_from[t]
             out.extend((g, left, right) for left in alg.paths_into[o] for right in rights)
@@ -211,7 +207,7 @@ class Resolution:
         """
         alg = self.algebra
         blocks, dim = [], 0
-        for lab in self.labels(m):
+        for lab in generator_labels(m):
             o, t = label_pair(lab)
             width = len(alg.paths_from[t])
             blocks.append((dim, width))
@@ -261,15 +257,11 @@ class Resolution:
     def _period_rep_at(self, m):
         if m < 8:
             return m
-        # fill m's residue class from below, so that no read recurses
-        if m - 6 not in self._reps:
-            for k in range(8 + (m - 8) % 6, m - 6, 6):
-                self._reps[k]
         r = self._reps[m - 6]
         up = lambda lab: lab._replace(degree=lab.degree + m - r)
-        # the labels are read unmemoised here, so a deep read keeps none
-        labels = generator_labels
-        if any(tuple(map(up, labels(k - m + r))) != labels(k) for k in (m, m - 1)):
+        if any(
+            tuple(map(up, generator_labels(k - m + r))) != generator_labels(k) for k in (m, m - 1)
+        ):
             return m
         # a shape read only here is built, checked and dropped, so a deep
         # read keeps one period of shapes; a label number shifts up by 8
@@ -319,7 +311,7 @@ class Resolution:
         empty = {}
         columns = []
         if m == 0:
-            for lab in self.labels(0):
+            for lab in generator_labels(0):
                 o, t = label_pair(lab)
                 rights = outof[t]
                 for left in into[o]:
@@ -331,7 +323,7 @@ class Resolution:
         blocks, rows = self._blocks[m - 1]
         # one int object per row index, shared by every column with that row
         idx = list(range(rows))
-        for lab, terms in zip(self.labels(m), self.shape(m)):
+        for lab, terms in zip(generator_labels(m), self.shape(m)):
             o, t = label_pair(lab)
             lefts, rights = into[o], outof[t]
             width = len(rights)
@@ -379,7 +371,7 @@ class Resolution:
         rows = []
         for m in range(0, max_degree):
             witness = None
-            for lab in self.labels(m + 1):
+            for lab in generator_labels(m + 1):
                 img = self.apply_boundary(m + 1, self.generator(lab))
                 if m == 0:
                     comp = self.augment(img)
@@ -425,8 +417,8 @@ class Resolution:
         expected), as (label, target label) pairs."""
         trivial_paths = set(self.vertex.values())
         return [
-            (lab, self.labels(m - 1)[tgt & 7])
-            for lab, terms in zip(self.labels(m), self.shape(m))
+            (lab, generator_labels(m - 1)[tgt & 7])
+            for lab, terms in zip(generator_labels(m), self.shape(m))
             for x, tgt, y, sign in terms
             if x in trivial_paths and y in trivial_paths
         ]

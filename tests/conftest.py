@@ -5,7 +5,7 @@ import pytest
 from quiverhh import Pipeline, RunConfig
 from quiverhh.linalg import accumulate, axpy
 from quiverhh.quiver import Path, a_cycle, arrow, compose, trivial
-from quiverhh.uniform import Label
+from quiverhh.uniform import Label, generator_labels
 
 
 @pytest.fixture(scope="session")
@@ -166,17 +166,17 @@ def _corner_homotopy(dm):
     from quiverhh.uniform import label_index, label_pair
 
     alg = dm.res.algebra
-    labels, index = dm.res.labels, alg.basis_index
+    index = alg.basis_index
 
     def image(lab):
         m = lab.degree
         o, t = label_pair(lab)
         for a in range(m + 2):
-            for g1 in labels(a):
+            for g1 in generator_labels(a):
                 o1, t1 = label_pair(g1)
                 if not alg.corners[(o, o1)]:
                     continue
-                for g2 in labels(m + 1 - a):
+                for g2 in generator_labels(m + 1 - a):
                     o2, t2 = label_pair(g2)
                     if alg.corners[(t1, o2)] and alg.corners[(t2, t)]:
                         pick = (
@@ -199,7 +199,7 @@ def _decode(owner, elem):
     Path, Path) for a tensor element."""
     res = getattr(owner, "res", owner)
     basis = res.algebra.basis
-    label = lambda g: res.labels(g >> 3)[g & 7]
+    label = lambda g: generator_labels(g >> 3)[g & 7]
     out = {}
     for key, c in elem.items():
         if len(key) == 3:
@@ -249,13 +249,13 @@ def _tensor_triples(tc, m):
     then label, left, middle and right path."""
     from quiverhh.uniform import label_index, label_pair
 
-    alg, labels = tc.algebra, tc.res.labels
+    alg = tc.algebra
     index = alg.basis_index
     out = []
     for a in range(m + 1):
-        for g1 in labels(a):
+        for g1 in generator_labels(a):
             o1, t1 = label_pair(g1)
-            for g2 in labels(m - a):
+            for g2 in generator_labels(m - a):
                 o2, t2 = label_pair(g2)
                 mids = alg.corners[(t1, o2)]
                 i1, i2 = label_index(g1), label_index(g2)
@@ -295,7 +295,7 @@ def _homotopy_solve(dm, fam_f, fam_g, max_degree):
     h = HomotopyFamily(dm, images, {v: {} for v in VERTICES})
     for m in range(0, max_degree + 1):
         imgs = {}
-        for lab in res.labels(m):
+        for lab in generator_labels(m):
             g = label_index(lab)
             e = axpy(dict(fam_f.images[m][g]), -1, fam_g.images[m][g], p)
             if m >= 1:

@@ -99,7 +99,7 @@ def test_c05_solved_diagonal(pipes, solved_families):
         fam = solved_families[n]
         rows = dm.verify_squares(fam, 9)
         ok = ok and all(r["status"] == "pass" for r in rows)
-        for lab in dm.res.labels(0):
+        for lab in generator_labels(0):
             ok = ok and dm.tc.augment(fam.images[0][label_index(lab)]) == dm.res.augment(dm.res.generator(lab))
     # bit-determinism across two fresh builds
     a = Pipeline(RunConfig(n=1, max_degree=9))

@@ -785,6 +785,22 @@ def test_file_homotopy_report_digest_is_pinned(tmp_path, capsys, homotopy_json):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("field", ["rationals", "gf:7"])
+def test_zero_homotopy_is_a_homotopy_file_with_no_rows(tmp_path, capsys, field):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"images": [], "star": []}))
+    command = f"diagonal --n 1 --field {field} --delta-mode formula --max-degree 6 --output json all"
+    code, out = run(capsys, *command.split(), "--homotopy", "zero")
+    file_code, file_out = run(capsys, *command.split(), "--homotopy", f"file:{path}")
+    zero, empty = json.loads(out), json.loads(file_out)
+    assert code == file_code
+    # only the homotopy named in the config differs
+    assert zero["config"].pop("homotopy") == "zero"
+    assert empty["config"].pop("homotopy").startswith("file:sha256:")
+    assert zero == empty
+    assert set(zero) == {"config", "checks", "tables", "deviations"}
+
+
 # sha256 of the text and markdown stdout of cheap commands: text output
 # prints a check row's extra keys in the order the row was built, which
 # the JSON pins above do not see

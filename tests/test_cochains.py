@@ -7,7 +7,7 @@ from quiverhh.cochains import CochainName, HochschildComplex
 from quiverhh.linalg import QQ, Matrix, PrimeField, SparseEchelon, accumulate, kernel_basis
 from quiverhh.quiver import a_cycle, arrow, trivial
 from quiverhh.resolution import Resolution
-from quiverhh.uniform import Label, label_index, label_pair
+from quiverhh.uniform import Label, generator_labels, label_index, label_pair
 
 
 def hc_of(pipes, n):
@@ -119,9 +119,9 @@ def direct_coboundary_columns(hc, m):
     `apply_boundary` images of the degree-(m + 1) generators."""
     res, alg = hc.res, hc.alg
     terms = [[] for _ in hc.hom_basis(m)[0]]
-    for gen in res.labels(m + 1):
+    for gen in generator_labels(m + 1):
         for (g, l, r), c in res.apply_boundary(m + 1, res.generator(gen)).items():
-            lab, left, right = res.labels(m)[g & 7], alg.basis[l], alg.basis[r]
+            lab, left, right = generator_labels(m)[g & 7], alg.basis[l], alg.basis[r]
             for p in alg.corners[label_pair(lab)]:
                 q = alg.mul_path(left, p)
                 if q is not None and (q := alg.mul_path(q, right)) is not None:

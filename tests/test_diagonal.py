@@ -6,7 +6,7 @@ import pytest
 
 from quiverhh.linalg import axpy
 from quiverhh.quiver import trivial
-from quiverhh.uniform import Label, label_index, label_pair
+from quiverhh.uniform import Label, generator_labels, label_index, label_pair
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -98,9 +98,13 @@ def test_mixed_pairs_have_no_homotopy_value(pipes):
     assert h.images[3][label_index(Label(3, "T", 0))] == {}
 
 
-def test_zero_homotopy_formula_equals_literal(pipes):
-    dm = dm_of(pipes, 1)
-    fam0 = dm.corrected_family(dm.literal_family(), dm.zero_homotopy())
+def test_zero_homotopy_formula_equals_literal():
+    from quiverhh import Pipeline, RunConfig
+
+    # the homotopy `--homotopy zero` runs with
+    pipe = Pipeline(RunConfig(n=1, homotopy="zero"))
+    dm = pipe.diagonal
+    fam0 = dm.corrected_family(dm.literal_family(), pipe.homotopy_family())
     lit = dm.literal_family()
     assert all(fam0.images[m] == lit.images[m] for m in range(6))
 
@@ -122,7 +126,7 @@ def test_formula_family_with_random_corner_homotopies(pipes, tensor_triples):
         images = {}
         for m in range(0, 6):
             imgs = {}
-            for lab in dm.res.labels(m):
+            for lab in generator_labels(m):
                 o, t = label_pair(lab)
                 basis = tc.algebra.basis
                 cands = [
@@ -151,7 +155,7 @@ def test_solved_family_exact_and_lifts_identity(pipes, n, solved_families):
     rows = dm.verify_squares(fam, top)
     assert all(r["status"] == "pass" for r in rows)
     assert fam.lift_factor == 1
-    for lab in dm.res.labels(0):
+    for lab in generator_labels(0):
         got = dm.tc.augment(fam.images[0][label_index(lab)])
         assert got == dm.res.augment(dm.res.generator(lab))
 
@@ -248,7 +252,7 @@ def test_solved_run_takes_one_differential_per_generator(monkeypatch):
     dm = pipe.diagonal
     rows = dm.verify_squares(dm.solved_family(), 12)
     assert all(r["status"] == "pass" for r in rows)
-    assert len(calls) == sum(len(dm.res.labels(m)) for m in range(1, 13)) == 64
+    assert len(calls) == sum(len(generator_labels(m)) for m in range(1, 13)) == 64
 
 
 def test_solved_run_evaluates_the_family_once_per_generator(monkeypatch):
@@ -270,10 +274,10 @@ def test_solved_run_evaluates_the_family_once_per_generator(monkeypatch):
     fam = dm.solved_family()
     rows = dm.verify_squares(fam, 13)
     assert all(r["status"] == "pass" for r in rows)
-    assert len(calls) == sum(len(res.labels(m)) for m in range(1, 14)) == 69
+    assert len(calls) == sum(len(generator_labels(m)) for m in range(1, 14)) == 69
     # verifying left the table as the lift read it
     for m in range(1, 14):
-        for lab in res.labels(m):
+        for lab in generator_labels(m):
             want = evaluate(fam, m - 1, res.apply_boundary(m, res.generator(lab)))
             assert want and fam.on_boundary[m][label_index(lab)] == want, (m, lab)
 
@@ -307,7 +311,7 @@ def test_family_json_prints_the_configured_degrees(pipes):
     fam.images[pipe.config.max_degree + 1]
     rows = pipe.family_json(fam)
     assert sorted({r["degree"] for r in rows}) == list(range(pipe.config.max_degree + 1))
-    assert len(rows) == sum(len(pipe.resolution.labels(m)) for m in range(10))
+    assert len(rows) == sum(len(generator_labels(m)) for m in range(10))
 
 
 def test_solved_family_endpoint_conservation(pipes, solved_families):
@@ -316,7 +320,7 @@ def test_solved_family_endpoint_conservation(pipes, solved_families):
         fam = solved_families[n]
         for m, imgs in fam.images.items():
             for g, img in imgs.items():
-                o, t = label_pair(dm.res.labels(m)[g & 7])
+                o, t = label_pair(generator_labels(m)[g & 7])
                 vertex = dm.res.vertex
                 assert dm.tc.act(vertex[o], img, vertex[t]) == img
 
@@ -342,7 +346,7 @@ def test_perturbed_family_differs_but_homotopic(
     h, bad = homotopy_solve(dm, fam, fam2, 12)
     assert bad is None and h is not None
     for m in range(0, 12):
-        for lab in dm.res.labels(m):
+        for lab in generator_labels(m):
             gen = dm.res.generator(lab)
             g = label_index(lab)
             lhs = axpy(dict(fam.images[m][g]), -1, fam2.images[m][g], 0)
@@ -369,7 +373,7 @@ def test_corrected_family_agrees_with_the_extension_of_its_images(
     arrows = [arrow(tag) for tag in ARROWS]
     decorated = 0
     for m in range(1, 6):
-        for lab in res.labels(m):
+        for lab in generator_labels(m):
             o, t = label_pair(lab)
             gen = res.generator(lab)
             for x in [trivial(o)] + [a for a in arrows if a.target == o]:
@@ -404,7 +408,7 @@ def test_corrupted_family_fails_square(pipes, solved_families):
     from quiverhh.diagonal import ChainMapFamily
 
     images = {m: dict(imgs) for m, imgs in fam.images.items()}
-    g = label_index(dm.res.labels(2)[0])
+    g = label_index(generator_labels(2)[0])
     images[2] = dict(images[2])
     images[2][g] = axpy({}, Fraction(-1), images[2][g], 0)
     broken = ChainMapFamily(dm, 1, images=images)

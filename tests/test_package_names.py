@@ -69,3 +69,22 @@ def test_uniform_imports_no_other_package_module():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert {name for name in imported if name.startswith((".", "quiverhh"))} == set()
+
+
+def test_package_root_exports_only_what_callers_import():
+    # every module is imported by its own name, so a name the package root
+    # exports and no file imports from it is a second route to that name
+    import quiverhh
+
+    package = ROOT / "src" / "quiverhh"
+    imported = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                absolute = node.level == 0 and node.module == "quiverhh"
+                relative = node.level == 1 and node.module is None and path.parent == package
+                if absolute or relative:
+                    imported.update(alias.name for alias in node.names)
+    assert sorted(set(quiverhh.__all__) - imported) == []

@@ -6,7 +6,7 @@ import pytest
 from quiverhh.cochains import CochainName
 from quiverhh.linalg import axpy
 from quiverhh.products import UnsupportedRightFactor, star_table
-from quiverhh.uniform import label_index
+from quiverhh.uniform import generator_labels, label_index
 
 
 def ctx(pipes, n):
@@ -172,7 +172,7 @@ def test_star_cup_relation(pipes, corner_homotopy):
     base = pr.star(f, g)
     m = f.degree + g.degree
     corr_images = {}
-    for lab in pipe.resolution.labels(m):
+    for lab in generator_labels(m):
         gen = pipe.resolution.generator(lab)
         corr = dm.tc.differential(h.apply(m, gen))
         if m >= 1:
@@ -192,7 +192,7 @@ def test_cup_refuses_family_that_fails_verification(pipes, solved_families):
 
     fam = solved_families[0]
     images = {m: dict(imgs) for m, imgs in fam.images.items()}
-    g = label_index(dm.res.labels(1)[0])
+    g = label_index(generator_labels(1)[0])
     images[1] = dict(images[1])
     images[1][g] = axpy({}, Fraction(3), images[1][g], 0)
     bogus = ChainMapFamily(dm, 1, images=images)
@@ -209,7 +209,7 @@ def test_cup_checks_every_square_up_to_one_above_the_product(pipes, solved_famil
 
     fam = solved_families[0]
     images = {m: dict(fam.images[m]) for m in range(9)}
-    g = label_index(dm.res.labels(degree)[0])
+    g = label_index(generator_labels(degree)[0])
     images[degree][g] = axpy({}, Fraction(3), images[degree][g], 0)
     bogus = ChainMapFamily(dm, 1, images=images)
     x, z = hc.x_cochain(), hc.z_cochain()
