@@ -12,13 +12,19 @@ One engine, `SparseEchelon`, does all the elimination in the package.
 It takes sparse vectors {index: coeff} in order and keeps them in
 echelon form.  A `Matrix` is its list of sparse columns {row: coeff},
 as the callers build them.  `rank`, `kernel_basis` and `LinearSolver`
-insert those columns one by one, so the pivot columns are exactly those
+hand the whole list to one pass, `SparseEchelon.eliminate`, which
+inserts the columns in order, so the pivot columns are exactly those
 of the reduced row echelon form: particular solutions set every free
 variable to zero, and kernel vectors are listed by increasing
 free-column index.  `kernel_basis` also returns its echelon, so one
-elimination gives both a map's kernel and its image.  The echelon reads
-a vector in place and copies it only before the first subtraction, so
-no vector passed in is ever written into.
+elimination gives both a map's kernel and its image.  `add` (one
+vector) and `express` go through the same pass, the only code that
+subtracts a pivot row.  The pass skips an empty vector and calls a
+vector equal to the row at its leading index dependent, with nothing
+subtracted; it copies a vector only before its first subtraction, so no
+vector passed in is ever written into.  A vector is handed over: over
+Q one that needs no subtraction and leads with 1 becomes its row as it
+is, so no caller writes into a vector once it has passed it in.
 
 Coefficients over Q are ints until a non-unit pivot divides them, and
 `fractions.Fraction` values from then on; the two compare, hash and
@@ -154,42 +160,91 @@ class SparseEchelon:
         self.rows = {}
         self.combos = {} if track else None
 
-    def _eliminate(self, vec, combo=None):
-        """(residual, lead): the residual of vec once its leading index has
-        no row, and that index (None when the residual is empty).
+    def eliminate(self, items, insert=True, dependent=None):
+        """Eliminate each vector of the (tag, vector) pairs `items`, in
+        order, against the rows so far; with `insert` the residual of a
+        vector outside the span becomes a new row, normalised to lead with
+        1.  Returns the residual's leading index for the last vector, or
+        None when it lay in the span.  When tracking, a `dependent` list
+        receives (tag, combination of the inserted vectors it equals) for
+        each vector in the span; the combination may be a stored one, so
+        it is only to be read.
 
-        This decides membership: the residual is empty exactly when vec
-        lay in the span.  vec itself is only read: it is copied before
-        the first subtraction, so the residual is vec when nothing was
-        subtracted.  Each pivot row is subtracted here, entry by entry in
-        the row's order, with the sum reduced mod p when p is not 0.  With
-        `combo` the combination of rows subtracted is collected there, and
-        vec equals the residual plus that sum.
+        This is the one place a pivot row is subtracted, entry by entry in
+        the row's order, with the sum reduced mod p when p is not 0.  An
+        empty vector costs nothing, and a vector equal to the row stored at
+        its leading index is dependent with nothing subtracted.  A vector
+        is copied before its first subtraction, so none passed in is
+        written into; over Q one that needs no subtraction and leads with
+        1 becomes its row as it is, and must not be written into later.
         """
-        rows, p = self.rows, self.p
-        own = False
-        while vec:
+        rows, combos, p = self.rows, self.combos, self.p
+        lead = None
+        for tag, vec in items:
+            combo = None
+            if not vec:
+                lead = None
+                if dependent is not None:
+                    dependent.append((tag, {}))
+                continue
             lead = min(vec)
             row = rows.get(lead)
-            if row is None:
-                return vec, lead
-            f = vec[lead]
-            if not own:
-                vec, own = dict(vec), True
-            get = vec.get
-            c = -f % p if p else -f
-            for k, v in row.items():
-                acc = get(k)
-                acc = c * v if acc is None else acc + c * v
-                if p:
-                    acc %= p
-                if acc:
-                    vec[k] = acc
-                else:
-                    del vec[k]
-            if combo is not None:
-                axpy(combo, f, self.combos[lead], p)
-        return vec, None
+            if row is not None:
+                if row == vec:
+                    if dependent is not None:
+                        dependent.append((tag, combos[lead]))
+                    lead = None
+                    continue
+                if combos is not None:
+                    combo = {}
+                vec = dict(vec)
+                get = vec.get
+                while True:
+                    f = vec[lead]
+                    c = -f % p if p else -f
+                    for k, v in row.items():
+                        acc = get(k)
+                        acc = c * v if acc is None else acc + c * v
+                        if p:
+                            acc %= p
+                        if acc:
+                            vec[k] = acc
+                        else:
+                            del vec[k]
+                    if combo is not None:
+                        axpy(combo, f, combos[lead], p)
+                    if not vec:
+                        lead = None
+                        break
+                    lead = min(vec)
+                    row = rows.get(lead)
+                    if row is None:
+                        break
+                if lead is None:
+                    if dependent is not None:
+                        dependent.append((tag, combo))
+                    continue
+            if not insert:
+                continue
+            inv = vec[lead]
+            if p:
+                # entries the elimination did not touch may be unreduced
+                inv = pow(inv, -1, p)
+                row = {j: c * inv % p for j, c in vec.items()}
+            elif inv == 1:  # a pivot of ±1 is its own inverse
+                row = vec
+            elif inv == -1:
+                row = {j: -c for j, c in vec.items()}
+            else:
+                inv = Fraction(1, inv) if type(inv) is int else 1 / inv
+                row = {j: c * inv for j, c in vec.items()}
+            rows[lead] = row
+            if combos is not None:
+                # vec = inserted - sum(combo), so the row is inv * that
+                row_combo = axpy({}, -inv, combo, p) if combo else {}
+                row_combo[tag] = inv
+                combos[lead] = row_combo
+        return lead
 
     def reduce(self, vec):
         """Fully reduced residual of vec: zero at every leading index, so
@@ -201,44 +256,17 @@ class SparseEchelon:
                 axpy(vec, -f, self.rows[lead], self.p)
         return vec
 
-    def add(self, vec, tag=None, combo=None):
-        """Insert vec (under `tag` when tracking, filling a `combo` passed in
-        as `_eliminate` does).  Returns the new row's leading index, or None
-        when vec already lies in the span."""
-        p = self.p
-        if combo is None and self.combos is not None:
-            combo = {}
-        res, lead = self._eliminate(vec, combo)
-        if lead is None:
-            return None
-        inv = res[lead]
-        if p:
-            # entries the elimination did not touch may be unreduced
-            inv = pow(inv, -1, p)
-            row = {j: c * inv % p for j, c in res.items()}
-        elif inv == 1:  # a pivot of ±1 is its own inverse
-            # a row is never written into, but the caller's vector may be
-            row = dict(res) if res is vec else res
-        elif inv == -1:
-            row = {j: -c for j, c in res.items()}
-        else:
-            inv = Fraction(1, inv) if type(inv) is int else 1 / inv
-            row = {j: c * inv for j, c in res.items()}
-        self.rows[lead] = row
-        if combo is not None:
-            # res = vec - sum(combo), so the row is inv * (vec - sum(combo))
-            row_combo = axpy({}, -inv, combo, p)
-            row_combo[tag] = inv
-            self.combos[lead] = row_combo
-        return lead
+    def add(self, vec, tag=None):
+        """Insert vec (under `tag` when tracking).  Returns the new row's
+        leading index, or None when vec already lies in the span."""
+        return self.eliminate(((tag, vec),))
 
     def express(self, vec):
         """{tag: coeff}, sorted by tag, with vec = sum of coeff times the
         vector inserted under tag; None when vec is outside the span."""
-        combo = {}
-        if self._eliminate(vec, combo)[0]:
-            return None
-        return dict(sorted(combo.items()))
+        found = []
+        self.eliminate(((None, vec),), False, found)
+        return dict(sorted(found[0][1].items())) if found else None
 
     @property
     def rank(self):
@@ -247,8 +275,7 @@ class SparseEchelon:
 
 def _column_echelon(a, p, track=False):
     ech = SparseEchelon(p, track)
-    for j, col in enumerate(a.columns):
-        ech.add(col, j)
+    ech.eliminate(enumerate(a.columns))
     return ech
 
 
@@ -262,13 +289,13 @@ def kernel_basis(a, p):
     with 1 there and support otherwise on the pivot columns before it; and
     the tracked echelon of the columns, whose rows span the image."""
     ech = SparseEchelon(p, track=True)
+    dependent = []
+    ech.eliminate(enumerate(a.columns), dependent=dependent)
     kernel = []
-    for j, col in enumerate(a.columns):
-        combo = {}
-        if ech.add(col, j, combo) is None:
-            v = accumulate(((k, -c) for k, c in sorted(combo.items())), p)
-            v[j] = 1
-            kernel.append(v)
+    for j, combo in dependent:
+        v = accumulate(((k, -c) for k, c in sorted(combo.items())), p)
+        v[j] = 1
+        kernel.append(v)
     return kernel, ech
 
 

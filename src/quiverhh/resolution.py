@@ -20,7 +20,8 @@ restates each degree's printed shape on the same numbers, once.  One
 period of boundary ranks and solvers serves every degree m >= 8;
 `period_rep` makes that check per n and degree from the shapes.  A
 boundary matrix is not kept: it is built for the rank or solver that
-reads it and dropped.
+reads it and dropped, though over Q its columns that lead with 1 and
+need no elimination live on as the echelon's rows.
 
 `Label` and `Path` objects remain in the printed shapes, in the value of
 `augment` (an algebra element) and in the witnesses of the verifiers.

@@ -13,8 +13,9 @@ that degree 0 omits the two mixed pairs and has only four labels.
 `Degrees` is the package's one per-degree cache: every table of data
 kept per degree of the resolution (shapes, bases, matrices, cochain
 data, diagonal images) is one, filled the first time a degree is read.
-The same table keeps the rows of the algebra's index product table and
-the printed names of label numbers and path indices.
+The same table keeps the rows of the algebra's index product table, the
+printed names of label numbers and path indices, and the labels of each
+degree.
 """
 
 from __future__ import annotations
@@ -78,9 +79,14 @@ _INVERSE_MOD3 = {r: {pair: key for key, pair in t.items()} for r, t in _PAIRS_MO
 
 def generator_labels(m):
     """Ordered generator labels of degree m (4 at m = 0, else 6/5/5); the
-    key order of the pair tables is the presentation order."""
+    key order of the pair tables is the presentation order.  The tuple of
+    a degree is built once and shared by every call."""
     if m < 0:
         raise ValueError("degree must be >= 0")
+    return _LABELS[m]
+
+
+def _labels_at(m):
     pairs = _PAIRS_DEG0 if m == 0 else _PAIRS_MOD3[m % 3]
     return tuple(Label(m, fam, sub) for fam, sub in pairs)
 
@@ -115,6 +121,9 @@ class Degrees(dict):
             if k not in self:
                 self[k] = self._fill(k)
         return self[m]
+
+
+_LABELS = Degrees(_labels_at, upward=False)
 
 
 def label_pair(label):

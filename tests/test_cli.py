@@ -433,18 +433,19 @@ def test_hochschild_eliminates_each_coboundary_column_once(capsys, monkeypatch):
     from quiverhh.linalg import SparseEchelon
 
     built, passed = [], []
-    build, eliminate = HochschildComplex._coboundary_columns_at, SparseEchelon._eliminate
+    build, eliminate = HochschildComplex._coboundary_columns_at, SparseEchelon.eliminate
 
     def building(self, m):
         built.append(build(self, m))
         return built[-1]
 
-    def eliminating(self, vec, *rest):
-        passed.append(vec)  # kept, so that no id is reused
-        return eliminate(self, vec, *rest)
+    def eliminating(self, items, *rest, **kwargs):
+        items = list(items)
+        passed.extend(vec for _, vec in items)  # kept, so that no id is reused
+        return eliminate(self, items, *rest, **kwargs)
 
     monkeypatch.setattr(HochschildComplex, "_coboundary_columns_at", building)
-    monkeypatch.setattr(SparseEchelon, "_eliminate", eliminating)
+    monkeypatch.setattr(SparseEchelon, "eliminate", eliminating)
     code, _ = run(capsys, "hochschild", "--n", "8", "--max-degree", "12", "--output", "json", "dims")
     assert code == 0
     times = Counter(map(id, passed))

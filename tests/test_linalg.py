@@ -297,11 +297,12 @@ def test_int_coefficients_make_no_float_and_match_fractions(rows, b, y):
 
 
 def _same_elimination(a, p, reference_echelon, rhs=()):
-    """Eliminate the columns of `a` with `SparseEchelon` and with the
-    reference loop, and require the same rows and combinations, in the
-    same order, the same rank, the same solutions of each column and of
-    each vector of `rhs`, and the same kernel basis, returned with the
-    same echelon."""
+    """Eliminate the columns of `a` with `SparseEchelon`, one `add` at a
+    time and in the one pass of `LinearSolver`, and with the reference
+    loop, and require the same rows and combinations, in the same order,
+    the same rank, the same solutions of each column and of each vector
+    of `rhs`, and the same kernel basis, returned with the same
+    echelon."""
     Reference, reference_kernel = reference_echelon
     ech, ref = SparseEchelon(p, track=True), Reference(p, track=True)
     for j, col in enumerate(a.columns):
@@ -309,6 +310,9 @@ def _same_elimination(a, p, reference_echelon, rhs=()):
     items = lambda table: [(k, list(v.items())) for k, v in table.items()]
     assert items(ech.rows) == items(ref.rows)
     assert items(ech.combos) == items(ref.combos)
+    solver = LinearSolver(a, p).echelon
+    assert items(solver.rows) == items(ref.rows)
+    assert items(solver.combos) == items(ref.combos)
     assert rank(a, p) == ech.rank == ref.rank
     for b in [*a.columns, *rhs]:
         assert ech.express(b) == ref.express(b)
@@ -343,6 +347,30 @@ def test_elimination_matches_the_reference_loop(reference_echelon, data):
     _same_elimination(a, p, reference_echelon, rhs)
 
 
+@st.composite
+def repeating_matrices(draw, p):
+    """A matrix of `sparse_matrices` with some of its columns repeated, as
+    equal dicts and as the very same dict objects, and empty columns
+    added, all in a drawn order; and its right-hand sides."""
+    a, rhs = draw(sparse_matrices(p))
+    columns = list(a.columns)
+    for j, kind in draw(
+        st.lists(st.tuples(st.integers(0, a.cols - 1), st.sampled_from("same equal empty".split())))
+    ):
+        columns.append({"same": a.columns[j], "equal": dict(a.columns[j]), "empty": {}}[kind])
+    order = draw(st.permutations(range(len(columns))))
+    return Matrix(a.rows, [columns[i] for i in order]), rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_repeated_and_empty_columns_match_the_reference_loop(reference_echelon, data):
+    # a repeat of a column kept as its row is dependent with no subtraction
+    p = data.draw(st.sampled_from([0, 7]), label="p")
+    a, rhs = data.draw(repeating_matrices(p), label="matrix")
+    _same_elimination(a, p, reference_echelon, rhs)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_boundary_elimination_matches_the_reference_loop(reference_echelon, n, field):
@@ -351,3 +379,22 @@ def test_boundary_elimination_matches_the_reference_loop(reference_echelon, n, f
         a = r.boundary_matrix(m)
         units = [{i: 1} for i in range(0, a.rows, max(1, a.rows // 5))]
         _same_elimination(a, field.p, reference_echelon, units)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_unit_led_columns_become_their_rows_uncopied(reference_echelon, n):
+    # over Q the echelon keeps a column that needs no elimination and leads
+    # with 1 as its row, so the column is handed over, not copied
+    Reference = reference_echelon[0]
+    r = Resolution(get_algebra(n))
+    kept = 0
+    for m in range(14):
+        a = r.boundary_matrix(m)
+        rows, ref = LinearSolver(a, 0).echelon.rows, Reference(0)
+        for col in a.columns:
+            lead = min(col, default=None)
+            if lead is not None and lead not in ref.rows and col[lead] == 1:
+                assert rows[lead] is col, (m, lead)
+                kept += 1
+            ref.add(col)
+    assert kept

@@ -12,6 +12,23 @@ def test_generator_counts_follow_residue_pattern():
         assert len(generator_labels(m)) == (6 if m % 3 == 0 else 5)
 
 
+def test_generator_labels_are_built_once_per_degree():
+    names = {
+        0: "R0 S0 T0 U0",
+        1: "R1_0 R1_1 S1 T1 U1",
+        2: "R2 S2 T2 U2_0 U2_1",
+        3: "R3 S3_0 S3_1 T3_0 T3_1 U3",
+        7: "R7_0 R7_1 S7 T7 U7",
+    }
+    for m, text in names.items():
+        labels = generator_labels(m)
+        assert labels is generator_labels(m)
+        assert type(labels) is tuple and all(type(lab) is Label for lab in labels)
+        assert " ".join(map(str, labels)) == text
+    with pytest.raises(ValueError):
+        generator_labels(-1)
+
+
 def test_degree0_pairs():
     assert [label_pair(l) for l in generator_labels(0)] == [
         ("e0", "e0"),
