@@ -110,20 +110,17 @@ class FamilyAlgebra:
 
     # -- rewriting ---------------------------------------------------
 
-    def reduce_word(self, source, word):
-        """Normal form of a path given as (source, arrow word): Path or None."""
-        word = tuple(word)
+    def normal_form_path(self, p):
+        """Normal form of the path p: Path or None."""
+        word = p.arrows
         while True:
             for kw in self.kill_words:
                 if _find_subword(word, kw) >= 0:
                     return None
             i = _find_subword(word, self.detour)
             if i < 0:
-                return Path(source, word)
+                return Path(p.source, word)
             word = word[:i] + self.detour_replacement + word[i + 2 :]
-
-    def normal_form_path(self, p):
-        return self.reduce_word(p.source, p.arrows)
 
     # -- products ------------------------------------------------------
 

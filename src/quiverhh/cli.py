@@ -11,7 +11,8 @@ Subcommands
 `report` merges the sections' tables by key, so the hochschild section's
 `dimensions` table (degree, hom_dim, hh_dim) replaces the resolution
 section's (degree, dim, generators): a report holds no resolution
-dimensions.
+dimensions.  `hochschild ... star-table` runs what `dims` runs: its text
+prints no star table, and its JSON holds `dimensions` and `star_table`.
 
 Each option is declared once, in `pipeline.OPTIONS`, the table that
 `RunConfig` also takes its defaults and choices from.  A handler returns
@@ -45,6 +46,7 @@ from . import reports
 from .algebra import oracle_quotient_dim
 from .pipeline import OPTIONS, Pipeline, RunConfig
 from .products import UnverifiedDiagonal
+from .quiver import VERTICES
 from .uniform import generator_labels
 
 
@@ -55,8 +57,8 @@ def _emit(config, payload, text):
     The JSON report is `payload` (its checks, tables and deviations)
     stamped with the run's config, the one place a report gets it.
     """
-    # text and markdown are built by the caller; None means the JSON itself
-    if config.output == "json" or text is None:
+    # text and markdown are built by the caller
+    if config.output == "json":
         text = reports.canonical_json({"config": config.as_dict(), **payload})
     try:
         if config.out_path:
@@ -117,8 +119,7 @@ def cmd_algebra(pipe, action):
         "dimension": dim,
         "corners": {
             f"{u},{v}": alg.corner_dim(u, v)
-            for u in ("e0", "e1", "f1", "e2")
-            for v in ("e0", "e1", "f1", "e2")
+            for u in VERTICES for v in VERTICES
             if alg.corner_dim(u, v)
         },
     }
@@ -191,9 +192,7 @@ def _cup_table_wanted(config):
     return config.delta_mode == "solved" and config.n == 0 and config.max_degree >= 12
 
 
-def cmd_hochschild(pipe, action, prints_payload=False):
-    """`prints_payload`: the caller prints the JSON payload in every output
-    mode, as `report` does."""
+def cmd_hochschild(pipe, action):
     hc, n = pipe.hochschild, pipe.config.n
     tables = {
         "dimensions": [
@@ -204,9 +203,9 @@ def cmd_hochschild(pipe, action, prints_payload=False):
     # each table is computed only when printed: text output prints the
     # dimensions, markdown adds the star table, and only the JSON holds
     # the rest
-    if prints_payload or pipe.config.output != "text":
+    if pipe.config.output != "text":
         tables["star_table"] = pipe.products.table_comparison()
-    prints_json = prints_payload or pipe.config.output == "json"
+    prints_json = pipe.config.output == "json"
     checks = []
     for row in tables["dimensions"]:
         m = row["degree"]
@@ -291,7 +290,7 @@ def cmd_report(pipe, action):
     resolution = cmd_resolution(pipe, "all")
     # "bases" is "all" without the cup table, which is the ring's table
     # and is computed once, in the ring section below
-    hochschild = cmd_hochschild(pipe, "bases", prints_payload=True)
+    hochschild = cmd_hochschild(pipe, "bases")
     # merged in the printed order; a table replaces an earlier one of its key
     for sub_payload, _, sub_ok in (algebra, resolution, diagonal, hochschild):
         payload["checks"].extend(sub_payload["checks"])
@@ -306,8 +305,7 @@ def cmd_report(pipe, action):
         payload["checks"].extend(ring_payload["checks"])
         payload["deviations"].extend(ring_payload["deviations"])
         ok = ok and ring_ok
-    # every output mode prints the JSON, serialised once by _emit
-    return payload, None, ok
+    return payload, None, ok  # `main` makes a report a JSON run
 
 
 COMMANDS = {
@@ -388,6 +386,8 @@ def main(argv=None):
     try:
         if args["command"] == "ring" and args["n"] != 0:
             raise ValueError("ring reconciliation is defined for --n 0")
+        if args["command"] == "report":  # every output mode prints the JSON
+            args["output"] = "json"
         config = RunConfig(**{dest: args[dest] for _, dest, *_ in OPTIONS})
         if args["command"] == "hochschild" and args["action"] == "cup-table":
             if not _cup_table_wanted(config):

@@ -100,7 +100,8 @@ class HochschildComplex:
         return Cochain(m, {})
 
     def add(self, f, g):
-        assert f.degree == g.degree
+        if f.degree != g.degree:
+            raise ValueError(f"cannot add cochains of degrees {f.degree} and {g.degree}")
         return Cochain(f.degree, axpy(dict(f.vec), 1, g.vec, self.field.p))
 
     def scale(self, c, f):

@@ -116,7 +116,8 @@ class OneSidedContraction:
     """
 
     def __init__(self, resolution, side):
-        assert side in ("right", "left")
+        if side not in ("right", "left"):
+            raise ValueError(f"contraction side must be 'right' or 'left', not {side!r}")
         self.res = resolution
         self.alg = resolution.algebra
         self.side = side
@@ -167,12 +168,13 @@ class OneSidedContraction:
 
         Degree m reads the labels of m and m - 1 and the shape of m (the
         generators and the boundary of their defects), the labels of m + 1
-        and the boundary solver of m + 1, and the table of m - 1.
-        `period_rep` certifies the first two against m - 6 and m - 5; the
-        table of m - 1 must be the one of m - 7.  At m = 8 that is one
-        comparison of the solved tables of degrees 7 and 1 (degree 0 reads
-        the augmentation section, so the chain cannot start lower); above,
-        the table of m - 1 is that of m - 7 exactly when it was shared.
+        and the boundary solver of m + 1, and the table of m - 1.  Labels
+        repeat with period 3 (see `uniform`); `period_rep` compares the
+        shapes of m and m + 1 with those of m - 6 and m - 5; the table of
+        m - 1 must be the one of m - 7.  At m = 8 that is one comparison of
+        the solved tables of degrees 7 and 1 (degree 0 reads the
+        augmentation section, so the chain cannot start lower); above, the
+        table of m - 1 is that of m - 7 exactly when it was shared.
         """
         res, table = self.res, self.table
         if res.period_rep(m) == m or res.period_rep(m + 1) == m + 1:

@@ -5,7 +5,7 @@ A sparse vector is a dict {key: coeff} with no zero coefficient stored.
 builds its vectors with them.  Each takes the characteristic p of the
 field (0 for Q) and reduces mod p when p is not 0; it has no default, so
 a sum cannot forget to reduce.  The two loops run once per matrix entry,
-the echelon's row subtraction and `Resolution._boundary_matrix`, sum in
+`SparseEchelon.eliminate` and `Resolution._boundary_matrix`, sum in
 place instead, in the same order and with the same reduction.
 
 One engine, `SparseEchelon`, does all the elimination in the package.
@@ -18,13 +18,14 @@ of the reduced row echelon form: particular solutions set every free
 variable to zero, and kernel vectors are listed by increasing
 free-column index.  `kernel_basis` also returns its echelon, so one
 elimination gives both a map's kernel and its image.  `add` (one
-vector) and `express` go through the same pass, the only code that
-subtracts a pivot row.  The pass skips an empty vector and calls a
-vector equal to the row at its leading index dependent, with nothing
-subtracted; it copies a vector only before its first subtraction, so no
-vector passed in is ever written into.  A vector is handed over: over
-Q one that needs no subtraction and leads with 1 becomes its row as it
-is, so no caller writes into a vector once it has passed it in.
+vector) and `express` go through the same pass; `reduce`, the full
+reduction of `class_residual`, also subtracts pivot rows, through
+`axpy`.  The pass skips an empty vector and calls a vector equal to
+the row at its leading index dependent, with nothing subtracted; it
+copies a vector only before its first subtraction, so no vector passed
+in is ever written into.  A vector is handed over: over Q one that
+needs no subtraction and leads with 1 becomes its row as it is, so no
+caller writes into a vector once it has passed it in.
 
 Coefficients over Q are ints until a non-unit pivot divides them, and
 `fractions.Fraction` values from then on; the two compare, hash and
@@ -170,8 +171,8 @@ class SparseEchelon:
         each vector in the span; the combination may be a stored one, so
         it is only to be read.
 
-        This is the one place a pivot row is subtracted, entry by entry in
-        the row's order, with the sum reduced mod p when p is not 0.  An
+        A pivot row is subtracted entry by entry in the row's order (`reduce`
+        uses `axpy`), with the sum reduced mod p when p is not 0.  An
         empty vector costs nothing, and a vector equal to the row stored at
         its leading index is dependent with nothing subtracted.  A vector
         is copied before its first subtraction, so none passed in is

@@ -41,7 +41,8 @@ def boundary_shape(m, n):
 
     Returns {source label: [(left path, target label, right path, sign)]}.
     """
-    assert m >= 1
+    if m < 1:
+        raise ValueError(f"boundary_shape needs degree m >= 1, not {m}")
     e0, e1, f1, e2 = (trivial(v) for v in ("e0", "e1", "f1", "e2"))
     a0, a1, a2, b0, b1 = (arrow(t) for t in ("a0", "a1", "a2", "b0", "b1"))
     long0 = a_cycle(0, 3 * n + 1)
@@ -177,8 +178,8 @@ class Resolution:
             terms = []
             for left, tgt, right, sign in sh[lab]:
                 to, tt = label_pair(tgt)
-                assert left.source == o and left.target == to, (lab, tgt)
-                assert right.source == tt and right.target == t, (lab, tgt)
+                if (left.source, left.target, right.source, right.target) != (o, to, tt, t):
+                    raise ValueError(f"boundary of {lab}: term {left} {tgt} {right} has wrong ends")
                 terms.append((index[left], label_index(tgt), index[right], sign))
             out.append(terms)
         return out
@@ -249,21 +250,16 @@ class Resolution:
 
     def period_rep(self, m):
         """The degree whose boundary matrix, rank and solver serve degree m:
-        r = `period_rep(m - 6)` for m >= 8 when the labels of m and m - 1 and
-        the shape of m (all `_boundary_matrix(m)` reads besides the algebra)
-        are those of r and r - 1 shifted up by m - r, else m itself.  Since
-        m - 6 is certified against r, that is the comparison with m - 6."""
+        r = `period_rep(m - 6)` for m >= 8 when the shape of m is that of r
+        (so of m - 6) with label numbers shifted up by 8(m - r), else m
+        itself.  `_boundary_matrix(m)` reads only that shape, the algebra and
+        labels, which repeat with period 3 in positive degree (see `uniform`)."""
         return self._reps[m]
 
     def _period_rep_at(self, m):
         if m < 8:
             return m
         r = self._reps[m - 6]
-        up = lambda lab: lab._replace(degree=lab.degree + m - r)
-        if any(
-            tuple(map(up, generator_labels(k - m + r))) != generator_labels(k) for k in (m, m - 1)
-        ):
-            return m
         # a shape read only here is built, checked and dropped, so a deep
         # read keeps one period of shapes; a label number shifts up by 8
         # per degree

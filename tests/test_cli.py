@@ -625,6 +625,8 @@ def test_report_is_serialised_once(capsys, monkeypatch, output):
     assert code == 0
     assert len(calls) == 1
     assert out == dumps(calls[0])
+    # a report is a JSON run whatever the output mode
+    assert out == run(capsys, "report", "--n", "0", "--max-degree", "3", "--output", "json")[1]
 
 
 def test_perfbench_tracer_wraps_current_names(tmp_path):

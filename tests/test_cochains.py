@@ -67,6 +67,12 @@ def test_non_cocycle_detected(pipes):
     assert not db.is_zero()
 
 
+def test_cochains_of_different_degrees_do_not_add(pipes):
+    hc = hc_of(pipes, 0)
+    with pytest.raises(ValueError, match="degrees 0 and 1"):
+        hc.add(hc.zero_cochain(0), hc.zero_cochain(1))
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_coboundary_squared_zero(pipes, n):
     hc = hc_of(pipes, n)
@@ -181,6 +187,8 @@ def test_guards_hold_under_python_O():
         "from quiverhh.cochains import CochainName, HochschildComplex\n"
         "from quiverhh.diagonal import OneSidedContraction\n"
         "from quiverhh.linalg import QQ, LinearSolver\n"
+        "from quiverhh.quiver import arrow\n"
+        "from quiverhh import resolution\n"
         "from quiverhh.resolution import Resolution\n"
         "def refusal(call):\n"
         "    try:\n"
@@ -192,9 +200,23 @@ def test_guards_hold_under_python_O():
         "print(refusal(lambda: hc.class_residual(hc.named(1, CochainName('nu', 0)))))\n"
         "LinearSolver.solve = lambda self, b: None\n"
         "print(refusal(lambda: OneSidedContraction(res, 'right').table[0]))\n"
+        # a degree-1 term whose left path b1 does not start at e0, the
+        # origin of R1_0
+        "shape = resolution.boundary_shape\n"
+        "def bent(m, n):\n"
+        "    sh = shape(m, n)\n"
+        "    (_, tgt, right, sign), *rest = sh[first := next(iter(sh))]\n"
+        "    sh[first] = [(arrow('b1'), tgt, right, sign), *rest]\n"
+        "    return sh\n"
+        "resolution.boundary_shape = bent\n"
+        "print(refusal(lambda: Resolution(get_algebra(0, QQ)).shape(1)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script, str(src)], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["not a cocycle", "contraction solve failed at degree 0"]
+    assert proc.stdout.splitlines() == [
+        "not a cocycle",
+        "contraction solve failed at degree 0",
+        "boundary of R1_0: term b1 R0 a0 has wrong ends",
+    ]

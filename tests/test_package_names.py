@@ -59,6 +59,17 @@ def test_every_package_def_is_named_by_the_package_or_perfbench():
     assert unnamed == [], "only the tests use these; move them into tests/"
 
 
+def test_package_holds_no_assert():
+    # python -O drops assert statements, so a guard raises instead
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
 def test_uniform_imports_no_other_package_module():
     # the label scheme is the leaf every other module reads
     tree = ast.parse((ROOT / "src" / "quiverhh" / "uniform.py").read_text())

@@ -259,9 +259,9 @@ def test_basis_walk_reaches_large_members():
 
 def test_each_basis_path_and_arrow_is_rewritten_once(monkeypatch):
     words = []
-    reduce_word = FamilyAlgebra.reduce_word
+    normal_form_path = FamilyAlgebra.normal_form_path
     monkeypatch.setattr(
-        FamilyAlgebra, "reduce_word", lambda alg, s, w: words.append((s, w)) or reduce_word(alg, s, w)
+        FamilyAlgebra, "normal_form_path", lambda alg, p: words.append(p) or normal_form_path(alg, p)
     )
     alg = FamilyAlgebra(5)
     for i in range(alg.dim()):

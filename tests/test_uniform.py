@@ -29,6 +29,14 @@ def test_generator_labels_are_built_once_per_degree():
         generator_labels(-1)
 
 
+def test_positive_degree_labels_repeat_with_period_three():
+    # so the period certificate of the resolution compares only shapes
+    for k in range(1, 40):
+        for j in range(1, 5):
+            shifted = tuple(lab._replace(degree=lab.degree + 3 * j) for lab in generator_labels(k))
+            assert generator_labels(k + 3 * j) == shifted, (k, j)
+
+
 def test_degree0_pairs():
     assert [label_pair(l) for l in generator_labels(0)] == [
         ("e0", "e0"),
