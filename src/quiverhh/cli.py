@@ -11,8 +11,9 @@ Subcommands
 `report` merges the sections' tables by key, so the hochschild section's
 `dimensions` table (degree, hom_dim, hh_dim) replaces the resolution
 section's (degree, dim, generators): a report holds no resolution
-dimensions.  `hochschild ... star-table` runs what `dims` runs: its text
-prints no star table, and its JSON holds `dimensions` and `star_table`.
+dimensions.  `hochschild ... star-table` prints the star table in every
+output mode; in text mode the other actions print no star table, and
+the JSON of every action holds `dimensions` and `star_table`.
 
 Each option is declared once, in `pipeline.OPTIONS`, the table that
 `RunConfig` also takes its defaults and choices from.  A handler returns
@@ -192,6 +193,10 @@ def _cup_table_wanted(config):
     return config.delta_mode == "solved" and config.n == 0 and config.max_degree >= 12
 
 
+# the columns of a printed star table
+_STAR_COLUMNS = ("left", "right", "table", "computed", "status")
+
+
 def cmd_hochschild(pipe, action):
     hc, n = pipe.hochschild, pipe.config.n
     tables = {
@@ -201,9 +206,10 @@ def cmd_hochschild(pipe, action):
         ],
     }
     # each table is computed only when printed: text output prints the
-    # dimensions, markdown adds the star table, and only the JSON holds
-    # the rest
-    if pipe.config.output != "text":
+    # dimensions, markdown and the text of `star-table` add the star
+    # table, and only the JSON holds the rest
+    star_text = pipe.config.output == "text" and action == "star-table"
+    if pipe.config.output != "text" or star_text:
         tables["star_table"] = pipe.products.table_comparison()
     prints_json = pipe.config.output == "json"
     checks = []
@@ -229,12 +235,12 @@ def cmd_hochschild(pipe, action):
     text += "degree  hom-dim  hh-dim\n"
     for row in tables["dimensions"]:
         text += f"{row['degree']:>6}  {row['hom_dim']:>7}  {row['hh_dim']:>6}\n"
+    if star_text:
+        text += reports.render_markdown_table(tables["star_table"], _STAR_COLUMNS)
     if pipe.config.output == "markdown":
         text = reports.render_markdown_table(
             tables["dimensions"], ["degree", "hom_dim", "hh_dim"]
-        ) + reports.render_markdown_table(
-            tables["star_table"], ["left", "right", "table", "computed", "status"]
-        )
+        ) + reports.render_markdown_table(tables["star_table"], _STAR_COLUMNS)
     payload = {"checks": checks, "tables": tables, "deviations": []}
     return payload, text, _status_ok(checks)
 
@@ -268,9 +274,7 @@ def cmd_ring(pipe, action):
         "worked_values": worked,
     }
     text = _check_lines(checks)
-    text += reports.render_markdown_table(
-        star_rows, ["left", "right", "table", "computed", "status"]
-    )
+    text += reports.render_markdown_table(star_rows, _STAR_COLUMNS)
     text += reports.render_markdown_table(cup_rows, ["left", "right", "class"])
     text += reports.render_markdown_table(
         tables["presentation"], ["relation", "published", "computed", "status"]

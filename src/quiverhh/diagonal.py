@@ -38,10 +38,21 @@ Each step has one body: the two-corner rule is
 `DiagonalMaps.delta_prime_apply`, the homotopy correction is
 `HomotopyFamily.correction` and the family it corrects is
 `DiagonalMaps.corrected_family`, the bimodule-linear extension is
-`_extend`, and the lift step (solve, keep the generator's own corner) is
-the `lift` of `DiagonalMaps.solved_family`.  The lift only solves:
+`_extend`, and the lift step is the `lift` of
+`DiagonalMaps.solved_family`.  The lift only solves: its solution lies
+in the generator's own corner as it comes, and
 `DiagonalMaps.verify_square` is the one comparison of a solved square,
-and a square the lift got wrong is a failing row of it, not an error.
+so a square the lift got wrong is a failing row of it, not an error.
+
+The three loops that run once per term are single-pass kernels: each
+reads `product_rows`, the boundary shapes and the contraction tables
+inline and sums its terms in one `accumulate`, with no intermediate
+element per term.  `_extend` sums every (resolution term × image term)
+product; `DiagonalMaps._solve_boundary` sums the first-factor and the
+second-factor contraction; and `OneSidedContraction._solve` sums each
+generator minus the contraction of its boundary, read off the shape.
+The tests keep the term-by-term forms (`tests/conftest.py`) and check
+that each kernel equals its reference, in value and in order.
 
 The solver never forms the total-complex boundary as one big matrix: it
 contracts the first tensor factor with the right-linear contraction of
@@ -70,11 +81,11 @@ tables may too: degrees 0..7 are solved, and a degree m >= 8 holds the
 very table of m - 6 only when `period_rep` certifies m and m + 1 and the
 table of m - 1 is that of m - 7 (at m = 8, when the solved tables of 7
 and 1 are equal); every other degree is solved.
-`OneSidedContraction.terms` is the homotopy on one basis triple and
-`section` the augmentation and its degree-0 section on one, and a tensor
-factor is such a triple, with the middle path as the right path of the
-first factor and the left path of the second: `apply` and
-`_solve_boundary` both read them.
+The homotopy on one basis triple reads the entry at its free path and
+multiplies its other path on; `OneSidedContraction.section` is the
+augmentation and its degree-0 section on one.  A tensor factor is such a
+triple, with the middle path as the right path of the first factor and
+the left path of the second, which is how `_solve_boundary` reads both.
 """
 
 from __future__ import annotations
@@ -86,14 +97,19 @@ from .uniform import Degrees, generator_labels, label_at, label_index, label_pai
 
 def _extend(tc, images, elem):
     """Bimodule-linear extension of generator images {label number:
-    tensor element} to a resolution element."""
-    act, p = tc.act, tc.field.p
-    out = {}
-    for (g, left, right), c in elem.items():
-        img = images.get(g)
-        if img:
-            axpy(out, c, act(left, img, right), p)
-    return out
+    tensor element} to a resolution element: every (resolution term ×
+    image term) product, read off `product_rows`, summed in one pass."""
+    rows = tc.rows
+    return accumulate(
+        (
+            ((g1, g2, nl, mid, nr), c * d)
+            for (g, left, right), c in elem.items()
+            if (img := images.get(g))
+            for (g1, g2, l, mid, r), d in img.items()
+            if (nl := rows[left][l]) is not None and (nr := rows[r][right]) is not None
+        ),
+        tc.field.p,
+    )
 
 
 class OneSidedContraction:
@@ -138,28 +154,6 @@ class OneSidedContraction:
             return {(res.vertex_label[p.source], res.vertex[p.source], q): 1}
         return {(res.vertex_label[p.target], q, res.vertex[p.target]): 1}
 
-    def terms(self, g, left, right):
-        """The homotopy on the basis triple (g, left, right): its (triple,
-        coefficient) terms, not summed."""
-        m, rows = g >> 3, self.alg.product_rows
-        base, images = 8 * (m + 1), self.table[m][g & 7]
-        if self.side == "right":
-            for k2, l2, r2, d in images[self._slot[left]]:
-                if (nr := rows[r2][right]) is not None:
-                    yield (base + k2, l2, nr), d
-        else:
-            for k2, l2, r2, d in images[self._slot[right]]:
-                if (nl := rows[left][l2]) is not None:
-                    yield (base + k2, nl, r2), d
-
-    def apply(self, elem):
-        """Apply the homotopy to an element of one degree (each term's label
-        number carries the degree)."""
-        return accumulate(
-            ((k, c * d) for (g, l, r), c in elem.items() for k, d in self.terms(g, l, r)),
-            self.res.field.p,
-        )
-
     def _table_at(self, m):
         return self.table[m - 6] if m >= 8 and self._repeats(m) else self._solve(m)
 
@@ -188,20 +182,44 @@ class OneSidedContraction:
         # degree's boundary matrix splits into one-sided corner blocks and
         # a solution never leaves the corner of its right-hand side.
         res, alg, p = self.res, self.alg, self.res.field.p
+        rows, slot = alg.product_rows, self._slot
         solver = res.boundary_solver(m + 1)
         right_side = self.side == "right"
+        if m:
+            shape, below, base = res.shape(m), self.table[m - 1], 8 * m
+
+        def rhs_terms(g, left, right):
+            # the generator (g, left, right) minus s of its boundary, read
+            # straight off the shape of degree m and the table of m - 1: a
+            # boundary term (x, tgt, y, sign) is the triple (tgt, left x,
+            # y right), and s sends it to the images stored at its free
+            # path times its other path
+            yield (g, left, right), 1
+            for x, tgt, y, sign in shape[g & 7]:
+                if (nl := rows[left][x]) is None or (nr := rows[y][right]) is None:
+                    continue
+                if right_side:
+                    for k2, l2, r2, d in below[tgt & 7][slot[nl]]:
+                        if (q := rows[r2][nr]) is not None:
+                            yield (base + k2, l2, q), -sign * d
+                else:
+                    row = rows[nl]
+                    for k2, l2, r2, d in below[tgt & 7][slot[nr]]:
+                        if (q := row[l2]) is not None:
+                            yield (base + k2, q, r2), -sign * d
+
         solutions = []
         for lab in generator_labels(m):
             o, t = label_pair(lab)
             g = label_index(lab)
             xs = []
             for free in alg.paths_into[o] if right_side else alg.paths_from[t]:
-                gen = (g, free, res.vertex[t]) if right_side else (g, res.vertex[o], free)
+                left, right = (free, res.vertex[t]) if right_side else (res.vertex[o], free)
                 if m == 0:
-                    defect = self.section(gen[1], gen[2])
+                    # the generator minus its augmentation section
+                    rhs = axpy({(g, left, right): 1}, -1, self.section(left, right), p)
                 else:
-                    defect = self.apply(res.apply_boundary(m, {gen: 1}))
-                rhs = axpy({gen: 1}, -1, defect, p)
+                    rhs = accumulate(rhs_terms(g, left, right), p)
                 x = solver.solve({res.position(m, *k): c for k, c in rhs.items()})
                 if x is None:
                     raise ValueError(f"contraction solve failed at degree {m}")
@@ -369,39 +387,38 @@ class DiagonalMaps:
 
         rhs must be a boundary; for total degree 0 this amounts to rhs
         augmenting to zero.  Contract the first factor, then push the
-        degree-(0, b) leftover through the left contraction of the second.
+        degree-(0, b) leftover through the left contraction of the second:
+        both parts read the contraction tables inline and are summed in
+        one pass, the first part's terms before the second's.
         """
-        p, first, second = self.field.p, self.s_right, self.s_left
+        rows, first, second = self.tc.rows, self.s_right, self.s_left
+        into, outof = self.tc.algebra.into_index, self.tc.algebra.from_index
 
-        def contract_first():
+        def terms():
             # (first-factor contraction) tensor identity: the middle path is
             # the right path of the first factor
             for (g1, g2, left, mid, right), c in rhs.items():
-                for (h, nl, nm), d in first.terms(g1, left, mid):
-                    yield (h, g2, nl, nm, right), c * d
-
-        def augment_first():
-            # a degree-0 first factor, replaced through augment-then-section
+                base = 8 * (g1 >> 3) + 8
+                for k, l2, r2, d in first.table[g1 >> 3][g1 & 7][into[left]]:
+                    if (nm := rows[r2][mid]) is not None:
+                        yield (base + k, g2, l2, nm, right), c * d
+            # a degree-0 first factor, replaced through augment-then-section,
+            # then identity tensor (second-factor contraction): the middle
+            # path is the left path of the second factor
             for (g1, g2, left, mid, right), c in rhs.items():
                 if g1 < 8:
-                    for (h, nl, q), d in first.section(left, mid).items():
-                        yield (h, g2, nl, q, right), c * d
+                    for (h, nl, q), e in first.section(left, mid).items():
+                        base, row = 8 * (g2 >> 3) + 8, rows[q]
+                        for k, l2, r2, d in second.table[g2 >> 3][g2 & 7][outof[right]]:
+                            if (nm := row[l2]) is not None:
+                                yield (h, base + k, nl, nm, r2), c * e * d
 
-        def contract_second(leftover):
-            # identity tensor (second-factor contraction): the middle path
-            # is the left path of the second factor
-            for (g1, g2, left, mid, right), c in leftover.items():
-                for (h, nm, nr), d in second.terms(g2, mid, right):
-                    yield (g1, h, left, nm, nr), c * d
-
-        x = accumulate(contract_first(), p)
-        y = accumulate(contract_second(accumulate(augment_first(), p)), p)
-        return axpy(x, 1, y, p)
+        return accumulate(terms(), self.field.p)
 
     def solved_family(self):
         """A lift of the identity solved one square at a time; each square
         is decided by `verify_square`."""
-        res, tc, vertex = self.res, self.tc, self.res.vertex
+        res, tc = self.res, self.tc
 
         def lift(lab):
             m = lab.degree
@@ -409,12 +426,12 @@ class DiagonalMaps:
                 gen = res.generator(lab)
                 return tc.tensor(gen, gen)
             # X with dX = the family on the generator's boundary, when that is
-            # a boundary (nothing here checks it), kept in the generator's own
-            # corner: the complement is boundary-free junk the one-sided
-            # contractions may add
-            o, t = label_pair(lab)
-            x = self._solve_boundary(family.on_boundary[m][label_index(lab)])
-            return tc.act(vertex[o], x, vertex[t])
+            # a boundary (nothing here checks it).  X lies in the generator's
+            # own corner, as the right-hand side does: the first contraction
+            # keeps each term's right path and the left end of its left path,
+            # the section keeps that left end, and the second contraction
+            # keeps the left path and the right end of the right path
+            return self._solve_boundary(family.on_boundary[m][label_index(lab)])
 
         family = ChainMapFamily(self, 1, images=self.per_label(lift, upward=True))
         return family

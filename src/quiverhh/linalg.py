@@ -4,9 +4,13 @@ A sparse vector is a dict {key: coeff} with no zero coefficient stored.
 `accumulate` and `axpy` form the package's sparse sums: every layer
 builds its vectors with them.  Each takes the characteristic p of the
 field (0 for Q) and reduces mod p when p is not 0; it has no default, so
-a sum cannot forget to reduce.  The two loops run once per matrix entry,
-`SparseEchelon.eliminate` and `Resolution._boundary_matrix`, sum in
-place instead, in the same order and with the same reduction.
+a sum cannot forget to reduce.  The loops that run once per term of the
+solved diagonal (`diagonal._extend`, `DiagonalMaps._solve_boundary` and
+`OneSidedContraction._solve`) each hand all their terms to one
+`accumulate`, with no intermediate vector per term.  The two loops that
+run once per matrix entry, `SparseEchelon.eliminate` and
+`Resolution._boundary_matrix`, sum in place instead, in the same order
+and with the same reduction.
 
 One engine, `SparseEchelon`, does all the elimination in the package.
 It takes sparse vectors {index: coeff} in order and keeps them in

@@ -169,8 +169,11 @@ def _str_and_repr(obj):
 def _terms_json(names, elem, field):
     """Serialised terms of a tensor element, sorted by the repr of their
     key decoded to `Label` and `Path` objects.  `names` holds the str and
-    repr of each label number and path index (`Pipeline._names`); the repr
-    of a tuple is the reprs of its items, joined by ", " in parentheses."""
+    repr of each label number and path index (`Pipeline._names`).  The
+    terms are sorted by the tuple of the five reprs: the repr of a tuple
+    joins them by ", " in parentheses, and no repr here (a `NamedTuple`'s,
+    whose first "(" closes at its end) is a proper prefix of another, so
+    the two orders agree."""
     labels, paths = names
     keyed = []
     for (g1, g2, left, mid, right), c in elem.items():
@@ -184,7 +187,7 @@ def _terms_json(names, elem, field):
             "right": nr[0],
             "coeff": field.format(c),
         }
-        keyed.append((f"({n1[1]}, {n2[1]}, {nl[1]}, {nm[1]}, {nr[1]})", row))
+        keyed.append(((n1[1], n2[1], nl[1], nm[1], nr[1]), row))
     keyed.sort(key=lambda kv: kv[0])
     return [row for _, row in keyed]
 

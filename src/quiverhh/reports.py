@@ -52,7 +52,7 @@ def canonical_json(data):
     if not isinstance(data, (dict, list, tuple)):
         return _scalar_json(data) + "\n"
     parts, chunks = [], []
-    _write_json(data, "\n", parts, chunks)
+    _write_json(data, "\n", parts, chunks, {})
     parts.append("\n")
     chunks.append("".join(parts))
     return "".join(chunks)
@@ -74,46 +74,64 @@ def _scalar_json(data):
     raise TypeError(f"Object of type {type(data).__name__} is not JSON serializable")
 
 
-def _write_json(data, newline, parts, chunks):
+def _write_json(data, newline, parts, chunks, heads):
     """Append `data` (a dict, list or tuple) to `parts` as `json.dumps(...,
     indent=2, sort_keys=True)` would write it, with `newline` the line
     break and indent of its own level; `parts` goes into `chunks` as one
-    string whenever a list item leaves `_CHUNK` fragments in it."""
+    string whenever a list item leaves `_CHUNK` fragments in it.
+
+    `heads`, one per `canonical_json` call, keeps for each indent level
+    the encoded head `,<line break>"key": ` of every key written there, so
+    the rows of a table encode their keys once.  A value dispatches on its
+    exact type (str, int, then the containers) before the general tests.
+    """
     emit = parts.append
     inner = newline + "  "
     if isinstance(data, dict):
         if not data:
             emit("{}")
             return
-        sep = "{" + inner
+        level = heads.get(inner)
+        if level is None:
+            level = heads[inner] = {}
+        first = True
         for key in sorted(data):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head = level.get(key)
+            if head is None:
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                head = level[key] = "," + inner + encode_basestring_ascii(key) + ": "
+            if first:
+                head, first = "{" + head[1:], False
             value = data[key]
-            head = sep + encode_basestring_ascii(key) + ": "
-            if type(value) is str:
+            kind = type(value)
+            if kind is str:
                 emit(head + encode_basestring_ascii(value))
-            elif isinstance(value, (dict, list, tuple)):
+            elif kind is int:
+                emit(head + int.__repr__(value))
+            elif kind is dict or kind is list or isinstance(value, (dict, list, tuple)):
                 emit(head)
-                _write_json(value, inner, parts, chunks)
+                _write_json(value, inner, parts, chunks, heads)
             else:
                 emit(head + _scalar_json(value))
-            sep = "," + inner
         emit(newline + "}")
     else:
         if not data:
             emit("[]")
             return
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for item in data:
-            if type(item) is str:
+            kind = type(item)
+            if kind is str:
                 emit(sep + encode_basestring_ascii(item))
-            elif isinstance(item, (dict, list, tuple)):
+            elif kind is int:
+                emit(sep + int.__repr__(item))
+            elif kind is dict or kind is list or isinstance(item, (dict, list, tuple)):
                 emit(sep)
-                _write_json(item, inner, parts, chunks)
+                _write_json(item, inner, parts, chunks, heads)
             else:
                 emit(sep + _scalar_json(item))
-            sep = "," + inner
+            sep = comma
             if len(parts) >= _CHUNK:
                 chunks.append("".join(parts))
                 parts.clear()

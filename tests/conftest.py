@@ -1,11 +1,12 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from quiverhh import Pipeline, RunConfig
 from quiverhh.linalg import accumulate, axpy
 from quiverhh.quiver import Path, a_cycle, arrow, compose, trivial
-from quiverhh.uniform import Label, generator_labels
+from quiverhh.uniform import Label, generator_labels, label_index, label_pair
 
 
 @pytest.fixture(scope="session")
@@ -163,7 +164,6 @@ def _corner_homotopy(dm):
     genuinely different lifts of the same map."""
     from quiverhh.diagonal import HomotopyFamily
     from quiverhh.quiver import VERTICES
-    from quiverhh.uniform import label_index, label_pair
 
     alg = dm.res.algebra
     index = alg.basis_index
@@ -247,8 +247,6 @@ def _tensor_triples(tc, m):
     """The ordered scalar basis of total degree m of a `TensorComplex`: its
     quintuples (g1, g2, left, mid, right), by degree of the first factor,
     then label, left, middle and right path."""
-    from quiverhh.uniform import label_index, label_pair
-
     alg = tc.algebra
     index = alg.basis_index
     out = []
@@ -283,11 +281,10 @@ def _homotopy_solve(dm, fam_f, fam_g, max_degree):
     """(h, None) with f - g = h∘boundary + d∘h through `max_degree`, or
     (None, m) with m the degree where the two families of the
     `DiagonalMaps` dm stop being homotopic.  h has an empty vertex table,
-    and each image is solved by the diagonal's exact solver and kept in
-    its generator's own corner, as the solved family's lift keeps it."""
+    and each image is solved by the diagonal's exact solver and projected
+    onto its generator's own corner, where a solved lift lies already."""
     from quiverhh.diagonal import HomotopyFamily
     from quiverhh.quiver import VERTICES
-    from quiverhh.uniform import label_index, label_pair
 
     res, tc, p = dm.res, dm.tc, dm.field.p
     vertex = res.vertex
@@ -415,3 +412,134 @@ def reference_echelon():
     `SparseEchelon` and `kernel_basis` as they were before the echelon
     read its vectors copy-on-write."""
     return _ReferenceEchelon, _reference_kernel_basis
+
+
+# -- the term-by-term forms of the fused kernels ------------------------------
+
+
+def _contraction_terms(s, g, left, right):
+    """The homotopy of the `OneSidedContraction` s on the basis triple (g,
+    left, right): its (triple, coefficient) terms, not summed."""
+    m, rows = g >> 3, s.alg.product_rows
+    base, images = 8 * (m + 1), s.table[m][g & 7]
+    if s.side == "right":
+        for k2, l2, r2, d in images[s.alg.into_index[left]]:
+            if (nr := rows[r2][right]) is not None:
+                yield (base + k2, l2, nr), d
+    else:
+        for k2, l2, r2, d in images[s.alg.from_index[right]]:
+            if (nl := rows[left][l2]) is not None:
+                yield (base + k2, nl, r2), d
+
+
+def _contraction_apply(s, elem):
+    """The homotopy of s on an element of one degree, term by term."""
+    return accumulate(
+        ((k, c * d) for (g, l, r), c in elem.items() for k, d in _contraction_terms(s, g, l, r)),
+        s.res.field.p,
+    )
+
+
+def _contraction_table(s, m):
+    """The table of degree m of s solved from its defects as
+    `apply_boundary`, then `_contraction_apply`, then `axpy` make them."""
+    res, alg, p = s.res, s.alg, s.res.field.p
+    solver = res.boundary_solver(m + 1)
+    right_side = s.side == "right"
+    solutions = []
+    for lab in generator_labels(m):
+        o, t = label_pair(lab)
+        g = label_index(lab)
+        xs = []
+        for free in alg.paths_into[o] if right_side else alg.paths_from[t]:
+            gen = (g, free, res.vertex[t]) if right_side else (g, res.vertex[o], free)
+            if m == 0:
+                defect = s.section(gen[1], gen[2])
+            else:
+                defect = _contraction_apply(s, res.apply_boundary(m, {gen: 1}))
+            rhs = axpy({gen: 1}, -1, defect, p)
+            xs.append(solver.solve({res.position(m, *k): c for k, c in rhs.items()}))
+        solutions.append(xs)
+    src = [(g2 & 7, l2, r2) for g2, l2, r2 in res.triples(m + 1)]
+    return [[tuple((*src[i], d) for i, d in x.items()) for x in xs] for xs in solutions]
+
+
+def _extend(tc, images, elem):
+    """The bimodule-linear extension of generator images, one `act` and one
+    `axpy` per resolution term."""
+    out = {}
+    for (g, left, right), c in elem.items():
+        img = images.get(g)
+        if img:
+            axpy(out, c, tc.act(left, img, right), tc.field.p)
+    return out
+
+
+def _solve_boundary(dm, rhs):
+    """`DiagonalMaps._solve_boundary` of the `DiagonalMaps` dm in three sums
+    and an `axpy`: the first-factor contraction, the degree-0 leftover
+    through the section, and that leftover through the second factor's
+    contraction, each by `_contraction_terms`."""
+    p, first, second = dm.field.p, dm.s_right, dm.s_left
+    x = accumulate(
+        (
+            ((h, g2, nl, nm, right), c * d)
+            for (g1, g2, left, mid, right), c in rhs.items()
+            for (h, nl, nm), d in _contraction_terms(first, g1, left, mid)
+        ),
+        p,
+    )
+    leftover = accumulate(
+        (
+            ((h, g2, nl, q, right), c * d)
+            for (g1, g2, left, mid, right), c in rhs.items()
+            if g1 < 8
+            for (h, nl, q), d in first.section(left, mid).items()
+        ),
+        p,
+    )
+    y = accumulate(
+        (
+            ((g1, h, left, nm, nr), c * d)
+            for (g1, g2, left, mid, right), c in leftover.items()
+            for (h, nm, nr), d in _contraction_terms(second, g2, mid, right)
+        ),
+        p,
+    )
+    return axpy(x, 1, y, p)
+
+
+def _terms_json(names, elem, field):
+    """`pipeline._terms_json` sorted by one string per term: the repr of
+    its key decoded to `Label` and `Path` objects."""
+    labels, paths = names
+    keyed = []
+    for (g1, g2, left, mid, right), c in elem.items():
+        n1, n2, nl, nm, nr = labels[g1], labels[g2], paths[left], paths[mid], paths[right]
+        row = {
+            "bidegree": [g1 >> 3, g2 >> 3],
+            "g1": n1[0],
+            "g2": n2[0],
+            "left": nl[0],
+            "middle": nm[0],
+            "right": nr[0],
+            "coeff": field.format(c),
+        }
+        keyed.append((f"({n1[1]}, {n2[1]}, {nl[1]}, {nm[1]}, {nr[1]})", row))
+    keyed.sort(key=lambda kv: kv[0])
+    return [row for _, row in keyed]
+
+
+@pytest.fixture(scope="session")
+def term_by_term():
+    """The term-by-term references of the fused kernels: the contraction's
+    `terms`, `apply` and `table(s, m)`, the extension `extend`, the
+    exact solver `solve_boundary(dm, rhs)` and the term sort `terms_json`."""
+    return SimpleNamespace(
+        terms=_contraction_terms,
+        apply=_contraction_apply,
+        table=_contraction_table,
+        extend=_extend,
+        solve_boundary=_solve_boundary,
+        terms_json=_terms_json,
+    )

@@ -162,19 +162,71 @@ def test_solved_family_exact_and_lifts_identity(pipes, n, solved_families):
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 @pytest.mark.parametrize("side", ["right", "left"])
-def test_contraction_is_a_contracting_homotopy(pipes, n, side):
+def test_contraction_is_a_contracting_homotopy(pipes, n, side, term_by_term):
     # boundary∘s + s∘boundary = id on every basis triple of degree <= 6,
     # with the augmentation section in place of s∘boundary at degree 0
     res = pipes[n].resolution
     s = getattr(pipes[n].diagonal, f"s_{side}")
+    apply = term_by_term.apply
     for m in range(0, 7):
         for tr in res.triples(m):
             x = {tr: 1}
             if m == 0:
                 back = s.section(tr[1], tr[2])
             else:
-                back = s.apply(res.apply_boundary(m, x))
-            assert axpy(res.apply_boundary(m + 1, s.apply(x)), 1, back, 0) == x, (m, tr)
+                back = apply(s, res.apply_boundary(m, x))
+            assert axpy(res.apply_boundary(m + 1, apply(s, x)), 1, back, 0) == x, (m, tr)
+
+
+@pytest.mark.parametrize("field", ["rationals", "gf:7"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_fused_kernels_equal_their_term_by_term_references(n, field, term_by_term):
+    # in value and in order: the contraction tables, the family on each
+    # generator's boundary (the extension), each lift (the exact solver,
+    # here with the corner projection the lift no longer makes) and the
+    # printed images table
+    from quiverhh import Pipeline, RunConfig
+
+    pipe = Pipeline(RunConfig(n=n, field=field, max_degree=9))
+    dm, res, tc = pipe.diagonal, pipe.resolution, pipe.tensor
+    for s in (dm.s_right, dm.s_left):
+        for m in range(0, 8):
+            assert s._solve(m) == term_by_term.table(s, m), (s.side, m)
+    fam = dm.solved_family()
+    for m in range(1, 10):
+        for lab in generator_labels(m):
+            g = label_index(lab)
+            boundary = res.apply_boundary(m, res.generator(lab))
+            want = term_by_term.extend(tc, fam.images[m - 1], boundary)
+            assert list(fam.on_boundary[m][g].items()) == list(want.items()), (m, lab)
+            o, t = label_pair(lab)
+            x = term_by_term.solve_boundary(dm, fam.on_boundary[m][g])
+            want = tc.act(res.vertex[o], x, res.vertex[t])
+            assert list(fam.images[m][g].items()) == list(want.items()), (m, lab)
+    rows = pipe.family_json(fam)
+    assert [row["terms"] for row in rows] == [
+        term_by_term.terms_json(pipe._names, fam.images[m][label_index(lab)], pipe.algebra.field)
+        for m in range(10)
+        for lab in generator_labels(m)
+    ]
+
+
+@pytest.mark.parametrize("field", ["rationals", "gf:5", "gf:7"])
+def test_solved_images_lie_in_their_generators_corner(field):
+    # the lift keeps its solution as it is: every term of a solved image
+    # runs from the origin of its generator to its terminus
+    from quiverhh import Pipeline, RunConfig
+
+    for n in range(0, 7):
+        pipe = Pipeline(RunConfig(n=n, field=field, max_degree=12))
+        fam, basis = pipe.family("solved"), pipe.algebra.basis
+        for m in range(0, 13):
+            for lab in generator_labels(m):
+                ends = {
+                    (basis[left].source, basis[right].target)
+                    for _, _, left, _, right in fam.images[m][label_index(lab)]
+                }
+                assert ends == {label_pair(lab)}, (n, m, lab)
 
 
 @pytest.mark.parametrize("field", ["rationals", "gf:7"])
