@@ -2,7 +2,10 @@
 
 Subcommands
     algebra     basis, dimensions, corner table, oracle check
-    resolution  boundary-squared / exactness / minimality verification
+    resolution  boundary-squared / exactness / minimality verification;
+                `exactness` prints only the exactness rows, but also runs
+                the boundary-squared checks, the premise of their
+                certificate on the top complex (see `resolution.py`)
     diagonal    build a diagonal family and verify its squares
     hochschild  cohomology dimensions, named bases, star table
     ring        the n = 0 reconciliation (star, cup, known deviations)
@@ -11,9 +14,11 @@ Subcommands
 `report` merges the sections' tables by key, so the hochschild section's
 `dimensions` table (degree, hom_dim, hh_dim) replaces the resolution
 section's (degree, dim, generators): a report holds no resolution
-dimensions.  `hochschild ... star-table` prints the star table in every
-output mode; in text mode the other actions print no star table, and
-the JSON of every action holds `dimensions` and `star_table`.
+dimensions.  In text mode `resolution ... dims` prints the resolution
+table after its check lines.  `hochschild ... star-table` prints the
+star table in every output mode; in text mode the other actions print
+no star table, and the JSON of every action holds `dimensions` and
+`star_table`.
 
 Each option is declared once, in `pipeline.OPTIONS`, the table that
 `RunConfig` also takes its defaults and choices from.  A handler returns
@@ -135,10 +140,11 @@ def cmd_algebra(pipe, action):
 
 def cmd_resolution(pipe, action):
     res, d = pipe.resolution, pipe.config.max_degree
-    # `verify` skips the exactness ranks, `exactness` runs only them
-    rows = [] if action == "exactness" else res.verify_complex(d)
-    if action != "verify":
-        rows += res.verify_exactness(d)
+    # `verify` skips the exactness rows; `exactness` prints only them, but
+    # their certificate needs the complex rows too
+    complex_rows = res.verify_complex(d)
+    exact_rows = [] if action == "verify" else res.verify_exactness(d, complex_rows)
+    rows = exact_rows if action == "exactness" else complex_rows + exact_rows
     if action != "exactness":
         bad = [v for m in range(1, d + 1) for v in res.minimality_violations(m)]
         rows.append(
@@ -160,6 +166,10 @@ def cmd_resolution(pipe, action):
         text += reports.render_markdown_table(tables["dimensions"], ["degree", "dim", "generators"])
     else:
         text = _check_lines(rows)
+        if action == "dims":
+            text += "degree      dim  generators\n"
+            for row in tables["dimensions"]:
+                text += f"{row['degree']:>6}  {row['dim']:>7}  {row['generators']:>10}\n"
     payload = {"checks": rows, "tables": tables, "deviations": []}
     return payload, text, _status_ok(rows)
 
@@ -286,9 +296,9 @@ def cmd_ring(pipe, action):
 def cmd_report(pipe, action):
     payload = {"checks": [], "tables": {}, "deviations": []}
     ok = True
-    # the diagonal runs first: it builds the boundary solvers whose ranks
-    # the resolution's exactness rows then read, so no boundary matrix is
-    # eliminated twice
+    # the diagonal runs first: should an exactness row fall back to the
+    # boundary ranks, it reads them off the solvers the diagonal built, so
+    # no boundary matrix is eliminated twice
     diagonal = cmd_diagonal(pipe, "all")
     algebra = cmd_algebra(pipe, "all")
     resolution = cmd_resolution(pipe, "all")

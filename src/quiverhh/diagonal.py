@@ -48,9 +48,11 @@ The three loops that run once per term are single-pass kernels: each
 reads `product_rows`, the boundary shapes and the contraction tables
 inline and sums its terms in one `accumulate`, with no intermediate
 element per term.  `_extend` sums every (resolution term × image term)
-product; `DiagonalMaps._solve_boundary` sums the first-factor and the
-second-factor contraction; and `OneSidedContraction._solve` sums each
-generator minus the contraction of its boundary, read off the shape.
+product, and `ChainMapFamily.on_boundary` hands it each generator's
+boundary summed off the shape; `DiagonalMaps._solve_boundary` sums the
+first-factor and the second-factor contraction; and
+`OneSidedContraction._solve` sums each generator minus the contraction
+of its boundary, read off the shape.
 The tests keep the term-by-term forms (`tests/conftest.py`) and check
 that each kernel equals its reference, in value and in order.
 
@@ -251,9 +253,18 @@ class ChainMapFamily:
                 lambda lab: rule(lab.degree, res.generator(lab)), upward=False
             )
         self.images = images  # {degree: {label number: tensor element}}
+        # the boundary of a generator sums its shape terms as they are:
+        # its paths start and end at the generator's own vertices
         self.on_boundary = diagonal.per_label(
             lambda lab: self.evaluate(
-                lab.degree - 1, res.apply_boundary(lab.degree, res.generator(lab))
+                lab.degree - 1,
+                accumulate(
+                    (
+                        ((tgt, x, y), sign)
+                        for x, tgt, y, sign in res.shape(lab.degree)[label_index(lab) & 7]
+                    ),
+                    diagonal.field.p,
+                ),
             ),
             upward=False,
         )

@@ -353,7 +353,9 @@ def test_no_boundary_matrix_outlives_its_rank_or_solver(monkeypatch):
 
     monkeypatch.setattr(Resolution, "_boundary_matrix", tracked)
     r = Resolution(get_algebra(2))
-    assert all(row["status"] == "pass" for row in r.verify_exactness(12))
+    for m in range(13):
+        r.boundary_rank(m)
+        r.boundary_solver(m)
     gc.collect()
     assert refs and all(ref() is None for ref in refs)
 
@@ -442,6 +444,83 @@ def test_zeroed_boundary_breaks_exactness(pipes):
     r._shapes[2] = [[] for _ in r.shape(2)]
     rows = r.verify_exactness(3)
     assert rows[1]["status"] == "fail"
+
+
+def _certified_and_direct(r, direct, max_degree):
+    """The (status, kernel_dim, next_rank) rows of `r.verify_exactness`,
+    and those of the ranks of the boundary matrices of `direct`."""
+    rows = [
+        (row["status"], row["kernel_dim"], row["next_rank"])
+        for row in r.verify_exactness(max_degree)
+    ]
+    want = []
+    for m in range(max_degree):
+        kdim, r_next = direct.dim(m) - direct.boundary_rank(m), direct.boundary_rank(m + 1)
+        want.append(("pass" if kdim == r_next else "fail", kdim, r_next))
+    return rows, want
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(5), PrimeField(7), PrimeField(11)], ids=["QQ", "GF5", "GF7", "GF11"]
+)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_certified_exactness_equals_the_direct_ranks(n, field):
+    # the fields hold members with p | 3n + 2 (n = 1 in GF5, n = 4 in GF7,
+    # n = 3 in GF11); every row is certified, so no boundary matrix is
+    # eliminated for them
+    r = Resolution(get_algebra(n, field))
+    rows, want = _certified_and_direct(r, Resolution(r.algebra), 15)
+    assert not r._ranks and not r._solvers
+    assert rows == want
+    assert all(status == "pass" for status, _, _ in rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_zeroed_shape_fails_the_certificate_as_the_direct_ranks(n):
+    r, direct = Resolution(get_algebra(n)), Resolution(get_algebra(n))
+    for x in (r, direct):
+        x._shapes[2] = [[] for _ in x.shape(2)]
+    rows, want = _certified_and_direct(r, direct, 6)
+    assert rows == want
+    assert [m for m, (status, _, _) in enumerate(rows) if status == "fail"] == [1, 2]
+    # from the first degree it cannot certify on, every row reads the
+    # boundary ranks, though the top complex is exact again from degree 3
+    assert sorted(r._ranks) == list(range(1, 7))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_certificate_keeps_the_complex_premise(n):
+    # without the last term of the first label's image in degree 3, the
+    # boundary squares to zero neither into nor out of degree 3, while the
+    # top complex stays exact: a certificate that read the top complex
+    # alone would pass every row
+    r, direct = Resolution(get_algebra(n)), Resolution(get_algebra(n))
+    for x in (r, direct):
+        x._shapes[3] = [list(terms) for terms in x.shape(3)]
+        x._shapes[3][0].pop()
+    assert all(r.top_dim(m) - r.top_rank(m) == r.top_rank(m + 1) for m in range(6))
+    complex_rows = r.verify_complex(6)
+    assert [row["degree"] for row in complex_rows if row["status"] == "fail"] == [2, 3]
+    rows, want = _certified_and_direct(r, direct, 6)
+    assert rows == want
+    assert [m for m, (status, _, _) in enumerate(rows) if status == "fail"] == [2, 3]
+
+
+def test_exactness_action_builds_no_boundary_matrix(capsys, monkeypatch):
+    # every row of this run is certified on the top complex
+    from quiverhh.cli import main
+
+    built = []
+    build = Resolution._boundary_matrix
+
+    def counting(self, m):
+        built.append(m)
+        return build(self, m)
+
+    monkeypatch.setattr(Resolution, "_boundary_matrix", counting)
+    assert main(["resolution", "--n", "5", "--max-degree", "12", "exactness"]) == 0
+    assert "fail" not in capsys.readouterr().out
+    assert built == []
 
 
 def test_minimality(pipes):
