@@ -754,6 +754,12 @@ PINNED_REPORTS = [
      "dd99193c585483d75151ae24488495bf9b721cda30d811be5f9bbce1006a7eb8"),
     ("resolution --n 2 --field gf:7 --max-degree 13 all",
      "fb77c8e5ef5e66e6b320db2919dfdd6b8ba69247852fe068c0b61f2f9e2af294"),
+    # several periods of complex rows that degrees 8 and up share with
+    # the row six below
+    ("resolution --n 0 --max-degree 40 all",
+     "8152f995b63432b4f7c499bf19224ce9637b914035a3e524d526716c482f0cea"),
+    ("resolution --n 2 --field gf:5 --max-degree 26 all",
+     "b0054647022fa6e9a97db256540ff70102632bbb6d8aba8cc33c93b2641583e2"),
     # the contractions solve against the boundary solvers of degrees 8..14
     ("diagonal --n 1 --max-degree 13 squares",
      "0d9b7bddfd9c42424056bf9e4602b4caa38ce4cfb6b8dcfb453533bb1953baab"),
