@@ -12,12 +12,15 @@ word b0*b1 rewrites into the long a-cycle word:
 
 Every rule either kills a word or strictly lowers the number of b-arrows,
 so rewriting terminates, and each path normalises to a single path or to
-zero (no coefficients ever appear).  The surviving normal forms are the
-monomial basis.  It is found by one walk from the trivial paths, which
-rewrites each basis path times each arrow out of its target once; a
-word that is its own normal form is the next basis path.  No basis path
-is longer than the detour replacement (3n + 2 arrows), and a walk that
-finds a longer one stops with a ValueError.  Rather than by a confluence
+zero (no coefficients ever appear).  The rules are applied by substring
+search on the text of a word, its two-character arrow tags joined
+(`normal_form_path`), which is split back into tags only when a rule
+rewrote it.  The surviving normal forms are the monomial basis.  It is
+found by one walk from the trivial paths, which rewrites each basis
+path times each arrow out of its target once; a word that is its own
+normal form is the next basis path.  No basis path is longer than the
+detour replacement (3n + 2 arrows), and a walk that finds a longer one
+stops with a ValueError.  Rather than by a confluence
 proof, the basis size is certified against a length-truncated
 row-reduction oracle (`oracle_quotient_dim`), which `cli.cmd_algebra`
 runs on every `algebra` and `report` run.
@@ -28,16 +31,6 @@ from __future__ import annotations
 from .linalg import QQ, SparseEchelon
 from .quiver import ARROW_SOURCE, ARROWS, VERTICES, Path, a_cycle, compose, path_sort_key, trivial
 from .uniform import Degrees
-
-
-def _find_subword(word, sub):
-    ls = len(sub)
-    if ls == 0 or ls > len(word):
-        return -1
-    for i in range(len(word) - ls + 1):
-        if word[i : i + ls] == sub:
-            return i
-    return -1
 
 
 class FamilyAlgebra:
@@ -64,14 +57,15 @@ class FamilyAlgebra:
             raise ValueError("family index must be >= 0")
         self.n = n
         self.field = field
+        # the rules are on the text of a word: its arrow tags joined
         self.kill_words = (
-            a_cycle(1, 3 * n + 2).arrows,
-            a_cycle(2, 3 * n + 2).arrows,
-            ("b1", "a2"),
-            ("a2", "b0"),
+            "".join(a_cycle(1, 3 * n + 2).arrows),
+            "".join(a_cycle(2, 3 * n + 2).arrows),
+            "b1a2",
+            "a2b0",
         )
-        self.detour = ("b0", "b1")
-        self.detour_replacement = a_cycle(0, 3 * n + 2).arrows
+        self.detour = "b0b1"
+        self.detour_replacement = "".join(a_cycle(0, 3 * n + 2).arrows)
         # a path with a reducible prefix is reducible, so the walk meets
         # every irreducible path; `rewritten[p][tag]` is the normal form of
         # p times the arrow
@@ -111,16 +105,25 @@ class FamilyAlgebra:
     # -- rewriting ---------------------------------------------------
 
     def normal_form_path(self, p):
-        """Normal form of the path p: Path or None."""
-        word = p.arrows
+        """Normal form of the path p: Path or None.
+
+        The rules search the text of the word.  Every arrow tag is a
+        letter and a digit, so a rule's text can only match at an even
+        offset, where a tag starts, and a match is a match of tags."""
+        text = "".join(p.arrows)
+        detour, rewritten = self.detour, False
         while True:
             for kw in self.kill_words:
-                if _find_subword(word, kw) >= 0:
+                if kw in text:
                     return None
-            i = _find_subword(word, self.detour)
+            i = text.find(detour)
             if i < 0:
-                return Path(p.source, word)
-            word = word[:i] + self.detour_replacement + word[i + 2 :]
+                break
+            text = text[:i] + self.detour_replacement + text[i + len(detour) :]
+            rewritten = True
+        if not rewritten:
+            return p
+        return Path(p.source, tuple(text[k : k + 2] for k in range(0, len(text), 2)))
 
     # -- products ------------------------------------------------------
 

@@ -227,10 +227,15 @@ class OneSidedContraction:
                     raise ValueError(f"contraction solve failed at degree {m}")
                 xs.append(x)
             solutions.append(xs)
-        # a solution's positions decoded once, with the target label by its
-        # position, so the table stays relative to the degree
-        src = [(g2 & 7, l2, r2) for g2, l2, r2 in res.triples(m + 1)]
-        return [[tuple((*src[i], d) for i, d in x.items()) for x in xs] for xs in solutions]
+        # the solutions' positions decoded in one pass, with the target
+        # label by its position, so the table stays relative to the degree;
+        # zip reads a solution's values first, so it stops at the end of
+        # each solution without taking the next one's first triple
+        decoded = iter(res.triples_at(m + 1, [i for xs in solutions for x in xs for i in x]))
+        return [
+            [tuple((g2 & 7, l2, r2, d) for d, (g2, l2, r2) in zip(x.values(), decoded)) for x in xs]
+            for xs in solutions
+        ]
 
 
 class ChainMapFamily:
@@ -253,18 +258,9 @@ class ChainMapFamily:
                 lambda lab: rule(lab.degree, res.generator(lab)), upward=False
             )
         self.images = images  # {degree: {label number: tensor element}}
-        # the boundary of a generator sums its shape terms as they are:
-        # its paths start and end at the generator's own vertices
         self.on_boundary = diagonal.per_label(
             lambda lab: self.evaluate(
-                lab.degree - 1,
-                accumulate(
-                    (
-                        ((tgt, x, y), sign)
-                        for x, tgt, y, sign in res.shape(lab.degree)[label_index(lab) & 7]
-                    ),
-                    diagonal.field.p,
-                ),
+                lab.degree - 1, res.generator_boundary(lab.degree, label_index(lab) & 7)
             ),
             upward=False,
         )

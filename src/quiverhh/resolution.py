@@ -16,12 +16,16 @@ two mixed-pair generators).  The long shapes contain telescoping sums
 whose k-th term splits the long cycle word into (left, generator, right)
 with the generator absorbing 2, 1 or 0 arrows depending on the residue
 of the target degree.  All coefficients are +-1.  `Resolution.shape`
-restates each degree's printed shape on the same numbers, once.  One
+restates each degree's printed shape on the same numbers, once,
+decoding each distinct path and target label of the degree once.  One
 period of boundary ranks and solvers serves every degree m >= 8;
-`period_rep` makes that check per n and degree from the shapes.  A
-boundary matrix is not kept: it is built for the rank or solver that
-reads it and dropped, though over Q its columns that lead with 1 and
-need no elimination live on as the echelon's rows.
+`period_rep` makes that check per n and degree from the shapes.  So
+does one period of the rows of `verify_complex`: a row reads only two
+shapes, and from degree 8 on, where both repeat those six degrees
+below, it takes that row's status.  A boundary matrix is not kept: it
+is built for the rank or solver that reads it and dropped, though over
+Q its columns that lead with 1 and need no elimination live on as the
+echelon's rows.
 
 Exactness is certified on the top complex P ⊗_A A/J, J the arrow
 ideal, rather than on the boundary matrices.  The augmented complex
@@ -65,13 +69,13 @@ def boundary_shape(m, n):
     L = lambda fam, sub=None: Label(m, fam, sub)
     T = lambda fam, sub=None: Label(t, fam, sub)
     # the degree-t generator on the a-chain from e_l, which ends at e_{l+t}
-    A = lambda l: label_at(t, f"e{l % 3}", f"e{(l + t) % 3}")
+    A = [label_at(t, f"e{l}", f"e{(l + t) % 3}") for l in range(3)]
 
     def chain(i):
         # the telescoping sum of residues 2, 4 and 0: its j-th term splits
         # the long cycle word from e_i after j arrows
         return [
-            (a_cycle(i, j), A(i + j), a_cycle(i + j + t, 3 * n + 1 - j), 1)
+            (a_cycle(i, j), A[(i + j) % 3], a_cycle(i + j + t, 3 * n + 1 - j), 1)
             for j in range(3 * n + 1)
         ]
 
@@ -176,6 +180,14 @@ class Resolution:
         o, t = label_pair(label)
         return {(label_index(label), self.vertex[o], self.vertex[t]): 1}
 
+    def generator_boundary(self, m, k):
+        """The boundary of the generator at position k of degree m >= 1,
+        summed straight off its shape: the shape's paths start and end at
+        the generator's own vertices, so its terms are the triples."""
+        return accumulate(
+            (((tgt, x, y), sign) for x, tgt, y, sign in self.shape(m)[k]), self.field.p
+        )
+
     def shape(self, m):
         """The boundary shape of degree m >= 1 on numbers: for each label,
         in the order of `generator_labels(m)`, its terms (left path index,
@@ -185,40 +197,59 @@ class Resolution:
     def _shape_at(self, m):
         sh = boundary_shape(m, self.n)
         index = self.algebra.basis_index
+        # each distinct path and target label decoded once: a path to
+        # (index, source, target), a label to (number, origin, terminus)
+        paths, labels = {}, {}
         out = []
         for lab in generator_labels(m):
             o, t = label_pair(lab)
             terms = []
             for left, tgt, right, sign in sh[lab]:
-                to, tt = label_pair(tgt)
-                if (left.source, left.target, right.source, right.target) != (o, to, tt, t):
+                if (x := paths.get(left)) is None:
+                    x = paths[left] = (index[left], left.source, left.target)
+                if (y := paths.get(right)) is None:
+                    y = paths[right] = (index[right], right.source, right.target)
+                if (g := labels.get(tgt)) is None:
+                    g = labels[tgt] = (label_index(tgt), *label_pair(tgt))
+                if (x[1], x[2], y[1], y[2]) != (o, g[1], g[2], t):
                     raise ValueError(f"boundary of {lab}: term {left} {tgt} {right} has wrong ends")
-                terms.append((index[left], label_index(tgt), index[right], sign))
+                terms.append((x[0], g[0], y[0], sign))
             out.append(terms)
         return out
 
-    def triples(self, m):
-        """Ordered scalar basis of degree m: (label number, left, right)
-        triples in the layout of `_blocks`, listed anew on every call."""
-        alg = self.algebra
-        out = []
-        for lab in generator_labels(m):
-            o, t = label_pair(lab)
-            g, rights = label_index(lab), alg.paths_from[t]
-            out.extend((g, left, right) for left in alg.paths_into[o] for right in rights)
-        return out
-
     def position(self, m, g, left, right):
-        """The position of the triple (g, left, right) in `triples(m)`."""
+        """The position of the triple (g, left, right) in the scalar basis
+        of degree m, laid out by `_blocks`."""
         start, width = self._blocks[m][0][g & 7]
         return start + self.algebra.into_index[left] * width + self.algebra.from_index[right]
+
+    def triples_at(self, m, positions):
+        """The triples (g, left, right) at the given positions of degree m,
+        in order: the inverse of `position`."""
+        alg = self.algebra
+        blocks = []
+        for k, ((start, width), lab) in enumerate(zip(self._blocks[m][0], generator_labels(m))):
+            o, t = label_pair(lab)
+            blocks.append((start, width, 8 * m + k, alg.paths_into[o], alg.paths_from[t]))
+        # from the last block, so the first that starts at or before a
+        # position holds it
+        blocks.reverse()
+        out = []
+        for i in positions:
+            for start, width, g, lefts, rights in blocks:
+                if start <= i:
+                    li, ri = divmod(i - start, width)
+                    out.append((g, lefts[li], rights[ri]))
+                    break
+        return out
 
     def _blocks_at(self, m):
         """([(start, width)] by label position, dim(m)).
 
-        A label's block of `triples(m)` starts at `start` and lists each
-        left path into its origin with every right path out of its
-        terminus, left-major: `width` is the number of right paths.
+        The scalar basis of degree m is its (label number, left, right)
+        triples, label by label.  A label's block starts at `start` and
+        lists each left path into its origin with every right path out of
+        its terminus, left-major: `width` is the number of right paths.
         """
         alg = self.algebra
         blocks, dim = [], 0
@@ -432,20 +463,29 @@ class Resolution:
     def verify_complex(self, max_degree):
         """Check boundary-squared = 0 on all generators, degrees 0..max_degree-1.
 
-        Row m covers the composite from degree m+1 through degree m.
+        Row m covers the composite from degree m+1 through degree m: each
+        generator's boundary (`generator_boundary`), then the boundary
+        (at m = 0 the augmentation) of that.  A row reads only the shapes
+        of m and m + 1.  For m >= 8, when `period_rep` finds both to be
+        those of m - 6 and m - 5 with label numbers shifted, the
+        composites are those of row m - 6 shifted, so row m takes that
+        row's status and names the label of degree m + 1 at the position
+        of its witness.
         """
+        failed = []  # by row: the position of its witness, or None
         rows = []
         for m in range(0, max_degree):
-            witness = None
-            for lab in generator_labels(m + 1):
-                img = self.apply_boundary(m + 1, self.generator(lab))
-                if m == 0:
-                    comp = self.augment(img)
-                else:
-                    comp = self.apply_boundary(m, img)
-                if comp:
-                    witness = str(lab)
-                    break
+            if m >= 8 and self.period_rep(m) != m and self.period_rep(m + 1) != m + 1:
+                failed.append(failed[m - 6])
+            else:
+                failed.append(None)
+                for k in range(len(generator_labels(m + 1))):
+                    img = self.generator_boundary(m + 1, k)
+                    comp = self.augment(img) if m == 0 else self.apply_boundary(m, img)
+                    if comp:
+                        failed[m] = k
+                        break
+            witness = None if failed[m] is None else str(generator_labels(m + 1)[failed[m]])
             rows.append(
                 {
                     "id": f"complex-{m}",

@@ -192,6 +192,33 @@ def _corner_homotopy(dm):
     return HomotopyFamily(dm, dm.per_label(image, upward=False), {v: {} for v in VERTICES})
 
 
+def _reference_normal_form(n, p):
+    """Normal form of the path p in the member n, rewritten on the tuple
+    of arrow tags and searched tag by tag: Path or None."""
+    kill_words = (a_cycle(1, 3 * n + 2).arrows, a_cycle(2, 3 * n + 2).arrows, ("b1", "a2"), ("a2", "b0"))
+    replacement = a_cycle(0, 3 * n + 2).arrows
+    word = p.arrows
+
+    def at(sub):
+        return [i for i in range(len(word) - len(sub) + 1) if word[i : i + len(sub)] == sub]
+
+    while True:
+        if any(at(kw) for kw in kill_words):
+            return None
+        found = at(("b0", "b1"))
+        if not found:
+            return Path(p.source, word)
+        i = found[0]
+        word = word[:i] + replacement + word[i + 2 :]
+
+
+@pytest.fixture(scope="session")
+def reference_normal_form():
+    """`reference_normal_form(n, p)`: the rewriting of `FamilyAlgebra`,
+    on tuples of arrow tags."""
+    return _reference_normal_form
+
+
 def _decode(owner, elem):
     """An element of a `Resolution` or a `TensorComplex` with its label
     numbers and path indices replaced by `Label` and `Path` objects: keys
@@ -241,6 +268,25 @@ def act():
     """`act(res, x, elem, y)`: the bimodule action on a resolution element,
     by the basis paths of indices x (left) and y (right)."""
     return _act
+
+
+def _triples(res, m):
+    """The ordered scalar basis of degree m of a `Resolution`: its (label
+    number, left, right) triples, by label, then left and right path."""
+    alg = res.algebra
+    out = []
+    for lab in generator_labels(m):
+        o, t = label_pair(lab)
+        g, rights = label_index(lab), alg.paths_from[t]
+        out.extend((g, left, right) for left in alg.paths_into[o] for right in rights)
+    return out
+
+
+@pytest.fixture(scope="session")
+def triples():
+    """`triples(res, m)`: the scalar basis of degree m of the resolution
+    `res`, listed."""
+    return _triples
 
 
 def _tensor_triples(tc, m):
@@ -460,7 +506,7 @@ def _contraction_table(s, m):
             rhs = axpy({gen: 1}, -1, defect, p)
             xs.append(solver.solve({res.position(m, *k): c for k, c in rhs.items()}))
         solutions.append(xs)
-    src = [(g2 & 7, l2, r2) for g2, l2, r2 in res.triples(m + 1)]
+    src = [(g2 & 7, l2, r2) for g2, l2, r2 in _triples(res, m + 1)]
     return [[tuple((*src[i], d) for i, d in x.items()) for x in xs] for xs in solutions]
 
 

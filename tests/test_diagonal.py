@@ -162,14 +162,14 @@ def test_solved_family_exact_and_lifts_identity(pipes, n, solved_families):
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 @pytest.mark.parametrize("side", ["right", "left"])
-def test_contraction_is_a_contracting_homotopy(pipes, n, side, term_by_term):
+def test_contraction_is_a_contracting_homotopy(pipes, n, side, term_by_term, triples):
     # boundary∘s + s∘boundary = id on every basis triple of degree <= 6,
     # with the augmentation section in place of s∘boundary at degree 0
     res = pipes[n].resolution
     s = getattr(pipes[n].diagonal, f"s_{side}")
     apply = term_by_term.apply
     for m in range(0, 7):
-        for tr in res.triples(m):
+        for tr in triples(res, m):
             x = {tr: 1}
             if m == 0:
                 back = s.section(tr[1], tr[2])
@@ -244,23 +244,23 @@ def test_period_shared_contractions_match_direct_solves(n, field):
         assert all(s.table[m] is s.table[m - 6] for m in range(8, 14)), s.side
 
 
-def test_a_degree_basis_is_listed_only_where_a_table_is_solved(monkeypatch, capsys):
-    # a contraction table of degree m <= 7 lists the basis of degree m + 1
-    # once, to decode its solutions; a table shared from m - 6 lists none,
-    # and no other read lists a basis
+def test_a_degree_position_is_decoded_only_where_a_table_is_solved(monkeypatch, capsys):
+    # a contraction table of degree m <= 7 decodes its solutions' positions
+    # in degree m + 1; a table shared from m - 6 decodes none, and no other
+    # read decodes a position
     from quiverhh.cli import main
     from quiverhh.resolution import Resolution
 
-    listed, triples = set(), Resolution.triples
+    decoded, triples_at = set(), Resolution.triples_at
 
-    def tracked(self, m):
-        listed.add(m)
-        return triples(self, m)
+    def tracked(self, m, positions):
+        decoded.add(m)
+        return triples_at(self, m, positions)
 
-    monkeypatch.setattr(Resolution, "triples", tracked)
+    monkeypatch.setattr(Resolution, "triples_at", tracked)
     assert main(["diagonal", "--n", "1", "--max-degree", "20", "squares"]) == 0
     capsys.readouterr()
-    assert listed and listed <= set(range(1, 9)), sorted(listed)
+    assert decoded and decoded <= set(range(1, 9)), sorted(decoded)
 
 
 def test_solved_family_builds_one_solver_per_degree(monkeypatch):

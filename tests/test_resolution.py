@@ -15,7 +15,7 @@ from quiverhh.quiver import arrow, parse_path, trivial
 from quiverhh.cochains import HochschildComplex
 from quiverhh.diagonal import OneSidedContraction
 from quiverhh.resolution import Resolution, boundary_shape
-from quiverhh.uniform import Label, generator_labels, label_pair
+from quiverhh.uniform import Label, generator_labels, label_pair, parse_label
 
 
 def res(pipes, n):
@@ -146,7 +146,7 @@ def test_resolution_elements_are_int_triples(pipes, act):
     r = res(pipes, 1)
     alg = r.algebra
     for m in range(0, 8):
-        assert int_triples(r.triples(m)), m
+        assert int_triples(r.triples_at(m, range(r.dim(m)))), m
         for lab in generator_labels(m):
             o, t = label_pair(lab)
             gen = r.generator(lab)
@@ -184,13 +184,13 @@ def _reference_boundary(r, m, elem):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_index_form_matches_the_printed_shapes(decode, act, data):
+def test_index_form_matches_the_printed_shapes(decode, act, triples, data):
     n = data.draw(st.integers(0, 3), label="n")
     field = data.draw(st.sampled_from([QQ, PrimeField(7)]), label="field")
     m = data.draw(st.integers(0, 13), label="degree")
     r = _resolution(n, field)
     alg, p = r.algebra, field.p
-    tris = r.triples(m)
+    tris = triples(r, m)
     picks = st.tuples(st.integers(0, len(tris) - 1), st.integers(-3, 3))
     elem = accumulate(((tris[i], c) for i, c in data.draw(st.lists(picks, max_size=6))), p)
     x, y = (data.draw(st.integers(0, len(alg.basis) - 1)) for _ in range(2))
@@ -213,12 +213,12 @@ def test_index_form_matches_the_printed_shapes(decode, act, data):
         assert decode(r, r.apply_boundary(m, elem)) == _reference_boundary(r, m, plain)
 
 
-def test_to_matrix_identity_and_zero(pipes):
+def test_to_matrix_identity_and_zero(pipes, triples):
     r = res(pipes, 0)
     one = Fraction(1)
     # a column per basis triple; the identity map and the zero map are
     # sanity anchors for the basis ordering
-    tris = r.triples(1)
+    tris = triples(r, 1)
     mat = r.boundary_matrix(1)
     assert mat.cols == len(tris)
     assert mat.rows == r.dim(0)
@@ -228,17 +228,20 @@ def test_to_matrix_identity_and_zero(pipes):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_position_inverts_the_listing(n, field):
-    # `triples` lists a degree's basis and `position` computes a place in
-    # it, both from the one layout of `_blocks`
+def test_position_inverts_the_listing(n, field, triples):
+    # `position` computes a place in a degree's basis and `triples_at`
+    # decodes places, both from the one layout of `_blocks`
     r = _resolution(n, field)
     for m in range(0, 14):
-        assert [r.position(m, *tr) for tr in r.triples(m)] == list(range(r.dim(m))), m
+        listed = triples(r, m)
+        assert [r.position(m, *tr) for tr in listed] == list(range(r.dim(m))), m
+        assert r.triples_at(m, range(r.dim(m))) == listed, m
+        assert r.triples_at(m, range(r.dim(m) - 1, -1, -1)) == listed[::-1], m
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_boundary_matrix_columns_are_apply_boundary(n, field):
+def test_boundary_matrix_columns_are_apply_boundary(n, field, triples):
     r = Resolution(get_algebra(n, field))
     for m in range(0, 14):
         mat = r.boundary_matrix(m)
@@ -249,7 +252,7 @@ def test_boundary_matrix_columns_are_apply_boundary(n, field):
             rows, row = r.dim(m - 1), lambda key: r.position(m - 1, *key)
         assert (mat.rows, mat.cols) == (rows, r.dim(m))
         cols = mat.columns
-        for j, tr in enumerate(r.triples(m)):
+        for j, tr in enumerate(triples(r, m)):
             img = r.augment({tr: 1}) if m == 0 else r.apply_boundary(m, {tr: 1})
             # in the same order: each column sums the shape terms in turn
             want = [(row(key), c) for key, c in img.items()]
@@ -258,7 +261,7 @@ def test_boundary_matrix_columns_are_apply_boundary(n, field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 @pytest.mark.parametrize("n", [0, 1])
-def test_boundary_matrix_sums_repeated_terms_as_apply_boundary(n, field):
+def test_boundary_matrix_sums_repeated_terms_as_apply_boundary(n, field, triples):
     # no printed shape repeats a row within a column, so repeat terms: the
     # first term cancels and returns (it keeps its place), the last
     # cancels for good, and the second is summed seven times (zero mod 7)
@@ -271,7 +274,7 @@ def test_boundary_matrix_sums_repeated_terms_as_apply_boundary(n, field):
             for terms in r.shape(m)
         ]
         cols = r._boundary_matrix(m).columns
-        for j, tr in enumerate(r.triples(m)):
+        for j, tr in enumerate(triples(r, m)):
             img = r.apply_boundary(m, {tr: 1})
             want = [(r.position(m - 1, *key), c) for key, c in img.items()]
             assert list(cols[j].items()) == want, (m, tr)
@@ -431,6 +434,97 @@ def test_corrupted_boundary_fails_complex_check(pipes):
     r._shapes[2][0][0] = (left, tgt, right, -sign)
     rows = r.verify_complex(3)
     assert rows[1]["status"] == "fail" and rows[1]["witness"]
+
+
+def _direct_complex_rows(r, max_degree):
+    """The rows of `verify_complex`, each composite computed: the
+    boundary of each generator of degree m + 1, then the boundary (at
+    m = 0 the augmentation) of that."""
+    rows = []
+    for m in range(max_degree):
+        witness = None
+        for lab in generator_labels(m + 1):
+            img = r.apply_boundary(m + 1, r.generator(lab))
+            comp = r.augment(img) if m == 0 else r.apply_boundary(m, img)
+            if comp:
+                witness = str(lab)
+                break
+        rows.append(
+            {
+                "id": f"complex-{m}",
+                "kind": "boundary-squared",
+                "degree": m,
+                "check": "boundary-squared",
+                "status": "pass" if witness is None else "fail",
+                **({"witness": witness} if witness else {}),
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_shared_complex_rows_equal_the_direct_rows(n, field):
+    r = Resolution(get_algebra(n, field))
+    assert r.verify_complex(20) == _direct_complex_rows(Resolution(r.algebra), 20)
+    # every row from 8 on was shared
+    assert all(r.period_rep(m) != m for m in range(8, 21))
+
+
+def _bend(r, degrees):
+    """Flip the sign of the first term of the first label's image in each
+    of the given degrees."""
+    for m in degrees:
+        r._shapes[m] = [list(terms) for terms in r.shape(m)]
+        left, tgt, right, sign = r._shapes[m][0][0]
+        r._shapes[m][0][0] = (left, tgt, right, -sign)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_shared_complex_row_fails_with_the_direct_witness(n):
+    # bent alike at 2 and 8, the shapes still repeat, so row 8 is shared
+    # from row 2 and must fail as the direct row does
+    r, direct = Resolution(get_algebra(n)), Resolution(get_algebra(n))
+    for x in (r, direct):
+        _bend(x, (2, 8))
+    assert r.period_rep(8) == 2
+    rows = r.verify_complex(16)
+    assert rows == _direct_complex_rows(direct, 16)
+    assert rows[2]["status"] == rows[8]["status"] == "fail"
+    # the label at the same position, six degrees up
+    assert parse_label(rows[8]["witness"]) == parse_label(rows[2]["witness"])._replace(degree=9)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_complex_row_off_the_period_is_computed(n):
+    # bent at 8 alone, degree 8 repeats no shape below it: row 8 fails, as
+    # the passing row 2 it would otherwise share says nothing of it
+    r, direct = Resolution(get_algebra(n)), Resolution(get_algebra(n))
+    for x in (r, direct):
+        _bend(x, (8,))
+    assert r.period_rep(8) == 8
+    rows = r.verify_complex(16)
+    assert rows == _direct_complex_rows(direct, 16)
+    assert rows[2]["status"] == "pass" and rows[8]["status"] == "fail"
+
+
+def test_deep_complex_rows_evaluate_no_more_composites(monkeypatch):
+    # rows past one period share their status, so degree 300 costs the
+    # composites of degree 9
+    counts = []
+    for name in ("apply_boundary", "augment"):
+        method = getattr(Resolution, name)
+
+        def counting(self, *args, method=method):
+            counts[-1] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(Resolution, name, counting)
+    for max_degree in (9, 300):
+        counts.append(0)
+        rows = Resolution(get_algebra(0)).verify_complex(max_degree)
+        assert [row["status"] for row in rows] == ["pass"] * max_degree
+    assert 0 < counts[1] <= counts[0], counts
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
